@@ -27,7 +27,8 @@ use std::path::Path;
 use std::time::Instant;
 
 use cc_mis::engine::EngineLubyMis;
-use cc_runtime::FaultPlan;
+use cc_runtime::trace::NoopRecorder;
+use cc_runtime::{Engine, EngineConfig, EngineSession, FaultPlan, PlanInjector};
 use cc_sim::ExecutionModel;
 use clique_coloring::baselines::engine_trial::EngineTrialColoring;
 
@@ -100,6 +101,13 @@ fn chaos_plan(seed: u64, (drop, duplicate, corrupt): (u16, u16, u16)) -> FaultPl
         plan = plan.with_stall(STALL.0, STALL.1);
     }
     plan
+}
+
+/// A fresh engine session under `config` that injects `plan`'s faults.
+fn faulted(config: EngineConfig, plan: FaultPlan) -> EngineSession<NoopRecorder, PlanInjector> {
+    Engine::new(config)
+        .with_faults(PlanInjector::new(plan))
+        .session()
 }
 
 /// Plan label for the table, e.g. `drop25+dup15+corr15`.
@@ -195,8 +203,13 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                 let mut luby_cell = Cell::default();
                 for &seed in &plan_seeds(scale) {
                     let start = Instant::now();
-                    let out = trial_runner(t)
-                        .run_with_faults(&instance, model.clone(), chaos_plan(seed, level))
+                    let runner = trial_runner(t);
+                    let out = runner
+                        .run_in(
+                            &mut faulted(runner.engine_config(), chaos_plan(seed, level)),
+                            &instance,
+                            model.clone(),
+                        )
                         .expect("E11 chaos trial");
                     trial_cell.wall_ms += start.elapsed().as_secs_f64() * 1e3;
                     out.outcome.coloring.verify(&instance).expect("E11 verify");
@@ -225,8 +238,13 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                     trial_cell.rounds += out.outcome.report.rounds;
 
                     let start = Instant::now();
-                    let out = luby_runner(t)
-                        .run_with_faults(&graph, model.clone(), chaos_plan(seed ^ 0x15, level))
+                    let runner = luby_runner(t);
+                    let out = runner
+                        .run_in(
+                            &mut faulted(runner.engine_config(), chaos_plan(seed ^ 0x15, level)),
+                            &graph,
+                            model.clone(),
+                        )
                         .expect("E11 chaos luby");
                     luby_cell.wall_ms += start.elapsed().as_secs_f64() * 1e3;
                     cc_mis::verify::verify_mis(&graph, &out.result.in_set).expect("E11 mis verify");
@@ -314,8 +332,13 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
             None;
         for &t in threads {
             let start = Instant::now();
-            let out = trial_runner(t)
-                .run_with_faults(&instance, model.clone(), crash_plan.clone())
+            let runner = trial_runner(t);
+            let out = runner
+                .run_in(
+                    &mut faulted(runner.engine_config(), crash_plan.clone()),
+                    &instance,
+                    model.clone(),
+                )
                 .expect("E11 crash trial");
             let ms = start.elapsed().as_secs_f64() * 1e3;
             out.outcome

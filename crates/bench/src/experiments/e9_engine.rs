@@ -27,7 +27,7 @@ use std::time::Instant;
 use cc_mis::engine::EngineLubyMis;
 use cc_mis::luby::LubyMis;
 use cc_runtime::trace::{ChromeTrace, RingRecorder};
-use cc_runtime::{Engine, EngineConfig, FaultPlan, NodeEnv, NodeProgram, NodeStatus};
+use cc_runtime::{Engine, EngineConfig, FaultPlan, NodeEnv, NodeProgram, NodeStatus, PlanInjector};
 use cc_sim::{ClusterContext, ExecutionModel};
 use clique_coloring::baselines::engine_trial::EngineTrialColoring;
 use clique_coloring::baselines::trial::RandomizedTrialColoring;
@@ -250,8 +250,11 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 ..EngineTrialColoring::default()
             };
             let recorder = Arc::new(RingRecorder::default());
+            let mut session = Engine::new(runner.engine_config())
+                .with_recorder(Arc::clone(&recorder))
+                .session();
             let out = runner
-                .run_with_recorder(&instance, model.clone(), Arc::clone(&recorder))
+                .run_in(&mut session, &instance, model.clone())
                 .expect("E9 traced trial");
             let reference = reference.as_ref().expect("timed runs precede traced run");
             assert_eq!(
@@ -373,8 +376,11 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 ..EngineLubyMis::default()
             };
             let recorder = Arc::new(RingRecorder::default());
+            let mut session = Engine::new(runner.engine_config())
+                .with_recorder(Arc::clone(&recorder))
+                .session();
             let out = runner
-                .run_with_recorder(&graph, model.clone(), Arc::clone(&recorder))
+                .run_in(&mut session, &graph, model.clone())
                 .expect("E9 traced luby");
             let reference = mis_reference
                 .as_ref()
@@ -617,8 +623,11 @@ pub fn bench_message_plane() -> PlaneBenchRecord {
     let mut fault_best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
+        let mut session = Engine::new(runner.engine_config())
+            .with_faults(PlanInjector::new(FaultPlan::new(0)))
+            .session();
         let fault_out = runner
-            .run_with_faults(&instance, model.clone(), FaultPlan::new(0))
+            .run_in(&mut session, &instance, model.clone())
             .expect("bench fault run");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(

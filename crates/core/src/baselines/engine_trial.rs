@@ -9,16 +9,14 @@
 //! returned [`cc_runtime::MessageLedger`] is the determinism witness:
 //! identical seeds give identical ledgers for any thread count.
 
-use std::sync::Arc;
-
 use cc_graph::coloring::Coloring;
 use cc_graph::instance::ListColoringInstance;
 use cc_graph::{Color, NodeId};
 use cc_runtime::programs::trial::TrialColoringProgram;
-use cc_runtime::trace::{Recorder, RingRecorder, TraceSummary};
+use cc_runtime::trace::{Recorder, TraceSummary};
 use cc_runtime::{
-    Engine, EngineConfig, EngineHealth, EngineOutcome, FaultInjector, FaultPlan, MessageLedger,
-    NodeProgram, PhaseTimings, PlanInjector, ServiceRequest,
+    Engine, EngineConfig, EngineHealth, EngineOutcome, EngineSession, FaultInjector, MessageLedger,
+    NodeProgram, PhaseTimings, ServiceRequest,
 };
 use cc_sim::ExecutionModel;
 
@@ -73,8 +71,10 @@ pub struct EngineTrialOutcome {
 }
 
 impl EngineTrialColoring {
-    /// The engine configuration this baseline runs under.
-    fn engine_config(&self) -> EngineConfig {
+    /// The engine configuration this baseline runs under; build a session
+    /// from it (with a recorder or fault injector attached) for
+    /// [`EngineTrialColoring::run_in`].
+    pub fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             threads: self.threads,
             max_rounds: self.max_rounds,
@@ -83,7 +83,7 @@ impl EngineTrialColoring {
         }
     }
 
-    /// Runs the baseline on the engine.
+    /// Runs the baseline on a fresh engine.
     ///
     /// # Errors
     ///
@@ -94,51 +94,36 @@ impl EngineTrialColoring {
         instance: &ListColoringInstance,
         model: ExecutionModel,
     ) -> Result<EngineTrialOutcome, CoreError> {
-        self.run_on(instance, model, Engine::new(self.engine_config()))
+        self.run_in(
+            &mut Engine::new(self.engine_config()).session(),
+            instance,
+            model,
+        )
     }
 
-    /// Runs the baseline with a trace recorder attached: per-round spans,
-    /// counters, and histograms land in `recorder` (and the outcome's
-    /// `trace` summary) without changing the coloring, report, or ledger.
+    /// Runs the baseline in `session`, which should run under
+    /// [`EngineTrialColoring::engine_config`]. A recorder attached to the
+    /// session captures per-round spans, counters, and histograms (and
+    /// fills the outcome's `trace` summary) without changing the coloring,
+    /// report, or ledger. A fault injector attached to it drives message
+    /// faults, stalls, and crash-stops, with damaged rounds retried from
+    /// checkpoints; crashed or conflict-damaged nodes are repaired by the
+    /// deterministic greedy pass, so the returned coloring is always
+    /// proper — see the outcome's `health` and `recolored_nodes` for what
+    /// the run survived.
     ///
     /// # Errors
     ///
     /// As [`EngineTrialColoring::run`].
-    pub fn run_with_recorder(
+    pub fn run_in<R: Recorder, F: FaultInjector>(
         &self,
+        session: &mut EngineSession<R, F>,
         instance: &ListColoringInstance,
         model: ExecutionModel,
-        recorder: Arc<RingRecorder>,
     ) -> Result<EngineTrialOutcome, CoreError> {
-        self.run_on(
-            instance,
-            model,
-            Engine::with_recorder(self.engine_config(), recorder),
-        )
-    }
-
-    /// Runs the baseline under deterministic fault injection: the seeded
-    /// `plan` drives message drops/duplicates/corruptions, stalls, and
-    /// crash-stops, with damaged rounds retried from checkpoints (the
-    /// engine's default [`cc_runtime::RetryPolicy`]). Crashed or
-    /// conflict-damaged nodes are repaired by the deterministic greedy
-    /// pass, so the returned coloring is always proper; see the outcome's
-    /// `health` and `recolored_nodes` for what the run survived.
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineTrialColoring::run`].
-    pub fn run_with_faults(
-        &self,
-        instance: &ListColoringInstance,
-        model: ExecutionModel,
-        plan: FaultPlan,
-    ) -> Result<EngineTrialOutcome, CoreError> {
-        self.run_on(
-            instance,
-            model,
-            Engine::with_faults(self.engine_config(), PlanInjector::new(plan)),
-        )
+        instance.validate()?;
+        let run = session.run(model, self.programs(instance))?;
+        self.assemble(instance, run)
     }
 
     /// Packages the baseline as a [`ServiceRequest`] for batched execution
@@ -176,17 +161,6 @@ impl EngineTrialColoring {
                 )) as _
             })
             .collect()
-    }
-
-    fn run_on<R: Recorder, F: FaultInjector>(
-        &self,
-        instance: &ListColoringInstance,
-        model: ExecutionModel,
-        engine: Engine<R, F>,
-    ) -> Result<EngineTrialOutcome, CoreError> {
-        instance.validate()?;
-        let run = engine.run(model, self.programs(instance))?;
-        self.assemble(instance, run)
     }
 
     /// Turns a raw engine outcome (solo or batched) for this baseline's
@@ -258,6 +232,9 @@ impl EngineTrialColoring {
 mod tests {
     use super::*;
     use cc_graph::generators::{self, instance_with_palettes, PaletteKind};
+    use cc_runtime::trace::RingRecorder;
+    use cc_runtime::{FaultPlan, PlanInjector};
+    use std::sync::Arc;
 
     #[test]
     fn engine_trial_colors_random_graphs_properly() {
@@ -318,9 +295,11 @@ mod tests {
             .unwrap();
         assert!(plain.trace.is_none());
         let recorder = Arc::new(RingRecorder::default());
-        let traced = EngineTrialColoring::default()
-            .run_with_recorder(&instance, model, Arc::clone(&recorder))
-            .unwrap();
+        let algo = EngineTrialColoring::default();
+        let mut session = Engine::new(algo.engine_config())
+            .with_recorder(Arc::clone(&recorder))
+            .session();
+        let traced = algo.run_in(&mut session, &instance, model).unwrap();
         assert_eq!(plain.outcome.coloring, traced.outcome.coloring);
         assert_eq!(plain.ledger, traced.ledger);
         let summary = traced.trace.unwrap();
@@ -341,12 +320,14 @@ mod tests {
                 .with_drop(25)
                 .with_duplicate(15)
                 .with_corrupt(15);
-            let faulted = EngineTrialColoring {
+            let algo = EngineTrialColoring {
                 threads,
                 ..EngineTrialColoring::default()
-            }
-            .run_with_faults(&instance, model.clone(), plan)
-            .unwrap();
+            };
+            let mut session = Engine::new(algo.engine_config())
+                .with_faults(PlanInjector::new(plan))
+                .session();
+            let faulted = algo.run_in(&mut session, &instance, model.clone()).unwrap();
             assert!(faulted.health.faults_injected > 0, "threads {threads}");
             assert!(!faulted.health.degraded, "threads {threads}");
             assert_eq!(faulted.recolored_nodes, 0, "threads {threads}");
@@ -368,12 +349,20 @@ mod tests {
             .with_crash(4, 0)
             .with_crash(31, 0)
             .with_crash(70, 0);
-        let out = EngineTrialColoring {
+        let algo = EngineTrialColoring {
             threads: 2,
             ..EngineTrialColoring::default()
-        }
-        .run_with_faults(&instance, ExecutionModel::congested_clique(90), plan)
-        .unwrap();
+        };
+        let mut session = Engine::new(algo.engine_config())
+            .with_faults(PlanInjector::new(plan))
+            .session();
+        let out = algo
+            .run_in(
+                &mut session,
+                &instance,
+                ExecutionModel::congested_clique(90),
+            )
+            .unwrap();
         assert!(out.health.degraded);
         assert_eq!(out.health.crashed_nodes, 3);
         assert!(out.recolored_nodes > 0);

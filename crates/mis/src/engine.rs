@@ -6,14 +6,12 @@
 //! actual priority/join/leave messages (three engine rounds per phase) with
 //! bandwidth and message-width budgets checked at delivery time.
 
-use std::sync::Arc;
-
 use cc_graph::csr::CsrGraph;
 use cc_runtime::programs::luby::LubyMisProgram;
-use cc_runtime::trace::{Recorder, RingRecorder, TraceSummary};
+use cc_runtime::trace::{Recorder, TraceSummary};
 use cc_runtime::{
-    word_bits_limit, Engine, EngineConfig, EngineHealth, EngineOutcome, FaultInjector, FaultPlan,
-    MessageLedger, NodeProgram, PhaseTimings, PlanInjector, ServiceRequest,
+    word_bits_limit, Engine, EngineConfig, EngineHealth, EngineOutcome, EngineSession,
+    FaultInjector, MessageLedger, NodeProgram, PhaseTimings, ServiceRequest,
 };
 use cc_sim::{ExecutionModel, ExecutionReport, SimError};
 
@@ -64,8 +62,10 @@ pub struct EngineMisOutcome {
 }
 
 impl EngineLubyMis {
-    /// The engine configuration this algorithm runs under.
-    fn engine_config(&self) -> EngineConfig {
+    /// The engine configuration this algorithm runs under; build a session
+    /// from it (with a recorder or fault injector attached) for
+    /// [`EngineLubyMis::run_in`].
+    pub fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             threads: self.threads,
             max_rounds: self.max_rounds,
@@ -74,7 +74,7 @@ impl EngineLubyMis {
         }
     }
 
-    /// Runs the algorithm on `graph` under `model`.
+    /// Runs the algorithm on `graph` under `model` on a fresh engine.
     ///
     /// # Errors
     ///
@@ -85,51 +85,35 @@ impl EngineLubyMis {
         graph: &CsrGraph,
         model: ExecutionModel,
     ) -> Result<EngineMisOutcome, SimError> {
-        self.run_on(graph, model, Engine::new(self.engine_config()))
+        self.run_in(
+            &mut Engine::new(self.engine_config()).session(),
+            graph,
+            model,
+        )
     }
 
-    /// Runs the algorithm with a trace recorder attached: per-round spans,
-    /// counters, and histograms land in `recorder` (and the outcome's
-    /// `trace` summary) without changing the MIS, report, or ledger.
+    /// Runs the algorithm in `session`, which should run under
+    /// [`EngineLubyMis::engine_config`]. A recorder attached to the
+    /// session captures per-round spans, counters, and histograms (and
+    /// fills the outcome's `trace` summary) without changing the MIS,
+    /// report, or ledger. A fault injector attached to it drives message
+    /// faults, stalls, and crash-stops, with damaged rounds retried from
+    /// checkpoints; degraded runs are repaired deterministically —
+    /// adjacent joiners are evicted, then the greedy completion restores
+    /// independence and maximality — so the returned set is always a valid
+    /// MIS; see the outcome's `health`.
     ///
     /// # Errors
     ///
     /// As [`EngineLubyMis::run`].
-    pub fn run_with_recorder(
+    pub fn run_in<R: Recorder, F: FaultInjector>(
         &self,
+        session: &mut EngineSession<R, F>,
         graph: &CsrGraph,
         model: ExecutionModel,
-        recorder: Arc<RingRecorder>,
     ) -> Result<EngineMisOutcome, SimError> {
-        self.run_on(
-            graph,
-            model,
-            Engine::with_recorder(self.engine_config(), recorder),
-        )
-    }
-
-    /// Runs the algorithm under deterministic fault injection: the seeded
-    /// `plan` drives message drops/duplicates/corruptions, stalls, and
-    /// crash-stops, with damaged rounds retried from checkpoints (the
-    /// engine's default [`cc_runtime::RetryPolicy`]). Degraded runs are
-    /// repaired deterministically — adjacent joiners are evicted, then the
-    /// greedy completion restores independence and maximality — so the
-    /// returned set is always a valid MIS; see the outcome's `health`.
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineLubyMis::run`].
-    pub fn run_with_faults(
-        &self,
-        graph: &CsrGraph,
-        model: ExecutionModel,
-        plan: FaultPlan,
-    ) -> Result<EngineMisOutcome, SimError> {
-        self.run_on(
-            graph,
-            model,
-            Engine::with_faults(self.engine_config(), PlanInjector::new(plan)),
-        )
+        let run = session.run(model, self.programs(graph))?;
+        Ok(self.assemble(graph, run))
     }
 
     /// Packages the algorithm as a [`ServiceRequest`] for batched
@@ -155,16 +139,6 @@ impl EngineLubyMis {
                 Box::new(LubyMisProgram::new(v.0, neighbors, bits, self.seed)) as _
             })
             .collect()
-    }
-
-    fn run_on<R: Recorder, F: FaultInjector>(
-        &self,
-        graph: &CsrGraph,
-        model: ExecutionModel,
-        engine: Engine<R, F>,
-    ) -> Result<EngineMisOutcome, SimError> {
-        let run = engine.run(model, self.programs(graph))?;
-        Ok(self.assemble(graph, run))
     }
 
     /// Turns a raw engine outcome (solo or batched) for this algorithm's
@@ -220,6 +194,9 @@ mod tests {
     use super::*;
     use crate::verify::verify_mis;
     use cc_graph::generators;
+    use cc_runtime::trace::RingRecorder;
+    use cc_runtime::{FaultPlan, PlanInjector};
+    use std::sync::Arc;
 
     #[test]
     fn engine_luby_produces_valid_mis_on_random_graphs() {
@@ -259,9 +236,11 @@ mod tests {
         let plain = EngineLubyMis::default().run(&g, model.clone()).unwrap();
         assert!(plain.trace.is_none());
         let recorder = Arc::new(RingRecorder::default());
-        let traced = EngineLubyMis::default()
-            .run_with_recorder(&g, model, Arc::clone(&recorder))
-            .unwrap();
+        let algo = EngineLubyMis::default();
+        let mut session = Engine::new(algo.engine_config())
+            .with_recorder(Arc::clone(&recorder))
+            .session();
+        let traced = algo.run_in(&mut session, &g, model).unwrap();
         assert_eq!(plain.result, traced.result);
         assert_eq!(plain.ledger, traced.ledger);
         assert!(traced.trace.unwrap().events > 0);
@@ -278,12 +257,14 @@ mod tests {
                 .with_drop(25)
                 .with_duplicate(15)
                 .with_corrupt(15);
-            let faulted = EngineLubyMis {
+            let algo = EngineLubyMis {
                 threads,
                 ..EngineLubyMis::default()
-            }
-            .run_with_faults(&g, model.clone(), plan)
-            .unwrap();
+            };
+            let mut session = Engine::new(algo.engine_config())
+                .with_faults(PlanInjector::new(plan))
+                .session();
+            let faulted = algo.run_in(&mut session, &g, model.clone()).unwrap();
             assert!(faulted.health.faults_injected > 0, "threads {threads}");
             assert!(!faulted.health.degraded, "threads {threads}");
             assert_eq!(faulted.result, clean.result, "threads {threads}");
@@ -297,12 +278,16 @@ mod tests {
         // Round-0 crashes: a later round could miss a node that has
         // already decided and halted (halted nodes cannot crash).
         let plan = FaultPlan::new(5).with_crash(3, 0).with_crash(40, 0);
-        let out = EngineLubyMis {
+        let algo = EngineLubyMis {
             threads: 2,
             ..EngineLubyMis::default()
-        }
-        .run_with_faults(&g, ExecutionModel::congested_clique(90), plan)
-        .unwrap();
+        };
+        let mut session = Engine::new(algo.engine_config())
+            .with_faults(PlanInjector::new(plan))
+            .session();
+        let out = algo
+            .run_in(&mut session, &g, ExecutionModel::congested_clique(90))
+            .unwrap();
         assert!(out.health.degraded);
         assert_eq!(out.health.crashed_nodes, 2);
         verify_mis(&g, &out.result.in_set).unwrap();

@@ -4,69 +4,57 @@
 //! rounds over a columnar message plane that is allocated once and reused
 //! every round. Each round has two phases:
 //!
-//! 1. **Step (parallel).** Senders are split into chunks fixed by the
-//!    clique size (see [`crate::router`]). For each chunk, a worker builds
-//!    every node's inbox as a zero-copy view over the previous round's
-//!    sorted chunk arenas, steps the program (sends append straight into
-//!    the chunk's staging columns, counting per destination as they land),
-//!    and seals the chunk: a prefix sum over the send-time counts, a
-//!    per-sender-run digest fold, a lane-vectorized width OR, and a
-//!    placement pass counting-sort the batch by destination. All
+//! 1. **Step (parallel).** Senders are split into execution groups fixed by
+//!    the clique size and thread count (see [`crate::router`]). For each
+//!    group, a worker builds every node's inbox as a zero-copy view over the
+//!    previous round's sorted arenas, steps the program (sends append
+//!    straight into the group's staging columns, counting per destination
+//!    as they land), and seals the group: a prefix sum over the send-time
+//!    counts, a per-sender-run digest fold, a lane-vectorized width OR, and
+//!    a placement pass counting-sort the batch by destination. All
 //!    per-message work happens here, on the workers.
 //! 2. **Merge (driver).** At the barrier the driving thread folds the
-//!    chunks in fixed chunk order: ledger digest, count-shard combine into
-//!    the receive tally, violations, round charging — O(chunks · 𝔫) work
+//!    groups in fixed group order: ledger digest, count-shard combine into
+//!    the receive tally, violations, round charging — O(groups · 𝔫) work
 //!    independent of the message volume.
 //!
-//! Because chunk membership and merge order depend only on the clique
-//! size, results, reports, and ledgers are byte-identical for any worker
-//! thread count. The two arena banks (last round's sealed chunks, this
-//! round's staging chunks) swap by round parity — nothing is reallocated
-//! between rounds, and with one worker thread a steady-state round
-//! performs no heap allocation at all (asserted by the `alloc_free`
-//! integration test).
+//! Both phases live in `crate::instance`, the one round loop the engine
+//! and the [`crate::ColoringService`] share. Because digest chunks and merge
+//! order depend only on the clique size, results, reports, and ledgers are
+//! byte-identical for any worker thread count. The two arena banks (last
+//! round's sealed groups, this round's staging groups) swap by round parity
+//! — nothing is reallocated between rounds, and with one worker thread a
+//! steady-state round performs no heap allocation at all (asserted by the
+//! `alloc_free` integration test).
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-// cc-lint: allow(determinism) — wall clock feeds PhaseTimings diagnostics only, never any result or digest
-use std::time::Instant;
+use std::sync::Arc;
 
 use cc_fault::{FaultInjector, NoopInjector, RetryPolicy};
-use cc_sim::{ClusterContext, ExecutionModel, ExecutionReport, SimError, ViolationPolicy};
-use cc_trace::{Counter, HistKind, NoopRecorder, Phase, Recorder, TraceSummary, DRIVER_LANE};
+use cc_sim::{ExecutionModel, ExecutionReport, SimError, ViolationPolicy};
+use cc_trace::{NoopRecorder, Recorder, TraceSummary};
 
-use crate::columns::{Inbox, InboxSegment};
-use crate::env::NodeEnv;
+use crate::instance::{Banks, Hooks, Instance, Started};
 use crate::ledger::MessageLedger;
-use crate::message::word_bits_limit;
 use crate::pool::ChunkedExecutor;
-use crate::program::{NodeProgram, NodeStatus};
-use crate::router::{
-    exec_chunk_count, group_node_range, merge_round, read_bank, ChunkArena, MergeScratch,
-    MAX_CHUNKS,
-};
-use crate::snapshot::{SnapshotSink, SnapshotSource};
+use crate::program::NodeProgram;
+use crate::router::exec_chunk_count;
 
 /// How an [`Engine`] executes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads stepping nodes each round (1 = inline, no pool).
     pub threads: usize,
-    /// Strict mode aborts on the first model violation; lenient mode (the
-    /// default, matching [`ClusterContext::new`]) records violations in the
-    /// report and keeps running.
-    pub strict: bool,
     /// Safety cap on rounds; an execution that hits it stops with
     /// [`EngineOutcome::all_halted`] false.
     pub max_rounds: u64,
     /// Phase label under which rounds are charged to the context.
     pub label: String,
-    /// How model violations are handled. `strict: true` overrides this to
-    /// [`ViolationPolicy::FailFast`] (the two fields predate each other;
-    /// `strict` is kept for compatibility). Under
-    /// [`ViolationPolicy::Recover`] with a fault injector attached,
-    /// seal-detectable violations additionally count as round damage and
-    /// trigger the bounded retry loop.
+    /// How model violations are handled: recorded in the report (the
+    /// default, matching [`cc_sim::ClusterContext::new`]), aborting the run
+    /// on the first one ([`ViolationPolicy::FailFast`]), or — under
+    /// [`ViolationPolicy::Recover`] with a fault injector attached — also
+    /// counted as round damage that triggers the bounded retry loop when
+    /// the seal detects them.
     pub policy: ViolationPolicy,
     /// Bounded retry of damaged rounds when a fault injector is attached
     /// (ignored under the default [`NoopInjector`]).
@@ -77,7 +65,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 1,
-            strict: false,
             max_rounds: 100_000,
             label: "engine".to_string(),
             policy: ViolationPolicy::Record,
@@ -150,7 +137,7 @@ pub struct EngineOutcome<O> {
     /// Per-node outputs, indexed by node id.
     pub outputs: Vec<O>,
     /// The model-accounting read-out (rounds, words, violations), built from
-    /// the same [`ClusterContext`] machinery the centralized simulator uses.
+    /// the same [`cc_sim::ClusterContext`] machinery the centralized simulator uses.
     pub report: ExecutionReport,
     /// The deterministic message ledger (digest + per-round loads).
     pub ledger: MessageLedger,
@@ -166,303 +153,6 @@ pub struct EngineOutcome<O> {
     pub trace: Option<TraceSummary>,
     /// Fault-injection and recovery health (all zeros when fault-free).
     pub health: EngineHealth,
-}
-
-/// The per-chunk program state: only the owning chunk's worker touches it
-/// during the step phase, under one lock per chunk per round.
-struct ChunkSlots<O> {
-    programs: Vec<Option<Box<dyn NodeProgram<Output = O>>>>,
-    halted: Vec<bool>,
-    /// Round checkpoint (fault-injected runs only): every live program's
-    /// snapshot words, concatenated, with `checkpoint_at[j]..checkpoint_at
-    /// [j + 1]` delimiting program `j`'s slice, plus the halted flags as
-    /// they were when the round began. Reused every round — high-water
-    /// capacity, no steady-state allocation.
-    checkpoint: Vec<u64>,
-    checkpoint_at: Vec<u32>,
-    checkpoint_halted: Vec<bool>,
-    /// Whether every live program of this chunk supports snapshotting;
-    /// false disables retry for the whole run (damage commits as-is).
-    checkpoint_ok: bool,
-}
-
-/// The whole-run shared state: program slots, the two arena banks, and the
-/// round counter selecting which bank is staged and which is delivered.
-/// Built once per run — workers reference it through one `Arc` for the
-/// run's entire lifetime, so rounds allocate nothing.
-struct Plane<O, R, F> {
-    n: usize,
-    chunks: usize,
-    bits_limit: u32,
-    bandwidth_limit: usize,
-    /// Current round; its parity selects the staging bank.
-    round: AtomicU64,
-    /// Current delivery attempt of the round (0 = first try); nonzero
-    /// attempts restore the round checkpoint before stepping.
-    attempt: AtomicU32,
-    /// Nodes crash-stopped so far (counted once, on attempt 0).
-    crashed: AtomicU64,
-    /// `u64` words checkpointed so far, summed over rounds and chunks.
-    checkpoint_words: AtomicU64,
-    /// The fault decision source; [`NoopInjector`] by default (zero cost).
-    injector: Arc<F>,
-    /// Two banks of chunk arenas: `banks[round & 1]` is staged into this
-    /// round, the other bank holds last round's sealed (delivered) chunks.
-    banks: [Vec<RwLock<ChunkArena>>; 2],
-    slots: Vec<Mutex<ChunkSlots<O>>>,
-    /// Nanoseconds spent routing (seal) across all workers.
-    route_ns: AtomicU64,
-    /// Nanoseconds spent stepping programs across all workers.
-    step_ns: AtomicU64,
-    /// When chunk `k` sealed this round, in nanoseconds since `epoch`;
-    /// the driver reads these at the barrier to attribute barrier wait.
-    finish_ns: Vec<AtomicU64>,
-    /// The run's timestamp origin: every recorded nanosecond offset is
-    /// relative to this instant, so spans from all lanes share one axis.
-    // cc-lint: allow(determinism) — the epoch anchors diagnostic timestamps only, never any result or digest
-    epoch: Instant,
-    /// The trace sink; [`NoopRecorder`] by default (zero cost).
-    recorder: Arc<R>,
-}
-
-impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
-    fn new(
-        programs: Vec<Box<dyn NodeProgram<Output = O>>>,
-        bits_limit: u32,
-        bandwidth_limit: usize,
-        chunks: usize,
-        banks: [Vec<RwLock<ChunkArena>>; 2],
-        recorder: Arc<R>,
-        injector: Arc<F>,
-    ) -> Self {
-        let n = programs.len();
-        let mut slots: Vec<Mutex<ChunkSlots<O>>> = Vec::with_capacity(chunks);
-        let mut programs = programs.into_iter();
-        for k in 0..chunks {
-            let len = group_node_range(n, chunks, k).len();
-            slots.push(Mutex::new(ChunkSlots {
-                programs: programs.by_ref().take(len).map(Some).collect(),
-                halted: vec![false; len],
-                checkpoint: Vec::new(),
-                checkpoint_at: Vec::with_capacity(if F::ENABLED { len + 1 } else { 0 }),
-                checkpoint_halted: Vec::with_capacity(if F::ENABLED { len } else { 0 }),
-                checkpoint_ok: true,
-            }));
-        }
-        Plane {
-            n,
-            chunks,
-            bits_limit,
-            bandwidth_limit,
-            round: AtomicU64::new(0),
-            attempt: AtomicU32::new(0),
-            crashed: AtomicU64::new(0),
-            checkpoint_words: AtomicU64::new(0),
-            injector,
-            banks,
-            slots,
-            route_ns: AtomicU64::new(0),
-            step_ns: AtomicU64::new(0),
-            finish_ns: (0..chunks).map(|_| AtomicU64::new(0)).collect(),
-            // cc-lint: allow(determinism) — the epoch anchors diagnostic timestamps only, never any result or digest
-            epoch: Instant::now(),
-            recorder,
-        }
-    }
-
-    /// Steps every live node of chunk `k` for the current round and seals
-    /// the chunk's arena. Runs on a worker thread; touches only
-    /// chunk-`k`-owned mutable state plus read-shared delivered arenas.
-    // The per-round worker body: everything a round does between barriers.
-    // cc-lint: region(no_alloc)
-    fn step_chunk(&self, k: usize) {
-        let round = self.round.load(Ordering::Acquire);
-        let staged_bank = &self.banks[(round & 1) as usize];
-        let delivered_bank = &self.banks[(1 - (round & 1)) as usize];
-        let mut arena = staged_bank[k].write().expect("chunk arena poisoned");
-        arena.reset();
-        let delivered = read_bank(delivered_bank);
-        // Only chunks that sent anything last round can contribute inbox
-        // segments; skipping the rest up front keeps sparse rounds cheap.
-        let mut senders: [usize; MAX_CHUNKS] = [0; MAX_CHUNKS];
-        let mut sender_count = 0;
-        for (c, chunk) in delivered.iter().flatten().enumerate() {
-            if chunk.staged() > 0 {
-                senders[sender_count] = c;
-                sender_count += 1;
-            }
-        }
-        let mut slots = self.slots[k].lock().expect("chunk slots poisoned");
-        let slots = &mut *slots;
-        let attempt = if F::ENABLED {
-            self.attempt.load(Ordering::Acquire)
-        } else {
-            0
-        };
-        let mut checkpoint_words_now = 0u64;
-        if F::ENABLED {
-            // Deterministic per-(round, chunk) stall: pure timing skew to
-            // shake out barrier races; never touches any compared state.
-            let spins = self.injector.stall_spins(round, k);
-            for _ in 0..spins {
-                std::hint::spin_loop();
-            }
-            if attempt == 0 {
-                // Checkpoint every live program before it steps, so a
-                // damaged round can be re-executed from this exact state.
-                slots.checkpoint.clear();
-                slots.checkpoint_at.clear();
-                slots.checkpoint_at.push(0);
-                slots.checkpoint_halted.clear();
-                slots.checkpoint_halted.extend_from_slice(&slots.halted);
-                for (j, program) in slots.programs.iter().enumerate() {
-                    if !slots.halted[j] {
-                        let program = program.as_ref().expect("program taken early");
-                        let mut sink = SnapshotSink::new(&mut slots.checkpoint);
-                        if !program.snapshot(&mut sink) {
-                            slots.checkpoint_ok = false;
-                        }
-                    }
-                    slots.checkpoint_at.push(
-                        u32::try_from(slots.checkpoint.len())
-                            .expect("checkpoint exceeds u32 words"),
-                    );
-                }
-                checkpoint_words_now = slots.checkpoint.len() as u64;
-                self.checkpoint_words
-                    .fetch_add(checkpoint_words_now, Ordering::Relaxed);
-            } else {
-                // Retry: rewind program state and halted flags to the
-                // checkpoint taken on attempt 0 before re-stepping.
-                for j in 0..slots.programs.len() {
-                    slots.halted[j] = slots.checkpoint_halted[j];
-                    if !slots.checkpoint_halted[j] {
-                        let range =
-                            slots.checkpoint_at[j] as usize..slots.checkpoint_at[j + 1] as usize;
-                        let mut source = SnapshotSource::new(&slots.checkpoint[range]);
-                        let program = slots.programs[j].as_mut().expect("program taken early");
-                        let restored = program.restore(&mut source);
-                        debug_assert!(restored, "checkpointed program refused to restore");
-                    }
-                }
-            }
-        }
-        // cc-lint: allow(determinism) — phase timing for diagnostics; folded into step_ns, not into results
-        let step_start = Instant::now();
-        // Scratch for inbox views, written fresh for every node (only the
-        // first `filled` entries are ever read); hoisted out of the loop so
-        // the whole array is not re-initialized per node.
-        let mut segments: [InboxSegment<'_>; MAX_CHUNKS] = [(&[], &[]); MAX_CHUNKS];
-        for (j, i) in group_node_range(self.n, self.chunks, k).enumerate() {
-            if slots.halted[j] {
-                arena.note_halted();
-                continue;
-            }
-            if F::ENABLED
-                && self
-                    .injector
-                    .crash_round(i as u32)
-                    .is_some_and(|crash| round >= crash)
-            {
-                // Crash-stop: the node is quarantined — it stops stepping
-                // and sending, counts as halted for termination, and its
-                // `finish()` yields whatever partial output it had.
-                // Counted once, on the round's first delivery attempt.
-                slots.halted[j] = true;
-                arena.note_halted();
-                if attempt == 0 {
-                    self.crashed.fetch_add(1, Ordering::Relaxed);
-                }
-                continue;
-            }
-            // The inbox: this node's slice of every delivered chunk that
-            // sent, in chunk order (= sender order) — zero copies, just
-            // slice lookups.
-            let mut filled = 0;
-            for &c in &senders[..sender_count] {
-                let segment = delivered[c]
-                    .as_ref()
-                    .expect("sender chunk missing")
-                    .slices_for(i);
-                if !segment.0.is_empty() {
-                    segments[filled] = segment;
-                    filled += 1;
-                }
-            }
-            let inbox = Inbox::new(i as u32, &segments[..filled]);
-            if R::ENABLED {
-                self.recorder
-                    .observe(k, HistKind::InboxLen, inbox.len() as u64);
-            }
-            let before = arena.staged();
-            let program = slots.programs[j].as_mut().expect("program taken early");
-            let status = {
-                let mut env = NodeEnv::new(i as u32, self.n, round, inbox, arena.stage_mut());
-                program.on_round(&mut env)
-            };
-            let sent = arena.staged() - before;
-            arena.note_sender(i as u32, sent, self.bandwidth_limit);
-            if status == NodeStatus::Halt {
-                slots.halted[j] = true;
-                arena.note_halted();
-            }
-        }
-        // cc-lint: allow(determinism) — phase timing for diagnostics; folded into step_ns, not into results
-        let route_start = Instant::now();
-        self.step_ns.fetch_add(
-            (route_start - step_start).as_nanos() as u64,
-            Ordering::Relaxed,
-        );
-        let route_ts = (route_start - self.epoch).as_nanos() as u64;
-        arena.seal(
-            round,
-            attempt,
-            self.bits_limit,
-            k,
-            route_ts,
-            &*self.recorder,
-            &*self.injector,
-        );
-        // cc-lint: allow(determinism) — phase timing for diagnostics; folded into route_ns, not into results
-        let route_end = Instant::now();
-        self.route_ns.fetch_add(
-            (route_end - route_start).as_nanos() as u64,
-            Ordering::Relaxed,
-        );
-        // Always stored (one relaxed word): the driver turns these into
-        // the barrier-wait attribution in PhaseTimings, recorder or not.
-        let sealed_ts = (route_end - self.epoch).as_nanos() as u64;
-        self.finish_ns[k].store(sealed_ts, Ordering::Relaxed);
-        if R::ENABLED {
-            let step_ts = (step_start - self.epoch).as_nanos() as u64;
-            self.recorder.span(k, Phase::Step, round, step_ts, route_ts);
-            self.recorder
-                .span(k, Phase::Route, round, route_ts, sealed_ts);
-            if F::ENABLED && checkpoint_words_now > 0 {
-                self.recorder.count(
-                    k,
-                    Counter::CheckpointWords,
-                    round,
-                    route_ts,
-                    checkpoint_words_now,
-                );
-            }
-        }
-    }
-    // cc-lint: end_region
-}
-
-/// Consumes the per-chunk program slots and yields the finished per-node
-/// outputs, in node order.
-fn finish_outputs<O>(slots: Vec<Mutex<ChunkSlots<O>>>, n: usize) -> Vec<O> {
-    let mut outputs = Vec::with_capacity(n);
-    for slot in slots {
-        let chunk = slot.into_inner().expect("chunk slots poisoned");
-        for program in chunk.programs {
-            outputs.push(program.expect("program already finished").finish());
-        }
-    }
-    outputs
 }
 
 /// The round-synchronous message-passing engine.
@@ -484,16 +174,14 @@ fn finish_outputs<O>(slots: Vec<Mutex<ChunkSlots<O>>>, n: usize) -> Vec<O> {
 #[derive(Debug)]
 pub struct Engine<R: Recorder = NoopRecorder, F: FaultInjector = NoopInjector> {
     config: EngineConfig,
-    recorder: Arc<R>,
-    injector: Arc<F>,
+    hooks: Hooks<R, F>,
 }
 
 impl<R: Recorder, F: FaultInjector> Clone for Engine<R, F> {
     fn clone(&self) -> Self {
         Engine {
             config: self.config.clone(),
-            recorder: Arc::clone(&self.recorder),
-            injector: Arc::clone(&self.injector),
+            hooks: self.hooks.clone(),
         }
     }
 }
@@ -505,66 +193,44 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with the given configuration and no recording or faults.
+    /// An engine with the given configuration and no recording or faults;
+    /// chain [`Engine::with_recorder`] and [`Engine::with_faults`] to
+    /// attach them.
     pub fn new(config: EngineConfig) -> Self {
         Engine {
             config,
-            recorder: Arc::new(NoopRecorder),
-            injector: Arc::new(NoopInjector),
-        }
-    }
-}
-
-impl<R: Recorder> Engine<R> {
-    /// An engine recording every run into `recorder`. The recorder is
-    /// shared, not consumed: keep a clone of the `Arc` to export the
-    /// capture after the run (or read [`EngineOutcome::trace`]).
-    pub fn with_recorder(config: EngineConfig, recorder: Arc<R>) -> Self {
-        Engine {
-            config,
-            recorder,
-            injector: Arc::new(NoopInjector),
-        }
-    }
-}
-
-impl<F: FaultInjector> Engine<NoopRecorder, F> {
-    /// An engine injecting faults from `injector` (normally a
-    /// [`cc_fault::PlanInjector`] wrapping a seeded [`cc_fault::FaultPlan`]),
-    /// with the checkpoint/retry recovery loop governed by
-    /// [`EngineConfig::retry`].
-    pub fn with_faults(config: EngineConfig, injector: F) -> Self {
-        Engine {
-            config,
-            recorder: Arc::new(NoopRecorder),
-            injector: Arc::new(injector),
+            hooks: Hooks::none(),
         }
     }
 }
 
 impl<R: Recorder, F: FaultInjector> Engine<R, F> {
-    /// An engine with both a trace sink and a fault injector attached.
-    pub fn with_recorder_and_faults(config: EngineConfig, recorder: Arc<R>, injector: F) -> Self {
+    /// The same engine recording every run into `recorder`. The recorder
+    /// is shared, not consumed: keep a clone of the `Arc` to export the
+    /// capture after the run (or read [`EngineOutcome::trace`]).
+    #[must_use]
+    pub fn with_recorder<R2: Recorder>(self, recorder: Arc<R2>) -> Engine<R2, F> {
         Engine {
-            config,
-            recorder,
-            injector: Arc::new(injector),
+            config: self.config,
+            hooks: self.hooks.with_recorder(recorder),
+        }
+    }
+
+    /// The same engine injecting faults from `injector` (normally a
+    /// [`cc_fault::PlanInjector`] wrapping a seeded [`cc_fault::FaultPlan`]),
+    /// with the checkpoint/retry recovery loop governed by
+    /// [`EngineConfig::retry`].
+    #[must_use]
+    pub fn with_faults<F2: FaultInjector>(self, injector: F2) -> Engine<R, F2> {
+        Engine {
+            config: self.config,
+            hooks: self.hooks.with_faults(injector),
         }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The engine's trace sink.
-    pub fn recorder(&self) -> &Arc<R> {
-        &self.recorder
-    }
-
-    /// The engine's fault injector.
-    pub fn injector(&self) -> &Arc<F> {
-        &self.injector
     }
 
     /// Runs one program per clique node until every node halts (or
@@ -580,8 +246,9 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
     ///
     /// # Errors
     ///
-    /// In strict mode, returns [`SimError::ConstraintViolated`] on the first
-    /// message-width or bandwidth violation.
+    /// Under [`ViolationPolicy::FailFast`], returns
+    /// [`SimError::ConstraintViolated`] on the first message-width or
+    /// bandwidth violation.
     ///
     /// # Panics
     ///
@@ -603,16 +270,6 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
     }
 }
 
-/// Cross-run plane state an [`EngineSession`] keeps warm: the two chunk
-/// arena banks and the driver's merge scratch, recyclable whenever the
-/// next run has the same clique size and execution grouping.
-struct PlaneCache {
-    n: usize,
-    chunks: usize,
-    banks: [Vec<RwLock<ChunkArena>>; 2],
-    scratch: MergeScratch,
-}
-
 /// A reusable engine handle for back-to-back runs: one worker pool plus
 /// recycled arena banks.
 ///
@@ -629,7 +286,8 @@ struct PlaneCache {
 pub struct EngineSession<R: Recorder = NoopRecorder, F: FaultInjector = NoopInjector> {
     engine: Engine<R, F>,
     executor: ChunkedExecutor,
-    cache: Option<PlaneCache>,
+    /// The previous run's arena banks and merge scratch.
+    spare: Option<Banks>,
 }
 
 impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
@@ -640,13 +298,8 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
         EngineSession {
             engine,
             executor,
-            cache: None,
+            spare: None,
         }
-    }
-
-    /// The engine whose configuration this session runs under.
-    pub fn engine(&self) -> &Engine<R, F> {
-        &self.engine
     }
 
     /// Runs one execution exactly like [`Engine::run`], reusing the
@@ -655,8 +308,9 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
     ///
     /// # Errors
     ///
-    /// In strict mode, returns [`SimError::ConstraintViolated`] on the first
-    /// message-width or bandwidth violation.
+    /// Under [`ViolationPolicy::FailFast`], returns
+    /// [`SimError::ConstraintViolated`] on the first message-width or
+    /// bandwidth violation.
     ///
     /// # Panics
     ///
@@ -667,247 +321,40 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
         programs: Vec<Box<dyn NodeProgram<Output = O>>>,
     ) -> Result<EngineOutcome<O>, SimError> {
         let config = &self.engine.config;
-        let n = programs.len();
-        let policy = if config.strict {
-            ViolationPolicy::FailFast
-        } else {
-            config.policy
-        };
-        let mut ctx = ClusterContext::with_policy(model, policy);
-        let mut ledger = MessageLedger::new();
-        if n == 0 {
-            return Ok(EngineOutcome {
-                outputs: Vec::new(),
-                report: ctx.report(),
-                ledger,
-                rounds: 0,
-                all_halted: true,
-                timings: PhaseTimings::default(),
-                trace: if R::ENABLED {
-                    self.engine.recorder.summary()
-                } else {
-                    None
-                },
-                health: EngineHealth::default(),
-            });
-        }
-        let bits_limit = word_bits_limit(n);
-        let bandwidth_limit = ctx.model().per_round_bandwidth_words;
-        // Pre-size the per-round ledger so steady-state rounds never grow
-        // it (bounded: a capped run amortizes the rest; 512 entries stays
-        // comfortably under the allocator's mmap threshold).
-        ledger.reserve_rounds(usize::try_from(config.max_rounds.min(512)).unwrap_or(0));
-        let chunks = exec_chunk_count(n, config.threads);
-        // Recycle the cached banks and merge scratch when the shape
-        // matches. The full reset of *both* banks is load-bearing: the
-        // previous run's final sealed bank would otherwise leak into this
-        // run's round 0 as delivered messages.
-        let (banks, mut scratch) = match self.cache.take() {
-            Some(mut cache) if cache.n == n && cache.chunks == chunks => {
-                for bank in &mut cache.banks {
-                    for arena in bank.iter_mut() {
-                        arena.get_mut().expect("chunk arena poisoned").reset();
-                    }
-                }
-                (cache.banks, cache.scratch)
-            }
-            _ => {
-                let bank = || {
-                    (0..chunks)
-                        .map(|k| RwLock::new(ChunkArena::for_group(n, chunks, k)))
-                        .collect()
-                };
-                ([bank(), bank()], MergeScratch::new(n))
-            }
-        };
-        let plane = Arc::new(Plane::new(
+        let groups = exec_chunk_count(programs.len(), config.threads);
+        let started = Instance::start(
+            model,
             programs,
-            bits_limit,
-            bandwidth_limit,
-            chunks,
-            banks,
-            Arc::clone(&self.engine.recorder),
-            Arc::clone(&self.engine.injector),
-        ));
-        // One closure for the whole run; the round counter parameterizes it.
-        let step = {
-            let plane = Arc::clone(&plane);
-            Arc::new(move |k: usize| plane.step_chunk(k))
+            config.clone(),
+            groups,
+            0,
+            &mut self.spare,
+            &self.engine.hooks,
+        );
+        let outcome = match started {
+            Started::Finished(outcome) => Ok(outcome),
+            Started::Running(mut instance) => {
+                // One closure for the whole run; the plane's round counter
+                // parameterizes it.
+                let step = {
+                    let plane = Arc::clone(instance.plane());
+                    Arc::new(move |k: usize| plane.step_group(k))
+                };
+                let verdict = loop {
+                    self.executor.run_indexed(groups, &step);
+                    if let Some(verdict) = instance.merge() {
+                        break verdict;
+                    }
+                };
+                drop(step);
+                instance.finish(verdict, &mut self.spare)
+            }
         };
-
-        let mut rounds = 0u64;
-        let mut all_halted = false;
-        let mut check_ns = 0u64;
-        let mut barrier_wait_ns = 0u64;
-        let mut health = EngineHealth::default();
-        let mut attempt = 0u32;
-        // Precomputed once so the retry path allocates nothing per round.
-        let retry_label = if F::ENABLED {
-            format!("{}:retry", config.label)
-        } else {
-            String::new()
-        };
-        let mut round = 0u64;
-        while round < config.max_rounds {
-            plane.round.store(round, Ordering::Release);
-            if F::ENABLED {
-                plane.attempt.store(attempt, Ordering::Release);
-            }
-            self.executor.run_indexed(chunks, &step);
-            rounds = round + 1;
-            // Barrier: workers have finished (the executor joined). One
-            // clock read serves three purposes — the end of every chunk's
-            // barrier wait, the start of the check phase, and the
-            // timestamp of the driver's merge telemetry.
-            // cc-lint: allow(determinism) — phase timing for diagnostics; folded into check_ns/barrier_wait_ns, not into results
-            let check_start = Instant::now();
-            let barrier_ts = (check_start - plane.epoch).as_nanos() as u64;
-            for k in 0..chunks {
-                let sealed_ts = plane.finish_ns[k].load(Ordering::Relaxed);
-                barrier_wait_ns += barrier_ts.saturating_sub(sealed_ts);
-                if R::ENABLED {
-                    self.engine
-                        .recorder
-                        .span(k, Phase::BarrierWait, round, sealed_ts, barrier_ts);
-                }
-            }
-            if F::ENABLED {
-                // Damage check, before the merge commits anything: compare
-                // what receivers will see (the sealed sub-digests) against
-                // what senders intended. A damaged round is re-executed
-                // from its checkpoint while the retry budget and the
-                // programs' snapshot support hold; otherwise the damage
-                // commits and the outcome is flagged degraded.
-                let bank = &plane.banks[(round & 1) as usize];
-                let mut attempt_faults = 0u64;
-                let mut damaged = false;
-                let mut checkpoint_ok = true;
-                for (chunk_arena, chunk_slots) in bank.iter().zip(plane.slots.iter()).take(chunks) {
-                    let arena = chunk_arena.read().expect("chunk arena poisoned");
-                    attempt_faults += arena.faults_injected();
-                    damaged |= arena.damaged()
-                        || (policy == ViolationPolicy::Recover && arena.has_violations());
-                    checkpoint_ok &= chunk_slots
-                        .lock()
-                        .expect("chunk slots poisoned")
-                        .checkpoint_ok;
-                }
-                health.faults_injected += attempt_faults;
-                if damaged && checkpoint_ok && attempt < config.retry.max_round_retries {
-                    // Roll the round back: charge the wasted attempt (plus
-                    // any backoff) under its own label, skip the merge, and
-                    // step the same round again from the checkpoint.
-                    attempt += 1;
-                    health.retries += 1;
-                    ctx.charge_rounds(&retry_label, 1 + config.retry.backoff_rounds);
-                    if R::ENABLED {
-                        self.engine.recorder.count(
-                            DRIVER_LANE,
-                            Counter::RoundRetries,
-                            round,
-                            barrier_ts,
-                            1,
-                        );
-                    }
-                    check_ns += check_start.elapsed().as_nanos() as u64;
-                    continue;
-                }
-                if damaged {
-                    health.damaged_rounds_committed += 1;
-                }
-                health.faults_committed += attempt_faults;
-                if R::ENABLED {
-                    if attempt_faults > 0 {
-                        self.engine.recorder.count(
-                            DRIVER_LANE,
-                            Counter::FaultsInjected,
-                            round,
-                            barrier_ts,
-                            attempt_faults,
-                        );
-                    }
-                    let crashed = plane.crashed.load(Ordering::Relaxed);
-                    if crashed > 0 {
-                        self.engine.recorder.count(
-                            DRIVER_LANE,
-                            Counter::CrashedNodes,
-                            round,
-                            barrier_ts,
-                            crashed,
-                        );
-                    }
-                }
-                attempt = 0;
-            }
-            // Merge the staged bank in fixed chunk order on the driving
-            // thread.
-            let merge = merge_round(
-                round,
-                &plane.banks[(round & 1) as usize],
-                &mut scratch,
-                &mut ctx,
-                &mut ledger,
-                &config.label,
-                bits_limit,
-                barrier_ts,
-                &*self.engine.recorder,
-            )?;
-            check_ns += check_start.elapsed().as_nanos() as u64;
+        outcome.map(|mut outcome| {
             if R::ENABLED {
-                // cc-lint: allow(determinism) — phase timing for diagnostics; recorded as the check span only
-                let check_end_ts = (Instant::now() - plane.epoch).as_nanos() as u64;
-                self.engine.recorder.span(
-                    DRIVER_LANE,
-                    Phase::Check,
-                    round,
-                    barrier_ts,
-                    check_end_ts,
-                );
+                outcome.trace = self.engine.hooks.recorder.summary();
             }
-            all_halted = merge.halted == n;
-            if all_halted {
-                break;
-            }
-            round += 1;
-        }
-
-        drop(step);
-        let plane = Arc::try_unwrap(plane)
-            .map_err(|_| ())
-            .expect("worker still holds plane state after the final barrier");
-        if F::ENABLED {
-            health.crashed_nodes = plane.crashed.load(Ordering::Relaxed);
-            health.checkpoint_words = plane.checkpoint_words.load(Ordering::Relaxed);
-            health.degraded = health.damaged_rounds_committed > 0 || health.crashed_nodes > 0;
-        }
-        let timings = PhaseTimings {
-            route_ns: plane.route_ns.load(Ordering::Relaxed),
-            step_ns: plane.step_ns.load(Ordering::Relaxed),
-            check_ns,
-            barrier_wait_ns,
-        };
-        // Reclaim the banks and scratch for the next same-size run before
-        // the program slots are consumed for their outputs.
-        let Plane { banks, slots, .. } = plane;
-        self.cache = Some(PlaneCache {
-            n,
-            chunks,
-            banks,
-            scratch,
-        });
-        Ok(EngineOutcome {
-            outputs: finish_outputs(slots, n),
-            report: ctx.report(),
-            ledger,
-            rounds,
-            all_halted,
-            timings,
-            trace: if R::ENABLED {
-                self.engine.recorder.summary()
-            } else {
-                None
-            },
-            health,
+            outcome
         })
     }
 }
@@ -915,6 +362,10 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::NodeEnv;
+    use crate::program::NodeStatus;
+    use crate::snapshot::{SnapshotSink, SnapshotSource};
+    use cc_trace::{HistKind, DRIVER_LANE};
 
     /// Flood-fill distance from node 0: node 0 announces in round 0, every
     /// node forwards the first announcement it hears to all neighbors.
@@ -1104,7 +555,7 @@ mod tests {
         assert_eq!(lenient.report.violations.len(), 1);
 
         let strict = Engine::new(EngineConfig {
-            strict: true,
+            policy: ViolationPolicy::FailFast,
             ..EngineConfig::default()
         })
         .run(ExecutionModel::congested_clique(2), wide_programs());
@@ -1190,12 +641,10 @@ mod tests {
             .run(ExecutionModel::congested_clique(n), chatter_programs(n))
             .unwrap();
         assert_eq!(clean.health, EngineHealth::default());
-        let faulted = Engine::with_faults(
-            EngineConfig::with_threads(2),
-            PlanInjector::new(FaultPlan::new(1)),
-        )
-        .run(ExecutionModel::congested_clique(n), chatter_programs(n))
-        .unwrap();
+        let faulted = Engine::new(EngineConfig::with_threads(2))
+            .with_faults(PlanInjector::new(FaultPlan::new(1)))
+            .run(ExecutionModel::congested_clique(n), chatter_programs(n))
+            .unwrap();
         assert_eq!(faulted.outputs, clean.outputs);
         assert_eq!(faulted.ledger, clean.ledger);
         assert_eq!(faulted.report, clean.report);
@@ -1218,10 +667,10 @@ mod tests {
                 .with_duplicate(20)
                 .with_corrupt(20)
                 .with_stall(100, 400);
-            let faulted =
-                Engine::with_faults(EngineConfig::with_threads(threads), PlanInjector::new(plan))
-                    .run(ExecutionModel::congested_clique(n), chatter_programs(n))
-                    .unwrap();
+            let faulted = Engine::new(EngineConfig::with_threads(threads))
+                .with_faults(PlanInjector::new(plan))
+                .run(ExecutionModel::congested_clique(n), chatter_programs(n))
+                .unwrap();
             assert!(faulted.health.faults_injected > 0, "threads {threads}");
             assert!(faulted.health.retries > 0, "threads {threads}");
             assert_eq!(faulted.health.faults_committed, 0, "threads {threads}");
@@ -1239,13 +688,11 @@ mod tests {
         use cc_fault::{FaultPlan, PlanInjector, RetryPolicy};
         let n = 60;
         let plan = FaultPlan::new(0xfa17).with_drop(120);
-        let faulted = Engine::with_faults(
-            EngineConfig {
-                retry: RetryPolicy::none(),
-                ..EngineConfig::with_threads(2)
-            },
-            PlanInjector::new(plan),
-        )
+        let faulted = Engine::new(EngineConfig {
+            retry: RetryPolicy::none(),
+            ..EngineConfig::with_threads(2)
+        })
+        .with_faults(PlanInjector::new(plan))
         .run(ExecutionModel::congested_clique(n), chatter_programs(n))
         .unwrap();
         assert_eq!(faulted.health.retries, 0);
@@ -1263,7 +710,8 @@ mod tests {
         use cc_fault::{FaultPlan, PlanInjector};
         let n = 40;
         let plan = FaultPlan::new(7).with_crash(5, 2).with_crash(17, 0);
-        let outcome = Engine::with_faults(EngineConfig::with_threads(2), PlanInjector::new(plan))
+        let outcome = Engine::new(EngineConfig::with_threads(2))
+            .with_faults(PlanInjector::new(plan))
             .run(ExecutionModel::congested_clique(n), chatter_programs(n))
             .unwrap();
         assert!(outcome.all_halted);
@@ -1282,7 +730,8 @@ mod tests {
             .unwrap();
         assert!(plain.trace.is_none());
         let rec = Arc::new(RingRecorder::default());
-        let traced = Engine::with_recorder(EngineConfig::with_threads(2), Arc::clone(&rec))
+        let traced = Engine::new(EngineConfig::with_threads(2))
+            .with_recorder(Arc::clone(&rec))
             .run(ExecutionModel::congested_clique(n), ring_programs(n))
             .unwrap();
         // Recording is unobservable in everything the engine guarantees.

@@ -40,16 +40,30 @@
 //! ## Determinism
 //!
 //! Results, execution reports, and the message ledger are **byte-identical
-//! for every worker-thread count**. Senders are partitioned into chunks
-//! fixed by the clique size alone (never the thread count); a worker
-//! processes a whole chunk — stepping its nodes in ascending id order,
-//! digesting and counting-sorting its messages into chunk-owned buffers —
-//! so per-chunk state is deterministic no matter which worker ran it. At
-//! the round barrier the driving thread merges the chunks in fixed chunk
-//! order: ledger folding, round charging, and violation recording all
-//! happen there. Programs get determinism by construction as long as their
-//! own randomness is seeded (see the ported programs, which seed a
-//! per-node ChaCha8 stream).
+//! for every worker-thread count**. Messages are digested in chunks fixed
+//! by the clique size alone (never the thread count); a worker processes a
+//! whole execution group of consecutive chunks — stepping its nodes in
+//! ascending id order, digesting and counting-sorting its messages into
+//! group-owned buffers — so per-group state is deterministic no matter
+//! which worker ran it. At the round barrier the driving thread merges the
+//! groups in fixed group order: ledger folding, round charging, and
+//! violation recording all happen there. Programs get determinism by
+//! construction as long as their own randomness is seeded (see the ported
+//! programs, which seed a per-node ChaCha8 stream).
+//!
+//! ## One round loop for solo and batched runs
+//!
+//! An [`Engine`] run and every request a [`ColoringService`] serves are
+//! *instances* of one round loop: setup (violation policy, ledger
+//! pre-sizing, arena recycling), the parallel step of each execution
+//! group, the driver's merge (barrier-wait attribution, damage check and
+//! retry, ledger fold, halt or round-cap verdict), and the finish into an
+//! [`EngineOutcome`] are each written once. An [`EngineSession`] runs one
+//! instance with about two groups per worker thread; the service runs one
+//! single-group instance per slot and steps all live slots in one shared
+//! pool dispatch. A batched request therefore matches its solo run bit for
+//! bit — outputs, report, ledger, rounds, and fault-recovery health — and
+//! carries its own [`PhaseTimings`].
 //!
 //! ## Example
 //!
@@ -94,10 +108,11 @@
 //!
 //! The engine is generic over a [`cc_trace::Recorder`] (re-exported as
 //! [`trace`]): the default `NoopRecorder` compiles every probe out, while
-//! [`Engine::with_recorder`] + a `RingRecorder` capture per-round
-//! route/step/check/barrier spans per worker lane, message counters, and
-//! power-of-two histograms — lock-free, allocation-free in steady state,
-//! and provably unobservable in results, reports, and ledgers. Captures
+//! [`Engine::with_recorder`] (or [`ColoringService::with_recorder`]) with
+//! a `RingRecorder` captures per-round route/step/check/barrier spans per
+//! worker lane, message counters, and power-of-two histograms — lock-free,
+//! allocation-free in steady state, and provably unobservable in results,
+//! reports, and ledgers. Captures
 //! export as Chrome trace-event JSON (Perfetto) or a per-round summary
 //! table; see the `cc-trace` crate docs.
 //!
@@ -106,17 +121,20 @@
 //! The engine is likewise generic over a [`cc_fault::FaultInjector`]
 //! (re-exported as [`fault`]): the default `NoopInjector` compiles every
 //! fault path out — the fault-free hot loop is untouched — while
-//! [`Engine::with_faults`] + a seeded [`cc_fault::FaultPlan`] deliver
-//! deterministic message drops/duplicates/corruptions, per-chunk stalls,
-//! and node crash-stops keyed on model coordinates (round, src, dst,
-//! sequence), never on thread timing. Damage is *detected* at the barrier
-//! by comparing each chunk's delivered digest against the intended one,
-//! and *recovered* by re-executing the round from a flat-word checkpoint
-//! ([`snapshot`]) under a bounded [`cc_fault::RetryPolicy`]; crash-stopped
-//! nodes are quarantined and the outcome is flagged degraded
+//! [`Engine::with_faults`] (or [`ColoringService::with_faults`]) with a
+//! seeded [`cc_fault::FaultPlan`] delivers deterministic message
+//! drops/duplicates/corruptions, per-group stalls, and node crash-stops
+//! keyed on model coordinates (round, src, dst, sequence), never on thread
+//! timing. Damage is *detected* at the barrier by comparing each group's
+//! delivered digest against the intended one, and *recovered* by
+//! re-executing the round from a flat-word checkpoint ([`snapshot`]) under
+//! a bounded [`cc_fault::RetryPolicy`]; crash-stopped nodes are
+//! quarantined and the outcome is flagged degraded
 //! ([`engine::EngineHealth`]). A recovered run's outputs and ledger are
 //! bit-identical to the fault-free run's at every thread count (asserted
-//! by `tests/chaos_recovery.rs`).
+//! by `tests/chaos_recovery.rs`), and a faulted service request is
+//! bit-identical to the same faulted solo run
+//! (`tests/service_equivalence.rs`).
 //!
 //! ## Ported algorithms
 //!
@@ -133,6 +151,7 @@
 pub mod columns;
 pub mod engine;
 pub mod env;
+mod instance;
 pub mod ledger;
 pub mod message;
 pub mod pool;

@@ -19,61 +19,60 @@
 //!   [`EngineConfig`] (width/bandwidth budgets derive from the instance's
 //!   *own* clique size, never the batch).
 //! * A fixed set of **instance slots** holds the in-flight batch. Each
-//!   slot owns two single-chunk arena banks — exactly the solo
-//!   single-threaded plane layout — recycled across occupants (rebuilt
-//!   only when the clique size changes, reset otherwise).
+//!   occupied slot runs one instance of the engine's own round loop with a
+//!   single execution group — exactly the solo single-threaded layout. Its
+//!   arena banks are recycled across occupants (rebuilt only when the
+//!   clique size changes, reset otherwise).
 //! * Each **super-round**, the scheduler admits queued requests into idle
 //!   slots (lowest slot first, submission order), steps every live slot
-//!   one *local* round in one pool dispatch, then merges each slot in
-//!   ascending slot order into that instance's own context and ledger.
-//! * **Retirement** happens the moment an instance's nodes all halt (or
-//!   its round cap is hit): the slot's outputs are finished, the outcome
-//!   is buffered, and the slot is free for the next admission on the very
-//!   next super-round — in-flight neighbors are never disturbed.
+//!   one *local* round in one pool dispatch (dispatch index `i` steps the
+//!   `i`-th live slot's group), then merges each slot in ascending slot
+//!   order into that instance's own context and ledger.
+//! * **Retirement** happens the moment an instance's nodes all halt, its
+//!   round cap is hit, or a fail-fast violation aborts it: the slot's
+//!   outputs are finished, the outcome is buffered, and the slot is free
+//!   for the next admission on the very next super-round — in-flight
+//!   neighbors are never disturbed.
 //!
 //! ## Determinism and solo parity
 //!
-//! Per-instance results are **byte-identical to solo runs**: a slot steps
-//! its nodes in ascending id order and merges through the same
-//! [`crate::router`] machinery as the engine, with the instance's own
+//! Per-instance results are **byte-identical to solo runs**: a slot steps,
+//! merges, and finishes through the same code as
+//! [`crate::EngineSession::run`], with the instance's own
 //! `word_bits_limit(n)`, bandwidth budget, round charges, violation
 //! labels, and ledger digests. Batch composition, slot assignment, and
 //! service thread count are all unobservable in any outcome (the
 //! `service_equivalence` proptests pin this against `Engine::run` at
-//! threads 1/2/4 with mid-stream retirement and refill). Strict-mode
-//! violations retire only the offending instance — its outcome carries
-//! the error; neighbors keep running.
+//! threads 1/2/4 with mid-stream retirement and refill, with and without
+//! faults). Fail-fast violations retire only the offending instance — its
+//! outcome carries the error; neighbors keep running.
 //!
-//! Two fields of a solo [`EngineOutcome`] are diagnostics the service does
-//! not reproduce: `timings` (per-phase wall-clock, reported as zeros) and
-//! `trace` (`None`; attach a recorder to the *service* for per-slot
-//! lanes instead). Everything the determinism contract covers — outputs,
-//! report, ledger, rounds, `all_halted` — matches bit for bit.
+//! A fault injector attached with [`ColoringService::with_faults`] reaches
+//! every instance: each one checkpoints, detects damage, retries, and
+//! reports [`crate::EngineHealth`] exactly as a solo run under the same
+//! injector does. Outcomes carry each instance's own
+//! [`crate::PhaseTimings`]; `trace` stays `None`, since the service's
+//! recorder holds every slot's events together.
 //!
 //! ## Observability
 //!
-//! With a recording [`Recorder`] attached, each slot emits step/route
-//! spans on the trace lane of its slot index, and the driver lane carries
-//! two service gauges per super-round: [`Counter::QueueDepth`] (requests
-//! waiting) and [`Counter::Occupancy`] (slots live).
+//! With a recording [`Recorder`] attached, each slot emits step/route and
+//! barrier-wait spans on the trace lane of its slot index, each merge emits
+//! a driver-lane check span, and the driver lane carries two service gauges
+//! per super-round: [`Counter::QueueDepth`] (requests waiting) and
+//! [`Counter::Occupancy`] (slots live).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, RwLock};
-// cc-lint: allow(determinism) — wall clock anchors diagnostic trace timestamps only, never any result or digest
-use std::time::Instant;
+use std::sync::{Arc, RwLock};
 
-use cc_fault::NoopInjector;
-use cc_sim::{ClusterContext, ExecutionModel, SimError, ViolationPolicy};
-use cc_trace::{Counter, NoopRecorder, Phase, Recorder, DRIVER_LANE};
+use cc_fault::{FaultInjector, NoopInjector};
+use cc_sim::{ExecutionModel, SimError};
+use cc_trace::{Counter, NoopRecorder, Recorder, DRIVER_LANE, WORKER_LANES};
 
-use crate::columns::{Inbox, InboxSegment};
-use crate::engine::{EngineConfig, EngineHealth, EngineOutcome, PhaseTimings};
-use crate::env::NodeEnv;
-use crate::ledger::MessageLedger;
-use crate::message::word_bits_limit;
+use crate::engine::{EngineConfig, EngineOutcome};
+use crate::instance::{Banks, Hooks, Instance, Plane, Started};
 use crate::pool::ChunkedExecutor;
-use crate::program::{NodeProgram, NodeStatus};
-use crate::router::{merge_round, ChunkArena, MergeScratch};
+use crate::program::NodeProgram;
 
 /// Identifies one submitted request, in submission order starting from 0.
 pub type RequestId = u64;
@@ -118,9 +117,10 @@ pub struct ServiceRequest<O> {
     pub model: ExecutionModel,
     /// One program per clique node of *this* instance.
     pub programs: Vec<Box<dyn NodeProgram<Output = O>>>,
-    /// The per-instance execution configuration: label, round cap, and
-    /// violation policy all apply exactly as under [`crate::Engine::run`].
-    /// `threads` is ignored (see [`ServiceConfig::threads`]).
+    /// The per-instance execution configuration: label, round cap,
+    /// violation policy, and retry policy all apply exactly as under
+    /// [`crate::Engine::run`]. `threads` is ignored (see
+    /// [`ServiceConfig::threads`]).
     pub config: EngineConfig,
 }
 
@@ -148,10 +148,11 @@ pub struct ServiceOutcome<O> {
     /// The request this outcome belongs to.
     pub id: RequestId,
     /// The instance's result, bit-identical (outputs, report, ledger,
-    /// rounds, `all_halted`) to a solo [`crate::Engine::run`] under the
-    /// request's own config — except `timings` (zeros) and `trace`
-    /// (`None`), which are solo-run diagnostics. Strict-mode violations
-    /// surface here as [`SimError`] without disturbing other instances.
+    /// rounds, `all_halted`, `health`) to a solo [`crate::Engine::run`]
+    /// under the request's own config and the service's fault injector.
+    /// `timings` are the instance's own; `trace` is `None`. Fail-fast
+    /// violations surface here as [`SimError`] without disturbing other
+    /// instances.
     pub result: Result<EngineOutcome<O>, SimError>,
     /// Super-round at which the instance was admitted to a slot.
     pub admitted_super_round: u64,
@@ -160,137 +161,20 @@ pub struct ServiceOutcome<O> {
     pub finished_super_round: u64,
 }
 
-/// Per-slot worker-side state: the occupant's programs and halt flags.
-/// Only the worker stepping the slot touches it, under one lock per
-/// super-round.
-struct SlotWork<O> {
-    programs: Vec<Option<Box<dyn NodeProgram<Output = O>>>>,
-    halted: Vec<bool>,
-    n: usize,
-    bits_limit: u32,
-    bandwidth_limit: usize,
-    /// The occupant's local round (its solo round counter); parity
-    /// selects the staging bank, exactly as in the engine.
-    local_round: u64,
-}
+/// The planes of one super-round's live slots, shared with the dispatch
+/// closure.
+type LivePlanes<O, R, F> = Arc<RwLock<Vec<Arc<Plane<O, R, F>>>>>;
 
-/// One instance slot of the shared plane: two single-chunk arena banks
-/// (the solo single-threaded layout, recycled across occupants) plus the
-/// occupant's work state.
-struct ServiceSlot<O> {
-    banks: [RwLock<ChunkArena>; 2],
-    work: Mutex<Option<SlotWork<O>>>,
-}
-
-/// The Arc-shared batch plane: every worker references it through one
-/// clone for the service's whole lifetime, so super-rounds allocate
-/// nothing on the dispatch path.
-struct ServicePlane<O, R> {
-    slots: Vec<ServiceSlot<O>>,
-    /// Slot ids live this super-round, ascending: dispatch index `i`
-    /// steps slot `live[i]`. Rewritten by the driver between dispatches.
-    live: RwLock<Vec<u32>>,
-    /// The service's timestamp origin for trace events.
-    // cc-lint: allow(determinism) — the epoch anchors diagnostic timestamps only, never any result or digest
-    epoch: Instant,
-    recorder: Arc<R>,
-}
-
-impl<O: Send + 'static, R: Recorder> ServicePlane<O, R> {
-    // The per-super-round worker body: step one live slot one local round.
-    // cc-lint: region(no_alloc)
-    fn step_dispatch(&self, idx: usize) {
-        let slot = self.live.read().expect("live list poisoned")[idx];
-        self.step_slot(slot as usize);
-    }
-
-    /// Steps every live node of `slot`'s occupant for its current local
-    /// round and seals the slot's staging arena — the single-chunk mirror
-    /// of the engine's `step_chunk`, with the slot index as the trace
-    /// lane.
-    fn step_slot(&self, slot: usize) {
-        let state = &self.slots[slot];
-        let mut work = state.work.lock().expect("slot work poisoned");
-        let work = work.as_mut().expect("live slot without work");
-        let round = work.local_round;
-        let mut arena = state.banks[(round & 1) as usize]
-            .write()
-            .expect("slot arena poisoned");
-        arena.reset();
-        let delivered = state.banks[(1 - (round & 1)) as usize]
-            .read()
-            .expect("slot arena poisoned");
-        // cc-lint: allow(determinism) — phase timing for diagnostics; recorded as the step span only
-        let step_start = Instant::now();
-        // One sender chunk per slot, so every inbox is at most one
-        // contiguous segment.
-        let mut segments: [InboxSegment<'_>; 1] = [(&[], &[])];
-        for i in 0..work.n {
-            if work.halted[i] {
-                arena.note_halted();
-                continue;
-            }
-            let segment = delivered.slices_for(i);
-            let filled = usize::from(!segment.0.is_empty());
-            segments[0] = segment;
-            let inbox = Inbox::new(i as u32, &segments[..filled]);
-            let before = arena.staged();
-            let program = work.programs[i].as_mut().expect("program taken early");
-            let status = {
-                let mut env = NodeEnv::new(i as u32, work.n, round, inbox, arena.stage_mut());
-                program.on_round(&mut env)
-            };
-            let sent = arena.staged() - before;
-            arena.note_sender(i as u32, sent, work.bandwidth_limit);
-            if status == NodeStatus::Halt {
-                work.halted[i] = true;
-                arena.note_halted();
-            }
-        }
-        // cc-lint: allow(determinism) — phase timing for diagnostics; recorded as trace spans only
-        let route_start = Instant::now();
-        let route_ts = (route_start - self.epoch).as_nanos() as u64;
-        arena.seal(
-            round,
-            0,
-            work.bits_limit,
-            slot,
-            route_ts,
-            &*self.recorder,
-            &NoopInjector,
-        );
-        if R::ENABLED {
-            let step_ts = (step_start - self.epoch).as_nanos() as u64;
-            // cc-lint: allow(determinism) — phase timing for diagnostics; recorded as the route span only
-            let sealed_ts = (Instant::now() - self.epoch).as_nanos() as u64;
-            self.recorder
-                .span(slot, Phase::Step, round, step_ts, route_ts);
-            self.recorder
-                .span(slot, Phase::Route, round, route_ts, sealed_ts);
-        }
-        work.local_round = round + 1;
-    }
-    // cc-lint: end_region
-}
-
-/// Driver-side state of one occupied slot: the occupant's accounting
-/// context, ledger, and round bookkeeping. Lives outside the shared
-/// plane — only the driving thread touches it.
-struct SlotDriver {
+/// An occupied slot: the request in flight and its instance.
+struct Occupant<O, R, F> {
     id: RequestId,
-    label: String,
-    ctx: ClusterContext,
-    ledger: MessageLedger,
-    bits_limit: u32,
-    n: usize,
-    max_rounds: u64,
-    local_round: u64,
     admitted_super_round: u64,
+    instance: Instance<O, R, F>,
 }
 
-/// A batched multi-instance execution service over one shared message
-/// plane — see the [module docs](crate::service) for the architecture,
-/// the scheduling policy, and the solo-parity guarantee.
+/// A batched multi-instance execution service — see the
+/// [module docs](crate::service) for the architecture, the scheduling
+/// policy, and the solo-parity guarantee.
 ///
 /// The service is a *driver-stepped* loop: [`ColoringService::submit`]
 /// enqueues requests, every [`ColoringService::step`] executes one
@@ -298,63 +182,92 @@ struct SlotDriver {
 /// [`ColoringService::drain_finished`] yields retired outcomes. The
 /// caller owns the pacing, which is what lets `cc-bench` measure
 /// offered-load sweeps without the service owning a clock.
-pub struct ColoringService<O, R: Recorder = NoopRecorder> {
-    plane: Arc<ServicePlane<O, R>>,
+pub struct ColoringService<O, R: Recorder = NoopRecorder, F: FaultInjector = NoopInjector> {
+    hooks: Hooks<R, F>,
     executor: ChunkedExecutor,
+    /// The planes of this super-round's live slots, ascending by slot:
+    /// dispatch index `i` steps the single group of `live[i]`. Filled by
+    /// the driver before each dispatch and emptied after it, so retiring
+    /// instances can reclaim their planes.
+    live: LivePlanes<O, R, F>,
     /// The one dispatch closure, built at construction: super-rounds
     /// clone the `Arc`, never re-create the closure.
     step: Arc<dyn Fn(usize) + Send + Sync>,
     queue: VecDeque<(RequestId, ServiceRequest<O>)>,
-    drivers: Vec<Option<SlotDriver>>,
-    /// Per-slot merge scratch, recycled with the slot's arenas.
-    scratches: Vec<MergeScratch>,
+    slots: Vec<Option<Occupant<O, R, F>>>,
+    /// Per slot, the arena banks and merge scratch its last occupant left.
+    spares: Vec<Option<Banks>>,
     finished: Vec<ServiceOutcome<O>>,
     next_id: RequestId,
     super_round: u64,
 }
 
 impl<O: Send + 'static> ColoringService<O> {
-    /// A service with no trace recording.
+    /// A service with no trace recording and no faults; chain
+    /// [`ColoringService::with_recorder`] and
+    /// [`ColoringService::with_faults`] to attach them.
     pub fn new(config: ServiceConfig) -> Self {
-        Self::with_recorder(config, Arc::new(NoopRecorder))
+        Self::build(
+            ChunkedExecutor::new(config.threads),
+            config.slots,
+            Hooks::none(),
+        )
     }
 }
 
-impl<O: Send + 'static, R: Recorder> ColoringService<O, R> {
-    /// A service recording per-slot spans and driver-lane queue/occupancy
-    /// gauges into `recorder`.
-    pub fn with_recorder(config: ServiceConfig, recorder: Arc<R>) -> Self {
-        let slots = config.slots.max(1);
-        let plane = Arc::new(ServicePlane {
-            slots: (0..slots)
-                .map(|_| ServiceSlot {
-                    banks: [
-                        RwLock::new(ChunkArena::for_group(0, 1, 0)),
-                        RwLock::new(ChunkArena::for_group(0, 1, 0)),
-                    ],
-                    work: Mutex::new(None),
-                })
-                .collect(),
-            live: RwLock::new(Vec::with_capacity(slots)),
-            // cc-lint: allow(determinism) — the epoch anchors diagnostic timestamps only, never any result or digest
-            epoch: Instant::now(),
-            recorder,
-        });
+impl<O: Send + 'static, R: Recorder, F: FaultInjector> ColoringService<O, R, F> {
+    fn build(executor: ChunkedExecutor, slots: usize, hooks: Hooks<R, F>) -> Self {
+        let slots = slots.max(1);
+        let live: LivePlanes<O, R, F> = Arc::new(RwLock::new(Vec::with_capacity(slots)));
         let step: Arc<dyn Fn(usize) + Send + Sync> = {
-            let plane = Arc::clone(&plane);
-            Arc::new(move |idx| plane.step_dispatch(idx))
+            let live = Arc::clone(&live);
+            Arc::new(move |i| live.read().expect("live list poisoned")[i].step_group(0))
         };
         ColoringService {
-            plane,
-            executor: ChunkedExecutor::new(config.threads),
+            hooks,
+            executor,
+            live,
             step,
             queue: VecDeque::new(),
-            drivers: (0..slots).map(|_| None).collect(),
-            scratches: (0..slots).map(|_| MergeScratch::new(0)).collect(),
+            slots: (0..slots).map(|_| None).collect(),
+            spares: (0..slots).map(|_| None).collect(),
             finished: Vec::new(),
             next_id: 0,
             super_round: 0,
         }
+    }
+
+    /// The same service recording per-slot spans and driver-lane
+    /// queue/occupancy gauges into `recorder`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request was already submitted.
+    #[must_use]
+    pub fn with_recorder<R2: Recorder>(self, recorder: Arc<R2>) -> ColoringService<O, R2, F> {
+        assert_eq!(self.next_id, 0, "attach a recorder before submitting");
+        ColoringService::build(
+            self.executor,
+            self.slots.len(),
+            self.hooks.with_recorder(recorder),
+        )
+    }
+
+    /// The same service injecting faults from `injector` into every
+    /// instance, each recovering under its own request's
+    /// [`EngineConfig::retry`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request was already submitted.
+    #[must_use]
+    pub fn with_faults<F2: FaultInjector>(self, injector: F2) -> ColoringService<O, R, F2> {
+        assert_eq!(self.next_id, 0, "attach an injector before submitting");
+        ColoringService::build(
+            self.executor,
+            self.slots.len(),
+            self.hooks.with_faults(injector),
+        )
     }
 
     /// Enqueues one instance; it is admitted to a slot on a subsequent
@@ -373,12 +286,12 @@ impl<O: Send + 'static, R: Recorder> ColoringService<O, R> {
 
     /// Slots currently occupied by in-flight instances.
     pub fn occupancy(&self) -> usize {
-        self.drivers.iter().filter(|d| d.is_some()).count()
+        self.slots.iter().flatten().count()
     }
 
     /// Total instance slots.
     pub fn slots(&self) -> usize {
-        self.drivers.len()
+        self.slots.len()
     }
 
     /// Whether nothing is queued or in flight (retired outcomes may still
@@ -398,79 +311,45 @@ impl<O: Send + 'static, R: Recorder> ColoringService<O, R> {
     /// and returns how many instances retired. A step with nothing queued
     /// and nothing live is a no-op returning 0.
     pub fn step(&mut self) -> usize {
-        // Admission: lowest idle slot first, submission order. Degenerate
-        // requests (empty cliques, zero round caps) complete immediately
-        // without occupying a slot, mirroring the engine's early returns.
+        // Admission: lowest idle slot first, submission order.
         while !self.queue.is_empty() && self.admit_next() {}
         let live_count = {
-            let mut live = self.plane.live.write().expect("live list poisoned");
-            live.clear();
-            for (slot, driver) in self.drivers.iter().enumerate() {
-                if driver.is_some() {
-                    live.push(slot as u32);
-                }
-            }
+            let mut live = self.live.write().expect("live list poisoned");
+            live.extend(
+                self.slots
+                    .iter()
+                    .flatten()
+                    .map(|occupant| Arc::clone(occupant.instance.plane())),
+            );
             live.len()
         };
         if R::ENABLED {
-            // cc-lint: allow(determinism) — gauge timestamps are diagnostics only, never any result or digest
-            let ts = (Instant::now() - self.plane.epoch).as_nanos() as u64;
-            let recorder = &self.plane.recorder;
-            recorder.count(
-                DRIVER_LANE,
-                Counter::QueueDepth,
-                self.super_round,
-                ts,
-                self.queue.len() as u64,
-            );
-            recorder.count(
-                DRIVER_LANE,
-                Counter::Occupancy,
-                self.super_round,
-                ts,
-                live_count as u64,
-            );
+            let (recorder, round) = (&self.hooks.recorder, self.super_round);
+            let ts = self.hooks.epoch.elapsed().as_nanos() as u64;
+            let (queued, occupied) = (self.queue.len() as u64, live_count as u64);
+            recorder.count(DRIVER_LANE, Counter::QueueDepth, round, ts, queued);
+            recorder.count(DRIVER_LANE, Counter::Occupancy, round, ts, occupied);
         }
         if live_count == 0 {
             return 0;
         }
         self.executor.run_indexed(live_count, &self.step);
+        self.live.write().expect("live list poisoned").clear();
         // Barrier: merge every live slot in ascending slot order, each
-        // into its own context and ledger — the per-instance mirror of
-        // the engine's driver merge.
-        // cc-lint: allow(determinism) — merge timestamps feed driver-lane telemetry only, never any result or digest
-        let barrier_ts = (Instant::now() - self.plane.epoch).as_nanos() as u64;
+        // into its own context and ledger.
         let mut retired = 0usize;
-        for slot in 0..self.drivers.len() {
-            let verdict = {
-                let Some(driver) = self.drivers[slot].as_mut() else {
-                    continue;
-                };
-                let round = driver.local_round;
-                let bank = &self.plane.slots[slot].banks[(round & 1) as usize];
-                let merge = merge_round(
-                    round,
-                    std::slice::from_ref(bank),
-                    &mut self.scratches[slot],
-                    &mut driver.ctx,
-                    &mut driver.ledger,
-                    &driver.label,
-                    driver.bits_limit,
-                    barrier_ts,
-                    &*self.plane.recorder,
-                );
-                match merge {
-                    Err(err) => Some((round, Err(err))),
-                    Ok(merge) if merge.halted == driver.n => Some((round, Ok(true))),
-                    Ok(_) if round + 1 >= driver.max_rounds => Some((round, Ok(false))),
-                    Ok(_) => {
-                        driver.local_round = round + 1;
-                        None
-                    }
-                }
+        for slot in 0..self.slots.len() {
+            let Some(occupant) = self.slots[slot].as_mut() else {
+                continue;
             };
-            if let Some((final_round, verdict)) = verdict {
-                self.retire(slot, final_round, verdict);
+            if let Some(verdict) = occupant.instance.merge() {
+                let occupant = self.slots[slot].take().expect("merged an idle slot");
+                self.finished.push(ServiceOutcome {
+                    id: occupant.id,
+                    result: occupant.instance.finish(verdict, &mut self.spares[slot]),
+                    admitted_super_round: occupant.admitted_super_round,
+                    finished_super_round: self.super_round,
+                });
                 retired += 1;
             }
         }
@@ -495,127 +374,38 @@ impl<O: Send + 'static, R: Recorder> ColoringService<O, R> {
 
     /// Admits the queue's front request into the lowest idle slot.
     /// Returns false (leaving the queue untouched) when every slot is
-    /// occupied.
+    /// occupied. A request no round can run for completes at once,
+    /// without occupying the slot.
     fn admit_next(&mut self) -> bool {
-        let Some(slot) = self.drivers.iter().position(|d| d.is_none()) else {
+        let Some(slot) = self.slots.iter().position(Option::is_none) else {
             return false;
         };
         let (id, request) = self.queue.pop_front().expect("checked non-empty");
-        let n = request.programs.len();
-        let config = request.config;
-        let policy = if config.strict {
-            ViolationPolicy::FailFast
-        } else {
-            config.policy
-        };
-        let ctx = ClusterContext::with_policy(request.model, policy);
-        if n == 0 || config.max_rounds == 0 {
-            // Engine parity for degenerate runs: no rounds execute, the
-            // programs are finished as-is (`all_halted` only for n = 0).
-            let outputs = request.programs.into_iter().map(|p| p.finish()).collect();
-            self.finished.push(ServiceOutcome {
+        let started = Instance::start(
+            request.model,
+            request.programs,
+            request.config,
+            1,
+            slot.min(WORKER_LANES - 1),
+            &mut self.spares[slot],
+            &self.hooks,
+        );
+        match started {
+            Started::Running(instance) => {
+                self.slots[slot] = Some(Occupant {
+                    id,
+                    admitted_super_round: self.super_round,
+                    instance,
+                });
+            }
+            Started::Finished(outcome) => self.finished.push(ServiceOutcome {
                 id,
-                result: Ok(EngineOutcome {
-                    outputs,
-                    report: ctx.report(),
-                    ledger: MessageLedger::new(),
-                    rounds: 0,
-                    all_halted: n == 0,
-                    timings: PhaseTimings::default(),
-                    trace: None,
-                    health: EngineHealth::default(),
-                }),
+                result: Ok(outcome),
                 admitted_super_round: self.super_round,
                 finished_super_round: self.super_round,
-            });
-            return true;
+            }),
         }
-        let mut ledger = MessageLedger::new();
-        // The same steady-state pre-sizing as the engine (and the same
-        // 512-entry bound).
-        ledger.reserve_rounds(usize::try_from(config.max_rounds.min(512)).unwrap_or(0));
-        // Recycle the slot's arenas across occupants: rebuild only when
-        // the clique size changes, reset (both banks — the previous
-        // occupant's final sealed bank must not leak) otherwise.
-        let rebuilt = {
-            let arena = self.plane.slots[slot].banks[0]
-                .read()
-                .expect("slot arena poisoned");
-            arena.n() != n
-        };
-        for bank in &self.plane.slots[slot].banks {
-            let mut arena = bank.write().expect("slot arena poisoned");
-            if rebuilt {
-                *arena = ChunkArena::for_group(n, 1, 0);
-            } else {
-                arena.reset();
-            }
-        }
-        if rebuilt {
-            self.scratches[slot] = MergeScratch::new(n);
-        }
-        let work = SlotWork {
-            programs: request.programs.into_iter().map(Some).collect(),
-            halted: vec![false; n],
-            n,
-            bits_limit: word_bits_limit(n),
-            bandwidth_limit: ctx.model().per_round_bandwidth_words,
-            local_round: 0,
-        };
-        let bits_limit = work.bits_limit;
-        *self.plane.slots[slot]
-            .work
-            .lock()
-            .expect("slot work poisoned") = Some(work);
-        self.drivers[slot] = Some(SlotDriver {
-            id,
-            label: config.label,
-            ctx,
-            ledger,
-            bits_limit,
-            n,
-            max_rounds: config.max_rounds,
-            local_round: 0,
-            admitted_super_round: self.super_round,
-        });
         true
-    }
-
-    /// Retires `slot`'s occupant after its final merged round, buffering
-    /// the outcome and freeing the slot for the next admission.
-    fn retire(&mut self, slot: usize, final_round: u64, verdict: Result<bool, SimError>) {
-        let driver = self.drivers[slot].take().expect("retiring an idle slot");
-        let work = self.plane.slots[slot]
-            .work
-            .lock()
-            .expect("slot work poisoned")
-            .take()
-            .expect("retiring a slot without work");
-        let result = match verdict {
-            Err(err) => Err(err),
-            Ok(all_halted) => {
-                let mut outputs = Vec::with_capacity(work.n);
-                for program in work.programs {
-                    outputs.push(program.expect("program already finished").finish());
-                }
-                Ok(EngineOutcome {
-                    outputs,
-                    report: driver.ctx.report(),
-                    ledger: driver.ledger,
-                    rounds: final_round + 1,
-                    all_halted,
-                    timings: PhaseTimings::default(),
-                    trace: None,
-                    health: EngineHealth::default(),
-                })
-            }
-        };
-        self.finished.push(ServiceOutcome {
-            id: driver.id,
-            result,
-            admitted_super_round: driver.admitted_super_round,
-            finished_super_round: self.super_round,
-        });
     }
 }
 
@@ -623,6 +413,10 @@ impl<O: Send + 'static, R: Recorder> ColoringService<O, R> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::env::NodeEnv;
+    use crate::program::NodeStatus;
+    use cc_sim::ViolationPolicy;
+    use cc_trace::Phase;
 
     /// Each node sends its id times a counter to both ring neighbors for
     /// a fixed number of rounds (the engine tests' Chatter, re-declared
@@ -703,6 +497,12 @@ mod tests {
             assert_eq!(got.report, reference.report, "request {n}/{until}");
             assert_eq!(got.rounds, reference.rounds);
             assert!(got.all_halted);
+            // Each instance times its own phases, as a solo run does.
+            let t = got.timings;
+            assert!(
+                t.route_ns + t.step_ns + t.check_ns > 0,
+                "request {n}/{until}"
+            );
         }
     }
 
@@ -785,7 +585,7 @@ mod tests {
     fn strict_violations_retire_only_the_offending_instance() {
         let mut service = ColoringService::new(ServiceConfig::with_slots(3));
         let strict = EngineConfig {
-            strict: true,
+            policy: ViolationPolicy::FailFast,
             ..EngineConfig::default()
         };
         service.submit(request(10, 5));
@@ -863,7 +663,7 @@ mod tests {
         use cc_trace::{RingRecorder, TraceEvent};
         let rec = Arc::new(RingRecorder::default());
         let mut service: ColoringService<u64, _> =
-            ColoringService::with_recorder(ServiceConfig::with_slots(1), Arc::clone(&rec));
+            ColoringService::new(ServiceConfig::with_slots(1)).with_recorder(Arc::clone(&rec));
         service.submit(request(6, 3));
         service.submit(request(6, 3));
         service.step();

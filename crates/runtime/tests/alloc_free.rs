@@ -9,39 +9,57 @@
 //! plane's zero-allocation claim; it holds because the arenas, the ledger
 //! reservation, and the staging columns are all reused across rounds.
 //!
-//! (The multi-threaded path additionally boxes O(chunks) pool jobs per
-//! round — never O(messages) — which is why the strict assertion pins the
-//! `threads = 1` engine.)
+//! The tallies are per thread: libtest runs these tests in parallel, and a
+//! process-wide count would charge one test for another's allocations. A
+//! `threads = 1` engine or service steps inline on the calling thread, so
+//! its thread's tally sees every allocation the run makes. (The
+//! multi-threaded path additionally boxes O(chunks) pool jobs per round —
+//! never O(messages) — which is why the strict assertions pin
+//! `threads = 1`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cc_runtime::trace::RingRecorder;
 use cc_runtime::{
-    ColoringService, Engine, EngineConfig, EngineOutcome, FaultPlan, NodeEnv, NodeProgram,
-    NodeStatus, PlanInjector, ServiceConfig, ServiceRequest, SnapshotSink, SnapshotSource,
+    ColoringService, Engine, EngineConfig, EngineOutcome, EngineSession, FaultPlan, NodeEnv,
+    NodeProgram, NodeStatus, PlanInjector, ServiceConfig, ServiceRequest, SnapshotSink,
+    SnapshotSource,
 };
 use cc_sim::ExecutionModel;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations (count, bytes) made by this thread. `const`-initialized
+    /// and free of destructors, so touching it never allocates.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Charges one allocation of `bytes` to the current thread. A thread
+/// being torn down may allocate after its locals are gone; those
+/// allocations belong to no measurement and are skipped.
+fn note(bytes: usize) {
+    let _ = ALLOCATED.try_with(|tally| {
+        let (count, total) = tally.get();
+        tally.set((count + 1, total + bytes as u64));
+    });
+}
 
 // The engine itself is `#![forbid(unsafe_code)]`; this harness lives in a
 // separate test crate precisely so it can install an allocator shim.
 //
 // SAFETY: the shim upholds `GlobalAlloc`'s contract by construction — it
-// only increments atomics (which never allocate, unwind, or reenter the
-// allocator) and then forwards every call verbatim to `System`, so layout
-// handling, pointer validity, and thread safety are exactly `System`'s.
+// only bumps a const-initialized thread-local tally (no lazy init, no
+// destructor: it never allocates, unwinds, or reenters the allocator) and
+// then forwards every call verbatim to `System`, so layout handling,
+// pointer validity, and thread safety are exactly `System`'s.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract (valid,
     // nonzero-size layout); the layout is passed through unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        note(layout.size());
         // SAFETY: same layout the caller guaranteed valid, forwarded once.
         unsafe { System.alloc(layout) }
     }
@@ -58,8 +76,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // this allocator and `new_size` is nonzero; all of it is forwarded to
     // `System` untouched.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        note(new_size);
         // SAFETY: arguments forwarded unchanged under the same contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -67,6 +84,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Runs `f` and returns its result with the allocations (count, bytes) the
+/// current thread made meanwhile.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let (count, bytes) = ALLOCATED.with(Cell::get);
+    let value = f();
+    let (count_after, bytes_after) = ALLOCATED.with(Cell::get);
+    (value, (count_after - count, bytes_after - bytes))
+}
 
 /// Every node sends one word to both ring neighbors each round until a
 /// fixed horizon — constant per-round message volume, so buffer high-water
@@ -123,25 +149,22 @@ fn programs(n: usize, rounds: u64) -> Vec<Box<dyn NodeProgram<Output = u64>>> {
         .collect()
 }
 
-/// Allocation (count, bytes) charged to one engine run of `rounds` rounds.
-fn measure(n: usize, rounds: u64) -> (u64, u64) {
-    let programs = programs(n, rounds);
-    // A fixed cap (not `rounds + slack`) so the ledger's start-up
-    // reservation is byte-identical across the compared runs.
-    let engine = Engine::new(EngineConfig {
+/// One worker thread and a fixed cap (not `rounds + slack`), so the
+/// ledger's start-up reservation is byte-identical across compared runs.
+fn config() -> EngineConfig {
+    EngineConfig {
         threads: 1,
         max_rounds: 256,
         ..EngineConfig::default()
-    });
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    let outcome = engine
-        .run(ExecutionModel::congested_clique(n), programs)
-        .unwrap();
-    let delta = (
-        ALLOCATIONS.load(Ordering::Relaxed) - allocs,
-        ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes,
-    );
+    }
+}
+
+/// Allocation (count, bytes) charged to one engine run of `rounds` rounds.
+fn measure(n: usize, rounds: u64) -> (u64, u64) {
+    let programs = programs(n, rounds);
+    let engine = Engine::new(config());
+    let (outcome, delta) = measured(|| engine.run(ExecutionModel::congested_clique(n), programs));
+    let outcome = outcome.unwrap();
     assert!(outcome.all_halted);
     assert_eq!(outcome.rounds, rounds + 1);
     assert_eq!(outcome.ledger.total_messages(), rounds * 2 * n as u64);
@@ -170,23 +193,9 @@ fn steady_state_rounds_allocate_nothing() {
 /// test is that *recording into* them is allocation-free.
 fn measure_recorded(n: usize, rounds: u64, recorder: Arc<RingRecorder>) -> (u64, u64) {
     let programs = programs(n, rounds);
-    let engine = Engine::with_recorder(
-        EngineConfig {
-            threads: 1,
-            max_rounds: 256,
-            ..EngineConfig::default()
-        },
-        recorder,
-    );
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    let outcome = engine
-        .run(ExecutionModel::congested_clique(n), programs)
-        .unwrap();
-    let delta = (
-        ALLOCATIONS.load(Ordering::Relaxed) - allocs,
-        ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes,
-    );
+    let engine = Engine::new(config()).with_recorder(recorder);
+    let (outcome, delta) = measured(|| engine.run(ExecutionModel::congested_clique(n), programs));
+    let outcome = outcome.unwrap();
     assert!(outcome.all_halted);
     assert_eq!(outcome.rounds, rounds + 1);
     assert!(outcome.trace.is_some());
@@ -214,33 +223,22 @@ fn steady_state_rounds_with_ring_recorder_allocate_nothing() {
     );
 }
 
+/// The fault plan of the faulted proofs: drops and corruptions but **no
+/// duplicates**, so the delivered batch never outgrows the staged one and
+/// every buffer — checkpoint words, the delivered staging area, the
+/// intended digests — reaches its high-water capacity in the first rounds.
+fn fault_plan() -> PlanInjector {
+    PlanInjector::new(FaultPlan::new(0xa110c).with_drop(30).with_corrupt(20))
+}
+
 /// Allocation (count, bytes) charged to one fault-injected engine run of
 /// `rounds` rounds: checkpointing, damage detection, and checkpoint-retry
-/// all run on the single-threaded path. The plan uses drops and
-/// corruptions but **no duplicates**, so the delivered batch never
-/// outgrows the staged one and every buffer — checkpoint words, the
-/// delivered staging area, the intended digests — reaches its high-water
-/// capacity in the first rounds.
+/// all run on the single-threaded path.
 fn measure_faulted(n: usize, rounds: u64) -> (u64, u64) {
     let programs = programs(n, rounds);
-    let plan = FaultPlan::new(0xa110c).with_drop(30).with_corrupt(20);
-    let engine = Engine::with_faults(
-        EngineConfig {
-            threads: 1,
-            max_rounds: 256,
-            ..EngineConfig::default()
-        },
-        PlanInjector::new(plan),
-    );
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    let outcome = engine
-        .run(ExecutionModel::congested_clique(n), programs)
-        .unwrap();
-    let delta = (
-        ALLOCATIONS.load(Ordering::Relaxed) - allocs,
-        ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes,
-    );
+    let engine = Engine::new(config()).with_faults(fault_plan());
+    let (outcome, delta) = measured(|| engine.run(ExecutionModel::congested_clique(n), programs));
+    let outcome = outcome.unwrap();
     assert!(outcome.all_halted);
     assert!(outcome.health.faults_injected > 0);
     assert!(outcome.health.retries > 0);
@@ -276,24 +274,15 @@ fn measure_service(n: usize, rounds: u64, requests: usize) -> (u64, u64) {
         slots: 2,
         threads: 1,
     });
-    let config = EngineConfig {
-        threads: 1,
-        max_rounds: 256,
-        ..EngineConfig::default()
-    };
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    for _ in 0..requests {
-        service.submit(
-            ServiceRequest::new(ExecutionModel::congested_clique(n), programs(n, rounds))
-                .with_config(config.clone()),
-        );
-    }
-    let outcomes = service.run_until_idle();
-    let delta = (
-        ALLOCATIONS.load(Ordering::Relaxed) - allocs,
-        ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes,
-    );
+    let (outcomes, delta) = measured(|| {
+        for _ in 0..requests {
+            service.submit(
+                ServiceRequest::new(ExecutionModel::congested_clique(n), programs(n, rounds))
+                    .with_config(config()),
+            );
+        }
+        service.run_until_idle()
+    });
     assert_eq!(outcomes.len(), requests);
     for outcome in &outcomes {
         let run = outcome.result.as_ref().unwrap();
@@ -325,21 +314,10 @@ fn steady_state_service_rounds_allocate_nothing() {
 }
 
 /// Allocation (count, bytes) charged to one `session.run` call.
-fn measure_session_run(
-    session: &mut cc_runtime::EngineSession,
-    n: usize,
-    rounds: u64,
-) -> (u64, u64) {
+fn measure_session_run(session: &mut EngineSession, n: usize, rounds: u64) -> (u64, u64) {
     let programs = programs(n, rounds);
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    let outcome = session
-        .run(ExecutionModel::congested_clique(n), programs)
-        .unwrap();
-    let delta = (
-        ALLOCATIONS.load(Ordering::Relaxed) - allocs,
-        ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes,
-    );
+    let (outcome, delta) = measured(|| session.run(ExecutionModel::congested_clique(n), programs));
+    let outcome = outcome.unwrap();
     assert!(outcome.all_halted);
     assert_eq!(outcome.rounds, rounds + 1);
     delta
@@ -349,12 +327,7 @@ fn measure_session_run(
 fn session_reuse_skips_plane_construction_allocations() {
     let n = 96;
     let rounds = 40;
-    let mut session = Engine::new(EngineConfig {
-        threads: 1,
-        max_rounds: 256,
-        ..EngineConfig::default()
-    })
-    .session();
+    let mut session = Engine::new(config()).session();
     // First run pays for the plane (arenas, scratch, column buffers);
     // subsequent same-shape runs pay only the per-run costs (program
     // boxes, ledger, outputs), which are identical run to run.
@@ -375,18 +348,18 @@ fn session_reuse_skips_plane_construction_allocations() {
 
 /// One chatter run at the given thread count, optionally recorded.
 fn run_chatter(n: usize, rounds: u64, threads: usize, record: bool) -> EngineOutcome<u64> {
-    let config = EngineConfig {
+    let engine = Engine::new(EngineConfig {
         threads,
-        max_rounds: 256,
-        ..EngineConfig::default()
-    };
+        ..config()
+    });
     let model = ExecutionModel::congested_clique(n);
     if record {
-        Engine::with_recorder(config, Arc::new(RingRecorder::default()))
+        engine
+            .with_recorder(Arc::new(RingRecorder::default()))
             .run(model, programs(n, rounds))
             .unwrap()
     } else {
-        Engine::new(config).run(model, programs(n, rounds)).unwrap()
+        engine.run(model, programs(n, rounds)).unwrap()
     }
 }
 

@@ -106,11 +106,9 @@ proptest! {
                 .with_duplicate(duplicate)
                 .with_corrupt(corrupt)
                 .with_stall(50, 200);
-            let faulted = Engine::with_faults(
-                EngineConfig::with_threads(threads),
-                PlanInjector::new(plan),
-            )
-            .run(model.clone(), trial_programs(&adjacency, program_seed))
+            let faulted = Engine::new(EngineConfig::with_threads(threads))
+                .with_faults(PlanInjector::new(plan))
+                .run(model.clone(), trial_programs(&adjacency, program_seed))
             .unwrap();
             prop_assert!(!faulted.health.degraded, "threads {threads}");
             prop_assert_eq!(faulted.health.faults_committed, 0);
@@ -148,11 +146,9 @@ proptest! {
                 .with_drop(drop)
                 .with_duplicate(duplicate)
                 .with_corrupt(corrupt);
-            let faulted = Engine::with_faults(
-                EngineConfig::with_threads(threads),
-                PlanInjector::new(plan),
-            )
-            .run(model.clone(), luby_programs(&adjacency, 3))
+            let faulted = Engine::new(EngineConfig::with_threads(threads))
+                .with_faults(PlanInjector::new(plan))
+                .run(model.clone(), luby_programs(&adjacency, 3))
             .unwrap();
             prop_assert!(!faulted.health.degraded, "threads {threads}");
             prop_assert_eq!(&faulted.outputs, &clean.outputs);
@@ -180,11 +176,9 @@ proptest! {
             }
             plan
         };
-        let baseline = Engine::with_faults(
-            EngineConfig::with_threads(1),
-            PlanInjector::new(build_plan()),
-        )
-        .run(model.clone(), trial_programs(&adjacency, 5))
+        let baseline = Engine::new(EngineConfig::with_threads(1))
+            .with_faults(PlanInjector::new(build_plan()))
+            .run(model.clone(), trial_programs(&adjacency, 5))
         .unwrap();
         prop_assert!(baseline.all_halted);
         prop_assert!(baseline.health.degraded);
@@ -194,11 +188,9 @@ proptest! {
             prop_assert_eq!(baseline.outputs[node as usize], None);
         }
         for threads in [2usize, 4] {
-            let parallel = Engine::with_faults(
-                EngineConfig::with_threads(threads),
-                PlanInjector::new(build_plan()),
-            )
-            .run(model.clone(), trial_programs(&adjacency, 5))
+            let parallel = Engine::new(EngineConfig::with_threads(threads))
+                .with_faults(PlanInjector::new(build_plan()))
+                .run(model.clone(), trial_programs(&adjacency, 5))
             .unwrap();
             prop_assert_eq!(&parallel.outputs, &baseline.outputs);
             prop_assert_eq!(&parallel.ledger, &baseline.ledger);
@@ -218,13 +210,11 @@ fn disabled_retries_commit_damage_and_report_it() {
         .run(model.clone(), trial_programs(&adjacency, 5))
         .unwrap();
     let plan = FaultPlan::new(0xbad).with_drop(80);
-    let faulted = Engine::with_faults(
-        EngineConfig {
-            retry: RetryPolicy::none(),
-            ..EngineConfig::with_threads(2)
-        },
-        PlanInjector::new(plan),
-    )
+    let faulted = Engine::new(EngineConfig {
+        retry: RetryPolicy::none(),
+        ..EngineConfig::with_threads(2)
+    })
+    .with_faults(PlanInjector::new(plan))
     .run(model, trial_programs(&adjacency, 5))
     .unwrap();
     assert!(faulted.health.degraded);

@@ -5,7 +5,7 @@
 use cc_runtime::programs::luby::LubyMisProgram;
 use cc_runtime::programs::trial::TrialColoringProgram;
 use cc_runtime::{word_bits_limit, Engine, EngineConfig, NodeEnv, NodeProgram, NodeStatus};
-use cc_sim::ExecutionModel;
+use cc_sim::{ExecutionModel, ViolationPolicy};
 
 /// Deterministic pseudo-random symmetric adjacency lists (no dependency on
 /// the graph crate: the runtime is graph-library-agnostic).
@@ -160,11 +160,11 @@ fn bandwidth_violations_reach_the_execution_report() {
         .to_string()
         .contains("bandwidth"));
 
-    // Strict mode turns the same execution into an error.
+    // Fail-fast turns the same execution into an error.
     let programs: Vec<Box<dyn NodeProgram<Output = ()>>> =
         (0..n).map(|_| Box::new(Spammer { copies }) as _).collect();
     let err = Engine::new(EngineConfig {
-        strict: true,
+        policy: ViolationPolicy::FailFast,
         ..EngineConfig::default()
     })
     .run(model, programs);

@@ -1,14 +1,14 @@
 //! Property: a `ColoringService` batch of k instances produces, for every
-//! instance, outputs / message ledger / execution report / round count
-//! byte-identical to k solo `Engine::run`s — at service thread counts 1,
-//! 2, and 4, with fewer slots than instances (forcing mid-stream
-//! retirement and refill) and submissions arriving while earlier
-//! instances are already in flight.
+//! instance, outputs / message ledger / execution report / round count /
+//! health byte-identical to k solo `Engine::run`s under the same
+//! crash-free fault plan — at service thread counts 1, 2, and 4, with
+//! fewer slots than instances (forcing mid-stream retirement and refill)
+//! and submissions arriving while earlier instances are already in flight.
 
 use cc_runtime::programs::trial::TrialColoringProgram;
 use cc_runtime::{
-    ColoringService, Engine, EngineConfig, EngineOutcome, NodeProgram, ServiceConfig,
-    ServiceRequest,
+    ColoringService, Engine, EngineConfig, EngineOutcome, FaultPlan, NodeProgram, PlanInjector,
+    ServiceConfig, ServiceRequest,
 };
 use cc_sim::ExecutionModel;
 use proptest::prelude::*;
@@ -59,6 +59,17 @@ fn instance_strategy() -> impl Strategy<Value = InstanceSpec> {
     )
 }
 
+/// A crash-free fault plan: seeded drops, duplicates, and corruptions,
+/// each rate possibly zero.
+fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
+    (any::<u64>(), 0u16..=40, 0u16..=30, 0u16..=30).prop_map(|(seed, drop, duplicate, corrupt)| {
+        FaultPlan::new(seed)
+            .with_drop(drop)
+            .with_duplicate(duplicate)
+            .with_corrupt(corrupt)
+    })
+}
+
 fn programs(spec: &InstanceSpec) -> Vec<Box<dyn NodeProgram<Output = Option<u64>>>> {
     let adjacency = scrambled_graph(spec.n, 4, spec.graph_seed);
     adjacency
@@ -84,8 +95,9 @@ fn config(spec: &InstanceSpec) -> EngineConfig {
     }
 }
 
-fn solo(spec: &InstanceSpec) -> EngineOutcome<Option<u64>> {
+fn solo(spec: &InstanceSpec, plan: &FaultPlan) -> EngineOutcome<Option<u64>> {
     Engine::new(config(spec))
+        .with_faults(PlanInjector::new(plan.clone()))
         .run(ExecutionModel::congested_clique(spec.n), programs(spec))
         .expect("lenient solo run errored")
 }
@@ -101,11 +113,13 @@ proptest! {
         // submitted: late arrivals land while earlier instances are
         // mid-flight (or already retired and their slots refilled).
         stagger in 0usize..6,
+        plan in plan_strategy(),
     ) {
         let references: Vec<EngineOutcome<Option<u64>>> =
-            specs.iter().map(solo).collect();
+            specs.iter().map(|spec| solo(spec, &plan)).collect();
         for threads in [1usize, 2, 4] {
-            let mut service = ColoringService::new(ServiceConfig { slots, threads });
+            let mut service = ColoringService::new(ServiceConfig { slots, threads })
+                .with_faults(PlanInjector::new(plan.clone()));
             let split = specs.len() / 2;
             for spec in &specs[..split] {
                 service.submit(
@@ -138,6 +152,7 @@ proptest! {
                 prop_assert_eq!(&got.report, &reference.report);
                 prop_assert_eq!(got.rounds, reference.rounds);
                 prop_assert_eq!(got.all_halted, reference.all_halted);
+                prop_assert_eq!(got.health, reference.health);
             }
         }
     }
