@@ -2,7 +2,7 @@
 //! reusable-handle solo loop.
 //!
 //! The paper's algorithms are constant-round, so a *stream* of independent
-//! small instances is dominated by per-round fixed costs: pool dispatch,
+//! small instances is dominated by per-round fixed costs: dispatch,
 //! worker wakeups, and the barrier, paid per instance-round by a solo
 //! loop but once per super-round by the batched
 //! [`cc_runtime::ColoringService`]. This experiment offers the same
@@ -11,7 +11,7 @@
 //! occupancy:
 //!
 //! * **solo-loop** — one [`cc_runtime::EngineSession`] (the reusable
-//!   handle: worker pool spawned once, arena banks recycled between
+//!   handle: executor workers spawned once, arena banks recycled between
 //!   runs) executes requests back to back;
 //! * **service** — requests arrive at a fixed offered load (`rate`
 //!   submissions per super-round) into a [`cc_runtime::ColoringService`]
@@ -23,10 +23,10 @@
 //! modes in-process, so every speedup row is also a determinism check.
 //!
 //! On a single-CPU host both modes time-share at threads ≥ 2, but the
-//! solo loop still pays one pool round-trip (execute + join handshake)
-//! per instance-round while the service pays one per super-round shared
-//! by every live slot; that amortization, not parallelism, is the
-//! headline batched-vs-solo win and it reproduces on any host.
+//! solo loop still pays one dispatch and one barrier per instance-round
+//! while the service pays one per super-round shared by every live slot;
+//! that amortization, not parallelism, is the headline batched-vs-solo
+//! win and it reproduces on any host.
 
 use std::path::Path;
 use std::time::Instant;
@@ -336,10 +336,10 @@ pub fn run_with(scale: Scale, threads: &[usize]) {
         ("luby-mis", mis_mix(count, &[16, 32, 64])),
     ];
     println!(
-        "E10 host parallelism: {host_cpus} CPU(s). The service amortizes one pool \
+        "E10 host parallelism: {host_cpus} CPU(s). The service amortizes one \
          dispatch per super-round across all live slots; the solo loop pays one \
          per instance-round. That overhead gap (not parallel speedup) drives the \
-         batched/solo ratio, so it reproduces on a 1-CPU host."
+         batched/solo ratio at threads >= 2, so it reproduces on a 1-CPU host."
     );
     let mut table = Table::new([
         "mix",

@@ -6,13 +6,13 @@
 //!
 //! 1. **Step (parallel).** Senders are split into execution groups fixed by
 //!    the clique size and thread count (see [`crate::router`]). For each
-//!    group, a worker builds every node's inbox as a zero-copy view over the
+//!    group, a thread builds every node's inbox as a zero-copy view over the
 //!    previous round's sorted arenas, steps the program (sends append
 //!    straight into the group's staging columns, counting per destination
 //!    as they land), and seals the group: a prefix sum over the send-time
 //!    counts, a per-sender-run digest fold, a lane-vectorized width OR, and
 //!    a placement pass counting-sort the batch by destination. All
-//!    per-message work happens here, on the workers.
+//!    per-message work happens here, on the stepping threads.
 //! 2. **Merge (driver).** At the barrier the driving thread folds the
 //!    groups in fixed group order: ledger digest, count-shard combine into
 //!    the receive tally, violations, round charging — O(groups · 𝔫) work
@@ -21,11 +21,11 @@
 //! Both phases live in `crate::instance`, the one round loop the engine
 //! and the [`crate::ColoringService`] share. Because digest chunks and merge
 //! order depend only on the clique size, results, reports, and ledgers are
-//! byte-identical for any worker thread count. The two arena banks (last
+//! byte-identical for any thread count. The two arena banks (last
 //! round's sealed groups, this round's staging groups) swap by round parity
-//! — nothing is reallocated between rounds, and with one worker thread a
-//! steady-state round performs no heap allocation at all (asserted by the
-//! `alloc_free` integration test).
+//! — nothing is reallocated between rounds, and a steady-state round
+//! performs no heap allocation at any thread count (asserted at one and two
+//! threads by the `alloc_free` integration test).
 
 use std::sync::Arc;
 
@@ -35,14 +35,15 @@ use cc_trace::{NoopRecorder, Recorder, TraceSummary};
 
 use crate::instance::{Banks, Hooks, Instance, Started};
 use crate::ledger::MessageLedger;
-use crate::pool::ChunkedExecutor;
+use crate::pool::{ChunkedExecutor, Job};
 use crate::program::NodeProgram;
 use crate::router::exec_chunk_count;
 
 /// How an [`Engine`] executes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads stepping nodes each round (1 = inline, no pool).
+    /// Threads stepping nodes each round, the calling thread included:
+    /// `threads − 1` workers are spawned (1 = the caller alone, no workers).
     pub threads: usize,
     /// Safety cap on rounds; an execution that hits it stops with
     /// [`EngineOutcome::all_halted`] false.
@@ -74,7 +75,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A default configuration with `threads` workers.
+    /// A default configuration with `threads` stepping threads.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         EngineConfig {
@@ -85,7 +86,7 @@ impl EngineConfig {
 }
 
 /// Wall-clock spent in each engine phase, accumulated over a whole run
-/// (summed across worker threads, so parallel runs can exceed the elapsed
+/// (summed across stepping threads, so parallel runs can exceed the elapsed
 /// time). Diagnostics only — never part of the deterministic ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
@@ -240,9 +241,9 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
     /// `programs.len()` is the clique size 𝔫; it should match
     /// `model.machines` for the accounting to be meaningful.
     ///
-    /// Each call pays the full setup (worker pool, arena banks); callers
-    /// executing many runs back to back should hold an [`Engine::session`]
-    /// instead and amortize it.
+    /// Each call pays the full setup (executor workers, arena banks);
+    /// callers executing many runs back to back should hold an
+    /// [`Engine::session`] instead and amortize it.
     ///
     /// # Errors
     ///
@@ -262,27 +263,27 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
     }
 
     /// A reusable execution session over this engine's configuration,
-    /// recorder, and injector: the worker pool is spawned once, and the
-    /// arena banks are recycled across same-size runs. See
+    /// recorder, and injector: the executor's workers are spawned once, and
+    /// the arena banks are recycled across same-size runs. See
     /// [`EngineSession`].
     pub fn session(&self) -> EngineSession<R, F> {
         EngineSession::new(self.clone())
     }
 }
 
-/// A reusable engine handle for back-to-back runs: one worker pool plus
+/// A reusable engine handle for back-to-back runs: one executor plus
 /// recycled arena banks.
 ///
 /// [`Engine::run`] pays the whole setup on every call — spawning the
-/// worker pool and allocating the two chunk-arena banks. A session hoists
-/// that one-time construction behind a handle: the pool lives for the
-/// session's lifetime, and the banks (plus the driver's merge scratch) are
-/// recycled whenever consecutive runs share a clique size. Results,
-/// reports, and ledgers are byte-identical to fresh [`Engine::run`] calls —
-/// a recycled bank is fully reset before its first round, so nothing leaks
-/// between runs (the `session_reuse` tests pin the equality, and the
-/// counting-allocator harness pins that reused runs skip the construction
-/// allocations).
+/// executor's workers and allocating the two chunk-arena banks. A session
+/// hoists that one-time construction behind a handle: the executor lives
+/// for the session's lifetime, and the banks (plus the driver's merge
+/// scratch) are recycled whenever consecutive runs share a clique size.
+/// Results, reports, and ledgers are byte-identical to fresh
+/// [`Engine::run`] calls — a recycled bank is fully reset before its first
+/// round, so nothing leaks between runs (the `session_reuse` tests pin the
+/// equality, and the counting-allocator harness pins that reused runs skip
+/// the construction allocations).
 pub struct EngineSession<R: Recorder = NoopRecorder, F: FaultInjector = NoopInjector> {
     engine: Engine<R, F>,
     executor: ChunkedExecutor,
@@ -291,8 +292,8 @@ pub struct EngineSession<R: Recorder = NoopRecorder, F: FaultInjector = NoopInje
 }
 
 impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
-    /// A session running under `engine`'s configuration. The worker pool
-    /// is spawned here, once, and reused by every [`EngineSession::run`].
+    /// A session running under `engine`'s configuration. The executor is
+    /// spawned here, once, and reused by every [`EngineSession::run`].
     pub fn new(engine: Engine<R, F>) -> Self {
         let executor = ChunkedExecutor::new(engine.config.threads);
         EngineSession {
@@ -303,8 +304,8 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
     }
 
     /// Runs one execution exactly like [`Engine::run`], reusing the
-    /// session's worker pool and (when the clique size matches the
-    /// previous run) its arena banks.
+    /// session's executor and (when the clique size matches the previous
+    /// run) its arena banks.
     ///
     /// # Errors
     ///
@@ -336,9 +337,9 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
             Started::Running(mut instance) => {
                 // One closure for the whole run; the plane's round counter
                 // parameterizes it.
-                let step = {
+                let step: Job = {
                     let plane = Arc::clone(instance.plane());
-                    Arc::new(move |k: usize| plane.step_group(k))
+                    Arc::new(move |k| plane.step_group(k))
                 };
                 let verdict = loop {
                     self.executor.run_indexed(groups, &step);

@@ -182,8 +182,9 @@ pub(crate) struct Plane<O, R, F> {
 
 impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
     /// Steps every live node of group `k` for the current round and seals
-    /// the group's arena. Runs on a worker thread; touches only
-    /// group-`k`-owned mutable state plus read-shared delivered arenas.
+    /// the group's arena. Runs on whichever thread claims group `k`;
+    /// touches only group-`k`-owned mutable state plus read-shared
+    /// delivered arenas.
     // The per-round worker body: everything a round does between barriers.
     // cc-lint: region(no_alloc)
     pub(crate) fn step_group(&self, k: usize) {

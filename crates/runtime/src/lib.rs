@@ -5,8 +5,8 @@
 //! bandwidth to an algorithm that actually computes centrally. This crate
 //! *executes* the model: every clique node is an independent
 //! [`NodeProgram`] state machine with its own mailbox, rounds advance at a
-//! barrier, and per-node step functions run in parallel on a chunked worker
-//! pool (the vendored `threadpool` crate).
+//! barrier, and per-node step functions run in parallel on a small
+//! purpose-built executor in which the calling thread steps chunks too.
 //!
 //! The model is enforced at **delivery time**, where the centralized
 //! simulator enforces it at charge time:
@@ -32,10 +32,10 @@
 //! never runs; see [`crate::router`]), and next round's inboxes are
 //! zero-copy [`columns::Inbox`] views over the sorted columns. Width
 //! checking is an 8-wide u64-lane OR-fold over the word column.
-//! Steady-state rounds perform **zero heap allocations** on the
-//! single-threaded path (asserted by an allocation-counting test allocator
-//! in `tests/alloc_free.rs`); multi-threaded runs add only the worker
-//! pool's O(chunks) job boxes per round, never O(messages).
+//! Steady-state rounds perform **zero heap allocations** at any thread
+//! count: the executor publishes each round's job without boxing it
+//! (asserted at one and two threads by an allocation-counting test
+//! allocator in `tests/alloc_free.rs`).
 //!
 //! ## Determinism
 //!
@@ -59,9 +59,9 @@
 //! group, the driver's merge (barrier-wait attribution, damage check and
 //! retry, ledger fold, halt or round-cap verdict), and the finish into an
 //! [`EngineOutcome`] are each written once. An [`EngineSession`] runs one
-//! instance with about two groups per worker thread; the service runs one
+//! instance with about two groups per thread; the service runs one
 //! single-group instance per slot and steps all live slots in one shared
-//! pool dispatch. A batched request therefore matches its solo run bit for
+//! dispatch. A batched request therefore matches its solo run bit for
 //! bit — outputs, report, ledger, rounds, and fault-recovery health — and
 //! carries its own [`PhaseTimings`].
 //!
@@ -154,7 +154,7 @@ pub mod env;
 mod instance;
 pub mod ledger;
 pub mod message;
-pub mod pool;
+mod pool;
 pub mod program;
 pub mod programs;
 mod router;
@@ -171,7 +171,6 @@ pub use engine::{Engine, EngineConfig, EngineHealth, EngineOutcome, EngineSessio
 pub use env::NodeEnv;
 pub use ledger::{MessageLedger, RoundStats};
 pub use message::{word_bits_limit, Message};
-pub use pool::ChunkedExecutor;
 pub use program::{NodeProgram, NodeStatus};
 pub use service::{ColoringService, RequestId, ServiceConfig, ServiceOutcome, ServiceRequest};
 pub use snapshot::{push_option, take_option, SnapshotSink, SnapshotSource};

@@ -10,7 +10,7 @@
 //! work: one [`ChunkArena`] of flat `src`/`dst`/`word` column buffers per
 //! group, allocated once and reused every round. A single-threaded run
 //! uses one group — every inbox is then one contiguous slice — while
-//! parallel runs use about two groups per worker; the grouping is
+//! parallel runs use about two groups per thread; the grouping is
 //! unobservable in results, reports, and ledgers. During the parallel step phase, programs
 //! append sends directly into the chunk's *staging* area (generation
 //! order: ascending sender, then send order) — a [`crate::columns::Staging`]
@@ -61,13 +61,16 @@ pub(crate) fn digest_chunk_count(n: usize) -> usize {
 }
 
 /// The number of *execution* groups: the unit of parallel work (one arena,
-/// one worker job per round). Each group is a union of consecutive digest
-/// chunks, so grouping cannot be observed in inbox order (senders stay
-/// ascending), digests (sub-digests are kept per digest chunk), or
+/// one claimed chunk index per round). Each group is a union of consecutive
+/// digest chunks, so grouping cannot be observed in inbox order (senders
+/// stay ascending), digests (sub-digests are kept per digest chunk), or
 /// violations (canonical node order either way) — which is what makes a
 /// thread-dependent choice safe. One thread gets one group (no fan-in at
 /// all: every inbox is a single slice); parallel runs get about two groups
-/// per worker for queue-greedy balance.
+/// per stepping thread, the caller included. Threads claim groups from the
+/// executor's cursor, so one that finishes early claims another, and what
+/// imbalance remains shows up as barrier wait: the time from each group's
+/// seal to the dispatch's return, summed over groups.
 pub(crate) fn exec_chunk_count(n: usize, threads: usize) -> usize {
     let digest = digest_chunk_count(n);
     if threads <= 1 {

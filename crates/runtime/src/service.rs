@@ -1,16 +1,16 @@
 //! Batched multi-instance execution: the [`ColoringService`].
 //!
 //! [`crate::engine::Engine`] executes one instance at a time: one clique,
-//! one plane, one barrier schedule, and the whole setup (worker pool,
+//! one plane, one barrier schedule, and the whole setup (executor workers,
 //! arena banks) paid per run. A coloring *service* faces a stream of many
 //! independent instances — most of them small, where per-round fixed costs
-//! (pool dispatch, worker wakeups, the barrier itself) dominate the
-//! per-message work. Because the paper's algorithms are constant-round
-//! with fixed per-round structure, independent instances are trivially
+//! (dispatch, worker wakeups, the barrier itself) dominate the per-message
+//! work. Because the paper's algorithms are constant-round with fixed
+//! per-round structure, independent instances are trivially
 //! round-alignable: the service packs every in-flight instance into one
-//! shared **super-round**, dispatching all of them to the worker pool in
-//! a single `run_indexed` call, so the pool round-trip and barrier are
-//! paid once per super-round instead of once per instance-round.
+//! shared **super-round**, dispatching all of them to the executor in a
+//! single `run_indexed` call, so the dispatch and barrier are paid once
+//! per super-round instead of once per instance-round.
 //!
 //! ## Architecture
 //!
@@ -25,7 +25,7 @@
 //!   clique size changes, reset otherwise).
 //! * Each **super-round**, the scheduler admits queued requests into idle
 //!   slots (lowest slot first, submission order), steps every live slot
-//!   one *local* round in one pool dispatch (dispatch index `i` steps the
+//!   one *local* round in one dispatch (dispatch index `i` steps the
 //!   `i`-th live slot's group), then merges each slot in ascending slot
 //!   order into that instance's own context and ledger.
 //! * **Retirement** happens the moment an instance's nodes all halt, its
@@ -71,7 +71,7 @@ use cc_trace::{Counter, NoopRecorder, Recorder, DRIVER_LANE, WORKER_LANES};
 
 use crate::engine::{EngineConfig, EngineOutcome};
 use crate::instance::{Banks, Hooks, Instance, Plane, Started};
-use crate::pool::ChunkedExecutor;
+use crate::pool::{ChunkedExecutor, Job};
 use crate::program::NodeProgram;
 
 /// Identifies one submitted request, in submission order starting from 0.
@@ -84,9 +84,10 @@ pub struct ServiceConfig {
     /// into one super-round (clamped to at least 1). Slots at or above
     /// [`cc_trace::WORKER_LANES`] share the last worker trace lane.
     pub slots: usize,
-    /// Worker threads the shared super-round dispatch runs on
-    /// (1 = inline, no pool). Per-request `EngineConfig::threads` is
-    /// ignored — batching replaces per-instance parallelism.
+    /// Threads stepping the shared super-round dispatch, the calling thread
+    /// included (1 = the caller alone, no workers). Per-request
+    /// `EngineConfig::threads` is ignored — batching replaces per-instance
+    /// parallelism.
     pub threads: usize,
 }
 
@@ -192,7 +193,7 @@ pub struct ColoringService<O, R: Recorder = NoopRecorder, F: FaultInjector = Noo
     live: LivePlanes<O, R, F>,
     /// The one dispatch closure, built at construction: super-rounds
     /// clone the `Arc`, never re-create the closure.
-    step: Arc<dyn Fn(usize) + Send + Sync>,
+    step: Job,
     queue: VecDeque<(RequestId, ServiceRequest<O>)>,
     slots: Vec<Option<Occupant<O, R, F>>>,
     /// Per slot, the arena banks and merge scratch its last occupant left.
@@ -219,7 +220,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> ColoringService<O, R, F> 
     fn build(executor: ChunkedExecutor, slots: usize, hooks: Hooks<R, F>) -> Self {
         let slots = slots.max(1);
         let live: LivePlanes<O, R, F> = Arc::new(RwLock::new(Vec::with_capacity(slots)));
-        let step: Arc<dyn Fn(usize) + Send + Sync> = {
+        let step: Job = {
             let live = Arc::clone(&live);
             Arc::new(move |i| live.read().expect("live list poisoned")[i].step_group(0))
         };
@@ -306,7 +307,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> ColoringService<O, R, F> 
     }
 
     /// Executes one super-round — admit queued requests into idle slots,
-    /// step every live slot one local round in one shared pool dispatch,
+    /// step every live slot one local round in one shared dispatch,
     /// merge each slot into its own ledger, retire finished instances —
     /// and returns how many instances retired. A step with nothing queued
     /// and nothing live is a no-op returning 0.

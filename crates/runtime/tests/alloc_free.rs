@@ -1,8 +1,8 @@
 //! Proof that steady-state engine rounds perform no heap allocation.
 //!
 //! A counting global allocator tallies every allocation. The same chatter
-//! workload is run for R rounds and for 2R rounds on the single-threaded
-//! path: all allocations happen at start-up (arena construction, first
+//! workload is run for R rounds and for 2R rounds, at one thread and at
+//! two: all allocations happen at start-up (arena construction, first
 //! rounds growing the column buffers to their high-water capacity), so the
 //! two runs must allocate **exactly** the same amount — the extra R rounds
 //! are allocation-free. This is the operational meaning of the message
@@ -11,14 +11,18 @@
 //!
 //! The tallies are per thread: libtest runs these tests in parallel, and a
 //! process-wide count would charge one test for another's allocations. A
-//! `threads = 1` engine or service steps inline on the calling thread, so
-//! its thread's tally sees every allocation the run makes. (The
-//! multi-threaded path additionally boxes O(chunks) pool jobs per round —
-//! never O(messages) — which is why the strict assertions pin
-//! `threads = 1`.)
+//! `threads = 1` engine or service steps on the calling thread alone, so
+//! its thread's tally sees every allocation the run makes. At
+//! `threads = 2` a persistent worker steps chunks too; there the test marks
+//! its own thread, its programs mark every thread that steps them, and the
+//! proof sums the allocations of the marked threads. Only that one test
+//! marks threads, so no other test's allocations reach its sum. The
+//! executor publishes each round's job without boxing it, so the extra
+//! rounds stay allocation-free on every thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cc_runtime::trace::RingRecorder;
@@ -35,26 +39,40 @@ thread_local! {
     /// Allocations (count, bytes) made by this thread. `const`-initialized
     /// and free of destructors, so touching it never allocates.
     static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Whether this thread has stepped a marked program.
+    static MARKED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Charges one allocation of `bytes` to the current thread. A thread
-/// being torn down may allocate after its locals are gone; those
-/// allocations belong to no measurement and are skipped.
+/// Allocations made by marked threads, summed: their count and bytes.
+static MARKED_COUNT: AtomicU64 = AtomicU64::new(0);
+static MARKED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Threads marked so far.
+static MARKED_THREADS: AtomicU64 = AtomicU64::new(0);
+
+/// Charges one allocation of `bytes` to the current thread, and to the
+/// marked sum if the thread is marked. A thread being torn down may
+/// allocate after its locals are gone; those allocations belong to no
+/// measurement and are skipped.
 fn note(bytes: usize) {
     let _ = ALLOCATED.try_with(|tally| {
         let (count, total) = tally.get();
         tally.set((count + 1, total + bytes as u64));
     });
+    if MARKED.try_with(Cell::get).unwrap_or(false) {
+        MARKED_COUNT.fetch_add(1, Ordering::Relaxed);
+        MARKED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
 }
 
 // The engine itself is `#![forbid(unsafe_code)]`; this harness lives in a
 // separate test crate precisely so it can install an allocator shim.
 //
 // SAFETY: the shim upholds `GlobalAlloc`'s contract by construction — it
-// only bumps a const-initialized thread-local tally (no lazy init, no
-// destructor: it never allocates, unwinds, or reenters the allocator) and
-// then forwards every call verbatim to `System`, so layout handling,
-// pointer validity, and thread safety are exactly `System`'s.
+// only bumps const-initialized thread-local tallies and static atomics (no
+// lazy init, no destructor: it never allocates, unwinds, or reenters the
+// allocator) and then forwards every call verbatim to `System`, so layout
+// handling, pointer validity, and thread safety are exactly `System`'s.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract (valid,
     // nonzero-size layout); the layout is passed through unchanged.
@@ -94,6 +112,26 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
     (value, (count_after - count, bytes_after - bytes))
 }
 
+/// Adds the current thread to the marked sum, once.
+fn mark_this_thread() {
+    if !MARKED.with(|marked| marked.replace(true)) {
+        MARKED_THREADS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Runs `f` and returns the allocations (count, bytes) that all marked
+/// threads made meanwhile.
+fn measured_marked(f: impl FnOnce()) -> (u64, u64) {
+    let tally = || {
+        let count = MARKED_COUNT.load(Ordering::SeqCst);
+        (count, MARKED_BYTES.load(Ordering::SeqCst))
+    };
+    let (count, bytes) = tally();
+    f();
+    let (count_after, bytes_after) = tally();
+    (count_after - count, bytes_after - bytes)
+}
+
 /// Every node sends one word to both ring neighbors each round until a
 /// fixed horizon — constant per-round message volume, so buffer high-water
 /// marks are reached in round 0.
@@ -102,12 +140,17 @@ struct Chatter {
     right: u32,
     until: u64,
     checksum: u64,
+    /// Whether stepping this node marks the stepping thread.
+    marks: bool,
 }
 
 impl NodeProgram for Chatter {
     type Output = u64;
 
     fn on_round(&mut self, env: &mut NodeEnv<'_>) -> NodeStatus {
+        if self.marks {
+            mark_this_thread();
+        }
         for m in env.inbox() {
             self.checksum = self.checksum.wrapping_add(m.word ^ u64::from(m.src));
         }
@@ -136,7 +179,7 @@ impl NodeProgram for Chatter {
     }
 }
 
-fn programs(n: usize, rounds: u64) -> Vec<Box<dyn NodeProgram<Output = u64>>> {
+fn programs(n: usize, rounds: u64, marks: bool) -> Vec<Box<dyn NodeProgram<Output = u64>>> {
     (0..n)
         .map(|i| {
             Box::new(Chatter {
@@ -144,12 +187,13 @@ fn programs(n: usize, rounds: u64) -> Vec<Box<dyn NodeProgram<Output = u64>>> {
                 right: ((i + 1) % n) as u32,
                 until: rounds,
                 checksum: 0,
+                marks,
             }) as _
         })
         .collect()
 }
 
-/// One worker thread and a fixed cap (not `rounds + slack`), so the
+/// One thread and a fixed cap (not `rounds + slack`), so the
 /// ledger's start-up reservation is byte-identical across compared runs.
 fn config() -> EngineConfig {
     EngineConfig {
@@ -161,7 +205,7 @@ fn config() -> EngineConfig {
 
 /// Allocation (count, bytes) charged to one engine run of `rounds` rounds.
 fn measure(n: usize, rounds: u64) -> (u64, u64) {
-    let programs = programs(n, rounds);
+    let programs = programs(n, rounds, false);
     let engine = Engine::new(config());
     let (outcome, delta) = measured(|| engine.run(ExecutionModel::congested_clique(n), programs));
     let outcome = outcome.unwrap();
@@ -192,7 +236,7 @@ fn steady_state_rounds_allocate_nothing() {
 /// caller — its rings are a start-up cost like the arenas; the claim under
 /// test is that *recording into* them is allocation-free.
 fn measure_recorded(n: usize, rounds: u64, recorder: Arc<RingRecorder>) -> (u64, u64) {
-    let programs = programs(n, rounds);
+    let programs = programs(n, rounds, false);
     let engine = Engine::new(config()).with_recorder(recorder);
     let (outcome, delta) = measured(|| engine.run(ExecutionModel::congested_clique(n), programs));
     let outcome = outcome.unwrap();
@@ -235,7 +279,7 @@ fn fault_plan() -> PlanInjector {
 /// `rounds` rounds: checkpointing, damage detection, and checkpoint-retry
 /// all run on the single-threaded path.
 fn measure_faulted(n: usize, rounds: u64) -> (u64, u64) {
-    let programs = programs(n, rounds);
+    let programs = programs(n, rounds, false);
     let engine = Engine::new(config()).with_faults(fault_plan());
     let (outcome, delta) = measured(|| engine.run(ExecutionModel::congested_clique(n), programs));
     let outcome = outcome.unwrap();
@@ -265,24 +309,21 @@ fn steady_state_rounds_with_fault_recovery_allocate_nothing() {
     );
 }
 
-/// Allocation (count, bytes) charged to serving `requests` chatter
-/// instances of `rounds` rounds each through the batching service. With
-/// more requests than slots, later requests refill retired slots, so the
-/// measurement also covers arena/scratch reuse across retirements.
-fn measure_service(n: usize, rounds: u64, requests: usize) -> (u64, u64) {
-    let mut service = ColoringService::new(ServiceConfig {
-        slots: 2,
-        threads: 1,
-    });
-    let (outcomes, delta) = measured(|| {
-        for _ in 0..requests {
-            service.submit(
-                ServiceRequest::new(ExecutionModel::congested_clique(n), programs(n, rounds))
-                    .with_config(config()),
-            );
-        }
-        service.run_until_idle()
-    });
+/// Serves `requests` chatter instances of `rounds` rounds each through
+/// `service` and checks every outcome. With more requests than slots,
+/// later requests refill retired slots, so a measurement also covers
+/// arena/scratch reuse across retirements.
+fn serve(service: &mut ColoringService<u64>, n: usize, rounds: u64, requests: usize, marks: bool) {
+    for _ in 0..requests {
+        service.submit(
+            ServiceRequest::new(
+                ExecutionModel::congested_clique(n),
+                programs(n, rounds, marks),
+            )
+            .with_config(config()),
+        );
+    }
+    let outcomes = service.run_until_idle();
     assert_eq!(outcomes.len(), requests);
     for outcome in &outcomes {
         let run = outcome.result.as_ref().unwrap();
@@ -290,7 +331,16 @@ fn measure_service(n: usize, rounds: u64, requests: usize) -> (u64, u64) {
         assert_eq!(run.rounds, rounds + 1);
         assert_eq!(run.ledger.total_messages(), rounds * 2 * n as u64);
     }
-    delta
+}
+
+/// Allocation (count, bytes) charged to serving `requests` chatter
+/// instances of `rounds` rounds each through a fresh one-thread service.
+fn measure_service(n: usize, rounds: u64, requests: usize) -> (u64, u64) {
+    let mut service = ColoringService::new(ServiceConfig {
+        slots: 2,
+        threads: 1,
+    });
+    measured(|| serve(&mut service, n, rounds, requests, false)).1
 }
 
 #[test]
@@ -315,7 +365,7 @@ fn steady_state_service_rounds_allocate_nothing() {
 
 /// Allocation (count, bytes) charged to one `session.run` call.
 fn measure_session_run(session: &mut EngineSession, n: usize, rounds: u64) -> (u64, u64) {
-    let programs = programs(n, rounds);
+    let programs = programs(n, rounds, false);
     let (outcome, delta) = measured(|| session.run(ExecutionModel::congested_clique(n), programs));
     let outcome = outcome.unwrap();
     assert!(outcome.all_halted);
@@ -356,11 +406,77 @@ fn run_chatter(n: usize, rounds: u64, threads: usize, record: bool) -> EngineOut
     if record {
         engine
             .with_recorder(Arc::new(RingRecorder::default()))
-            .run(model, programs(n, rounds))
+            .run(model, programs(n, rounds, false))
             .unwrap()
     } else {
-        engine.run(model, programs(n, rounds)).unwrap()
+        engine.run(model, programs(n, rounds, false)).unwrap()
     }
+}
+
+/// Repeats `run` until `threads` threads are marked: every thread that
+/// steps chunks in the measured runs must be marked before they start, or
+/// its allocations would escape the sum.
+fn warm_up(threads: u64, mut run: impl FnMut()) {
+    for _ in 0..1_000 {
+        run();
+        if MARKED_THREADS.load(Ordering::SeqCst) >= threads {
+            return;
+        }
+    }
+    panic!("fewer than {threads} threads ever stepped a marked program");
+}
+
+#[test]
+fn two_thread_rounds_allocate_nothing() {
+    let n = 96;
+    // The calling thread sets every run up and finishes it, stepping or not.
+    mark_this_thread();
+    // A warm two-thread session: the caller and one persistent worker
+    // claim the round's four chunks. The run's per-request costs are equal
+    // at R and 2R rounds; any difference is chargeable to the rounds.
+    let mut session = Engine::new(EngineConfig {
+        threads: 2,
+        ..config()
+    })
+    .session();
+    let mut session_run = |rounds: u64| {
+        let programs = programs(n, rounds, true);
+        measured_marked(|| {
+            let outcome = session
+                .run(ExecutionModel::congested_clique(n), programs)
+                .unwrap();
+            assert!(outcome.all_halted);
+            assert_eq!(outcome.rounds, rounds + 1);
+        })
+    };
+    warm_up(2, || {
+        session_run(10);
+    });
+    let short = session_run(40);
+    let long = session_run(80);
+    assert!(short.0 > 0, "start-up must allocate something");
+    assert_eq!(
+        short, long,
+        "doubling the round count at two threads changed the allocation \
+         totals: engine rounds are not allocation-free on every stepping \
+         thread (short = {short:?}, long = {long:?})"
+    );
+    // Dropping the session joins its worker; the service brings a new one.
+    drop(session);
+    let mut service = ColoringService::new(ServiceConfig {
+        slots: 2,
+        threads: 2,
+    });
+    warm_up(3, || serve(&mut service, n, 10, 4, true));
+    let short = measured_marked(|| serve(&mut service, n, 40, 4, true));
+    let long = measured_marked(|| serve(&mut service, n, 80, 4, true));
+    assert!(short.0 > 0, "start-up must allocate something");
+    assert_eq!(
+        short, long,
+        "doubling the round count through a two-thread service changed the \
+         allocation totals: super-rounds are not allocation-free on every \
+         stepping thread (short = {short:?}, long = {long:?})"
+    );
 }
 
 #[test]
