@@ -1,5 +1,5 @@
 //! E8 — ablation of the derandomization machinery (Section 2.4 and
-//! substitution #2 of `DESIGN.md`).
+//! substitution #2 in the README's Substitutions list).
 //!
 //! On a fixed instance, varies the knobs of the seed search — chunk width,
 //! candidates per chunk, escalation budget, hash-family independence, bin

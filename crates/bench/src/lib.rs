@@ -1,11 +1,11 @@
 //! Experiment harness for the reproduction.
 //!
 //! The paper has no empirical tables or figures; its quantitative content is
-//! in the theorems and lemmas. Each experiment here (E1–E9, see `DESIGN.md`
-//! §5 and `EXPERIMENTS.md`) measures one of those claims on concrete
-//! instances and prints the table recorded in `EXPERIMENTS.md` (E9 compares
-//! the centralized accounting simulator against the `cc-runtime`
-//! message-passing engine).
+//! in the theorems and lemmas. Each experiment here (E1–E11, listed in the
+//! README's Experiments section) measures one of those claims, or one
+//! property of the execution stack, on concrete instances and prints a
+//! table (E9 compares the centralized accounting simulator against the
+//! `cc-runtime` message-passing engine).
 //!
 //! Every experiment is an ordinary function in [`experiments`]; the binaries
 //! under `src/bin/` are thin wrappers so that

@@ -19,8 +19,8 @@
 //! still too large to collect; the driver then continues with B = 2
 //! ("forced halving"), which is the same algorithm — the paper simply never
 //! reaches that regime because its Δ is assumed asymptotically large. This
-//! is substitution #4 in `DESIGN.md`; the recursion trace records where it
-//! happens.
+//! is substitution #4 in the README's Substitutions list; the recursion
+//! trace records where it happens.
 
 use cc_graph::coloring::Coloring;
 use cc_graph::csr::CsrGraph;

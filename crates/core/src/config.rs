@@ -4,7 +4,7 @@
 //! defaults equal to the paper's values. The benchmark harness also runs a
 //! "scaled-down" configuration with a larger bin exponent so that the
 //! multi-level recursion of the analysis (Lemmas 3.11–3.14) is exercised at
-//! laptop-scale Δ (DESIGN.md, substitution #4).
+//! laptop-scale Δ (substitution #4 in the README's Substitutions list).
 
 use crate::error::CoreError;
 

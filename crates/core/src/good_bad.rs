@@ -3,10 +3,13 @@
 //!
 //! `ColorReduce` never materializes the graphs induced by bins; it keeps the
 //! global graph and works on *active node sets*. [`ActiveSubgraph`]
-//! precomputes, for one such set, the in-set degrees and palette sizes, and
-//! [`evaluate_binning`] classifies every active node and every bin as good
-//! or bad for a concrete pair of hash functions — the quantity both the
-//! seed-search cost function and the final partition read off.
+//! precomputes, for one such set, the in-set degrees and palette sizes.
+//! `bin_nodes` hashes the set into bins under a concrete pair of hash
+//! functions and counts every node's in-bin degree and palette; on top of
+//! it, [`evaluate_binning`] classifies every active node and every bin as
+//! good or bad — the quantity both the seed-search cost function and the
+//! final partition read off. The low-space partition reads `bin_nodes`
+//! directly.
 
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
@@ -189,40 +192,45 @@ impl BinningEvaluation {
     }
 }
 
-/// Classifies every active node and bin for the hash functions `h1` (nodes →
-/// bins, domain = global node ids) and `h2` (colors → color bins, domain =
-/// color values).
-///
-/// Nodes hashed to the last bin (`bins - 1`) are judged only by the degree
-/// condition; all other nodes additionally need the palette condition, with
-/// their in-bin palette counted against the color bin equal to their node
-/// bin. When there is a single color bin (B = 2) every color belongs to it,
-/// matching the identity palette restriction the caller applies in that
-/// case.
-pub fn evaluate_binning(
+/// Where one (h1, h2) pair puts the active nodes, indexed like
+/// `ActiveSubgraph::nodes`.
+#[derive(Debug)]
+pub(crate) struct NodeBinning {
+    /// Bin of each active node.
+    pub(crate) node_bin: Vec<u32>,
+    /// In-bin degree d′(v) of each active node.
+    pub(crate) in_bin_degree: Vec<u32>,
+    /// In-bin palette size p′(v) of each active node: the palette colors
+    /// `h2` maps to the node's bin, or the full palette size for nodes in
+    /// the last bin and when there is a single color bin (B = 2), matching
+    /// the identity palette restriction the caller applies in those cases.
+    pub(crate) in_bin_palette: Vec<u32>,
+}
+
+/// Hashes every active node into one of `bins` bins with `h1` (domain =
+/// global node ids) and counts its in-bin degree and, with `h2` (colors →
+/// the `bins − 1` color bins, domain = color values), its in-bin palette.
+pub(crate) fn bin_nodes(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
     palettes: &[Palette],
-    params: &BinningParams,
+    bins: u64,
     h1: impl Fn(u64) -> u64,
     h2: impl Fn(u64) -> u64,
-) -> BinningEvaluation {
-    let bins = params.bins as usize;
-    let color_bins = (params.bins - 1).max(1);
-    let node_count = sub.len();
-    let mut node_bin = vec![0u32; node_count];
-    let mut bin_counts = vec![0usize; bins];
+) -> NodeBinning {
+    let color_bins = (bins - 1).max(1);
+    let node_bin: Vec<u32> = sub
+        .nodes
+        .iter()
+        .map(|v| {
+            let b = h1(v.0 as u64);
+            debug_assert!(b < bins, "h1 produced bin {b} outside 0..{bins}");
+            b as u32
+        })
+        .collect();
+    let mut in_bin_degree = vec![0u32; sub.len()];
+    let mut in_bin_palette = vec![0u32; sub.len()];
     for (i, &v) in sub.nodes.iter().enumerate() {
-        let b = h1(v.0 as u64) as usize;
-        debug_assert!(b < bins, "h1 produced bin {b} outside 0..{bins}");
-        node_bin[i] = b as u32;
-        bin_counts[b] += 1;
-    }
-    let mut in_bin_degree = vec![0u32; node_count];
-    let mut in_bin_palette = vec![0u32; node_count];
-    let mut node_good = vec![false; node_count];
-    let graph_nodes = &sub.nodes;
-    for (i, &v) in graph_nodes.iter().enumerate() {
         let my_bin = node_bin[i];
         // d'(v): active neighbors in the same bin. Neighbor bins are looked
         // up through their positions.
@@ -234,27 +242,56 @@ pub fn evaluate_binning(
             }
         }
         in_bin_degree[i] = d_in;
-        let d = sub.degree_in[v.index()] as f64;
-        let expected = d / params.bins as f64;
-        let degree_ok = (f64::from(d_in) - expected).abs() <= params.degree_slack;
-        let is_last_bin = my_bin as u64 == params.bins - 1;
-        if is_last_bin {
-            in_bin_palette[i] = sub.palette_size[i];
-            node_good[i] = degree_ok;
+        in_bin_palette[i] = if u64::from(my_bin) == bins - 1 || color_bins == 1 {
+            sub.palette_size[i]
         } else {
-            let p_in = if color_bins == 1 {
-                sub.palette_size[i]
-            } else {
-                palettes[v.index()]
-                    .iter()
-                    .filter(|c| h2(c.0) == u64::from(my_bin))
-                    .count() as u32
-            };
-            in_bin_palette[i] = p_in;
-            let p = sub.palette_size[i] as f64;
-            let palette_ok = f64::from(p_in) >= p / params.bins as f64 + params.palette_slack;
-            node_good[i] = degree_ok && palette_ok;
-        }
+            palettes[v.index()]
+                .iter()
+                .filter(|c| h2(c.0) == u64::from(my_bin))
+                .count() as u32
+        };
+    }
+    NodeBinning {
+        node_bin,
+        in_bin_degree,
+        in_bin_palette,
+    }
+}
+
+/// Classifies every active node and bin for the hash functions `h1` (nodes →
+/// bins, domain = global node ids) and `h2` (colors → color bins, domain =
+/// color values).
+///
+/// Nodes hashed to the last bin (`bins - 1`) are judged only by the degree
+/// condition; all other nodes additionally need the palette condition, with
+/// their in-bin palette counted against the color bin equal to their node
+/// bin.
+pub fn evaluate_binning(
+    graph: &CsrGraph,
+    sub: &ActiveSubgraph,
+    palettes: &[Palette],
+    params: &BinningParams,
+    h1: impl Fn(u64) -> u64,
+    h2: impl Fn(u64) -> u64,
+) -> BinningEvaluation {
+    let NodeBinning {
+        node_bin,
+        in_bin_degree,
+        in_bin_palette,
+    } = bin_nodes(graph, sub, palettes, params.bins, h1, h2);
+    let bins = params.bins as f64;
+    let mut bin_counts = vec![0usize; params.bins as usize];
+    let mut node_good = vec![false; sub.len()];
+    for (i, &v) in sub.nodes.iter().enumerate() {
+        bin_counts[node_bin[i] as usize] += 1;
+        let expected = f64::from(sub.degree_in[v.index()]) / bins;
+        let degree_ok = (f64::from(in_bin_degree[i]) - expected).abs() <= params.degree_slack;
+        node_good[i] = if u64::from(node_bin[i]) == params.bins - 1 {
+            degree_ok
+        } else {
+            let p = f64::from(sub.palette_size[i]);
+            degree_ok && f64::from(in_bin_palette[i]) >= p / bins + params.palette_slack
+        };
     }
     let bin_good = bin_counts
         .iter()

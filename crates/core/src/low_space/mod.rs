@@ -7,8 +7,8 @@
 //! peeling off the nodes whose degree has dropped below 𝔫^{7δ} into a
 //! residual graph G₀ that is colored through the reduction to MIS
 //! (Section 4.1). The MIS itself is the derandomized Luby algorithm of
-//! `cc-mis`, standing in for the algorithm of [7] (substitution #3 in
-//! `DESIGN.md`).
+//! `cc-mis`, standing in for the algorithm of [7] (substitution #3 in the
+//! README's Substitutions list).
 //!
 //! Because machines cannot hold a whole neighborhood, nodes are split into
 //! neighbor shards `M_vN` and palette shards `M_vC` of ≤ 2·𝔫^{7δ} items each

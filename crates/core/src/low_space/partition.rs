@@ -10,22 +10,16 @@
 //! the colorless last bin (they then keep their full palettes, so
 //! correctness is unaffected) — the driver reports this as `safety_moves`.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use cc_derand::{GreedyChunkSelector, SeedCost, SeedSelector, SelectionOutcome};
+use cc_derand::{SeedCost, SelectionOutcome};
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
 use cc_graph::NodeId;
 use cc_hash::family::HashFunction;
-use cc_hash::{BitSeed, PolynomialHashFamily};
-use cc_sim::constants::BROADCAST_ROUNDS;
+use cc_hash::BitSeed;
 use cc_sim::ClusterContext;
 
-use crate::config::SeedStrategy;
-use crate::good_bad::ActiveSubgraph;
-use crate::partition::slice_seed;
+use crate::good_bad::{bin_nodes, ActiveSubgraph, NodeBinning};
+use crate::partition::{select_seed, HashPair};
 
 use super::LowSpaceConfig;
 
@@ -45,95 +39,28 @@ pub struct LowSpacePartitionOutcome {
     pub safety_moves: usize,
 }
 
-/// Per-node evaluation of one candidate (h1, h2) pair.
-#[derive(Debug, Clone)]
-struct LowSpaceEvaluation {
-    node_bin: Vec<u32>,
-    in_bin_degree: Vec<u32>,
-    in_bin_palette: Vec<u32>,
-    violations: Vec<bool>,
-}
-
+/// The cost function of Lemma 4.5: one machine per high-degree node, which
+/// costs 1 when the node violates either condition of the lemma.
 struct LowSpaceCost<'a> {
     graph: &'a CsrGraph,
     sub: &'a ActiveSubgraph,
     palettes: &'a [Palette],
     bins: u64,
-    family_nodes: PolynomialHashFamily,
-    family_colors: PolynomialHashFamily,
-    memo: RefCell<HashMap<Vec<u64>, Rc<LowSpaceEvaluation>>>,
+    hashes: HashPair,
 }
 
-impl<'a> LowSpaceCost<'a> {
-    fn seed_bits(&self) -> usize {
-        self.family_nodes.seed_bits() + self.family_colors.seed_bits()
-    }
-
-    fn evaluation(&self, seed: &BitSeed) -> Rc<LowSpaceEvaluation> {
-        let key = seed.words().to_vec();
-        if let Some(hit) = self.memo.borrow().get(&key) {
-            return Rc::clone(hit);
-        }
-        let node_bits = self.family_nodes.seed_bits();
-        let coeff_nodes = self
-            .family_nodes
-            .coefficients(&slice_seed(seed, 0, node_bits));
-        let coeff_colors = self.family_colors.coefficients(&slice_seed(
-            seed,
-            node_bits,
-            self.family_colors.seed_bits(),
-        ));
-        let bins = self.bins;
-        let color_bins = (bins - 1).max(1);
-        let count = self.sub.len();
-        let mut node_bin = vec![0u32; count];
-        for (i, &v) in self.sub.nodes.iter().enumerate() {
-            node_bin[i] = self
-                .family_nodes
-                .eval_with_coefficients(&coeff_nodes, v.0 as u64) as u32;
-        }
-        let mut in_bin_degree = vec![0u32; count];
-        let mut in_bin_palette = vec![0u32; count];
-        let mut violations = vec![false; count];
-        for (i, &v) in self.sub.nodes.iter().enumerate() {
-            let my_bin = node_bin[i];
-            let mut d_in = 0u32;
-            for u in self.graph.neighbors(v) {
-                let pos = self.sub.position[u.index()];
-                if pos != usize::MAX && node_bin[pos] == my_bin {
-                    d_in += 1;
-                }
-            }
-            in_bin_degree[i] = d_in;
-            let d = f64::from(self.sub.degree_in[v.index()]);
-            // Lemma 4.5 (i): d'(v) < 2·d(v)/𝔫^δ.
-            let degree_violation = f64::from(d_in) >= (2.0 * d / bins as f64).max(1.0);
-            let is_last_bin = u64::from(my_bin) == bins - 1;
-            let p_in = if is_last_bin || color_bins == 1 {
-                self.sub.palette_size[i]
-            } else {
-                self.palettes[v.index()]
-                    .iter()
-                    .filter(|c| {
-                        self.family_colors
-                            .eval_with_coefficients(&coeff_colors, c.0)
-                            == u64::from(my_bin)
-                    })
-                    .count() as u32
-            };
-            in_bin_palette[i] = p_in;
-            // Lemma 4.5 (ii): d'(v) < p'(v) for nodes with a color class.
-            let palette_violation = !is_last_bin && p_in <= d_in;
-            violations[i] = degree_violation || palette_violation;
-        }
-        let rc = Rc::new(LowSpaceEvaluation {
-            node_bin,
-            in_bin_degree,
-            in_bin_palette,
-            violations,
-        });
-        self.memo.borrow_mut().insert(key, Rc::clone(&rc));
-        rc
+impl LowSpaceCost<'_> {
+    /// Bins, in-bin degrees and in-bin palettes under a combined seed.
+    fn binning(&self, seed: &BitSeed) -> NodeBinning {
+        let (h1, h2) = self.hashes.functions(seed);
+        bin_nodes(
+            self.graph,
+            self.sub,
+            self.palettes,
+            self.bins,
+            |x| h1.eval(x),
+            |x| h2.eval(x),
+        )
     }
 }
 
@@ -142,12 +69,28 @@ impl SeedCost for LowSpaceCost<'_> {
         self.sub.len()
     }
 
-    fn local_cost(&self, machine: usize, seed: &BitSeed) -> f64 {
-        if self.evaluation(seed).violations[machine] {
-            1.0
-        } else {
-            0.0
-        }
+    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
+        let binning = self.binning(seed);
+        let bins = self.bins as f64;
+        self.sub
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let d_in = binning.in_bin_degree[i];
+                let d = f64::from(self.sub.degree_in[v.index()]);
+                // Lemma 4.5 (i): d'(v) < 2·d(v)/𝔫^δ.
+                let degree_violation = f64::from(d_in) >= (2.0 * d / bins).max(1.0);
+                // Lemma 4.5 (ii): d'(v) < p'(v) for nodes with a color class.
+                let is_last_bin = u64::from(binning.node_bin[i]) == self.bins - 1;
+                let palette_violation = !is_last_bin && binning.in_bin_palette[i] <= d_in;
+                if degree_violation || palette_violation {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
+            .collect()
     }
 
     fn expectation_bound(&self) -> f64 {
@@ -168,75 +111,35 @@ pub fn low_space_partition(
     config: &LowSpaceConfig,
 ) -> LowSpacePartitionOutcome {
     debug_assert!(bins >= 2);
-    let family_nodes = PolynomialHashFamily::new(
-        config.independence,
-        (graph.node_count() as u64).max(2),
-        bins,
-    );
-    let family_colors = PolynomialHashFamily::new(
-        config.independence,
-        sub.color_domain.max(2),
-        (bins - 1).max(1),
-    );
     let cost = LowSpaceCost {
         graph,
         sub,
         palettes,
         bins,
-        family_nodes: family_nodes.clone(),
-        family_colors: family_colors.clone(),
-        memo: RefCell::new(HashMap::new()),
+        hashes: HashPair::new(config.independence, graph, sub, bins),
     };
-    let seed_bits = cost.seed_bits();
-    let seed_outcome = match config.seed_strategy {
-        SeedStrategy::Derandomized {
-            chunk_bits,
-            candidates_per_chunk,
-            max_salts,
-        } => GreedyChunkSelector::new(chunk_bits, candidates_per_chunk, max_salts)
-            .select(ctx, label, seed_bits, &cost),
-        SeedStrategy::FixedSalt { salt } => {
-            ctx.charge_rounds(label, BROADCAST_ROUNDS);
-            // Remix the salt with the call's active set so recursive calls
-            // behave like fresh randomness (see `partition::partition`).
-            let fingerprint = sub
-                .nodes
-                .first()
-                .map(|v| u64::from(v.0))
-                .unwrap_or_default()
-                ^ ((sub.len() as u64) << 24);
-            let effective_salt = salt ^ cc_hash::seed::splitmix64(fingerprint);
-            let seed = BitSeed::zeros(seed_bits).canonical_completion(0, effective_salt);
-            let achieved_cost = cost.total_cost(&seed);
-            SelectionOutcome {
-                met_bound: achieved_cost <= 1.0,
-                seed,
-                achieved_cost,
-                bound: 1.0,
-                candidates_evaluated: 1,
-                escalations: 0,
-            }
-        }
-    };
-    let evaluation = cost.evaluation(&seed_outcome.seed);
-    let node_bits = family_nodes.seed_bits();
-    let color_hash = family_colors.with_seed(slice_seed(
-        &seed_outcome.seed,
-        node_bits,
-        family_colors.seed_bits(),
-    ));
+    let seed_outcome = select_seed(
+        ctx,
+        label,
+        config.seed_strategy,
+        cost.hashes.seed_bits(),
+        &cost,
+        sub,
+        0,
+    );
+    let binning = cost.binning(&seed_outcome.seed);
+    let (_, color_hash) = cost.hashes.functions(&seed_outcome.seed);
 
     let mut bin_lists: Vec<Vec<NodeId>> = vec![Vec::new(); bins as usize];
     let mut safety_moves = 0usize;
     for (i, &v) in sub.nodes.iter().enumerate() {
-        let assigned = evaluation.node_bin[i] as usize;
+        let assigned = binning.node_bin[i] as usize;
         let is_last = assigned as u64 == bins - 1;
         // Safety valve: a node whose restricted palette would not strictly
         // exceed its in-bin degree keeps its full palette by joining the
         // colorless bin instead.
-        let unsafe_restriction = !is_last
-            && (bins - 1) >= 2
-            && evaluation.in_bin_palette[i] <= evaluation.in_bin_degree[i];
+        let unsafe_restriction =
+            !is_last && (bins - 1) >= 2 && binning.in_bin_palette[i] <= binning.in_bin_degree[i];
         if unsafe_restriction {
             safety_moves += 1;
             bin_lists[(bins - 1) as usize].push(v);
@@ -257,6 +160,7 @@ pub fn low_space_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SeedStrategy;
     use cc_graph::generators;
     use cc_graph::instance::ListColoringInstance;
     use cc_sim::ExecutionModel;

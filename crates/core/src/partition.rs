@@ -8,10 +8,6 @@
 //! 𝔫/ℓ² nodes are bad. Bad nodes form the graph G₀ that the caller colors
 //! locally at the end of the call.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use cc_derand::{GreedyChunkSelector, SeedCost, SeedSelector, SelectionOutcome};
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
@@ -57,69 +53,124 @@ pub(crate) fn slice_seed(seed: &BitSeed, start: usize, len: usize) -> BitSeed {
     out
 }
 
+/// The hash families of one `Partition` or `LowSpacePartition` call: h1
+/// hashes node ids into the `bins` node bins, h2 hashes colors into the
+/// `bins − 1` color bins (one when B = 2). A combined seed is h1's seed
+/// followed by h2's.
+pub(crate) struct HashPair {
+    nodes: PolynomialHashFamily,
+    colors: PolynomialHashFamily,
+}
+
+impl HashPair {
+    pub(crate) fn new(
+        independence: usize,
+        graph: &CsrGraph,
+        sub: &ActiveSubgraph,
+        bins: u64,
+    ) -> Self {
+        HashPair {
+            nodes: PolynomialHashFamily::new(
+                independence,
+                (graph.node_count() as u64).max(2),
+                bins,
+            ),
+            colors: PolynomialHashFamily::new(
+                independence,
+                sub.color_domain.max(2),
+                (bins - 1).max(1),
+            ),
+        }
+    }
+
+    /// Length of a combined seed.
+    pub(crate) fn seed_bits(&self) -> usize {
+        self.nodes.seed_bits() + self.colors.seed_bits()
+    }
+
+    /// The functions (h1, h2) a combined seed selects.
+    pub(crate) fn functions(&self, seed: &BitSeed) -> (HashFunction, HashFunction) {
+        let node_bits = self.nodes.seed_bits();
+        (
+            self.nodes.with_seed(slice_seed(seed, 0, node_bits)),
+            self.colors
+                .with_seed(slice_seed(seed, node_bits, self.colors.seed_bits())),
+        )
+    }
+}
+
+/// Picks the combined seed of one partition call on `sub`.
+///
+/// `Derandomized` runs the chunked seed search over `cost`. `FixedSalt` is
+/// the randomized baseline: one pseudorandom seed, distributed by one
+/// broadcast, with no search. Its salt is remixed with the call's active set
+/// and `tweak` so that, like fresh randomness, each recursive call gets an
+/// independent-looking hash pair (reusing one function on a bin *it*
+/// defined would be degenerate).
+pub(crate) fn select_seed(
+    ctx: &mut ClusterContext,
+    label: &str,
+    strategy: SeedStrategy,
+    seed_bits: usize,
+    cost: &dyn SeedCost,
+    sub: &ActiveSubgraph,
+    tweak: u64,
+) -> SelectionOutcome {
+    match strategy {
+        SeedStrategy::Derandomized {
+            chunk_bits,
+            candidates_per_chunk,
+            max_salts,
+        } => GreedyChunkSelector::new(chunk_bits, candidates_per_chunk, max_salts)
+            .select(ctx, label, seed_bits, cost),
+        SeedStrategy::FixedSalt { salt } => {
+            ctx.charge_rounds(label, BROADCAST_ROUNDS);
+            let fingerprint = sub
+                .nodes
+                .first()
+                .map(|v| u64::from(v.0))
+                .unwrap_or_default()
+                ^ ((sub.len() as u64) << 24)
+                ^ tweak;
+            let effective_salt = salt ^ cc_hash::seed::splitmix64(fingerprint);
+            let seed = BitSeed::zeros(seed_bits).canonical_completion(0, effective_salt);
+            let achieved_cost = cost.total_cost(&seed);
+            let bound = cost.expectation_bound();
+            SelectionOutcome {
+                met_bound: achieved_cost <= bound,
+                seed,
+                achieved_cost,
+                bound,
+                candidates_evaluated: 1,
+                escalations: 0,
+            }
+        }
+    }
+}
+
 /// The cost function of Lemma 3.9: 𝔮(h1, h2) = #bad nodes + 𝔫·#bad bins,
 /// decomposed over one machine per active node plus one machine per bin.
-pub struct PartitionCost<'a> {
+struct PartitionCost<'a> {
     graph: &'a CsrGraph,
     sub: &'a ActiveSubgraph,
     palettes: &'a [Palette],
     params: BinningParams,
-    family_nodes: PolynomialHashFamily,
-    family_colors: PolynomialHashFamily,
+    hashes: HashPair,
     bound: f64,
-    memo: RefCell<HashMap<Vec<u64>, Rc<BinningEvaluation>>>,
 }
 
-impl<'a> PartitionCost<'a> {
-    /// Builds the cost function for one partition call.
-    pub fn new(
-        graph: &'a CsrGraph,
-        sub: &'a ActiveSubgraph,
-        palettes: &'a [Palette],
-        params: BinningParams,
-        family_nodes: PolynomialHashFamily,
-        family_colors: PolynomialHashFamily,
-        bound: f64,
-    ) -> Self {
-        PartitionCost {
-            graph,
-            sub,
-            palettes,
-            params,
-            family_nodes,
-            family_colors,
-            bound,
-            memo: RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// Total seed length for the (h1, h2) pair.
-    pub fn seed_bits(&self) -> usize {
-        self.family_nodes.seed_bits() + self.family_colors.seed_bits()
-    }
-
-    /// The binning evaluation for a combined seed (memoized).
-    pub fn evaluation(&self, seed: &BitSeed) -> Rc<BinningEvaluation> {
-        let key = seed.words().to_vec();
-        if let Some(hit) = self.memo.borrow().get(&key) {
-            return Rc::clone(hit);
-        }
-        let node_bits = self.family_nodes.seed_bits();
-        let seed_nodes = slice_seed(seed, 0, node_bits);
-        let seed_colors = slice_seed(seed, node_bits, self.family_colors.seed_bits());
-        let coeff_nodes = self.family_nodes.coefficients(&seed_nodes);
-        let coeff_colors = self.family_colors.coefficients(&seed_colors);
-        let eval = evaluate_binning(
+impl PartitionCost<'_> {
+    /// The binning evaluation for a combined seed.
+    fn evaluation(&self, seed: &BitSeed) -> BinningEvaluation {
+        let (h1, h2) = self.hashes.functions(seed);
+        evaluate_binning(
             self.graph,
             self.sub,
             self.palettes,
             &self.params,
-            |x| self.family_nodes.eval_with_coefficients(&coeff_nodes, x),
-            |x| self.family_colors.eval_with_coefficients(&coeff_colors, x),
-        );
-        let rc = Rc::new(eval);
-        self.memo.borrow_mut().insert(key, Rc::clone(&rc));
-        rc
+            |x| h1.eval(x),
+            |x| h2.eval(x),
+        )
     }
 }
 
@@ -128,22 +179,18 @@ impl SeedCost for PartitionCost<'_> {
         self.sub.len() + self.params.bins as usize
     }
 
-    fn local_cost(&self, machine: usize, seed: &BitSeed) -> f64 {
+    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
         let eval = self.evaluation(seed);
-        if machine < self.sub.len() {
-            if eval.node_good[machine] {
-                0.0
-            } else {
-                1.0
-            }
-        } else {
-            let bin = machine - self.sub.len();
-            if eval.bin_good[bin] {
-                0.0
-            } else {
-                self.params.global_nodes as f64
-            }
-        }
+        let bad_bin = self.params.global_nodes as f64;
+        let nodes = eval
+            .node_good
+            .iter()
+            .map(|&good| if good { 0.0 } else { 1.0 });
+        let bins = eval
+            .bin_good
+            .iter()
+            .map(|&good| if good { 0.0 } else { bad_bin });
+        nodes.chain(bins).collect()
     }
 
     fn expectation_bound(&self) -> f64 {
@@ -167,73 +214,26 @@ pub fn partition(
     config: &ColorReduceConfig,
 ) -> PartitionOutcome {
     debug_assert!(bins >= 2, "partition needs at least two bins");
-    let params = BinningParams::new(config, ell, bins, global_nodes, sub.len());
-    let family_nodes = PolynomialHashFamily::new(
-        config.independence,
-        (graph.node_count() as u64).max(2),
-        bins,
-    );
-    let family_colors = PolynomialHashFamily::new(
-        config.independence,
-        sub.color_domain.max(2),
-        (bins - 1).max(1),
-    );
     let bound = config.bad_node_bound(global_nodes, ell);
-    let cost = PartitionCost::new(
+    let cost = PartitionCost {
         graph,
         sub,
         palettes,
-        params,
-        family_nodes.clone(),
-        family_colors.clone(),
+        params: BinningParams::new(config, ell, bins, global_nodes, sub.len()),
+        hashes: HashPair::new(config.independence, graph, sub, bins),
         bound,
-    );
-    let seed_bits = cost.seed_bits();
-
-    let outcome: SelectionOutcome = match config.seed_strategy {
-        SeedStrategy::Derandomized {
-            chunk_bits,
-            candidates_per_chunk,
-            max_salts,
-        } => {
-            let selector = GreedyChunkSelector::new(chunk_bits, candidates_per_chunk, max_salts);
-            selector.select(ctx, label, seed_bits, &cost)
-        }
-        SeedStrategy::FixedSalt { salt } => {
-            // Randomized baseline: a pseudorandom seed, no search. One
-            // broadcast distributes it. The salt is remixed with the call's
-            // active set so that, like fresh randomness, each recursive call
-            // gets an independent-looking hash pair (reusing one function on
-            // a bin *it* defined would be degenerate).
-            ctx.charge_rounds(label, BROADCAST_ROUNDS);
-            let fingerprint = sub
-                .nodes
-                .first()
-                .map(|v| u64::from(v.0))
-                .unwrap_or_default()
-                ^ ((sub.len() as u64) << 24)
-                ^ ell.rotate_left(17);
-            let effective_salt = salt ^ cc_hash::seed::splitmix64(fingerprint);
-            let seed = BitSeed::zeros(seed_bits).canonical_completion(0, effective_salt);
-            let achieved_cost = cost.total_cost(&seed);
-            SelectionOutcome {
-                met_bound: achieved_cost <= bound,
-                seed,
-                achieved_cost,
-                bound,
-                candidates_evaluated: 1,
-                escalations: 0,
-            }
-        }
     };
-
-    let evaluation = (*cost.evaluation(&outcome.seed)).clone();
-    let node_bits = family_nodes.seed_bits();
-    let color_hash = family_colors.with_seed(slice_seed(
-        &outcome.seed,
-        node_bits,
-        family_colors.seed_bits(),
-    ));
+    let outcome = select_seed(
+        ctx,
+        label,
+        config.seed_strategy,
+        cost.hashes.seed_bits(),
+        &cost,
+        sub,
+        ell.rotate_left(17),
+    );
+    let evaluation = cost.evaluation(&outcome.seed);
+    let (_, color_hash) = cost.hashes.functions(&outcome.seed);
 
     // Split the active nodes into bins and the bad set.
     let mut bin_lists: Vec<Vec<NodeId>> = vec![Vec::new(); bins as usize];

@@ -14,20 +14,19 @@ pub trait SeedCost {
     /// `0..machine_count()`.
     fn machine_count(&self) -> usize;
 
-    /// The local cost `q_x(seed)` evaluated by machine `x` for a fully
-    /// specified seed.
-    fn local_cost(&self, machine: usize, seed: &BitSeed) -> f64;
+    /// Every machine's local cost `q_x(seed)` for a fully specified seed, in
+    /// machine order. Work the terms share (hashing every node, simulating a
+    /// phase) is done once per call.
+    fn local_costs(&self, seed: &BitSeed) -> Vec<f64>;
 
     /// The bound `Q` such that `E[q(seed)] <= Q` over a uniformly random
     /// seed. The probabilistic method guarantees some seed achieves `q <= Q`;
     /// selectors verify their chosen seed against this bound.
     fn expectation_bound(&self) -> f64;
 
-    /// Total cost of a fully specified seed (default: sum of local costs).
+    /// Total cost of a fully specified seed: the sum of its local costs.
     fn total_cost(&self, seed: &BitSeed) -> f64 {
-        (0..self.machine_count())
-            .map(|x| self.local_cost(x, seed))
-            .sum()
+        self.local_costs(seed).iter().sum()
     }
 }
 
@@ -53,12 +52,12 @@ impl SeedCost for BinZeroLoadCost {
         self.keys.len()
     }
 
-    fn local_cost(&self, machine: usize, seed: &BitSeed) -> f64 {
-        if self.family.eval(seed, self.keys[machine]) == 0 {
-            1.0
-        } else {
-            0.0
-        }
+    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
+        let h = self.family.with_seed(seed.clone());
+        self.keys
+            .iter()
+            .map(|&key| if h.eval(key) == 0 { 1.0 } else { 0.0 })
+            .collect()
     }
 
     fn expectation_bound(&self) -> f64 {
@@ -84,13 +83,12 @@ mod tests {
     }
 
     #[test]
-    fn local_cost_is_zero_one() {
+    fn local_costs_are_zero_one_per_machine() {
         let family = PolynomialHashFamily::new(2, 10, 2);
         let cost = BinZeroLoadCost::new(family.clone(), vec![1, 2, 3]);
         let seed = BitSeed::zeros(family.seed_bits());
-        for x in 0..cost.machine_count() {
-            let c = cost.local_cost(x, &seed);
-            assert!(c == 0.0 || c == 1.0);
-        }
+        let costs = cost.local_costs(&seed);
+        assert_eq!(costs.len(), cost.machine_count());
+        assert!(costs.iter().all(|&c| c == 0.0 || c == 1.0));
     }
 }

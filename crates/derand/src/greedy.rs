@@ -4,8 +4,8 @@
 //! fixed a chunk at a time; for every candidate value of the next chunk all
 //! machines evaluate a score in parallel, the per-candidate totals are
 //! aggregated in O(1) rounds (Lemma 2.1), and the minimizing candidate is
-//! broadcast. The difference (documented as substitution #2 in `DESIGN.md`)
-//! is the per-candidate score: instead of a closed-form conditional
+//! broadcast. The difference (substitution #2 in the README's Substitutions
+//! list) is the per-candidate score: instead of a closed-form conditional
 //! expectation — whose pessimistic-estimator constants are hopeless at
 //! laptop scale, see `cc_hash::moments` — the score is the *true* cost under
 //! a canonical deterministic completion of the unfixed bits. The selected
@@ -113,19 +113,21 @@ impl GreedyChunkSelector {
         let mut seed = BitSeed::zeros(seed_bits);
         let machines = cost.machine_count();
         let chunks = seed.chunk_count(self.chunk_bits);
-        let mut final_cost = cost.total_cost(&seed.canonical_completion(0, salt));
+        let mut final_cost = None;
         for chunk_index in 0..chunks {
             let start = chunk_index * self.chunk_bits;
             let width = self.chunk_bits.min(seed_bits - start);
             let candidates = self.candidates(width, chunk_index, salt);
-            // Every machine scores every candidate on its local data.
+            // Every machine scores every candidate on its local data; the
+            // scores of candidate `ci` fill column `ci`.
             let mut per_machine: Vec<Vec<f64>> = vec![vec![0.0; candidates.len()]; machines];
             for (ci, &value) in candidates.iter().enumerate() {
                 let mut trial = seed.clone();
                 trial.set_chunk(start, width, value);
-                let completed = trial.canonical_completion(start + width, salt);
-                for (machine, row) in per_machine.iter_mut().enumerate() {
-                    row[ci] = cost.local_cost(machine, &completed);
+                let column = cost.local_costs(&trial.canonical_completion(start + width, salt));
+                assert_eq!(column.len(), machines, "one local cost per machine");
+                for (row, term) in per_machine.iter_mut().zip(column) {
+                    row[ci] = term;
                 }
             }
             *candidates_evaluated += candidates.len() as u64;
@@ -153,14 +155,11 @@ impl GreedyChunkSelector {
                 .expect("at least one candidate");
             seed.set_chunk(start, width, candidates[best_index]);
             broadcast_word(ctx, label, candidates[best_index]);
-            final_cost = best_total;
+            final_cost = Some(best_total);
         }
-        // After the last chunk the completion is the identity, so the last
-        // aggregated total is already the true cost of `seed`; recompute
-        // locally for zero-chunk edge cases.
-        if chunks == 0 {
-            final_cost = cost.total_cost(&seed);
-        }
+        // The last chunk's completion is the identity, so its total is the
+        // true cost of `seed`; a zero-bit seed has no chunk to score.
+        let final_cost = final_cost.unwrap_or_else(|| cost.total_cost(&seed));
         (seed, final_cost)
     }
 }

@@ -15,14 +15,15 @@
 //! This crate provides the machinery for steps 2–3:
 //!
 //! * [`cost::SeedCost`] — the cost-function interface implemented by
-//!   `clique-coloring`'s partition procedures,
+//!   `clique-coloring`'s partitions and `cc-mis`'s derandomized Luby phase;
+//!   one [`SeedCost::local_costs`] call scores a candidate on every machine,
 //! * [`selector::SeedSelector`] — the seed-search interface, with two
 //!   implementations:
 //!   * [`greedy::GreedyChunkSelector`] — the default: the paper's chunked
 //!     search where each candidate chunk is scored by the *true* cost under
 //!     a canonical deterministic completion, with a runtime check of the
 //!     expectation bound and deterministic escalation if it is missed
-//!     (substitution #2 in `DESIGN.md`),
+//!     (substitution #2 in the README's Substitutions list),
 //!   * [`exact::ExactMceSelector`] — textbook conditional expectations by
 //!     exhaustive enumeration of completions; exponential in the remaining
 //!     seed length, used for validation on small seed spaces.

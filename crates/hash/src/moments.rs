@@ -87,7 +87,7 @@ mod tests {
         // compared to the constant c — i.e. for astronomically large ℓ. This
         // is exactly why the default seed selector verifies the achieved cost
         // at runtime instead of relying on the worst-case constants
-        // (DESIGN.md, substitution #2).
+        // (substitution #2 in the README's Substitutions list).
         let ell_small = 1e6_f64;
         assert_eq!(
             independence_needed(ell_small, ell_small.powf(0.6), ell_small.powf(-3.0), 64),

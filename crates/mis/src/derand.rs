@@ -7,12 +7,9 @@
 //! method-of-conditional-expectations machinery of `cc-derand`, minimizing
 //! the number of nodes that survive the phase. This algorithm stands in for
 //! the O(log Δ + log log 𝔫)-round MIS algorithm of Czumaj–Davies–Parter [7]
-//! used by the paper's low-space result (substitution #3 in `DESIGN.md`);
-//! its measured phase count is reported separately by experiment E5.
-
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+//! used by the paper's low-space result (substitution #3 in the README's
+//! Substitutions list); its measured phase count is reported separately by
+//! experiment E5.
 
 use cc_derand::{GreedyChunkSelector, SeedCost, SeedSelector};
 use cc_graph::csr::CsrGraph;
@@ -75,9 +72,6 @@ struct LubyPhaseCost<'g> {
     graph: &'g CsrGraph,
     active: Vec<bool>,
     family: PolynomialHashFamily,
-    /// Memoized survivors per seed so that per-machine cost queries share the
-    /// O(m) phase simulation.
-    memo: RefCell<HashMap<Vec<u64>, Rc<Vec<bool>>>>,
 }
 
 impl<'g> LubyPhaseCost<'g> {
@@ -90,7 +84,6 @@ impl<'g> LubyPhaseCost<'g> {
             graph,
             active,
             family: PolynomialHashFamily::new(2, n.max(2), range),
-            memo: RefCell::new(HashMap::new()),
         }
     }
 
@@ -102,11 +95,7 @@ impl<'g> LubyPhaseCost<'g> {
     }
 
     /// Which nodes remain active after running one phase with this seed.
-    fn survivors(&self, seed: &BitSeed) -> Rc<Vec<bool>> {
-        let key = seed.words().to_vec();
-        if let Some(cached) = self.memo.borrow().get(&key) {
-            return Rc::clone(cached);
-        }
+    fn survivors(&self, seed: &BitSeed) -> Vec<bool> {
         let priorities = self.priorities(seed);
         let joins = select_local_minima(self.graph, &self.active, &priorities);
         let mut survivors = self.active.clone();
@@ -118,9 +107,7 @@ impl<'g> LubyPhaseCost<'g> {
                 }
             }
         }
-        let rc = Rc::new(survivors);
-        self.memo.borrow_mut().insert(key, Rc::clone(&rc));
-        rc
+        survivors
     }
 }
 
@@ -129,15 +116,13 @@ impl SeedCost for LubyPhaseCost<'_> {
         self.graph.node_count()
     }
 
-    fn local_cost(&self, machine: usize, seed: &BitSeed) -> f64 {
-        if !self.active[machine] {
-            return 0.0;
-        }
-        if self.survivors(seed)[machine] {
-            1.0
-        } else {
-            0.0
-        }
+    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
+        // Survivors are a subset of the active nodes, so an inactive
+        // machine costs 0.
+        self.survivors(seed)
+            .into_iter()
+            .map(|survives| if survives { 1.0 } else { 0.0 })
+            .collect()
     }
 
     fn expectation_bound(&self) -> f64 {

@@ -17,7 +17,8 @@
 //! * [`luby`] — randomized Luby MIS with simulated round accounting,
 //! * [`derand`] — a deterministic Luby MIS: per-phase pairwise-independent
 //!   priorities selected by the method of conditional expectations. It
-//!   stands in for the algorithm of [7] (substitution #3 in `DESIGN.md`);
+//!   stands in for the algorithm of [7] (substitution #3 in the README's
+//!   Substitutions list);
 //!   experiment E5 reports its measured phase counts separately so the
 //!   substitution is visible.
 //! * [`verify`] — independence/maximality checking used by every test.

@@ -1,11 +1,14 @@
 //! Property-based tests (proptest) for the core invariants.
 
 use cc_graph::csr::CsrGraph;
+use cc_graph::generators::{instance_with_palettes, GraphFamily, PaletteKind};
 use cc_hash::{BitSeed, PolynomialHashFamily};
 use cc_mis::greedy::greedy_mis;
 use cc_mis::reduction::ReductionGraph;
 use cc_mis::verify::verify_mis;
+use cc_sim::ClusterContext;
 use congested_clique_coloring::coloring::config::SeedStrategy;
+use congested_clique_coloring::derand::{GreedyChunkSelector, SeedCost, SeedSelector};
 use congested_clique_coloring::prelude::*;
 use proptest::prelude::*;
 
@@ -32,6 +35,72 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
                 .map(|(a, b)| (NodeId::from_index(a), NodeId::from_index(b)));
             CsrGraph::from_edges(n, edges).expect("filtered edges are valid")
         })
+    })
+}
+
+/// Dense members of every generator family. At 120–200 nodes most of them
+/// exceed one congested-clique machine (64n words), so `ColorReduce` has to
+/// partition them rather than collect them at depth 0.
+const DENSE_FAMILIES: [GraphFamily; 4] = [
+    GraphFamily::Gnp { p: 0.5 },
+    GraphFamily::PowerLaw { edges_per_node: 40 },
+    GraphFamily::Clustered {
+        communities: 2,
+        p_in: 0.9,
+        p_out: 0.3,
+    },
+    GraphFamily::NearRegular { degree: 80 },
+];
+
+/// The palette kinds over a color universe of `4n`.
+fn palette_kinds(n: usize) -> [PaletteKind; 3] {
+    let universe = 4 * n as u64;
+    [
+        PaletteKind::DeltaPlusOne,
+        PaletteKind::DeltaPlusOneList { universe },
+        PaletteKind::DegPlusOneList { universe },
+    ]
+}
+
+/// A `SeedCost` given by a table: on the seed whose value is `s`, machine
+/// `x` costs `table[x][s]`. Integer entries keep every sum exact.
+struct TableCost {
+    table: Vec<Vec<f64>>,
+    seed_bits: usize,
+    bound: f64,
+}
+
+impl SeedCost for TableCost {
+    fn machine_count(&self) -> usize {
+        self.table.len()
+    }
+
+    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
+        let value = seed.chunk(0, self.seed_bits) as usize;
+        self.table.iter().map(|row| row[value]).collect()
+    }
+
+    fn expectation_bound(&self) -> f64 {
+        self.bound
+    }
+}
+
+/// Strategy: 1–8 machines, a 1–12-bit seed, entries in `0..16` and a bound
+/// anywhere from 0 to the largest possible total.
+fn arb_table_cost() -> impl Strategy<Value = TableCost> {
+    (1usize..=8, 1usize..=12).prop_flat_map(|(machines, seed_bits)| {
+        (
+            proptest::collection::vec(0u64..16, machines << seed_bits),
+            0u64..=15 * machines as u64,
+        )
+            .prop_map(move |(entries, bound)| TableCost {
+                table: entries
+                    .chunks(1 << seed_bits)
+                    .map(|row| row.iter().map(|&e| e as f64).collect())
+                    .collect(),
+                seed_bits,
+                bound: bound as f64,
+            })
     })
 }
 
@@ -137,5 +206,75 @@ proptest! {
             .filter(|(a, b)| nodes.contains(a) && nodes.contains(b))
             .count();
         prop_assert_eq!(sub.graph.edge_count(), kept_edges);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `ColorReduce` on instances too large to collect: every generator
+    /// family × palette kind gives a proper list coloring within the model,
+    /// with no bad bins, and partitions whenever the input exceeds one
+    /// machine. The (deg+1)-list instances also go through the low-space
+    /// algorithm.
+    #[test]
+    fn color_reduce_partitions_large_instances(n in 120usize..=200, seed in any::<u64>()) {
+        for family in DENSE_FAMILIES {
+            let graph = family.generate(n, seed).unwrap();
+            for kind in palette_kinds(n) {
+                let case = format!("{} with {kind:?}", family.label());
+                let instance = instance_with_palettes(&graph, kind, seed).unwrap();
+                let model = ExecutionModel::congested_clique(n);
+                let past_one_machine = !model.fits_on_one_machine(instance.size_words());
+                let outcome = ColorReduce::new(fast_config()).run(&instance, model).unwrap();
+                let report = outcome.report();
+                prop_assert!(outcome.coloring().verify(&instance).is_ok(), "{case}");
+                prop_assert!(report.within_limits(), "{case}: {:?}", report.violations);
+                prop_assert_eq!(outcome.trace().total_bad_bins(), 0);
+                prop_assert!(
+                    !past_one_machine || outcome.trace().partition_count() >= 1,
+                    "{case}"
+                );
+                if let PaletteKind::DegPlusOneList { .. } = kind {
+                    let config = LowSpaceConfig::scaled_down(0.5);
+                    let budget = instance.size_words() * 8;
+                    let model = ExecutionModel::mpc_low_space(n, config.epsilon, budget);
+                    let outcome = LowSpaceColorReduce::new(config).run(&instance, model).unwrap();
+                    let report = &outcome.report;
+                    prop_assert!(outcome.coloring.verify(&instance).is_ok(), "{case}, low space");
+                    prop_assert!(report.within_limits(), "{case}, low space: {:?}", report.violations);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The selector lays each candidate's `local_costs` out as one column:
+    /// the cost it reports is the true total of the seed it returns, the
+    /// bound flag agrees with that cost, and every pass scores
+    /// `min(candidates, 2^width)` candidates per chunk.
+    #[test]
+    fn greedy_selector_scores_each_candidate_once(
+        cost in arb_table_cost(),
+        chunk_bits in 1usize..=7,
+        candidates in 1usize..=8,
+        salts in 1u32..=3
+    ) {
+        let selector = GreedyChunkSelector::new(chunk_bits, candidates, salts);
+        let mut ctx = ClusterContext::new(ExecutionModel::congested_clique(16));
+        let outcome = selector.select(&mut ctx, "prop", cost.seed_bits, &cost);
+        prop_assert_eq!(outcome.achieved_cost, cost.total_cost(&outcome.seed));
+        prop_assert_eq!(outcome.met_bound, outcome.achieved_cost <= outcome.bound);
+        let per_pass: usize = (0..cost.seed_bits)
+            .step_by(chunk_bits)
+            .map(|start| candidates.min(1 << chunk_bits.min(cost.seed_bits - start)))
+            .sum();
+        prop_assert_eq!(
+            outcome.candidates_evaluated,
+            u64::from(outcome.escalations + 1) * per_pass as u64
+        );
     }
 }
