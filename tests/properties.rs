@@ -6,6 +6,7 @@ use cc_hash::{BitSeed, PolynomialHashFamily};
 use cc_mis::greedy::greedy_mis;
 use cc_mis::reduction::ReductionGraph;
 use cc_mis::verify::verify_mis;
+use cc_sim::constants::{BROADCAST_ROUNDS, PREFIX_SUM_ROUNDS};
 use cc_sim::ClusterContext;
 use congested_clique_coloring::coloring::config::SeedStrategy;
 use congested_clique_coloring::derand::{GreedyChunkSelector, SeedCost, SeedSelector};
@@ -252,10 +253,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The selector lays each candidate's `local_costs` out as one column:
-    /// the cost it reports is the true total of the seed it returns, the
-    /// bound flag agrees with that cost, and every pass scores
-    /// `min(candidates, 2^width)` candidates per chunk.
+    /// The selector scores each candidate once and charges the paper's
+    /// aggregation: the cost it reports is the true total of the seed it
+    /// returns, the bound flag agrees with that cost, and every chunk of a
+    /// pass scores `c = min(candidates, 2^width)` candidates, then charges
+    /// one aggregation of `c` words per machine and one broadcast.
     #[test]
     fn greedy_selector_scores_each_candidate_once(
         cost in arb_table_cost(),
@@ -264,17 +266,23 @@ proptest! {
         salts in 1u32..=3
     ) {
         let selector = GreedyChunkSelector::new(chunk_bits, candidates, salts);
-        let mut ctx = ClusterContext::new(ExecutionModel::congested_clique(16));
+        let model = ExecutionModel::congested_clique(16);
+        let broadcast_words = model.machines as u64;
+        let mut ctx = ClusterContext::new(model);
         let outcome = selector.select(&mut ctx, "prop", cost.seed_bits, &cost);
         prop_assert_eq!(outcome.achieved_cost, cost.total_cost(&outcome.seed));
         prop_assert_eq!(outcome.met_bound, outcome.achieved_cost <= outcome.bound);
-        let per_pass: usize = (0..cost.seed_bits)
-            .step_by(chunk_bits)
-            .map(|start| candidates.min(1 << chunk_bits.min(cost.seed_bits - start)))
-            .sum();
-        prop_assert_eq!(
-            outcome.candidates_evaluated,
-            u64::from(outcome.escalations + 1) * per_pass as u64
-        );
+        let machines = cost.machine_count() as u64;
+        let (mut per_pass, mut rounds, mut words) = (0u64, 0u64, 0u64);
+        for start in (0..cost.seed_bits).step_by(chunk_bits) {
+            let c = candidates.min(1 << chunk_bits.min(cost.seed_bits - start)) as u64;
+            per_pass += c;
+            rounds += PREFIX_SUM_ROUNDS + BROADCAST_ROUNDS;
+            words += c + machines * c + broadcast_words;
+        }
+        let passes = u64::from(outcome.escalations + 1);
+        prop_assert_eq!(outcome.candidates_evaluated, passes * per_pass);
+        prop_assert_eq!(ctx.rounds(), passes * rounds);
+        prop_assert_eq!(ctx.communication_words(), passes * words);
     }
 }
