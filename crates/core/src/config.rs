@@ -33,6 +33,30 @@ pub enum SeedStrategy {
     },
 }
 
+impl SeedStrategy {
+    /// Checks the `Derandomized` parameters against the selector's ranges.
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
+        if let SeedStrategy::Derandomized {
+            chunk_bits,
+            candidates_per_chunk,
+            max_salts,
+        } = *self
+        {
+            if chunk_bits == 0 || chunk_bits > 61 {
+                return Err(CoreError::InvalidConfig {
+                    reason: format!("chunk_bits = {chunk_bits} must be in 1..=61"),
+                });
+            }
+            if candidates_per_chunk == 0 || max_salts == 0 {
+                return Err(CoreError::InvalidConfig {
+                    reason: "candidates_per_chunk and max_salts must be positive".to_string(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for SeedStrategy {
     fn default() -> Self {
         SeedStrategy::Derandomized {
@@ -162,24 +186,7 @@ impl ColorReduceConfig {
                 reason: "max_recursion_depth must be at least 1".to_string(),
             });
         }
-        if let SeedStrategy::Derandomized {
-            chunk_bits,
-            candidates_per_chunk,
-            max_salts,
-        } = self.seed_strategy
-        {
-            if chunk_bits == 0 || chunk_bits > 61 {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!("chunk_bits = {chunk_bits} must be in 1..=61"),
-                });
-            }
-            if candidates_per_chunk == 0 || max_salts == 0 {
-                return Err(CoreError::InvalidConfig {
-                    reason: "candidates_per_chunk and max_salts must be positive".to_string(),
-                });
-            }
-        }
-        Ok(())
+        self.seed_strategy.validate()
     }
 }
 

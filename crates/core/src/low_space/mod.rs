@@ -7,7 +7,7 @@
 //! peeling off the nodes whose degree has dropped below 𝔫^{7δ} into a
 //! residual graph G₀ that is colored through the reduction to MIS
 //! (Section 4.1). The MIS itself is the derandomized Luby algorithm of
-//! `cc-mis`, standing in for the algorithm of [7] (substitution #3 in the
+//! `cc-mis`, standing in for the algorithm of \[7\] (substitution #3 in the
 //! README's Substitutions list).
 //!
 //! Because machines cannot hold a whole neighborhood, nodes are split into
@@ -111,7 +111,7 @@ impl LowSpaceConfig {
                 reason: "independence and max_depth must be positive".to_string(),
             });
         }
-        Ok(())
+        self.seed_strategy.validate()
     }
 }
 
@@ -455,6 +455,18 @@ mod tests {
             ..LowSpaceConfig::default()
         };
         assert!(bad.validate().is_err());
+        let bad = LowSpaceConfig {
+            seed_strategy: SeedStrategy::Derandomized {
+                chunk_bits: 0,
+                candidates_per_chunk: 16,
+                max_salts: 1,
+            },
+            ..LowSpaceConfig::default()
+        };
+        assert!(matches!(
+            bad.validate(),
+            Err(CoreError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

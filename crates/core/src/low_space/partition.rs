@@ -69,28 +69,20 @@ impl SeedCost for LowSpaceCost<'_> {
         self.sub.len()
     }
 
-    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
+    fn total_cost(&self, seed: &BitSeed) -> f64 {
         let binning = self.binning(seed);
         let bins = self.bins as f64;
-        self.sub
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let d_in = binning.in_bin_degree[i];
-                let d = f64::from(self.sub.degree_in[v.index()]);
-                // Lemma 4.5 (i): d'(v) < 2·d(v)/𝔫^δ.
-                let degree_violation = f64::from(d_in) >= (2.0 * d / bins).max(1.0);
-                // Lemma 4.5 (ii): d'(v) < p'(v) for nodes with a color class.
-                let is_last_bin = u64::from(binning.node_bin[i]) == self.bins - 1;
-                let palette_violation = !is_last_bin && binning.in_bin_palette[i] <= d_in;
-                if degree_violation || palette_violation {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect()
+        let violators = self.sub.nodes.iter().enumerate().filter(|&(i, v)| {
+            let d_in = binning.in_bin_degree[i];
+            let d = f64::from(self.sub.degree_in[v.index()]);
+            // Lemma 4.5 (i): d'(v) < 2·d(v)/𝔫^δ.
+            let degree_violation = f64::from(d_in) >= (2.0 * d / bins).max(1.0);
+            // Lemma 4.5 (ii): d'(v) < p'(v) for nodes with a color class.
+            let is_last_bin = u64::from(binning.node_bin[i]) == self.bins - 1;
+            let palette_violation = !is_last_bin && binning.in_bin_palette[i] <= d_in;
+            degree_violation || palette_violation
+        });
+        violators.count() as f64
     }
 
     fn expectation_bound(&self) -> f64 {

@@ -8,7 +8,7 @@
 //! 𝔫/ℓ² nodes are bad. Bad nodes form the graph G₀ that the caller colors
 //! locally at the end of the call.
 
-use cc_derand::{GreedyChunkSelector, SeedCost, SeedSelector, SelectionOutcome};
+use cc_derand::{GreedyChunkSelector, SeedCost, SelectionOutcome};
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
 use cc_graph::NodeId;
@@ -179,18 +179,8 @@ impl SeedCost for PartitionCost<'_> {
         self.sub.len() + self.params.bins as usize
     }
 
-    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
-        let eval = self.evaluation(seed);
-        let bad_bin = self.params.global_nodes as f64;
-        let nodes = eval
-            .node_good
-            .iter()
-            .map(|&good| if good { 0.0 } else { 1.0 });
-        let bins = eval
-            .bin_good
-            .iter()
-            .map(|&good| if good { 0.0 } else { bad_bin });
-        nodes.chain(bins).collect()
+    fn total_cost(&self, seed: &BitSeed) -> f64 {
+        self.evaluation(seed).cost(self.params.global_nodes)
     }
 
     fn expectation_bound(&self) -> f64 {

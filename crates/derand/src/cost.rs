@@ -7,27 +7,23 @@ use cc_hash::BitSeed;
 /// expectations.
 ///
 /// Implementors describe *what* is being minimized (e.g. "number of bad nodes
-/// plus 𝔫 × number of bad bins" for `Partition`); the seed selectors decide
-/// *how* the seed is searched.
+/// plus 𝔫 × number of bad bins" for `Partition`); the seed selector decides
+/// *how* the seed is searched, and charges the aggregation of every
+/// machine's term.
 pub trait SeedCost {
-    /// Number of logical machines holding cost terms. Machine indices are
-    /// `0..machine_count()`.
+    /// Number of logical machines holding cost terms `q_x`.
     fn machine_count(&self) -> usize;
 
-    /// Every machine's local cost `q_x(seed)` for a fully specified seed, in
-    /// machine order. Work the terms share (hashing every node, simulating a
-    /// phase) is done once per call.
-    fn local_costs(&self, seed: &BitSeed) -> Vec<f64>;
+    /// Total cost `q(seed)` of a fully specified seed: the sum of every
+    /// machine's local cost, as the paper's aggregation delivers it. Work
+    /// the terms share (hashing every node, simulating a phase) is done once
+    /// per call.
+    fn total_cost(&self, seed: &BitSeed) -> f64;
 
     /// The bound `Q` such that `E[q(seed)] <= Q` over a uniformly random
     /// seed. The probabilistic method guarantees some seed achieves `q <= Q`;
-    /// selectors verify their chosen seed against this bound.
+    /// the selector verifies its chosen seed against this bound.
     fn expectation_bound(&self) -> f64;
-
-    /// Total cost of a fully specified seed: the sum of its local costs.
-    fn total_cost(&self, seed: &BitSeed) -> f64 {
-        self.local_costs(seed).iter().sum()
-    }
 }
 
 /// A simple cost function for tests and examples: counts, over a set of
@@ -52,12 +48,9 @@ impl SeedCost for BinZeroLoadCost {
         self.keys.len()
     }
 
-    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
+    fn total_cost(&self, seed: &BitSeed) -> f64 {
         let h = self.family.with_seed(seed.clone());
-        self.keys
-            .iter()
-            .map(|&key| if h.eval(key) == 0 { 1.0 } else { 0.0 })
-            .collect()
+        self.keys.iter().filter(|&&key| h.eval(key) == 0).count() as f64
     }
 
     fn expectation_bound(&self) -> f64 {
@@ -72,7 +65,7 @@ mod tests {
     use cc_hash::PolynomialHashFamily;
 
     #[test]
-    fn total_cost_is_sum_of_locals() {
+    fn total_cost_counts_keys_in_bin_zero() {
         let family = PolynomialHashFamily::new(2, 100, 4);
         let cost = BinZeroLoadCost::new(family.clone(), (0..100).collect());
         let seed = BitSeed::zeros(family.seed_bits());
@@ -80,15 +73,5 @@ mod tests {
         assert_eq!(cost.total_cost(&seed), 100.0);
         assert_eq!(cost.machine_count(), 100);
         assert!(cost.expectation_bound() < 100.0);
-    }
-
-    #[test]
-    fn local_costs_are_zero_one_per_machine() {
-        let family = PolynomialHashFamily::new(2, 10, 2);
-        let cost = BinZeroLoadCost::new(family.clone(), vec![1, 2, 3]);
-        let seed = BitSeed::zeros(family.seed_bits());
-        let costs = cost.local_costs(&seed);
-        assert_eq!(costs.len(), cost.machine_count());
-        assert!(costs.iter().all(|&c| c == 0.0 || c == 1.0));
     }
 }

@@ -1,29 +1,48 @@
-//! The default seed selector: chunked greedy search with verified bound.
+//! The seed selector: chunked greedy search with verified bound.
 //!
 //! Structure-wise this follows Section 2.4 of the paper exactly: the seed is
 //! fixed a chunk at a time; for every candidate value of the next chunk all
 //! machines evaluate a score in parallel, the per-candidate totals are
 //! aggregated in O(1) rounds (Lemma 2.1), and the minimizing candidate is
-//! broadcast. The difference (substitution #2 in the README's Substitutions
-//! list) is the per-candidate score: instead of a closed-form conditional
-//! expectation — whose pessimistic-estimator constants are hopeless at
-//! laptop scale, see `cc_hash::moments` — the score is the *true* cost under
-//! a canonical deterministic completion of the unfixed bits. The selected
-//! seed's true cost is then checked against the expectation bound `Q`; if
-//! the bound is missed the search deterministically escalates to an
-//! alternative completion schedule (a different salt) and, as a last resort,
-//! reports the best seed found with `met_bound = false`.
+//! broadcast; the simulator computes each candidate's total directly and
+//! charges the aggregation that would deliver it. The difference
+//! (substitution #2 in the README's Substitutions list) is the per-candidate
+//! score: instead of a closed-form conditional expectation — whose
+//! pessimistic-estimator constants are hopeless at laptop scale, see
+//! `cc_hash::moments` — the score is the *true* cost under a canonical
+//! deterministic completion of the unfixed bits. The selected seed's true
+//! cost is then checked against the expectation bound `Q`; if the bound is
+//! missed the search deterministically escalates to an alternative
+//! completion schedule (a different salt) and, as a last resort, reports
+//! the best seed found with `met_bound = false`.
 //!
 //! Everything here is deterministic: candidate codebooks and completions are
 //! pure functions of (chunk index, salt).
 
 use cc_hash::seed::splitmix64;
 use cc_hash::BitSeed;
-use cc_sim::primitives::{aggregate_f64_vectors, broadcast_word};
+use cc_sim::primitives::{broadcast_word, charge_aggregation};
 use cc_sim::ClusterContext;
 
 use crate::cost::SeedCost;
-use crate::selector::{SeedSelector, SelectionOutcome};
+
+/// The result of a deterministic seed search.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SelectionOutcome {
+    /// The selected seed.
+    pub seed: BitSeed,
+    /// The true total cost of the selected seed.
+    pub achieved_cost: f64,
+    /// The expectation bound `Q` the seed was compared against.
+    pub bound: f64,
+    /// Whether `achieved_cost <= bound`.
+    pub met_bound: bool,
+    /// Number of candidate seeds whose cost was evaluated.
+    pub candidates_evaluated: u64,
+    /// How many times the search escalated (e.g. switched completion salt)
+    /// before meeting the bound; 0 means the first pass succeeded.
+    pub escalations: u32,
+}
 
 /// Chunked greedy seed search with a verified expectation bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,16 +91,6 @@ impl GreedyChunkSelector {
         }
     }
 
-    /// Bits fixed per stage.
-    pub fn chunk_bits(&self) -> usize {
-        self.chunk_bits
-    }
-
-    /// Candidates scored per stage.
-    pub fn candidates_per_chunk(&self) -> usize {
-        self.candidates_per_chunk
-    }
-
     /// The deterministic candidate codebook for one stage.
     fn candidates(&self, width: usize, chunk_index: usize, salt: u64) -> Vec<u64> {
         let space: u128 = 1u128 << width;
@@ -118,35 +127,20 @@ impl GreedyChunkSelector {
             let start = chunk_index * self.chunk_bits;
             let width = self.chunk_bits.min(seed_bits - start);
             let candidates = self.candidates(width, chunk_index, salt);
-            // Every machine scores every candidate on its local data; the
-            // scores of candidate `ci` fill column `ci`.
-            let mut per_machine: Vec<Vec<f64>> = vec![vec![0.0; candidates.len()]; machines];
-            for (ci, &value) in candidates.iter().enumerate() {
-                let mut trial = seed.clone();
-                trial.set_chunk(start, width, value);
-                let column = cost.local_costs(&trial.canonical_completion(start + width, salt));
-                assert_eq!(column.len(), machines, "one local cost per machine");
-                for (row, term) in per_machine.iter_mut().zip(column) {
-                    row[ci] = term;
-                }
-            }
+            // Every machine scores every candidate on its local data, and the
+            // per-candidate totals are aggregated (O(1) rounds).
+            let totals: Vec<f64> = candidates
+                .iter()
+                .map(|&value| {
+                    let mut trial = seed.clone();
+                    trial.set_chunk(start, width, value);
+                    cost.total_cost(&trial.canonical_completion(start + width, salt))
+                })
+                .collect();
             *candidates_evaluated += candidates.len() as u64;
-            // Aggregate per-candidate totals across machines (O(1) rounds).
-            let totals = match aggregate_f64_vectors(ctx, label, &per_machine) {
-                Ok(t) => t,
-                Err(_) => {
-                    // Strict contexts can reject the bandwidth of very wide
-                    // candidate sets; fall back to the same totals without
-                    // the (already-recorded) accounting.
-                    let mut t = vec![0.0; candidates.len()];
-                    for row in &per_machine {
-                        for (acc, x) in t.iter_mut().zip(row) {
-                            *acc += x;
-                        }
-                    }
-                    t
-                }
-            };
+            // Strict contexts can reject the bandwidth of very wide candidate
+            // sets; the search goes on with the totals it already has.
+            let _ = charge_aggregation(ctx, label, machines, totals.len());
             let (best_index, best_total) = totals
                 .iter()
                 .copied()
@@ -162,10 +156,10 @@ impl GreedyChunkSelector {
         let final_cost = final_cost.unwrap_or_else(|| cost.total_cost(&seed));
         (seed, final_cost)
     }
-}
 
-impl SeedSelector for GreedyChunkSelector {
-    fn select(
+    /// Deterministically selects a seed of `seed_bits` bits for `cost`,
+    /// charging all communication to `ctx` under the phase `label`.
+    pub fn select(
         &self,
         ctx: &mut ClusterContext,
         label: &str,

@@ -16,31 +16,24 @@
 //!
 //! * [`cost::SeedCost`] — the cost-function interface implemented by
 //!   `clique-coloring`'s partitions and `cc-mis`'s derandomized Luby phase;
-//!   one [`SeedCost::local_costs`] call scores a candidate on every machine,
-//! * [`selector::SeedSelector`] — the seed-search interface, with two
-//!   implementations:
-//!   * [`greedy::GreedyChunkSelector`] — the default: the paper's chunked
-//!     search where each candidate chunk is scored by the *true* cost under
-//!     a canonical deterministic completion, with a runtime check of the
-//!     expectation bound and deterministic escalation if it is missed
-//!     (substitution #2 in the README's Substitutions list),
-//!   * [`exact::ExactMceSelector`] — textbook conditional expectations by
-//!     exhaustive enumeration of completions; exponential in the remaining
-//!     seed length, used for validation on small seed spaces.
+//!   one [`SeedCost::total_cost`] call scores a candidate: the total the
+//!   paper's aggregation delivers,
+//! * [`greedy::GreedyChunkSelector`] — the paper's chunked search where each
+//!   candidate chunk is scored by the *true* cost under a canonical
+//!   deterministic completion, with a runtime check of the expectation bound
+//!   and deterministic escalation if it is missed (substitution #2 in the
+//!   README's Substitutions list).
 //!
-//! Both selectors charge their communication to a [`cc_sim::ClusterContext`]
-//! so the round counts reported by experiments include the cost of the
-//! derandomization itself.
+//! The selector charges its communication — one
+//! [`cc_sim::primitives::charge_aggregation`] and one broadcast per chunk —
+//! to a [`cc_sim::ClusterContext`], so the round counts reported by
+//! experiments include the cost of the derandomization itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod exact;
 pub mod greedy;
-pub mod selector;
 
 pub use cost::SeedCost;
-pub use exact::ExactMceSelector;
-pub use greedy::GreedyChunkSelector;
-pub use selector::{SeedSelector, SelectionOutcome};
+pub use greedy::{GreedyChunkSelector, SelectionOutcome};

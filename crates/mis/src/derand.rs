@@ -6,12 +6,12 @@
 //! The seed of the phase's hash function is chosen deterministically by the
 //! method-of-conditional-expectations machinery of `cc-derand`, minimizing
 //! the number of nodes that survive the phase. This algorithm stands in for
-//! the O(log Δ + log log 𝔫)-round MIS algorithm of Czumaj–Davies–Parter [7]
+//! the O(log Δ + log log 𝔫)-round MIS algorithm of Czumaj–Davies–Parter \[7\]
 //! used by the paper's low-space result (substitution #3 in the README's
 //! Substitutions list); its measured phase count is reported separately by
 //! experiment E5.
 
-use cc_derand::{GreedyChunkSelector, SeedCost, SeedSelector};
+use cc_derand::{GreedyChunkSelector, SeedCost};
 use cc_graph::csr::CsrGraph;
 use cc_hash::{BitSeed, PolynomialHashFamily};
 use cc_sim::ClusterContext;
@@ -93,9 +93,14 @@ impl<'g> LubyPhaseCost<'g> {
             .map(|v| self.family.eval_with_coefficients(&coefficients, v))
             .collect()
     }
+}
 
-    /// Which nodes remain active after running one phase with this seed.
-    fn survivors(&self, seed: &BitSeed) -> Vec<bool> {
+impl SeedCost for LubyPhaseCost<'_> {
+    fn machine_count(&self) -> usize {
+        self.graph.node_count()
+    }
+
+    fn total_cost(&self, seed: &BitSeed) -> f64 {
         let priorities = self.priorities(seed);
         let joins = select_local_minima(self.graph, &self.active, &priorities);
         let mut survivors = self.active.clone();
@@ -107,22 +112,7 @@ impl<'g> LubyPhaseCost<'g> {
                 }
             }
         }
-        survivors
-    }
-}
-
-impl SeedCost for LubyPhaseCost<'_> {
-    fn machine_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
-        // Survivors are a subset of the active nodes, so an inactive
-        // machine costs 0.
-        self.survivors(seed)
-            .into_iter()
-            .map(|survives| if survives { 1.0 } else { 0.0 })
-            .collect()
+        survivors.iter().filter(|&&s| s).count() as f64
     }
 
     fn expectation_bound(&self) -> f64 {

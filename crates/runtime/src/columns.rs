@@ -139,7 +139,7 @@ impl MessageColumns {
 /// Counting at the sink is what kills the router's count pass: the staging
 /// write already touches the destination id, so by the time the last
 /// program of the chunk returns, the per-destination loads are complete
-/// and [`crate::router`]'s seal starts straight at the prefix sum. The
+/// and the `router` module's seal starts straight at the prefix sum. The
 /// shard belongs to one arena (it is never shared across chunks), so
 /// worker count stays unobservable in results and ledgers — the barrier
 /// merge combines the shards in fixed chunk order.
@@ -313,7 +313,7 @@ impl<'a> SendSink<'a> {
 }
 
 /// The maximum number of segments an [`Inbox`] concatenates — one per
-/// sender chunk (see [`crate::router`]).
+/// sender chunk (see the `router` module).
 pub const MAX_INBOX_SEGMENTS: usize = 16;
 
 /// One inbox segment: the sender and payload columns one chunk delivers to

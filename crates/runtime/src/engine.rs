@@ -5,7 +5,7 @@
 //! every round. Each round has two phases:
 //!
 //! 1. **Step (parallel).** Senders are split into execution groups fixed by
-//!    the clique size and thread count (see [`crate::router`]). For each
+//!    the clique size and thread count (see the `router` module). For each
 //!    group, a thread builds every node's inbox as a zero-copy view over the
 //!    previous round's sorted arenas, steps the program (sends append
 //!    straight into the group's staging columns, counting per destination

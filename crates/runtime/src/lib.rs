@@ -29,7 +29,7 @@
 //! area that counts per destination as messages land, the router
 //! counting-sorts the batch by destination off those send-time counts
 //! (prefix sum, per-sender-run digest fold, placement — the count pass
-//! never runs; see [`crate::router`]), and next round's inboxes are
+//! never runs; see the `router` module), and next round's inboxes are
 //! zero-copy [`columns::Inbox`] views over the sorted columns. Width
 //! checking is an 8-wide u64-lane OR-fold over the word column.
 //! Steady-state rounds perform **zero heap allocations** at any thread

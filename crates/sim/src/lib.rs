@@ -15,8 +15,8 @@
 //!   O(log 𝔫)-bit seed, aggregating per-machine sums — is exposed as a
 //!   method that charges rounds, counts words, and enforces (or records
 //!   violations of) the space bounds.
-//! * [`primitives`] implements those operations on actual in-memory data so
-//!   algorithms stay readable while the accounting stays honest.
+//! * [`primitives`] charges those operations, and performs the ones given
+//!   in-memory data, so algorithms stay readable and the accounting honest.
 //! * [`report::ExecutionReport`] is the final read-out consumed by the
 //!   experiment harness: rounds (total and per phase), communication volume,
 //!   peak local/total space, and any constraint violations.

@@ -1,8 +1,8 @@
 //! Constant-round communication primitives.
 //!
-//! Each function both *performs* the operation on in-memory data and
-//! *charges* the [`ClusterContext`] the rounds, words, and space checks the
-//! operation costs in the model:
+//! Each function *charges* the [`ClusterContext`] the rounds, words, and
+//! space checks an operation costs in the model; those given in-memory data
+//! (sorting, prefix sums) also *perform* the operation:
 //!
 //! * sorting and prefix sums — Lemma 2.1 (Goodrich–Sitchinava–Zhang via
 //!   MapReduce), O(1) rounds for 𝔫^δ local space;
@@ -10,7 +10,8 @@
 //!   CLIQUE as long as every node sends and receives O(𝔫) words;
 //! * broadcast of an O(log 𝔫)-bit value (a seed chunk decision);
 //! * aggregation of per-machine partial sums (the communication pattern of
-//!   the method of conditional expectations);
+//!   the method of conditional expectations), whose totals the caller
+//!   computes itself;
 //! * collecting a small instance onto a single machine.
 
 use crate::cluster::ClusterContext;
@@ -49,45 +50,30 @@ pub fn aggregate_sum(ctx: &mut ClusterContext, label: &str, values: &[u64]) -> u
     prefix_sum(ctx, label, values).last().copied().unwrap_or(0)
 }
 
-/// Element-wise sums per-machine vectors of partial costs.
+/// Charges one aggregation of per-machine partial sums: each of `machines`
+/// machines holds `width` values, and their element-wise totals are needed
+/// globally.
 ///
 /// This is the communication pattern of one step of the method of
-/// conditional expectations: every machine holds one cost value per candidate
-/// (seed-chunk value), and the candidates' totals are needed globally. Each
-/// machine sends `candidates` words, so the per-round bandwidth check is
-/// against that length.
+/// conditional expectations: every machine holds one cost value per
+/// candidate (seed-chunk value), and the candidates' totals are aggregated
+/// in one Lemma 2.1 prefix-sum pass. Each machine sends `width` words, so
+/// the per-round bandwidth check is against that width.
 ///
 /// # Errors
 ///
-/// In strict mode, returns an error if a machine's vector exceeds the
-/// per-round bandwidth or if the vectors have inconsistent lengths.
-pub fn aggregate_f64_vectors(
+/// In strict mode, returns an error if `width` exceeds the per-round
+/// bandwidth.
+pub fn charge_aggregation(
     ctx: &mut ClusterContext,
     label: &str,
-    per_machine: &[Vec<f64>],
-) -> Result<Vec<f64>, SimError> {
-    let candidates = per_machine.first().map(Vec::len).unwrap_or(0);
-    for v in per_machine {
-        if v.len() != candidates {
-            return Err(SimError::InvalidOperation {
-                reason: format!(
-                    "aggregate_f64_vectors: machine vector of length {} does not match {}",
-                    v.len(),
-                    candidates
-                ),
-            });
-        }
-    }
+    machines: usize,
+    width: usize,
+) -> Result<(), SimError> {
     ctx.charge_rounds(label, PREFIX_SUM_ROUNDS);
-    ctx.observe_bandwidth(label, candidates)?;
-    ctx.charge_communication((per_machine.len() * candidates) as u64);
-    let mut totals = vec![0.0f64; candidates];
-    for v in per_machine {
-        for (t, x) in totals.iter_mut().zip(v) {
-            *t += x;
-        }
-    }
-    Ok(totals)
+    ctx.observe_bandwidth(label, width)?;
+    ctx.charge_communication((machines * width) as u64);
+    Ok(())
 }
 
 /// Sorts `items` with a deterministic MapReduce-style sort (Lemma 2.1),
@@ -178,26 +164,20 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_vectors_sums_elementwise() {
+    fn aggregation_charges_one_prefix_sum_pass() {
         let mut c = ctx();
-        let per_machine = vec![vec![1.0, 2.0], vec![0.5, -1.0], vec![0.0, 3.0]];
-        let totals = aggregate_f64_vectors(&mut c, "mce", &per_machine).unwrap();
-        assert_eq!(totals, vec![1.5, 4.0]);
-    }
-
-    #[test]
-    fn aggregate_vectors_rejects_ragged_input() {
-        let mut c = ctx();
-        let per_machine = vec![vec![1.0, 2.0], vec![0.5]];
-        assert!(aggregate_f64_vectors(&mut c, "mce", &per_machine).is_err());
+        charge_aggregation(&mut c, "mce", 7, 5).unwrap();
+        assert_eq!(c.rounds(), PREFIX_SUM_ROUNDS);
+        // The bandwidth observation counts `width` words, then every
+        // machine sends `width` more.
+        assert_eq!(c.communication_words(), 5 + 7 * 5);
     }
 
     #[test]
     fn aggregate_vectors_respects_bandwidth() {
         let mut c = ctx();
         let too_many = c.model().per_round_bandwidth_words + 1;
-        let per_machine = vec![vec![0.0; too_many]];
-        assert!(aggregate_f64_vectors(&mut c, "mce", &per_machine).is_err());
+        assert!(charge_aggregation(&mut c, "mce", 1, too_many).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use cc_mis::verify::verify_mis;
 use cc_sim::constants::{BROADCAST_ROUNDS, PREFIX_SUM_ROUNDS};
 use cc_sim::ClusterContext;
 use congested_clique_coloring::coloring::config::SeedStrategy;
-use congested_clique_coloring::derand::{GreedyChunkSelector, SeedCost, SeedSelector};
+use congested_clique_coloring::derand::{GreedyChunkSelector, SeedCost};
 use congested_clique_coloring::prelude::*;
 use proptest::prelude::*;
 
@@ -76,9 +76,9 @@ impl SeedCost for TableCost {
         self.table.len()
     }
 
-    fn local_costs(&self, seed: &BitSeed) -> Vec<f64> {
+    fn total_cost(&self, seed: &BitSeed) -> f64 {
         let value = seed.chunk(0, self.seed_bits) as usize;
-        self.table.iter().map(|row| row[value]).collect()
+        self.table.iter().map(|row| row[value]).sum()
     }
 
     fn expectation_bound(&self) -> f64 {
