@@ -80,7 +80,11 @@ mod tests {
     fn conversions_and_display() {
         let g: CoreError = GraphError::Uncolored { node: NodeId(3) }.into();
         assert!(g.to_string().contains("graph error"));
-        let s: CoreError = SimError::InvalidOperation { reason: "x".into() }.into();
+        let violation = cc_sim::error::Violation {
+            label: "x".into(),
+            kind: cc_sim::error::ViolationKind::BandwidthExceeded { words: 2, limit: 1 },
+        };
+        let s: CoreError = SimError::ConstraintViolated(violation).into();
         assert!(s.to_string().contains("simulation error"));
         let p = CoreError::PaletteExhausted { node: NodeId(1) };
         assert!(p.to_string().contains("v1"));

@@ -86,19 +86,12 @@ impl std::fmt::Display for Violation {
 pub enum SimError {
     /// A model constraint was violated.
     ConstraintViolated(Violation),
-    /// An operation was asked to work on malformed input (e.g. mismatched
-    /// vector lengths in an aggregation).
-    InvalidOperation {
-        /// Human-readable description.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::ConstraintViolated(v) => write!(f, "model constraint violated: {v}"),
-            SimError::InvalidOperation { reason } => write!(f, "invalid operation: {reason}"),
         }
     }
 }
@@ -128,7 +121,10 @@ mod tests {
     fn sim_error_is_std_error() {
         fn assert_error<E: std::error::Error>() {}
         assert_error::<SimError>();
-        let e = SimError::InvalidOperation { reason: "x".into() };
-        assert!(e.to_string().contains("invalid operation"));
+        let e = SimError::ConstraintViolated(Violation {
+            label: "x".into(),
+            kind: ViolationKind::BandwidthExceeded { words: 2, limit: 1 },
+        });
+        assert!(e.to_string().contains("model constraint violated"));
     }
 }

@@ -37,8 +37,11 @@ fn errors_box_into_dyn_error() {
     }
     let g = boxed(GraphError::Uncolored { node: NodeId(1) });
     assert!(g.to_string().contains("v1"));
-    let s = boxed(SimError::InvalidOperation { reason: "x".into() });
-    assert!(s.to_string().contains("invalid operation"));
+    let s = boxed(SimError::ConstraintViolated(Violation {
+        label: "x".into(),
+        kind: ViolationKind::BandwidthExceeded { words: 2, limit: 1 },
+    }));
+    assert!(s.to_string().contains("model constraint violated"));
     let c = boxed(CoreError::PaletteExhausted { node: NodeId(2) });
     assert!(c.to_string().contains("v2"));
     let m = boxed(MisError::NotMaximal { node: NodeId(3) });
