@@ -7,8 +7,11 @@
 //! runners is noisy). With `--fail-above <pct>`, the newest record's
 //! ns/msg is gated against the second-newest (the committed baseline): a
 //! regression beyond `pct` percent exits 1, turning the trajectory into a
-//! hard CI gate. Missing or unreadable records never trip the gate — only
-//! a measured regression does.
+//! hard CI gate. The gate also exits 1 when it has nothing to judge: no
+//! readable baseline, or a newest record that is missing, has no parsable
+//! `ns_per_msg` (a NaN is written as `NaN`, which does not parse), or
+//! lacks the `service_rps` its baseline carries. Older records that are
+//! missing or unreadable drop out of the trajectory with a warning.
 //!
 //! Usage: `bench_delta [--fail-above <pct>] BENCH_BASELINE_PR2.json
 //! BENCH_PR3.json BENCH_CURRENT.json` (any number of records ≥ 2, oldest
@@ -26,6 +29,17 @@ fn field(json: &str, key: &str) -> Option<f64> {
         .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
         .collect();
     value.parse().ok()
+}
+
+/// Reads one record as `(name, json)`, named by its file stem. A record
+/// without a parsable `ns_per_msg` counts as unreadable.
+fn read_record(path: &str) -> Result<(String, String), String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
+    if field(&json, "ns_per_msg").is_none() {
+        return Err(format!("{path} has no ns_per_msg field"));
+    }
+    let name = path.rsplit('/').next().unwrap_or(path);
+    Ok((name.trim_end_matches(".json").to_string(), json))
 }
 
 /// One delta line: `a -> b: X ns/msg -> Y ns/msg = Z.ZZx faster`.
@@ -58,44 +72,36 @@ fn main() -> ExitCode {
         }
         args.drain(flag..=flag + 1);
     }
+    // Informational runs always exit 0; the gate fails when it has no
+    // fresh measurement and baseline to compare.
+    let nothing_compared = if fail_above.is_some() {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    };
     if args.len() < 2 {
         eprintln!("usage: bench_delta [--fail-above <pct>] OLDEST.json [MID.json ...] NEWEST.json");
-        return ExitCode::SUCCESS;
+        return nothing_compared;
     }
-    // A record that is missing or malformed drops out of the trajectory
-    // with a warning instead of aborting it: CI should still see the
-    // deltas between the records it does have.
-    let records: Vec<(String, String)> = args
-        .iter()
-        .filter_map(|path| match std::fs::read_to_string(path) {
-            Ok(json) if field(&json, "ns_per_msg").is_some() => {
-                let name = path
-                    .rsplit('/')
-                    .next()
-                    .unwrap_or(path)
-                    .trim_end_matches(".json")
-                    .to_string();
-                Some((name, json))
+    let newest = args.len() - 1;
+    let mut records = Vec::new();
+    for (i, path) in args.iter().enumerate() {
+        match read_record(path) {
+            Ok(record) => records.push(record),
+            // The newest record is the measurement under the gate.
+            Err(why) if fail_above.is_some() && i == newest => {
+                eprintln!("bench_delta: FAIL — {why}, so there is nothing to gate");
+                return ExitCode::FAILURE;
             }
-            Ok(_) => {
-                eprintln!("bench_delta: {path} has no ns_per_msg field, skipping");
-                None
-            }
-            Err(e) => {
-                eprintln!("bench_delta: could not read {path}: {e}");
-                None
-            }
-        })
-        .collect();
-    let Some(((first_name, first_json), (last_name, last_json))) =
-        records.first().zip(records.last())
-    else {
-        return ExitCode::SUCCESS;
-    };
-    if records.len() < 2 {
+            // An older record drops out of the trajectory instead of
+            // aborting it: CI should still see the deltas it does have.
+            Err(why) => eprintln!("bench_delta: {why}, skipping"),
+        }
+    }
+    let [(first_name, first_json), .., (last_name, last_json)] = records.as_slice() else {
         eprintln!("bench_delta: fewer than two readable records, nothing to compare");
-        return ExitCode::SUCCESS;
-    }
+        return nothing_compared;
+    };
     let ns = |json: &str| field(json, "ns_per_msg").expect("filtered above");
     let n = field(last_json, "n").unwrap_or(0.0);
     let cpus = field(last_json, "host_cpus").unwrap_or(0.0);
@@ -183,11 +189,15 @@ fn main() -> ExitCode {
         );
         // Throughput leg of the same gate: service requests/sec must not
         // drop more than `pct` percent below the committed baseline.
-        // Records from before the service exist skip the leg silently.
-        if let (Some(base_rps), Some(current_rps)) = (
-            field(base_json, "service_rps"),
-            field(last_json, "service_rps"),
-        ) {
+        // Baselines from before the service existed skip the leg.
+        if let Some(base_rps) = field(base_json, "service_rps") {
+            let Some(current_rps) = field(last_json, "service_rps") else {
+                eprintln!(
+                    "bench_delta: FAIL — {last_name} has no service_rps to gate \
+                     against {base_name}"
+                );
+                return ExitCode::FAILURE;
+            };
             let drop = (base_rps - current_rps) / base_rps.max(f64::MIN_POSITIVE) * 100.0;
             if drop > pct {
                 eprintln!(
