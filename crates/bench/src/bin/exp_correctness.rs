@@ -1,5 +1,5 @@
-//! Regenerates the correctness table (see EXPERIMENTS.md). Pass --quick for a
-//! fast, smaller-scale run.
+//! Regenerates the correctness table (E6 in the README's Experiments
+//! section). Pass --quick for a fast, smaller-scale run.
 
 fn main() {
     let scale = cc_bench::Scale::from_args();

@@ -1,5 +1,5 @@
-//! Regenerates the low_space table (see EXPERIMENTS.md). Pass --quick for a
-//! fast, smaller-scale run.
+//! Regenerates the low_space table (E5 in the README's Experiments
+//! section). Pass --quick for a fast, smaller-scale run.
 
 fn main() {
     let scale = cc_bench::Scale::from_args();

@@ -1,5 +1,5 @@
-//! Regenerates the rounds table (see EXPERIMENTS.md). Pass --quick for a
-//! fast, smaller-scale run.
+//! Regenerates the rounds table (E1 in the README's Experiments
+//! section). Pass --quick for a fast, smaller-scale run.
 
 fn main() {
     let scale = cc_bench::Scale::from_args();

@@ -539,8 +539,7 @@ impl PlaneBenchRecord {
     }
 }
 
-/// Fanout and rounds of the skewed blast workloads (matching
-/// `benches/router.rs`).
+/// Fanout and rounds of the skewed blast workloads.
 const SKEW_FANOUT: usize = 16;
 const SKEW_ROUNDS: u64 = 8;
 
@@ -638,8 +637,8 @@ pub fn bench_message_plane() -> PlaneBenchRecord {
         fault_best = fault_best.min(ms * 1e6 / fault_out.ledger.total_messages().max(1) as f64);
     }
     // Skewed-destination companions: the all-to-one hot receiver and a
-    // power-law destination map (same shapes as `benches/router.rs`), so
-    // counting-sort degeneracies show up in the tracked record.
+    // power-law destination map, so counting-sort degeneracies show up in
+    // the tracked record.
     let hot_ns_per_msg = skew_ns_per_msg(n, &|_| vec![0; SKEW_FANOUT]);
     let plaw_ns_per_msg = skew_ns_per_msg(n, &|i| {
         (1..=SKEW_FANOUT)

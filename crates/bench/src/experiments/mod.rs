@@ -1,5 +1,6 @@
-//! The experiments (E1–E11). Each submodule prints the table recorded in
-//! `EXPERIMENTS.md` and dumps a JSON copy under `target/experiments/`.
+//! The experiments (E1–E11), listed in the README's Experiments section.
+//! Each submodule prints its table and dumps a JSON copy under
+//! `target/experiments/`.
 
 pub mod e10_service;
 pub mod e11_chaos;

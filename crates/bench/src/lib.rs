@@ -24,12 +24,13 @@ pub mod table;
 /// How large the experiment instances are.
 ///
 /// `Quick` keeps every experiment under a few seconds (used by `run_all` in
-/// CI-like settings); `Full` is the scale recorded in `EXPERIMENTS.md`.
+/// CI-like settings); `Full` is the default of the binaries in the
+/// README's Experiments section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small instances, seconds per experiment.
     Quick,
-    /// The scale recorded in `EXPERIMENTS.md`.
+    /// The binaries' default scale.
     Full,
 }
 

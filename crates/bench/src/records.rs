@@ -1,5 +1,5 @@
-//! Machine-readable experiment records (JSON), so EXPERIMENTS.md numbers can
-//! be regenerated and diffed.
+//! Machine-readable experiment records (JSON), so the tables of the
+//! README's Experiments section can be regenerated and diffed.
 //!
 //! Serialization is hand-rolled: the build environment has no crates.io
 //! access, the record shape is flat, and a ~40-line formatter keeps the

@@ -2,9 +2,9 @@
 //! experiment in the benchmark harness.
 //!
 //! All generators are deterministic functions of an explicit `seed`, so every
-//! experiment in `EXPERIMENTS.md` is reproducible bit-for-bit. The randomness
-//! here is *instance* randomness only — the coloring algorithm itself is
-//! deterministic and never draws random bits.
+//! experiment in the README's Experiments section is reproducible
+//! bit-for-bit. The randomness here is *instance* randomness only — the
+//! coloring algorithm itself is deterministic and never draws random bits.
 
 mod clustered;
 mod gnp;

@@ -52,7 +52,6 @@ pub mod error;
 pub mod generators;
 pub mod instance;
 pub mod palette;
-pub mod stats;
 pub mod subgraph;
 
 pub use error::GraphError;

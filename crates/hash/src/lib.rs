@@ -12,8 +12,6 @@
 //! * [`family::PolynomialHashFamily`] — the classic degree-(c−1) polynomial
 //!   construction of a c-wise independent family, with the paper's
 //!   interval-based range reduction,
-//! * [`bins`] — exact collision/same-bin counting used by pessimistic
-//!   estimators,
 //! * [`moments`] — the Bellare–Rompel tail bound (Lemma 2.2), used by tests
 //!   and experiments to compare empirical tails against the bound the
 //!   analysis relies on.
@@ -32,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bins;
 pub mod family;
 pub mod field;
 pub mod moments;

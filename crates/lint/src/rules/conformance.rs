@@ -36,7 +36,7 @@ const NEEDLES: [&str; 6] = [
 ];
 
 /// Directory components whose files pin concrete numbers on purpose.
-const EXEMPT_DIRS: [&str; 4] = ["tests", "benches", "examples", "fixtures"];
+const EXEMPT_DIRS: [&str; 3] = ["tests", "examples", "fixtures"];
 
 /// How far around a literal the rule looks for a needle identifier,
 /// without crossing a statement or block boundary.
