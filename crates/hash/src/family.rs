@@ -32,14 +32,18 @@ impl PolynomialHashFamily {
     ///
     /// # Panics
     ///
-    /// Panics if `independence == 0`, `range == 0`, or the domain does not
-    /// fit in the field.
+    /// Panics if `independence == 0`, `range == 0`, the domain does not fit
+    /// in the field, or the range exceeds it.
     pub fn new(independence: usize, domain: u64, range: u64) -> Self {
         assert!(independence >= 1, "independence must be at least 1");
         assert!(range >= 1, "range must be non-empty");
         assert!(
             domain < MERSENNE_61,
             "domain must be smaller than the field modulus"
+        );
+        assert!(
+            range <= MERSENNE_61,
+            "range must not exceed the field modulus"
         );
         PolynomialHashFamily {
             independence,
@@ -108,6 +112,26 @@ impl PolynomialHashFamily {
         field_value_to_bin(value.value(), self.range)
     }
 
+    /// The powers `x¹, …, x^(c−1)` of an input, as
+    /// [`Self::eval_with_powers`] reads them.
+    pub fn powers(&self, x: u64) -> impl Iterator<Item = Mersenne61> {
+        let x = Mersenne61::new(x);
+        std::iter::successors(Some(x), move |&power| Some(power.mul(x))).take(self.independence - 1)
+    }
+
+    /// Evaluates using pre-extracted coefficients and the input's
+    /// [`Self::powers`]: the value [`Self::eval_with_coefficients`] gives,
+    /// with the powers shared by every member evaluated on the same input.
+    #[inline]
+    pub fn eval_with_powers(&self, coefficients: &[Mersenne61], powers: &[Mersenne61]) -> u64 {
+        let (&constant, rest) = coefficients
+            .split_first()
+            .expect("a family member has at least one coefficient");
+        let value =
+            Mersenne61::sum_of_products(constant, rest.iter().copied().zip(powers.iter().copied()));
+        field_value_to_bin(value.value(), self.range)
+    }
+
     /// Binds a seed to the family, producing a reusable function object.
     pub fn with_seed(&self, seed: BitSeed) -> HashFunction {
         let coefficients = self.coefficients(&seed);
@@ -119,11 +143,21 @@ impl PolynomialHashFamily {
     }
 }
 
-/// Maps a field value uniformly-ish onto `{0, …, range-1}` by splitting the
-/// field into `range` near-equal intervals: `bin = ⌊value · range / p⌋`.
+/// Maps a field value `value < p` uniformly-ish onto `{0, …, range-1}`
+/// (`range ≤ p`) by splitting the field into `range` near-equal intervals:
+/// `bin = ⌊value · range / p⌋`.
+///
+/// No division: with `value · range = q·2⁶¹ + r` and `2⁶¹ = p + 1`, the
+/// product is `q·p + (q + r)`, and `q + r < 2p`, so the quotient is `q`
+/// plus one when `q + r ≥ p`.
 #[inline]
 pub fn field_value_to_bin(value: u64, range: u64) -> u64 {
-    ((u128::from(value) * u128::from(range)) / u128::from(MERSENNE_61)) as u64
+    debug_assert!(value < MERSENNE_61, "{value} is not a reduced field value");
+    debug_assert!(range <= MERSENNE_61, "range {range} exceeds the field");
+    let product = u128::from(value) * u128::from(range);
+    let q = (product >> 61) as u64;
+    let r = product as u64 & MERSENNE_61;
+    q + u64::from(q + r >= MERSENNE_61)
 }
 
 /// A member of a [`PolynomialHashFamily`]: the family plus a concrete seed.
@@ -263,6 +297,60 @@ mod tests {
     #[should_panic(expected = "range must be non-empty")]
     fn zero_range_rejected() {
         let _ = PolynomialHashFamily::new(2, 10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "range must not exceed the field modulus")]
+    fn oversized_range_rejected() {
+        let _ = PolynomialHashFamily::new(2, 10, MERSENNE_61 + 1);
+    }
+
+    #[test]
+    fn powers_evaluate_like_horner() {
+        for independence in 1..=5 {
+            let family = PolynomialHashFamily::new(independence, 10_000, 13);
+            let seed = random_seed(&family, independence as u64);
+            let coefficients = family.coefficients(&seed);
+            for x in (0..10_000).step_by(97).chain([9_999]) {
+                let powers: Vec<Mersenne61> = family.powers(x).collect();
+                assert_eq!(powers.len(), independence - 1);
+                assert_eq!(
+                    family.eval_with_powers(&coefficients, &powers),
+                    family.eval_with_coefficients(&coefficients, x),
+                    "c = {independence}, x = {x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn field_value_to_bin_matches_the_division() {
+        let p = u128::from(MERSENNE_61);
+        let check = |value: u64, range: u64| {
+            let expected = (u128::from(value) * u128::from(range) / p) as u64;
+            assert_eq!(
+                field_value_to_bin(value, range),
+                expected,
+                "value {value}, range {range}"
+            );
+        };
+        for range in [1u64, 2, 3, 5, 7, 15, 1000, 4000 * 4000] {
+            for value in [0, 1, MERSENNE_61 - 2, MERSENNE_61 - 1] {
+                check(value, range);
+            }
+            // Every bin boundary: the last value of one bin, and the first
+            // two of the next.
+            for bin in 1..range {
+                let first = (u128::from(bin) * p).div_ceil(u128::from(range)) as u64;
+                check(first - 1, range);
+                check(first, range);
+                check(first + 1, range);
+            }
+        }
+        // The largest range, where every `q + r` lands exactly on p.
+        for value in [0, 1, 12_345, MERSENNE_61 - 1] {
+            check(value, MERSENNE_61);
+        }
     }
 
     #[test]

@@ -55,6 +55,25 @@ impl Mersenne61 {
         Mersenne61(reduce128(u128::from(self.0) * u128::from(other.0)))
     }
 
+    /// `constant + Σ aᵢ·xᵢ` over the `(aᵢ, xᵢ)` pairs of `terms`: the
+    /// products are summed as 128-bit integers and reduced once at the end
+    /// (or whenever the sum passes 2¹²⁷), not after every operation.
+    #[inline]
+    pub fn sum_of_products(
+        constant: Mersenne61,
+        terms: impl IntoIterator<Item = (Mersenne61, Mersenne61)>,
+    ) -> Mersenne61 {
+        let mut sum = u128::from(constant.0);
+        for (a, x) in terms {
+            // Each product is below p² < 2¹²², so the sum stays below 2¹²⁸.
+            sum += u128::from(a.0) * u128::from(x.0);
+            if sum >> 127 != 0 {
+                sum = u128::from(reduce128(sum));
+            }
+        }
+        Mersenne61(reduce128(sum))
+    }
+
     /// Horner evaluation of the polynomial with the given coefficients
     /// (`coefficients[0]` is the constant term) at point `x`.
     pub fn horner(coefficients: &[Mersenne61], x: Mersenne61) -> Mersenne61 {
@@ -144,6 +163,25 @@ mod tests {
                 Mersenne61::new(a).mul(Mersenne61::new(b)).value(),
                 expected,
                 "a={a} b={b}"
+            );
+        }
+    }
+
+    #[test]
+    fn sum_of_products_matches_field_operations() {
+        let big = Mersenne61::new(MERSENNE_61 - 1);
+        // Enough maximal products to pass 2^127 and force the early
+        // reduction.
+        for count in [0usize, 1, 3, 40] {
+            let terms: Vec<(Mersenne61, Mersenne61)> = (0..count as u64)
+                .map(|i| (Mersenne61::new(MERSENNE_61 - 1 - i), big))
+                .collect();
+            let expected = terms
+                .iter()
+                .fold(Mersenne61::new(7), |acc, &(a, x)| acc.add(a.mul(x)));
+            assert_eq!(
+                Mersenne61::sum_of_products(Mersenne61::new(7), terms),
+                expected
             );
         }
     }

@@ -92,14 +92,16 @@ impl BitSeed {
     /// Panics if `width > 64`.
     pub fn chunk(&self, start: usize, width: usize) -> u64 {
         assert!(width <= 64, "chunk width {width} exceeds 64 bits");
-        let mut value = 0u64;
-        for offset in 0..width {
-            let i = start + offset;
-            if i < self.bits && self.bit(i) {
-                value |= 1u64 << offset;
-            }
+        let width = width.min(self.bits.saturating_sub(start));
+        if width == 0 {
+            return 0;
         }
-        value
+        let (word, offset) = (start / 64, start % 64);
+        let mut value = self.words[word] >> offset;
+        if offset + width > 64 {
+            value |= self.words[word + 1] << (64 - offset);
+        }
+        value & low_bits(width)
     }
 
     /// Writes the `width`-bit chunk starting at bit `start`. Bits past the
@@ -110,11 +112,17 @@ impl BitSeed {
     /// Panics if `width > 64`.
     pub fn set_chunk(&mut self, start: usize, width: usize, value: u64) {
         assert!(width <= 64, "chunk width {width} exceeds 64 bits");
-        for offset in 0..width {
-            let i = start + offset;
-            if i < self.bits {
-                self.set_bit(i, (value >> offset) & 1 == 1);
-            }
+        let width = width.min(self.bits.saturating_sub(start));
+        if width == 0 {
+            return;
+        }
+        let mask = low_bits(width);
+        let value = value & mask;
+        let (word, offset) = (start / 64, start % 64);
+        self.words[word] = (self.words[word] & !(mask << offset)) | (value << offset);
+        if offset + width > 64 {
+            let shift = 64 - offset;
+            self.words[word + 1] = (self.words[word + 1] & !(mask >> shift)) | (value >> shift);
         }
     }
 
@@ -142,13 +150,15 @@ impl BitSeed {
             };
             digest = splitmix64(digest ^ masked.wrapping_add(i as u64));
         }
-        // Fill the suffix word by word.
+        // Fill the suffix word by word: bit `i` is bit `i % 64` of the
+        // stream value drawn for its word.
         let mut stream = digest;
-        for i in prefix_bits..self.bits {
-            if i % 64 == 0 || i == prefix_bits {
-                stream = splitmix64(stream.wrapping_add(0x9e37_79b9_7f4a_7c15));
-            }
-            out.set_bit(i, (stream >> (i % 64)) & 1 == 1);
+        let mut i = prefix_bits;
+        while i < self.bits {
+            stream = splitmix64(stream.wrapping_add(0x9e37_79b9_7f4a_7c15));
+            let end = (i / 64 + 1) * 64;
+            out.set_chunk(i, end - i, stream >> (i % 64));
+            i = end;
         }
         out
     }
@@ -191,6 +201,11 @@ impl std::fmt::Display for BitSeed {
     }
 }
 
+/// The `width` (1..=64) lowest bits.
+fn low_bits(width: usize) -> u64 {
+    u64::MAX >> (64 - width)
+}
+
 /// SplitMix64 — the standard 64-bit finalizer used to derive deterministic
 /// completions. Not used for any security purpose.
 #[inline]
@@ -228,6 +243,65 @@ mod tests {
         // Writing across the end silently drops the overhang.
         s.set_chunk(95, 10, 0x3ff);
         assert_eq!(s.chunk(95, 5), 0b11111);
+    }
+
+    #[test]
+    fn chunks_match_their_bits() {
+        for bits in [1usize, 61, 64, 100, 130, 488] {
+            let words: Vec<u64> = (0..bits.div_ceil(64) as u64).map(splitmix64).collect();
+            let seed = BitSeed::from_words(bits, &words);
+            for start in (0..bits + 70).step_by(7) {
+                for width in [0usize, 1, 5, 61, 63, 64] {
+                    let expected = (0..width)
+                        .filter(|&k| start + k < bits && seed.bit(start + k))
+                        .fold(0u64, |v, k| v | 1 << k);
+                    assert_eq!(seed.chunk(start, width), expected, "{bits} {start} {width}");
+                    let mut written = seed.clone();
+                    let value = splitmix64((start * 64 + width) as u64);
+                    written.set_chunk(start, width, value);
+                    for i in 0..bits {
+                        let inside = i >= start && i - start < width;
+                        let bit = if inside {
+                            (value >> (i - start)) & 1 == 1
+                        } else {
+                            seed.bit(i)
+                        };
+                        assert_eq!(written.bit(i), bit, "{bits} {start} {width} bit {i}");
+                    }
+                    assert_eq!(written, BitSeed::from_words(bits, written.words()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn completion_draws_one_stream_value_per_word() {
+        let seed = BitSeed::from_words(200, &[splitmix64(1), splitmix64(2)]);
+        for prefix_bits in [0usize, 1, 61, 64, 122, 199, 200] {
+            let completed = seed.canonical_completion(prefix_bits, 9);
+            let mut digest =
+                splitmix64(9 ^ (prefix_bits as u64).wrapping_mul(0xa076_1d64_78bd_642f));
+            for (i, w) in seed.words().iter().enumerate() {
+                let kept = (prefix_bits.saturating_sub(i * 64)).min(64);
+                let masked = if kept == 64 {
+                    *w
+                } else {
+                    w & ((1u64 << kept) - 1)
+                };
+                digest = splitmix64(digest ^ masked.wrapping_add(i as u64));
+            }
+            let mut stream = digest;
+            for i in 0..200 {
+                if i < prefix_bits {
+                    assert_eq!(completed.bit(i), seed.bit(i));
+                    continue;
+                }
+                if i % 64 == 0 || i == prefix_bits {
+                    stream = splitmix64(stream.wrapping_add(0x9e37_79b9_7f4a_7c15));
+                }
+                assert_eq!(completed.bit(i), (stream >> (i % 64)) & 1 == 1, "bit {i}");
+            }
+        }
     }
 
     #[test]
