@@ -160,22 +160,18 @@ impl ColorReduceConfig {
     /// Returns [`CoreError::InvalidConfig`] for out-of-range parameters.
     pub fn validate(&self) -> Result<(), CoreError> {
         let check = |name: &str, value: f64| -> Result<(), CoreError> {
-            if !(0.0..1.0).contains(&value) || value.is_nan() {
+            // Open at both ends; NaN fails both comparisons.
+            if value > 0.0 && value < 1.0 {
+                Ok(())
+            } else {
                 Err(CoreError::InvalidConfig {
                     reason: format!("{name} = {value} must lie in (0, 1)"),
                 })
-            } else {
-                Ok(())
             }
         };
         check("bin_exponent", self.bin_exponent)?;
         check("degree_slack_exponent", self.degree_slack_exponent)?;
         check("palette_slack_exponent", self.palette_slack_exponent)?;
-        if self.bin_exponent <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "bin_exponent must be positive".to_string(),
-            });
-        }
         if self.independence == 0 {
             return Err(CoreError::InvalidConfig {
                 reason: "independence must be at least 1".to_string(),
@@ -244,6 +240,23 @@ mod tests {
     fn validation_rejects_bad_parameters() {
         let c = ColorReduceConfig {
             bin_exponent: 1.5,
+            ..Default::default()
+        };
+        assert!(c.validate().is_err());
+        for zero in [0.0, -0.0] {
+            let c = ColorReduceConfig {
+                degree_slack_exponent: zero,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err());
+            let c = ColorReduceConfig {
+                palette_slack_exponent: zero,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err());
+        }
+        let c = ColorReduceConfig {
+            bin_exponent: 0.0,
             ..Default::default()
         };
         assert!(c.validate().is_err());
