@@ -121,6 +121,25 @@ impl Palette {
         }
     }
 
+    /// The largest available color, if any. A range palette steps down from
+    /// `len − 1` past its removed top colors instead of walking the range.
+    pub fn max_color(&self) -> Option<Color> {
+        match self {
+            Palette::Explicit(colors) => colors.last().copied(),
+            Palette::Range { len, removed } => {
+                // One past the candidate; `removed` is sorted and below `len`.
+                let mut end = *len;
+                for &Color(c) in removed.iter().rev() {
+                    if c + 1 != end {
+                        break;
+                    }
+                    end = c;
+                }
+                end.checked_sub(1).map(Color)
+            }
+        }
+    }
+
     /// The smallest available color not in `forbidden` (which must be
     /// sorted), if any. Used by the greedy local coloring step.
     pub fn first_available(&self, forbidden: &[Color]) -> Option<Color> {
@@ -309,6 +328,24 @@ mod tests {
         let p: Palette = (0..4).map(Color).collect();
         assert_eq!(p.size(), 4);
         assert!(!p.is_implicit());
+    }
+
+    #[test]
+    fn max_color_skips_removed_top_colors() {
+        let mut p = Palette::range(10);
+        assert_eq!(p.max_color(), Some(Color(9)));
+        p.remove_all([Color(9), Color(8), Color(6)]);
+        assert_eq!(p.max_color(), Some(Color(7)));
+        assert_eq!(p.max_color(), p.iter().last());
+        let mut gone = Palette::range(3);
+        gone.remove_all([Color(0), Color(1), Color(2)]);
+        assert_eq!(gone.max_color(), None);
+        assert_eq!(Palette::range(0).max_color(), None);
+        assert_eq!(Palette::empty().max_color(), None);
+        assert_eq!(
+            Palette::explicit([Color(4), Color(2)]).max_color(),
+            Some(Color(4))
+        );
     }
 
     #[test]
