@@ -4,18 +4,39 @@
 //! `ColorReduce` never materializes the graphs induced by bins; it keeps the
 //! global graph and works on *active node sets*. [`ActiveSubgraph`]
 //! precomputes, for one such set, the in-set degrees and palette sizes.
-//! `bin_nodes` hashes the set into bins under a concrete pair of hash
-//! functions and counts every node's in-bin degree and palette; on top of
-//! it, [`evaluate_binning`] classifies every active node and every bin as
-//! good or bad — the quantity both the seed-search cost function and the
-//! final partition read off. The low-space partition reads `bin_nodes`
-//! directly.
+//!
+//! Binning is bit-sliced over up to [`LANES`] (h1, h2) pairs at once, one
+//! bit lane per pair, the way §2.4 has every machine score every candidate
+//! of a chunk. [`LanePlanes`] stores each node's bin under every pair in
+//! ⌈log₂ B⌉ global-indexed `u64` planes (bit `lane` of plane `j` is bit `j`
+//! of the bin), with inactive nodes masked out, and, when B ≥ 3, each
+//! color's h2 bin the same way. `bin_lanes` is the one loop that walks
+//! adjacency lists: a single pass over the active nodes' edges (and, when
+//! B ≥ 3, their palettes) counts every node's in-bin degree and palette
+//! under all lanes in bit-sliced counters. [`NodeTests`] turns Definition
+//! 3.1's tests into integer thresholds per node, each found by evaluating
+//! the f64 test, and the counters are compared with them bit-sliced too.
+//! On top of that loop:
+//!
+//! * [`binning_costs`] scores a group of pairs for the seed search, reading
+//!   out only each lane's bad-node and bin totals;
+//! * [`evaluate_binning`] is its one-lane call: it classifies every active
+//!   node and every bin under one pair, for the final partition;
+//! * `bin_nodes`, one lane as well, gives the low-space partition its bins
+//!   and in-bin counts, and its cost counts Lemma 4.5's violators over the
+//!   same loop.
 
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
 use cc_graph::NodeId;
+use cc_hash::family::HashFunction;
+use cc_hash::field::Mersenne61;
+use cc_hash::{BitSeed, PolynomialHashFamily};
 
 use crate::config::ColorReduceConfig;
+
+/// How many (h1, h2) pairs one [`LanePlanes`] holds: one per bit of a `u64`.
+pub const LANES: usize = 64;
 
 /// Numeric thresholds of Definition 3.1 for one `Partition` call.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +130,7 @@ impl ActiveSubgraph {
             let palette = &palettes[v.index()];
             palette_size.push(palette.size() as u32);
             palette_words += palette.words();
-            if let Some(max) = palette.iter().last() {
+            if let Some(max) = palette.max_color() {
                 color_domain = color_domain.max(max.0 + 1);
             }
         }
@@ -192,6 +213,408 @@ impl BinningEvaluation {
     }
 }
 
+/// Extracts `len` bits starting at `start` from `seed` into a fresh seed.
+fn slice_seed(seed: &BitSeed, start: usize, len: usize) -> BitSeed {
+    let mut out = BitSeed::zeros(len);
+    let mut copied = 0usize;
+    while copied < len {
+        let width = (len - copied).min(61);
+        out.set_chunk(copied, width, seed.chunk(start + copied, width));
+        copied += width;
+    }
+    out
+}
+
+/// The hash families of one `Partition` or `LowSpacePartition` call: h1
+/// hashes node ids into the `bins` node bins, h2 hashes colors into the
+/// `bins − 1` color bins (one when B = 2). A combined seed is h1's seed
+/// followed by h2's.
+#[derive(Debug, Clone)]
+pub struct HashPair {
+    nodes: PolynomialHashFamily,
+    colors: PolynomialHashFamily,
+    /// `x¹, …, x^(c−1)` of every active node, in `ActiveSubgraph::nodes`
+    /// order.
+    node_powers: Vec<Mersenne61>,
+    /// The same for every color below the color domain; empty when B = 2,
+    /// where h2 has one bin and is never evaluated.
+    color_powers: Vec<Mersenne61>,
+}
+
+impl HashPair {
+    /// The families binning `sub` into `bins` bins with
+    /// `independence`-wise independent functions.
+    pub fn new(independence: usize, graph: &CsrGraph, sub: &ActiveSubgraph, bins: u64) -> Self {
+        let nodes =
+            PolynomialHashFamily::new(independence, (graph.node_count() as u64).max(2), bins);
+        let colors =
+            PolynomialHashFamily::new(independence, sub.color_domain.max(2), (bins - 1).max(1));
+        let node_powers = sub
+            .nodes
+            .iter()
+            .flat_map(|v| nodes.powers(u64::from(v.0)))
+            .collect();
+        let color_powers = if bins > 2 {
+            (0..sub.color_domain)
+                .flat_map(|c| colors.powers(c))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        HashPair {
+            nodes,
+            colors,
+            node_powers,
+            color_powers,
+        }
+    }
+
+    /// Length of a combined seed.
+    pub fn seed_bits(&self) -> usize {
+        self.nodes.seed_bits() + self.colors.seed_bits()
+    }
+
+    /// The seeds of h1 and h2 in a combined seed.
+    fn split(&self, seed: &BitSeed) -> (BitSeed, BitSeed) {
+        let node_bits = self.nodes.seed_bits();
+        (
+            slice_seed(seed, 0, node_bits),
+            slice_seed(seed, node_bits, self.colors.seed_bits()),
+        )
+    }
+
+    /// The functions (h1, h2) a combined seed selects.
+    pub fn functions(&self, seed: &BitSeed) -> (HashFunction, HashFunction) {
+        let (h1, h2) = self.split(seed);
+        (self.nodes.with_seed(h1), self.colors.with_seed(h2))
+    }
+
+    /// The lane planes of `seeds` on `sub` (the subgraph the pair was built
+    /// for), [`LANES`] seeds per group: lane `k` of group `g` holds the pair
+    /// that seed `g·LANES + k` selects.
+    pub fn lane_planes<'a>(
+        &'a self,
+        sub: &'a ActiveSubgraph,
+        seeds: &'a [BitSeed],
+    ) -> impl Iterator<Item = LanePlanes> + 'a {
+        seeds
+            .chunks(LANES)
+            .map(move |group| self.group_planes(sub, group))
+    }
+
+    /// The planes of at most [`LANES`] seeds. Each distinct h1 is evaluated
+    /// once per node: the chunks that fix h2's bits leave h1 the same in
+    /// every lane.
+    fn group_planes(&self, sub: &ActiveSubgraph, seeds: &[BitSeed]) -> LanePlanes {
+        let pairs: Vec<(Vec<Mersenne61>, Vec<Mersenne61>)> = seeds
+            .iter()
+            .map(|seed| {
+                let (h1, h2) = self.split(seed);
+                (self.nodes.coefficients(&h1), self.colors.coefficients(&h2))
+            })
+            .collect();
+        let mut node_functions: Vec<(&[Mersenne61], u64)> = Vec::new();
+        for (lane, (h1, _)) in pairs.iter().enumerate() {
+            match node_functions.iter_mut().find(|(f, _)| *f == h1.as_slice()) {
+                Some((_, lanes)) => *lanes |= 1 << lane,
+                None => node_functions.push((h1, 1 << lane)),
+            }
+        }
+        let mut planes = LanePlanes::new(sub, self.nodes.range(), seeds.len());
+        // Powers per input: c − 1, possibly none.
+        let k = self.nodes.independence() - 1;
+        for (i, &v) in sub.nodes.iter().enumerate() {
+            let powers = &self.node_powers[i * k..(i + 1) * k];
+            for &(h1, lanes) in &node_functions {
+                planes.set_node(v, lanes, self.nodes.eval_with_powers(h1, powers));
+            }
+        }
+        if planes.has_colors() {
+            for c in 0..sub.color_domain {
+                let powers = &self.color_powers[c as usize * k..(c as usize + 1) * k];
+                for (lane, (_, h2)) in pairs.iter().enumerate() {
+                    planes.set_color(c, 1 << lane, self.colors.eval_with_powers(h2, powers));
+                }
+            }
+        }
+        planes
+    }
+}
+
+/// Where up to [`LANES`] (h1, h2) pairs put the nodes and colors of one
+/// active subgraph, one bit lane per pair: bit `lane` of plane `j` holds bit
+/// `j` of the bin that lane's pair picks.
+#[derive(Debug, Clone)]
+pub struct LanePlanes {
+    /// Number of node bins B.
+    bins: u64,
+    /// Planes per node or color: ⌈log₂ B⌉.
+    width: usize,
+    /// The lanes in use.
+    lanes: u64,
+    /// Global-indexed rows of `1 + width` words: the lanes in use for an
+    /// active node (0 for an inactive one), then the node's bin planes.
+    nodes: Vec<u64>,
+    /// Color-indexed rows of `width` words holding h2's bin planes; empty
+    /// when B = 2 (one color bin).
+    colors: Vec<u64>,
+}
+
+impl LanePlanes {
+    /// Planes for `lanes` pairs binning `sub` into `bins` bins, with every
+    /// node and color in bin 0 until set.
+    fn new(sub: &ActiveSubgraph, bins: u64, lanes: usize) -> Self {
+        assert!(bins >= 2, "binning needs at least two bins");
+        assert!(
+            (1..=LANES).contains(&lanes),
+            "{lanes} lanes outside 1..={LANES}"
+        );
+        let width = bit_length(bins - 1);
+        let lane_mask = u64::MAX >> (LANES - lanes);
+        let mut nodes = vec![0u64; sub.active.len() * (1 + width)];
+        for v in &sub.nodes {
+            nodes[v.index() * (1 + width)] = lane_mask;
+        }
+        let colors = if bins > 2 {
+            vec![0u64; sub.color_domain as usize * width]
+        } else {
+            Vec::new()
+        };
+        LanePlanes {
+            bins,
+            width,
+            lanes: lane_mask,
+            nodes,
+            colors,
+        }
+    }
+
+    /// One lane, holding the pair (h1, h2).
+    fn single(
+        sub: &ActiveSubgraph,
+        bins: u64,
+        h1: impl Fn(u64) -> u64,
+        h2: impl Fn(u64) -> u64,
+    ) -> Self {
+        let mut planes = LanePlanes::new(sub, bins, 1);
+        for &v in &sub.nodes {
+            planes.set_node(v, 1, h1(u64::from(v.0)));
+        }
+        if planes.has_colors() {
+            for c in 0..sub.color_domain {
+                planes.set_color(c, 1, h2(c));
+            }
+        }
+        planes
+    }
+
+    /// Number of lanes in use.
+    pub fn lane_count(&self) -> usize {
+        self.lanes.count_ones() as usize
+    }
+
+    /// Whether colors are binned: B ≥ 3, so there is more than one color
+    /// bin.
+    fn has_colors(&self) -> bool {
+        self.bins > 2
+    }
+
+    /// Puts node `v` in bin `bin` under `lanes`.
+    fn set_node(&mut self, v: NodeId, lanes: u64, bin: u64) {
+        debug_assert!(
+            bin < self.bins,
+            "h1 produced bin {bin} outside 0..{}",
+            self.bins
+        );
+        let row = v.index() * (1 + self.width) + 1;
+        set_bits(&mut self.nodes[row..row + self.width], lanes, bin);
+    }
+
+    /// Puts color `c` in color bin `bin` under `lanes`.
+    fn set_color(&mut self, c: u64, lanes: u64, bin: u64) {
+        debug_assert!(
+            bin < self.bins - 1,
+            "h2 produced bin {bin} outside 0..{}",
+            self.bins - 1
+        );
+        let row = c as usize * self.width;
+        set_bits(&mut self.colors[row..row + self.width], lanes, bin);
+    }
+}
+
+/// One active node's bin and in-bin counts under every lane, bit-sliced:
+/// plane `j` of a count holds bit `j` of each lane's value.
+pub(crate) struct NodeLanes<'a> {
+    /// Position of the node in `ActiveSubgraph::nodes`.
+    pub(crate) index: usize,
+    /// The lanes in use.
+    pub(crate) lanes: u64,
+    /// The node's bin planes.
+    pub(crate) bin: &'a [u64],
+    /// The lanes in which the node sits in the last bin.
+    pub(crate) last: u64,
+    /// In-bin degree d′(v).
+    pub(crate) degree: &'a [u64],
+    /// In-bin palette size p′(v): the palette colors `h2` maps to the
+    /// node's bin, or the full palette size for a node in the last bin and
+    /// when there is a single color bin (B = 2), matching the identity
+    /// palette restriction the caller applies in those cases.
+    pub(crate) palette: &'a [u64],
+}
+
+impl NodeLanes<'_> {
+    /// The lanes in which the node sits in bin `bin`.
+    fn in_bin(&self, bin: u64) -> u64 {
+        lanes_equal(self.bin, bin) & self.lanes
+    }
+}
+
+/// The binning loop, the only one that walks adjacency lists. For every
+/// active node, one pass over its edges and, when B ≥ 3, its palette counts
+/// its in-bin degree and palette under every lane of `planes`; `visit` then
+/// reads the node's lanes.
+pub(crate) fn bin_lanes(
+    graph: &CsrGraph,
+    sub: &ActiveSubgraph,
+    palettes: &[Palette],
+    planes: &LanePlanes,
+    mut visit: impl FnMut(&NodeLanes<'_>),
+) {
+    let width = planes.width;
+    let stride = 1 + width;
+    // Counts never exceed a node's degree or palette size, both u32.
+    let mut degree_planes = [0u64; 32];
+    let mut palette_planes = [0u64; 32];
+    for (index, &v) in sub.nodes.iter().enumerate() {
+        let row = &planes.nodes[v.index() * stride..][..stride];
+        let (lanes, bin) = (row[0], &row[1..]);
+        // At least three planes, for `count_lanes`' carry-save digits.
+        let degree = &mut degree_planes[..bit_length(u64::from(sub.degree_in[v.index()])).max(3)];
+        degree.fill(0);
+        count_lanes(degree, graph.neighbor_slice(v), |u| {
+            let other = &planes.nodes[u.index() * stride..][..stride];
+            // 0 for an inactive neighbor, else the lanes where it shares
+            // v's bin.
+            other[1..]
+                .iter()
+                .zip(bin)
+                .fold(other[0], |same, (a, b)| same & !(a ^ b))
+        });
+        let last = lanes_equal(bin, planes.bins - 1) & lanes;
+        let size = u64::from(sub.palette_size[index]);
+        let palette = &mut palette_planes[..bit_length(size)];
+        palette.fill(0);
+        // The lanes that keep the whole palette: all of them when there is
+        // one color bin, else those in the last bin.
+        let full = if planes.has_colors() { last } else { u64::MAX };
+        if full & lanes != lanes {
+            for c in palettes[v.index()].iter() {
+                let color = &planes.colors[c.0 as usize * width..][..width];
+                let same = color
+                    .iter()
+                    .zip(bin)
+                    .fold(lanes, |same, (a, b)| same & !(a ^ b));
+                add(palette, same);
+            }
+        }
+        for (j, plane) in palette.iter_mut().enumerate() {
+            *plane = (*plane & !full) | (full & ((size >> j) & 1).wrapping_neg());
+        }
+        visit(&NodeLanes {
+            index,
+            lanes,
+            bin,
+            last,
+            degree,
+            palette,
+        });
+    }
+}
+
+/// Definition 3.1's node tests as integer thresholds, one set per active
+/// node: the in-bin degrees `lo..hi` that pass the degree test, and the
+/// least in-bin palette that passes the palette test. Each threshold is
+/// found by evaluating the f64 test, so comparing a count with it decides
+/// what the test decides.
+#[derive(Debug, Clone)]
+pub struct NodeTests {
+    degree: Vec<(u64, u64)>,
+    palette: Vec<u64>,
+}
+
+impl NodeTests {
+    /// The thresholds of every node of `sub` under `params`.
+    pub fn new(sub: &ActiveSubgraph, params: &BinningParams) -> Self {
+        let bins = params.bins as f64;
+        let mut degree = Vec::with_capacity(sub.len());
+        let mut palette = Vec::with_capacity(sub.len());
+        for (i, v) in sub.nodes.iter().enumerate() {
+            // |d′(v) − d(v)/B| ≤ ℓ^0.6. The deviation is monotone in d′(v),
+            // so the passing in-bin degrees (at most d(v)) form a range.
+            let d = sub.degree_in[v.index()];
+            let expected = f64::from(d) / bins;
+            let deviation = |x: u64| x as f64 - expected;
+            let end = u64::from(d) + 1;
+            let lo = first_passing(0, end, |x| deviation(x) >= -params.degree_slack);
+            let hi = first_passing(lo, end, |x| deviation(x) > params.degree_slack);
+            degree.push((lo, hi));
+            // p′(v) ≥ p(v)/B + ℓ^0.7, with p′(v) at most p(v).
+            let p = sub.palette_size[i];
+            let wanted = f64::from(p) / bins + params.palette_slack;
+            palette.push(first_passing(0, u64::from(p) + 1, |x| x as f64 >= wanted));
+        }
+        NodeTests { degree, palette }
+    }
+
+    /// The lanes in which `node` is good: its in-bin degree passes and, off
+    /// the last bin, its in-bin palette passes too.
+    fn good(&self, node: &NodeLanes<'_>) -> u64 {
+        let (lo, hi) = self.degree[node.index];
+        let degree_ok = at_least(node.degree, lo) & !at_least(node.degree, hi);
+        let palette_ok = at_least(node.palette, self.palette[node.index]);
+        degree_ok & (node.last | palette_ok) & node.lanes
+    }
+}
+
+/// Whether a bin of `count` nodes is good: it holds fewer than
+/// `2·n_G/B + 𝔫^0.6` nodes.
+fn bin_good(params: &BinningParams, count: u64) -> bool {
+    (count as f64) < params.bin_node_threshold
+}
+
+/// The cost 𝔮 = #bad nodes + 𝔫·#bad bins (Equation (1)) under every lane of
+/// `planes`, in lane order: one pass over the edges for the whole group,
+/// reading out only each lane's bad-node and bin totals.
+pub fn binning_costs(
+    graph: &CsrGraph,
+    sub: &ActiveSubgraph,
+    palettes: &[Palette],
+    params: &BinningParams,
+    tests: &NodeTests,
+    planes: &LanePlanes,
+) -> Vec<f64> {
+    debug_assert_eq!(params.bins, planes.bins);
+    let mut bad_nodes = LaneTotals::new(sub.len());
+    let mut bin_sizes: Vec<LaneTotals> = (0..params.bins)
+        .map(|_| LaneTotals::new(sub.len()))
+        .collect();
+    bin_lanes(graph, sub, palettes, planes, |node| {
+        bad_nodes.add(node.lanes & !tests.good(node));
+        for (bin, sizes) in (0..).zip(&mut bin_sizes) {
+            sizes.add(node.in_bin(bin));
+        }
+    });
+    (0..planes.lane_count())
+        .map(|lane| {
+            let bad_bins = bin_sizes
+                .iter()
+                .filter(|sizes| !bin_good(params, sizes.get(lane)))
+                .count();
+            bad_nodes.get(lane) as f64 + (params.global_nodes * bad_bins) as f64
+        })
+        .collect()
+}
+
 /// Where one (h1, h2) pair puts the active nodes, indexed like
 /// `ActiveSubgraph::nodes`.
 #[derive(Debug)]
@@ -200,16 +623,41 @@ pub(crate) struct NodeBinning {
     pub(crate) node_bin: Vec<u32>,
     /// In-bin degree d′(v) of each active node.
     pub(crate) in_bin_degree: Vec<u32>,
-    /// In-bin palette size p′(v) of each active node: the palette colors
-    /// `h2` maps to the node's bin, or the full palette size for nodes in
-    /// the last bin and when there is a single color bin (B = 2), matching
-    /// the identity palette restriction the caller applies in those cases.
+    /// In-bin palette size p′(v) of each active node, as
+    /// [`NodeLanes::palette`] defines it.
     pub(crate) in_bin_palette: Vec<u32>,
+}
+
+/// Lane 0 of `planes`, node by node; `visit` also sees each node's lanes.
+fn lane_zero(
+    graph: &CsrGraph,
+    sub: &ActiveSubgraph,
+    palettes: &[Palette],
+    planes: &LanePlanes,
+    mut visit: impl FnMut(&NodeLanes<'_>),
+) -> NodeBinning {
+    let mut binning = NodeBinning {
+        node_bin: Vec::with_capacity(sub.len()),
+        in_bin_degree: Vec::with_capacity(sub.len()),
+        in_bin_palette: Vec::with_capacity(sub.len()),
+    };
+    bin_lanes(graph, sub, palettes, planes, |node| {
+        binning.node_bin.push(lane_value(node.bin, 0) as u32);
+        binning
+            .in_bin_degree
+            .push(lane_value(node.degree, 0) as u32);
+        binning
+            .in_bin_palette
+            .push(lane_value(node.palette, 0) as u32);
+        visit(node);
+    });
+    binning
 }
 
 /// Hashes every active node into one of `bins` bins with `h1` (domain =
 /// global node ids) and counts its in-bin degree and, with `h2` (colors →
-/// the `bins − 1` color bins, domain = color values), its in-bin palette.
+/// the `bins − 1` color bins, domain = color values), its in-bin palette:
+/// the one-lane call of the binning loop.
 pub(crate) fn bin_nodes(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
@@ -218,49 +666,13 @@ pub(crate) fn bin_nodes(
     h1: impl Fn(u64) -> u64,
     h2: impl Fn(u64) -> u64,
 ) -> NodeBinning {
-    let color_bins = (bins - 1).max(1);
-    let node_bin: Vec<u32> = sub
-        .nodes
-        .iter()
-        .map(|v| {
-            let b = h1(v.0 as u64);
-            debug_assert!(b < bins, "h1 produced bin {b} outside 0..{bins}");
-            b as u32
-        })
-        .collect();
-    let mut in_bin_degree = vec![0u32; sub.len()];
-    let mut in_bin_palette = vec![0u32; sub.len()];
-    for (i, &v) in sub.nodes.iter().enumerate() {
-        let my_bin = node_bin[i];
-        // d'(v): active neighbors in the same bin. Neighbor bins are looked
-        // up through their positions.
-        let mut d_in = 0u32;
-        for u in graph.neighbors(v) {
-            let pos = sub.position[u.index()];
-            if pos != usize::MAX && node_bin[pos] == my_bin {
-                d_in += 1;
-            }
-        }
-        in_bin_degree[i] = d_in;
-        in_bin_palette[i] = if u64::from(my_bin) == bins - 1 || color_bins == 1 {
-            sub.palette_size[i]
-        } else {
-            palettes[v.index()]
-                .iter()
-                .filter(|c| h2(c.0) == u64::from(my_bin))
-                .count() as u32
-        };
-    }
-    NodeBinning {
-        node_bin,
-        in_bin_degree,
-        in_bin_palette,
-    }
+    let planes = LanePlanes::single(sub, bins, h1, h2);
+    lane_zero(graph, sub, palettes, &planes, |_| {})
 }
 
 /// Classifies every active node and bin for the hash functions `h1` (nodes →
 /// bins, domain = global node ids) and `h2` (colors → color bins, domain =
-/// color values).
+/// color values): the one-lane call of [`binning_costs`]' loop and tests.
 ///
 /// Nodes hashed to the last bin (`bins - 1`) are judged only by the degree
 /// condition; all other nodes additionally need the palette condition, with
@@ -274,28 +686,23 @@ pub fn evaluate_binning(
     h1: impl Fn(u64) -> u64,
     h2: impl Fn(u64) -> u64,
 ) -> BinningEvaluation {
+    let planes = LanePlanes::single(sub, params.bins, h1, h2);
+    let tests = NodeTests::new(sub, params);
+    let mut node_good = Vec::with_capacity(sub.len());
     let NodeBinning {
         node_bin,
         in_bin_degree,
         in_bin_palette,
-    } = bin_nodes(graph, sub, palettes, params.bins, h1, h2);
-    let bins = params.bins as f64;
+    } = lane_zero(graph, sub, palettes, &planes, |node| {
+        node_good.push(tests.good(node) & 1 == 1);
+    });
     let mut bin_counts = vec![0usize; params.bins as usize];
-    let mut node_good = vec![false; sub.len()];
-    for (i, &v) in sub.nodes.iter().enumerate() {
-        bin_counts[node_bin[i] as usize] += 1;
-        let expected = f64::from(sub.degree_in[v.index()]) / bins;
-        let degree_ok = (f64::from(in_bin_degree[i]) - expected).abs() <= params.degree_slack;
-        node_good[i] = if u64::from(node_bin[i]) == params.bins - 1 {
-            degree_ok
-        } else {
-            let p = f64::from(sub.palette_size[i]);
-            degree_ok && f64::from(in_bin_palette[i]) >= p / bins + params.palette_slack
-        };
+    for &bin in &node_bin {
+        bin_counts[bin as usize] += 1;
     }
     let bin_good = bin_counts
         .iter()
-        .map(|&count| (count as f64) < params.bin_node_threshold)
+        .map(|&count| bin_good(params, count as u64))
         .collect();
     BinningEvaluation {
         node_bin,
@@ -305,6 +712,134 @@ pub fn evaluate_binning(
         bin_counts,
         bin_good,
     }
+}
+
+/// Per-lane totals over the active nodes, kept bit-sliced: one addition per
+/// node, read out once per lane.
+pub(crate) struct LaneTotals(Vec<u64>);
+
+impl LaneTotals {
+    /// Totals that can reach `max`.
+    pub(crate) fn new(max: usize) -> Self {
+        LaneTotals(vec![0; bit_length(max as u64)])
+    }
+
+    /// Adds one in `lanes`.
+    pub(crate) fn add(&mut self, lanes: u64) {
+        add(&mut self.0, lanes);
+    }
+
+    /// The total of `lane`.
+    pub(crate) fn get(&self, lane: usize) -> u64 {
+        lane_value(&self.0, lane)
+    }
+}
+
+/// Bits needed to write `x`: the planes of a counter that reaches `x`.
+fn bit_length(x: u64) -> usize {
+    (u64::BITS - x.leading_zeros()) as usize
+}
+
+/// ORs `value`'s bits into `planes` in `lanes`.
+fn set_bits(planes: &mut [u64], lanes: u64, value: u64) {
+    for (j, plane) in planes.iter_mut().enumerate() {
+        *plane |= lanes & ((value >> j) & 1).wrapping_neg();
+    }
+}
+
+/// Adds one to the bit-sliced `counter` in the lanes of `carry`.
+#[inline]
+fn add(counter: &mut [u64], mut carry: u64) {
+    for plane in counter {
+        if carry == 0 {
+            return;
+        }
+        let next = *plane & carry;
+        *plane ^= carry;
+        carry = next;
+    }
+    debug_assert_eq!(carry, 0, "bit-sliced counter overflowed");
+}
+
+/// Adds to the bit-sliced `counter` (zero, with at least three planes), in
+/// every lane, the number of `items` whose `mask` has the lane set. Eight
+/// masks at a time go through a carry-save adder tree into ones, twos and
+/// fours digits, so only the eights ripple through the counter.
+#[inline]
+fn count_lanes<T>(counter: &mut [u64], items: &[T], mask: impl Fn(&T) -> u64) {
+    /// The sum and carry bits of three one-bit inputs, per lane.
+    #[inline]
+    fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+        let u = a ^ b;
+        (u ^ c, (a & b) | (u & c))
+    }
+    let (mut ones, mut twos, mut fours) = (0u64, 0u64, 0u64);
+    let mut blocks = items.chunks_exact(8);
+    for block in &mut blocks {
+        let m: [u64; 8] = std::array::from_fn(|k| mask(&block[k]));
+        let (o, twos_a) = csa(ones, m[0], m[1]);
+        let (o, twos_b) = csa(o, m[2], m[3]);
+        let (t, fours_a) = csa(twos, twos_a, twos_b);
+        let (o, twos_a) = csa(o, m[4], m[5]);
+        let (o, twos_b) = csa(o, m[6], m[7]);
+        let (t, fours_b) = csa(t, twos_a, twos_b);
+        let (f, eights) = csa(fours, fours_a, fours_b);
+        (ones, twos, fours) = (o, t, f);
+        add(&mut counter[3..], eights);
+    }
+    counter[..3].copy_from_slice(&[ones, twos, fours]);
+    for item in blocks.remainder() {
+        add(counter, mask(item));
+    }
+}
+
+/// The value `lane` holds in bit-sliced `planes`.
+fn lane_value(planes: &[u64], lane: usize) -> u64 {
+    planes
+        .iter()
+        .enumerate()
+        .fold(0, |value, (j, &plane)| value | ((plane >> lane) & 1) << j)
+}
+
+/// The lanes in which bit-sliced `planes` hold `value`.
+fn lanes_equal(planes: &[u64], value: u64) -> u64 {
+    (0..).zip(planes).fold(u64::MAX, |equal, (j, &plane)| {
+        equal & !(plane ^ ((value >> j) & 1).wrapping_neg())
+    })
+}
+
+/// The lanes in which the bit-sliced `counter` holds at least `k`.
+pub(crate) fn at_least(counter: &[u64], k: u64) -> u64 {
+    let mut constant = [0u64; 64];
+    let constant = &mut constant[..bit_length(k)];
+    set_bits(constant, u64::MAX, k);
+    !exceeds(constant, counter)
+}
+
+/// The lanes in which bit-sliced `a` holds more than bit-sliced `b`.
+pub(crate) fn exceeds(a: &[u64], b: &[u64]) -> u64 {
+    let (mut greater, mut equal) = (0u64, u64::MAX);
+    for j in (0..a.len().max(b.len())).rev() {
+        let x = a.get(j).copied().unwrap_or(0);
+        let y = b.get(j).copied().unwrap_or(0);
+        greater |= equal & x & !y;
+        equal &= !(x ^ y);
+    }
+    greater
+}
+
+/// The least `x` in `lo..hi` at which `pass` holds, or `hi`; `pass` must be
+/// monotone there (false, then true).
+pub(crate) fn first_passing(mut lo: u64, mut hi: u64, pass: impl Fn(u64) -> bool) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pass(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -337,6 +872,99 @@ mod tests {
 
     fn g_ref(g: &cc_graph::csr::CsrGraph) -> &cc_graph::csr::CsrGraph {
         g
+    }
+
+    #[test]
+    fn slice_seed_round_trip() {
+        let mut seed = BitSeed::zeros(200);
+        seed.set_chunk(0, 61, 0x1234_5678_9abc);
+        seed.set_chunk(61, 61, 0x0fed_cba9_8765);
+        seed.set_chunk(122, 61, 0x0011_2233_4455);
+        let first = slice_seed(&seed, 0, 122);
+        let second = slice_seed(&seed, 122, 78);
+        assert_eq!(first.chunk(0, 61), 0x1234_5678_9abc);
+        assert_eq!(first.chunk(61, 61), 0x0fed_cba9_8765);
+        assert_eq!(second.chunk(0, 61), 0x0011_2233_4455);
+        assert_eq!(first.len(), 122);
+        assert_eq!(second.len(), 78);
+    }
+
+    #[test]
+    fn lane_costs_match_one_pair_at_a_time() {
+        let g = cc_graph::generators::gnp(60, 0.3, 2).unwrap();
+        let inst = ListColoringInstance::delta_plus_one(&g).unwrap();
+        let palettes = inst.palettes();
+        let half: Vec<NodeId> = g.nodes().filter(|v| v.0 % 3 != 0).collect();
+        let sub = ActiveSubgraph::new(&g, palettes, &half);
+        for (independence, bins) in [(1, 2), (1, 3), (2, 4), (4, 2), (5, 5)] {
+            let params = BinningParams {
+                ell: 20,
+                bins,
+                global_nodes: 60,
+                degree_slack: 1.5,
+                palette_slack: 0.0,
+                bin_node_threshold: 25.0,
+            };
+            let hashes = HashPair::new(independence, &g, &sub, bins);
+            let seeds: Vec<BitSeed> = (0..70u64)
+                .map(|k| BitSeed::zeros(hashes.seed_bits()).canonical_completion(0, k))
+                .collect();
+            let tests = NodeTests::new(&sub, &params);
+            let costs: Vec<f64> = hashes
+                .lane_planes(&sub, &seeds)
+                .flat_map(|planes| binning_costs(&g, &sub, palettes, &params, &tests, &planes))
+                .collect();
+            for (seed, cost) in seeds.iter().zip(costs) {
+                let (h1, h2) = hashes.functions(seed);
+                let eval =
+                    evaluate_binning(&g, &sub, palettes, &params, |x| h1.eval(x), |x| h2.eval(x));
+                assert_eq!(
+                    cost.to_bits(),
+                    eval.cost(60).to_bits(),
+                    "c = {independence}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bit_sliced_helpers_count_and_compare() {
+        // Lane k counts k ones: lanes 0..=40 of a 64-lane counter.
+        let mut counter = vec![0u64; bit_length(40)];
+        for step in 1..=40u64 {
+            add(&mut counter, u64::MAX << step);
+        }
+        let mut counted = [0u64; 6];
+        count_lanes(&mut counted, &(1..=40u64).collect::<Vec<_>>(), |&step| {
+            u64::MAX << step
+        });
+        assert_eq!(counter, counted);
+        for lane in 0..64 {
+            assert_eq!(lane_value(&counter, lane), (lane as u64).min(40));
+        }
+        for k in [0u64, 1, 17, 40, 41, 64] {
+            let lanes = at_least(&counter, k);
+            for lane in 0..64 {
+                assert_eq!(
+                    lanes >> lane & 1 == 1,
+                    (lane as u64).min(40) >= k,
+                    "{k} {lane}"
+                );
+            }
+        }
+        let mut other = vec![0u64; 3];
+        for _ in 0..5 {
+            add(&mut other, u64::MAX);
+        }
+        let greater = exceeds(&counter, &other);
+        assert_eq!(greater, u64::MAX << 6);
+        assert_eq!(lanes_equal(&counter, 7), 1 << 7);
+        let mut totals = LaneTotals::new(3);
+        totals.add(0b101);
+        totals.add(0b100);
+        assert_eq!((totals.get(0), totals.get(1), totals.get(2)), (1, 0, 2));
+        assert_eq!(first_passing(0, 10, |x| x * x >= 20), 5);
+        assert_eq!(first_passing(3, 10, |_| false), 10);
     }
 
     #[test]

@@ -18,8 +18,11 @@ use cc_hash::family::HashFunction;
 use cc_hash::BitSeed;
 use cc_sim::ClusterContext;
 
-use crate::good_bad::{bin_nodes, ActiveSubgraph, NodeBinning};
-use crate::partition::{select_seed, HashPair};
+use crate::good_bad::{
+    at_least, bin_lanes, bin_nodes, exceeds, first_passing, ActiveSubgraph, HashPair, LaneTotals,
+    NodeBinning,
+};
+use crate::partition::select_seed;
 
 use super::LowSpaceConfig;
 
@@ -47,9 +50,38 @@ struct LowSpaceCost<'a> {
     palettes: &'a [Palette],
     bins: u64,
     hashes: HashPair,
+    /// The least in-bin degree that breaks Lemma 4.5 (i), per active node.
+    degree_limit: Vec<u64>,
 }
 
-impl LowSpaceCost<'_> {
+impl<'a> LowSpaceCost<'a> {
+    fn new(
+        graph: &'a CsrGraph,
+        sub: &'a ActiveSubgraph,
+        palettes: &'a [Palette],
+        bins: u64,
+        independence: usize,
+    ) -> Self {
+        let degree_limit = sub
+            .nodes
+            .iter()
+            .map(|v| {
+                // Lemma 4.5 (i): d'(v) < 2·d(v)/𝔫^δ.
+                let d = sub.degree_in[v.index()];
+                let limit = (2.0 * f64::from(d) / bins as f64).max(1.0);
+                first_passing(0, u64::from(d) + 1, |x| x as f64 >= limit)
+            })
+            .collect();
+        LowSpaceCost {
+            graph,
+            sub,
+            palettes,
+            bins,
+            hashes: HashPair::new(independence, graph, sub, bins),
+            degree_limit,
+        }
+    }
+
     /// Bins, in-bin degrees and in-bin palettes under a combined seed.
     fn binning(&self, seed: &BitSeed) -> NodeBinning {
         let (h1, h2) = self.hashes.functions(seed);
@@ -70,19 +102,23 @@ impl SeedCost for LowSpaceCost<'_> {
     }
 
     fn total_cost(&self, seed: &BitSeed) -> f64 {
-        let binning = self.binning(seed);
-        let bins = self.bins as f64;
-        let violators = self.sub.nodes.iter().enumerate().filter(|&(i, v)| {
-            let d_in = binning.in_bin_degree[i];
-            let d = f64::from(self.sub.degree_in[v.index()]);
-            // Lemma 4.5 (i): d'(v) < 2·d(v)/𝔫^δ.
-            let degree_violation = f64::from(d_in) >= (2.0 * d / bins).max(1.0);
-            // Lemma 4.5 (ii): d'(v) < p'(v) for nodes with a color class.
-            let is_last_bin = u64::from(binning.node_bin[i]) == self.bins - 1;
-            let palette_violation = !is_last_bin && binning.in_bin_palette[i] <= d_in;
-            degree_violation || palette_violation
-        });
-        violators.count() as f64
+        self.total_costs(std::slice::from_ref(seed))[0]
+    }
+
+    /// One bit-sliced pass over the edges per group of 64 seeds.
+    fn total_costs(&self, seeds: &[BitSeed]) -> Vec<f64> {
+        let mut costs = Vec::with_capacity(seeds.len());
+        for planes in self.hashes.lane_planes(self.sub, seeds) {
+            let mut violators = LaneTotals::new(self.sub.len());
+            bin_lanes(self.graph, self.sub, self.palettes, &planes, |node| {
+                let degree_violation = at_least(node.degree, self.degree_limit[node.index]);
+                // Lemma 4.5 (ii): d'(v) < p'(v) for nodes with a color class.
+                let palette_violation = !node.last & !exceeds(node.palette, node.degree);
+                violators.add((degree_violation | palette_violation) & node.lanes);
+            });
+            costs.extend((0..planes.lane_count()).map(|lane| violators.get(lane) as f64));
+        }
+        costs
     }
 
     fn expectation_bound(&self) -> f64 {
@@ -103,13 +139,7 @@ pub fn low_space_partition(
     config: &LowSpaceConfig,
 ) -> LowSpacePartitionOutcome {
     debug_assert!(bins >= 2);
-    let cost = LowSpaceCost {
-        graph,
-        sub,
-        palettes,
-        bins,
-        hashes: HashPair::new(config.independence, graph, sub, bins),
-    };
+    let cost = LowSpaceCost::new(graph, sub, palettes, bins, config.independence);
     let seed_outcome = select_seed(
         ctx,
         label,

@@ -13,12 +13,15 @@ use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
 use cc_graph::NodeId;
 use cc_hash::family::HashFunction;
-use cc_hash::{BitSeed, PolynomialHashFamily};
+use cc_hash::BitSeed;
 use cc_sim::constants::BROADCAST_ROUNDS;
 use cc_sim::ClusterContext;
 
 use crate::config::{ColorReduceConfig, SeedStrategy};
-use crate::good_bad::{evaluate_binning, ActiveSubgraph, BinningEvaluation, BinningParams};
+use crate::good_bad::{
+    binning_costs, evaluate_binning, ActiveSubgraph, BinningEvaluation, BinningParams, HashPair,
+    NodeTests,
+};
 use crate::trace::PartitionRecord;
 
 /// Result of one `Partition` call.
@@ -39,64 +42,6 @@ pub struct PartitionOutcome {
     pub evaluation: BinningEvaluation,
     /// Trace record (statistics) of this call.
     pub record: PartitionRecord,
-}
-
-/// Extracts `len` bits starting at `start` from `seed` into a fresh seed.
-pub(crate) fn slice_seed(seed: &BitSeed, start: usize, len: usize) -> BitSeed {
-    let mut out = BitSeed::zeros(len);
-    let mut copied = 0usize;
-    while copied < len {
-        let width = (len - copied).min(61);
-        out.set_chunk(copied, width, seed.chunk(start + copied, width));
-        copied += width;
-    }
-    out
-}
-
-/// The hash families of one `Partition` or `LowSpacePartition` call: h1
-/// hashes node ids into the `bins` node bins, h2 hashes colors into the
-/// `bins − 1` color bins (one when B = 2). A combined seed is h1's seed
-/// followed by h2's.
-pub(crate) struct HashPair {
-    nodes: PolynomialHashFamily,
-    colors: PolynomialHashFamily,
-}
-
-impl HashPair {
-    pub(crate) fn new(
-        independence: usize,
-        graph: &CsrGraph,
-        sub: &ActiveSubgraph,
-        bins: u64,
-    ) -> Self {
-        HashPair {
-            nodes: PolynomialHashFamily::new(
-                independence,
-                (graph.node_count() as u64).max(2),
-                bins,
-            ),
-            colors: PolynomialHashFamily::new(
-                independence,
-                sub.color_domain.max(2),
-                (bins - 1).max(1),
-            ),
-        }
-    }
-
-    /// Length of a combined seed.
-    pub(crate) fn seed_bits(&self) -> usize {
-        self.nodes.seed_bits() + self.colors.seed_bits()
-    }
-
-    /// The functions (h1, h2) a combined seed selects.
-    pub(crate) fn functions(&self, seed: &BitSeed) -> (HashFunction, HashFunction) {
-        let node_bits = self.nodes.seed_bits();
-        (
-            self.nodes.with_seed(slice_seed(seed, 0, node_bits)),
-            self.colors
-                .with_seed(slice_seed(seed, node_bits, self.colors.seed_bits())),
-        )
-    }
 }
 
 /// Picks the combined seed of one partition call on `sub`.
@@ -155,6 +100,7 @@ struct PartitionCost<'a> {
     sub: &'a ActiveSubgraph,
     palettes: &'a [Palette],
     params: BinningParams,
+    tests: NodeTests,
     hashes: HashPair,
     bound: f64,
 }
@@ -180,7 +126,24 @@ impl SeedCost for PartitionCost<'_> {
     }
 
     fn total_cost(&self, seed: &BitSeed) -> f64 {
-        self.evaluation(seed).cost(self.params.global_nodes)
+        self.total_costs(std::slice::from_ref(seed))[0]
+    }
+
+    /// One bit-sliced pass over the edges per group of 64 seeds.
+    fn total_costs(&self, seeds: &[BitSeed]) -> Vec<f64> {
+        self.hashes
+            .lane_planes(self.sub, seeds)
+            .flat_map(|planes| {
+                binning_costs(
+                    self.graph,
+                    self.sub,
+                    self.palettes,
+                    &self.params,
+                    &self.tests,
+                    &planes,
+                )
+            })
+            .collect()
     }
 
     fn expectation_bound(&self) -> f64 {
@@ -205,11 +168,13 @@ pub fn partition(
 ) -> PartitionOutcome {
     debug_assert!(bins >= 2, "partition needs at least two bins");
     let bound = config.bad_node_bound(global_nodes, ell);
+    let params = BinningParams::new(config, ell, bins, global_nodes, sub.len());
     let cost = PartitionCost {
         graph,
         sub,
         palettes,
-        params: BinningParams::new(config, ell, bins, global_nodes, sub.len()),
+        tests: NodeTests::new(sub, &params),
+        params,
         hashes: HashPair::new(config.independence, graph, sub, bins),
         bound,
     };
@@ -279,21 +244,6 @@ mod tests {
 
     fn ctx(n: usize) -> ClusterContext {
         ClusterContext::new(ExecutionModel::congested_clique(n))
-    }
-
-    #[test]
-    fn slice_seed_round_trip() {
-        let mut seed = BitSeed::zeros(200);
-        seed.set_chunk(0, 61, 0x1234_5678_9abc);
-        seed.set_chunk(61, 61, 0x0fed_cba9_8765);
-        seed.set_chunk(122, 61, 0x0011_2233_4455);
-        let first = slice_seed(&seed, 0, 122);
-        let second = slice_seed(&seed, 122, 78);
-        assert_eq!(first.chunk(0, 61), 0x1234_5678_9abc);
-        assert_eq!(first.chunk(61, 61), 0x0fed_cba9_8765);
-        assert_eq!(second.chunk(0, 61), 0x0011_2233_4455);
-        assert_eq!(first.len(), 122);
-        assert_eq!(second.len(), 78);
     }
 
     #[test]

@@ -20,6 +20,14 @@ pub trait SeedCost {
     /// per call.
     fn total_cost(&self, seed: &BitSeed) -> f64;
 
+    /// The total costs of several fully specified seeds, in order: what one
+    /// chunk's aggregation delivers for all of its candidates. The default
+    /// calls [`Self::total_cost`] once per seed; a cost that can score many
+    /// seeds in one pass over its data overrides it.
+    fn total_costs(&self, seeds: &[BitSeed]) -> Vec<f64> {
+        seeds.iter().map(|seed| self.total_cost(seed)).collect()
+    }
+
     /// The bound `Q` such that `E[q(seed)] <= Q` over a uniformly random
     /// seed. The probabilistic method guarantees some seed achieves `q <= Q`;
     /// the selector verifies its chosen seed against this bound.

@@ -4,8 +4,9 @@
 //! fixed a chunk at a time; for every candidate value of the next chunk all
 //! machines evaluate a score in parallel, the per-candidate totals are
 //! aggregated in O(1) rounds (Lemma 2.1), and the minimizing candidate is
-//! broadcast; the simulator computes each candidate's total directly and
-//! charges the aggregation that would deliver it. The difference
+//! broadcast; the simulator computes every candidate's total directly, with
+//! one [`SeedCost::total_costs`] call per chunk, and charges the aggregation
+//! that would deliver them. The difference
 //! (substitution #2 in the README's Substitutions list) is the per-candidate
 //! score: instead of a closed-form conditional expectation — whose
 //! pessimistic-estimator constants are hopeless at laptop scale, see
@@ -129,14 +130,16 @@ impl GreedyChunkSelector {
             let candidates = self.candidates(width, chunk_index, salt);
             // Every machine scores every candidate on its local data, and the
             // per-candidate totals are aggregated (O(1) rounds).
-            let totals: Vec<f64> = candidates
+            let trials: Vec<BitSeed> = candidates
                 .iter()
                 .map(|&value| {
                     let mut trial = seed.clone();
                     trial.set_chunk(start, width, value);
-                    cost.total_cost(&trial.canonical_completion(start + width, salt))
+                    trial.canonical_completion(start + width, salt)
                 })
                 .collect();
+            let totals = cost.total_costs(&trials);
+            debug_assert_eq!(totals.len(), trials.len(), "one total per candidate");
             *candidates_evaluated += candidates.len() as u64;
             // Strict contexts can reject the bandwidth of very wide candidate
             // sets; the search goes on with the totals it already has.

@@ -17,7 +17,10 @@
 //! * [`cost::SeedCost`] — the cost-function interface implemented by
 //!   `clique-coloring`'s partitions and `cc-mis`'s derandomized Luby phase;
 //!   one [`SeedCost::total_cost`] call scores a candidate: the total the
-//!   paper's aggregation delivers,
+//!   paper's aggregation delivers. [`SeedCost::total_costs`] scores all of
+//!   a chunk's candidates in one call; by default it calls `total_cost` once
+//!   per candidate, and the partitions override it to score 64 candidates in
+//!   one bit-sliced pass over the edges,
 //! * [`greedy::GreedyChunkSelector`] — the paper's chunked search where each
 //!   candidate chunk is scored by the *true* cost under a canonical
 //!   deterministic completion, with a runtime check of the expectation bound

@@ -2,6 +2,9 @@
 
 use cc_graph::csr::CsrGraph;
 use cc_graph::generators::{instance_with_palettes, GraphFamily, PaletteKind};
+use cc_graph::palette::Palette;
+use cc_hash::family::{HashFunction, BITS_PER_COEFFICIENT};
+use cc_hash::seed::splitmix64;
 use cc_hash::{BitSeed, PolynomialHashFamily};
 use cc_mis::greedy::greedy_mis;
 use cc_mis::reduction::ReductionGraph;
@@ -9,6 +12,10 @@ use cc_mis::verify::verify_mis;
 use cc_sim::constants::{BROADCAST_ROUNDS, PREFIX_SUM_ROUNDS};
 use cc_sim::ClusterContext;
 use congested_clique_coloring::coloring::config::SeedStrategy;
+use congested_clique_coloring::coloring::good_bad::{
+    binning_costs, evaluate_binning, ActiveSubgraph, BinningEvaluation, BinningParams, HashPair,
+    NodeTests,
+};
 use congested_clique_coloring::derand::{GreedyChunkSelector, SeedCost};
 use congested_clique_coloring::prelude::*;
 use proptest::prelude::*;
@@ -103,6 +110,143 @@ fn arb_table_cost() -> impl Strategy<Value = TableCost> {
                 bound: bound as f64,
             })
     })
+}
+
+/// Where one (h1, h2) pair puts the active nodes, the plain way: hash every
+/// node and color, then count each node's in-bin neighbors and palette
+/// colors one by one. The in-bin palette is the whole palette in the last
+/// bin and when B = 2.
+fn reference_bins(
+    graph: &CsrGraph,
+    sub: &ActiveSubgraph,
+    palettes: &[Palette],
+    bins: u64,
+    (h1, h2): &(HashFunction, HashFunction),
+) -> BinningEvaluation {
+    let node_bin: Vec<u32> = sub
+        .nodes
+        .iter()
+        .map(|v| h1.eval(u64::from(v.0)) as u32)
+        .collect();
+    let color_bin: Vec<u64> = (0..sub.color_domain).map(|c| h2.eval(c)).collect();
+    let mut eval = BinningEvaluation {
+        node_bin,
+        in_bin_degree: Vec::new(),
+        in_bin_palette: Vec::new(),
+        node_good: Vec::new(),
+        bin_counts: vec![0; bins as usize],
+        bin_good: Vec::new(),
+    };
+    for (i, &v) in sub.nodes.iter().enumerate() {
+        let bin = eval.node_bin[i];
+        let d_in = graph
+            .neighbors(v)
+            .filter(|u| sub.active[u.index()] && eval.node_bin[sub.position[u.index()]] == bin)
+            .count();
+        let p_in = if u64::from(bin) == bins - 1 || bins == 2 {
+            sub.palette_size[i]
+        } else {
+            palettes[v.index()]
+                .iter()
+                .filter(|c| color_bin[c.0 as usize] == u64::from(bin))
+                .count() as u32
+        };
+        eval.in_bin_degree.push(d_in as u32);
+        eval.in_bin_palette.push(p_in);
+        eval.bin_counts[bin as usize] += 1;
+    }
+    eval
+}
+
+/// Definition 3.1's f64 tests applied to `bins`' counts.
+fn reference_binning(
+    sub: &ActiveSubgraph,
+    params: &BinningParams,
+    bins: &BinningEvaluation,
+) -> BinningEvaluation {
+    let b = params.bins as f64;
+    let node_good = sub
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let expected = f64::from(sub.degree_in[v.index()]) / b;
+            let degree_ok =
+                (f64::from(bins.in_bin_degree[i]) - expected).abs() <= params.degree_slack;
+            let p = f64::from(sub.palette_size[i]);
+            let palette_ok = f64::from(bins.in_bin_palette[i]) >= p / b + params.palette_slack;
+            degree_ok && (u64::from(bins.node_bin[i]) == params.bins - 1 || palette_ok)
+        })
+        .collect();
+    let bin_good = bins
+        .bin_counts
+        .iter()
+        .map(|&count| (count as f64) < params.bin_node_threshold)
+        .collect();
+    BinningEvaluation {
+        node_good,
+        bin_good,
+        ..bins.clone()
+    }
+}
+
+/// Equation (1) from a plain evaluation.
+fn reference_cost(eval: &BinningEvaluation, global_nodes: usize) -> f64 {
+    let bad_nodes = eval.node_good.iter().filter(|&&good| !good).count();
+    let bad_bins = eval.bin_good.iter().filter(|&&good| !good).count();
+    bad_nodes as f64 + (global_nodes * bad_bins) as f64
+}
+
+/// 65 combined seeds drawn from `salt`. Seeds 40 and up share seed 0's h1
+/// coefficients, the way the chunks that fix h2 leave h1 alone.
+fn lane_seeds(seed_bits: usize, node_coefficients: usize, salt: u64) -> Vec<BitSeed> {
+    (0..65u64)
+        .map(|k| {
+            let mut seed = BitSeed::zeros(seed_bits);
+            for j in 0..seed_bits.div_ceil(BITS_PER_COEFFICIENT) {
+                let source = if k >= 40 && j < node_coefficients {
+                    0
+                } else {
+                    k
+                };
+                let value = splitmix64(salt ^ (source << 32) ^ j as u64);
+                seed.set_chunk(j * BITS_PER_COEFFICIENT, BITS_PER_COEFFICIENT, value);
+            }
+            seed
+        })
+        .collect()
+}
+
+/// Definition 3.1's thresholds two ways: the ones a call derives from ℓ, and
+/// ones that make `d/B ± slack` (for nodes with B | d, and every node when
+/// B = 2) and `p/B + slack` (for the largest palette, and every palette that
+/// size) exact integers, with a bin threshold some bins reach.
+fn binning_params(sub: &ActiveSubgraph, bins: u64, global_nodes: usize) -> [BinningParams; 2] {
+    let ell = (sub.max_degree() as u64).max(2);
+    let derived = BinningParams::new(
+        &ColorReduceConfig::default(),
+        ell,
+        bins,
+        global_nodes,
+        sub.len(),
+    );
+    let p = sub.palette_size.iter().copied().max().unwrap_or(0);
+    // The whole palette when B = 2, about its share of B − 1 color bins
+    // otherwise; within a factor two of p/B, so the sum below is exact.
+    let target = if bins == 2 {
+        u64::from(p)
+    } else {
+        u64::from(p).div_ceil(bins - 1)
+    };
+    let exact = BinningParams {
+        ell,
+        bins,
+        global_nodes,
+        degree_slack: if bins == 2 { 0.5 } else { 1.0 },
+        palette_slack: target as f64 - f64::from(p) / bins as f64,
+        bin_node_threshold: sub.len().div_ceil(bins as usize) as f64,
+    };
+    [derived, exact]
 }
 
 proptest! {
@@ -284,5 +428,106 @@ proptest! {
         prop_assert_eq!(outcome.candidates_evaluated, passes * per_pass);
         prop_assert_eq!(ctx.rounds(), passes * rounds);
         prop_assert_eq!(ctx.communication_words(), passes * words);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The bit-sliced binning kernel against `reference_binning`: on every
+    /// dense generator family and an arbitrary graph, every palette kind,
+    /// B ∈ {2, 3, 5, 7}, all nodes or a random half active, and 1, 63, 64
+    /// or 65 seeds (two groups), each lane's cost has the reference's bits,
+    /// and the one-lane call matches the reference node by node.
+    #[test]
+    fn binning_kernel_matches_a_plain_reference(
+        graph in arb_graph(40),
+        n in 81usize..=86,
+        seed in any::<u64>()
+    ) {
+        let mut graphs: Vec<(String, CsrGraph)> = DENSE_FAMILIES
+            .iter()
+            .map(|family| (family.label(), family.generate(n, seed).unwrap()))
+            .collect();
+        graphs.push(("arbitrary".to_string(), graph));
+        for (label, graph) in &graphs {
+            let n = graph.node_count();
+            let everyone: Vec<NodeId> = graph.nodes().collect();
+            let half: Vec<NodeId> = graph
+                .nodes()
+                .filter(|v| splitmix64(seed ^ u64::from(v.0)) & 1 == 0)
+                .collect();
+            for kind in palette_kinds(n) {
+                let instance = instance_with_palettes(graph, kind, seed).unwrap();
+                let palettes = instance.palettes();
+                for active in [&everyone, &half] {
+                    let sub = ActiveSubgraph::new(graph, palettes, active);
+                    for bins in [2u64, 3, 5, 7] {
+                        let hashes = HashPair::new(4, graph, &sub, bins);
+                        let seeds = lane_seeds(hashes.seed_bits(), 4, seed ^ bins);
+                        let counted: Vec<BinningEvaluation> = seeds
+                            .iter()
+                            .map(|s| {
+                                reference_bins(graph, &sub, palettes, bins, &hashes.functions(s))
+                            })
+                            .collect();
+                        // 64 seeds make one group: the first of the 65 seeds' two.
+                        let [one, sixty_three, two_groups] = [1, 63, 65].map(|lanes| {
+                            hashes.lane_planes(&sub, &seeds[..lanes]).collect::<Vec<_>>()
+                        });
+                        let planes = [
+                            (1, &one[..]),
+                            (63, &sixty_three[..]),
+                            (64, &two_groups[..1]),
+                            (65, &two_groups[..]),
+                        ];
+                        for params in binning_params(&sub, bins, n) {
+                            let case = format!(
+                                "{label}, {kind:?}, {} active, B = {bins}, {params:?}",
+                                sub.len()
+                            );
+                            let reference: Vec<BinningEvaluation> = counted
+                                .iter()
+                                .map(|bins| reference_binning(&sub, &params, bins))
+                                .collect();
+                            let tests = NodeTests::new(&sub, &params);
+                            for (lanes, groups) in planes {
+                                let costs: Vec<u64> = groups
+                                    .iter()
+                                    .flat_map(|group| {
+                                        binning_costs(graph, &sub, palettes, &params, &tests, group)
+                                    })
+                                    .map(f64::to_bits)
+                                    .collect();
+                                let expected: Vec<u64> = reference[..lanes]
+                                    .iter()
+                                    .map(|eval| reference_cost(eval, n).to_bits())
+                                    .collect();
+                                prop_assert!(
+                                    costs == expected,
+                                    "{case}, {lanes} lanes: {costs:?} != {expected:?}"
+                                );
+                            }
+                            for k in [0, 64] {
+                                let (h1, h2) = hashes.functions(&seeds[k]);
+                                let one_lane = evaluate_binning(
+                                    graph,
+                                    &sub,
+                                    palettes,
+                                    &params,
+                                    |x| h1.eval(x),
+                                    |x| h2.eval(x),
+                                );
+                                prop_assert!(
+                                    one_lane == reference[k],
+                                    "{case}, seed {k}: {one_lane:?} != {:?}",
+                                    reference[k]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
