@@ -220,6 +220,34 @@ mod tests {
     }
 
     #[test]
+    fn lane_costs_match_lemma_4_5_one_seed_at_a_time() {
+        let g = generators::gnp(90, 0.3, 4).unwrap();
+        let inst = ListColoringInstance::deg_plus_one(&g).unwrap();
+        let palettes = inst.palettes().to_vec();
+        let nodes: Vec<NodeId> = g.nodes().filter(|v| v.0 % 4 != 1).collect();
+        let sub = ActiveSubgraph::new(&g, &palettes, &nodes);
+        for bins in [2u64, 3, 5] {
+            let cost = LowSpaceCost::new(&g, &sub, &palettes, bins, 3);
+            let seeds: Vec<BitSeed> = (0..70)
+                .map(|k| BitSeed::zeros(cost.hashes.seed_bits()).canonical_completion(0, k))
+                .collect();
+            let costs = cost.total_costs(&seeds);
+            assert_eq!(costs.len(), seeds.len());
+            for (seed, lane_cost) in seeds.iter().zip(costs) {
+                let binning = cost.binning(seed);
+                let violators = sub.nodes.iter().enumerate().filter(|&(i, v)| {
+                    let d_in = binning.in_bin_degree[i];
+                    let d = f64::from(sub.degree_in[v.index()]);
+                    let degree_violation = f64::from(d_in) >= (2.0 * d / bins as f64).max(1.0);
+                    let last = u64::from(binning.node_bin[i]) == bins - 1;
+                    degree_violation || (!last && binning.in_bin_palette[i] <= d_in)
+                });
+                assert_eq!(lane_cost, violators.count() as f64, "B = {bins}");
+            }
+        }
+    }
+
+    #[test]
     fn safety_valve_nodes_keep_full_palettes() {
         // With three bins and tight (deg+1) palettes, some nodes may be
         // unable to survive restriction; they must land in the last bin.
