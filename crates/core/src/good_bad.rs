@@ -9,13 +9,15 @@
 //! bit lane per pair, the way §2.4 has every machine score every candidate
 //! of a chunk. [`LanePlanes`] stores each node's bin under every pair in
 //! ⌈log₂ B⌉ global-indexed `u64` planes (bit `lane` of plane `j` is bit `j`
-//! of the bin), with inactive nodes masked out, and, when B ≥ 3, each
-//! color's h2 bin the same way. `bin_lanes` is the one loop that walks
-//! adjacency lists: a single pass over the active nodes' edges (and, when
-//! B ≥ 3, their palettes) counts every node's in-bin degree and palette
-//! under all lanes in bit-sliced counters. [`NodeTests`] turns Definition
-//! 3.1's tests into integer thresholds per node, each found by evaluating
-//! the f64 test, and the counters are compared with them bit-sliced too.
+//! of the bin), with inactive nodes masked out, and, when B ≥ 3, the h2 bin
+//! of each distinct color of the active palettes the same way: one row per
+//! color in use, so the planes grow with the palettes, not with the largest
+//! color id. `bin_lanes` is the one loop that walks adjacency lists: a
+//! single pass over the active nodes' edges (and, when B ≥ 3, their
+//! palettes) counts every node's in-bin degree and palette under all lanes
+//! in bit-sliced counters. [`NodeTests`] turns Definition 3.1's tests into
+//! integer thresholds per node, each found by evaluating the f64 test, and
+//! the counters are compared with them bit-sliced too.
 //! On top of that loop:
 //!
 //! * [`binning_costs`] scores a group of pairs for the seed search, reading
@@ -225,6 +227,54 @@ fn slice_seed(seed: &BitSeed, start: usize, len: usize) -> BitSeed {
     out
 }
 
+/// The colors h2 bins: the distinct colors of the active palettes, and each
+/// active node's palette as indices into them. Empty when B = 2, where h2
+/// has one bin and is never evaluated.
+#[derive(Debug, Clone, Default)]
+struct PaletteColors {
+    /// The distinct colors of the active palettes, ascending.
+    distinct: Vec<u64>,
+    /// The palettes of the active nodes, in `ActiveSubgraph::nodes` order,
+    /// as indices into `distinct`.
+    rows: Vec<u32>,
+    /// Where each active node's palette starts in `rows`, then `rows.len()`.
+    starts: Vec<usize>,
+}
+
+impl PaletteColors {
+    /// The colors of `sub`'s palettes when binning into `bins` bins.
+    fn new(sub: &ActiveSubgraph, palettes: &[Palette], bins: u64) -> Self {
+        if bins <= 2 {
+            return PaletteColors::default();
+        }
+        let active = || sub.nodes.iter().map(|v| &palettes[v.index()]);
+        let mut distinct: Vec<u64> = active().flat_map(|p| p.iter().map(|c| c.0)).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut rows = Vec::with_capacity(sub.palette_size.iter().map(|&p| p as usize).sum());
+        let mut starts = vec![0];
+        for palette in active() {
+            rows.extend(palette.iter().map(|c| {
+                let row = distinct
+                    .binary_search(&c.0)
+                    .expect("every color was collected");
+                u32::try_from(row).expect("fewer than 2³² distinct colors")
+            }));
+            starts.push(rows.len());
+        }
+        PaletteColors {
+            distinct,
+            rows,
+            starts,
+        }
+    }
+
+    /// The palette of the active node at `index`, as rows.
+    fn palette(&self, index: usize) -> &[u32] {
+        &self.rows[self.starts[index]..self.starts[index + 1]]
+    }
+}
+
 /// The hash families of one `Partition` or `LowSpacePartition` call: h1
 /// hashes node ids into the `bins` node bins, h2 hashes colors into the
 /// `bins − 1` color bins (one when B = 2). A combined seed is h1's seed
@@ -236,15 +286,22 @@ pub struct HashPair {
     /// `x¹, …, x^(c−1)` of every active node, in `ActiveSubgraph::nodes`
     /// order.
     node_powers: Vec<Mersenne61>,
-    /// The same for every color below the color domain; empty when B = 2,
-    /// where h2 has one bin and is never evaluated.
+    /// The colors h2 bins.
+    palette_colors: PaletteColors,
+    /// The same powers for each of those colors, in their order.
     color_powers: Vec<Mersenne61>,
 }
 
 impl HashPair {
-    /// The families binning `sub` into `bins` bins with
-    /// `independence`-wise independent functions.
-    pub fn new(independence: usize, graph: &CsrGraph, sub: &ActiveSubgraph, bins: u64) -> Self {
+    /// The families binning `sub`, whose palettes are `palettes`, into
+    /// `bins` bins with `independence`-wise independent functions.
+    pub fn new(
+        independence: usize,
+        graph: &CsrGraph,
+        sub: &ActiveSubgraph,
+        palettes: &[Palette],
+        bins: u64,
+    ) -> Self {
         let nodes =
             PolynomialHashFamily::new(independence, (graph.node_count() as u64).max(2), bins);
         let colors =
@@ -254,17 +311,17 @@ impl HashPair {
             .iter()
             .flat_map(|v| nodes.powers(u64::from(v.0)))
             .collect();
-        let color_powers = if bins > 2 {
-            (0..sub.color_domain)
-                .flat_map(|c| colors.powers(c))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let palette_colors = PaletteColors::new(sub, palettes, bins);
+        let color_powers = palette_colors
+            .distinct
+            .iter()
+            .flat_map(|&c| colors.powers(c))
+            .collect();
         HashPair {
             nodes,
             colors,
             node_powers,
+            palette_colors,
             color_powers,
         }
     }
@@ -296,7 +353,7 @@ impl HashPair {
         &'a self,
         sub: &'a ActiveSubgraph,
         seeds: &'a [BitSeed],
-    ) -> impl Iterator<Item = LanePlanes> + 'a {
+    ) -> impl Iterator<Item = LanePlanes<'a>> + 'a {
         seeds
             .chunks(LANES)
             .map(move |group| self.group_planes(sub, group))
@@ -305,7 +362,7 @@ impl HashPair {
     /// The planes of at most [`LANES`] seeds. Each distinct h1 is evaluated
     /// once per node: the chunks that fix h2's bits leave h1 the same in
     /// every lane.
-    fn group_planes(&self, sub: &ActiveSubgraph, seeds: &[BitSeed]) -> LanePlanes {
+    fn group_planes(&self, sub: &ActiveSubgraph, seeds: &[BitSeed]) -> LanePlanes<'_> {
         let pairs: Vec<(Vec<Mersenne61>, Vec<Mersenne61>)> = seeds
             .iter()
             .map(|seed| {
@@ -320,7 +377,8 @@ impl HashPair {
                 None => node_functions.push((h1, 1 << lane)),
             }
         }
-        let mut planes = LanePlanes::new(sub, self.nodes.range(), seeds.len());
+        let mut planes =
+            LanePlanes::new(sub, &self.palette_colors, self.nodes.range(), seeds.len());
         // Powers per input: c − 1, possibly none.
         let k = self.nodes.independence() - 1;
         for (i, &v) in sub.nodes.iter().enumerate() {
@@ -329,12 +387,10 @@ impl HashPair {
                 planes.set_node(v, lanes, self.nodes.eval_with_powers(h1, powers));
             }
         }
-        if planes.has_colors() {
-            for c in 0..sub.color_domain {
-                let powers = &self.color_powers[c as usize * k..(c as usize + 1) * k];
-                for (lane, (_, h2)) in pairs.iter().enumerate() {
-                    planes.set_color(c, 1 << lane, self.colors.eval_with_powers(h2, powers));
-                }
+        for row in 0..self.palette_colors.distinct.len() {
+            let powers = &self.color_powers[row * k..(row + 1) * k];
+            for (lane, (_, h2)) in pairs.iter().enumerate() {
+                planes.set_color(row, 1 << lane, self.colors.eval_with_powers(h2, powers));
             }
         }
         planes
@@ -345,7 +401,7 @@ impl HashPair {
 /// active subgraph, one bit lane per pair: bit `lane` of plane `j` holds bit
 /// `j` of the bin that lane's pair picks.
 #[derive(Debug, Clone)]
-pub struct LanePlanes {
+pub struct LanePlanes<'a> {
     /// Number of node bins B.
     bins: u64,
     /// Planes per node or color: ⌈log₂ B⌉.
@@ -355,15 +411,23 @@ pub struct LanePlanes {
     /// Global-indexed rows of `1 + width` words: the lanes in use for an
     /// active node (0 for an inactive one), then the node's bin planes.
     nodes: Vec<u64>,
-    /// Color-indexed rows of `width` words holding h2's bin planes; empty
-    /// when B = 2 (one color bin).
+    /// The colors h2 bins, and the active palettes as rows of `colors`.
+    palette_colors: &'a PaletteColors,
+    /// One row of `width` words per distinct color of `palette_colors`,
+    /// holding h2's bin planes; empty when B = 2 (one color bin).
     colors: Vec<u64>,
 }
 
-impl LanePlanes {
-    /// Planes for `lanes` pairs binning `sub` into `bins` bins, with every
-    /// node and color in bin 0 until set.
-    fn new(sub: &ActiveSubgraph, bins: u64, lanes: usize) -> Self {
+impl<'a> LanePlanes<'a> {
+    /// Planes for `lanes` pairs binning `sub` into `bins` bins and
+    /// `palette_colors` into `bins − 1`, with every node and color in bin 0
+    /// until set.
+    fn new(
+        sub: &ActiveSubgraph,
+        palette_colors: &'a PaletteColors,
+        bins: u64,
+        lanes: usize,
+    ) -> Self {
         assert!(bins >= 2, "binning needs at least two bins");
         assert!(
             (1..=LANES).contains(&lanes),
@@ -375,35 +439,30 @@ impl LanePlanes {
         for v in &sub.nodes {
             nodes[v.index() * (1 + width)] = lane_mask;
         }
-        let colors = if bins > 2 {
-            vec![0u64; sub.color_domain as usize * width]
-        } else {
-            Vec::new()
-        };
         LanePlanes {
             bins,
             width,
             lanes: lane_mask,
             nodes,
-            colors,
+            palette_colors,
+            colors: vec![0u64; palette_colors.distinct.len() * width],
         }
     }
 
     /// One lane, holding the pair (h1, h2).
     fn single(
         sub: &ActiveSubgraph,
+        palette_colors: &'a PaletteColors,
         bins: u64,
         h1: impl Fn(u64) -> u64,
         h2: impl Fn(u64) -> u64,
     ) -> Self {
-        let mut planes = LanePlanes::new(sub, bins, 1);
+        let mut planes = LanePlanes::new(sub, palette_colors, bins, 1);
         for &v in &sub.nodes {
             planes.set_node(v, 1, h1(u64::from(v.0)));
         }
-        if planes.has_colors() {
-            for c in 0..sub.color_domain {
-                planes.set_color(c, 1, h2(c));
-            }
+        for (row, &c) in palette_colors.distinct.iter().enumerate() {
+            planes.set_color(row, 1, h2(c));
         }
         planes
     }
@@ -430,15 +489,15 @@ impl LanePlanes {
         set_bits(&mut self.nodes[row..row + self.width], lanes, bin);
     }
 
-    /// Puts color `c` in color bin `bin` under `lanes`.
-    fn set_color(&mut self, c: u64, lanes: u64, bin: u64) {
+    /// Puts the color of row `row` in color bin `bin` under `lanes`.
+    fn set_color(&mut self, row: usize, lanes: u64, bin: u64) {
         debug_assert!(
             bin < self.bins - 1,
             "h2 produced bin {bin} outside 0..{}",
             self.bins - 1
         );
-        let row = c as usize * self.width;
-        set_bits(&mut self.colors[row..row + self.width], lanes, bin);
+        let start = row * self.width;
+        set_bits(&mut self.colors[start..start + self.width], lanes, bin);
     }
 }
 
@@ -476,8 +535,7 @@ impl NodeLanes<'_> {
 pub(crate) fn bin_lanes(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
-    palettes: &[Palette],
-    planes: &LanePlanes,
+    planes: &LanePlanes<'_>,
     mut visit: impl FnMut(&NodeLanes<'_>),
 ) {
     let width = planes.width;
@@ -508,8 +566,8 @@ pub(crate) fn bin_lanes(
         // one color bin, else those in the last bin.
         let full = if planes.has_colors() { last } else { u64::MAX };
         if full & lanes != lanes {
-            for c in palettes[v.index()].iter() {
-                let color = &planes.colors[c.0 as usize * width..][..width];
+            for &row in planes.palette_colors.palette(index) {
+                let color = &planes.colors[row as usize * width..][..width];
                 let same = color
                     .iter()
                     .zip(bin)
@@ -588,17 +646,16 @@ fn bin_good(params: &BinningParams, count: u64) -> bool {
 pub fn binning_costs(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
-    palettes: &[Palette],
     params: &BinningParams,
     tests: &NodeTests,
-    planes: &LanePlanes,
+    planes: &LanePlanes<'_>,
 ) -> Vec<f64> {
     debug_assert_eq!(params.bins, planes.bins);
     let mut bad_nodes = LaneTotals::new(sub.len());
     let mut bin_sizes: Vec<LaneTotals> = (0..params.bins)
         .map(|_| LaneTotals::new(sub.len()))
         .collect();
-    bin_lanes(graph, sub, palettes, planes, |node| {
+    bin_lanes(graph, sub, planes, |node| {
         bad_nodes.add(node.lanes & !tests.good(node));
         for (bin, sizes) in (0..).zip(&mut bin_sizes) {
             sizes.add(node.in_bin(bin));
@@ -632,8 +689,7 @@ pub(crate) struct NodeBinning {
 fn lane_zero(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
-    palettes: &[Palette],
-    planes: &LanePlanes,
+    planes: &LanePlanes<'_>,
     mut visit: impl FnMut(&NodeLanes<'_>),
 ) -> NodeBinning {
     let mut binning = NodeBinning {
@@ -641,7 +697,7 @@ fn lane_zero(
         in_bin_degree: Vec::with_capacity(sub.len()),
         in_bin_palette: Vec::with_capacity(sub.len()),
     };
-    bin_lanes(graph, sub, palettes, planes, |node| {
+    bin_lanes(graph, sub, planes, |node| {
         binning.node_bin.push(lane_value(node.bin, 0) as u32);
         binning
             .in_bin_degree
@@ -666,8 +722,9 @@ pub(crate) fn bin_nodes(
     h1: impl Fn(u64) -> u64,
     h2: impl Fn(u64) -> u64,
 ) -> NodeBinning {
-    let planes = LanePlanes::single(sub, bins, h1, h2);
-    lane_zero(graph, sub, palettes, &planes, |_| {})
+    let palette_colors = PaletteColors::new(sub, palettes, bins);
+    let planes = LanePlanes::single(sub, &palette_colors, bins, h1, h2);
+    lane_zero(graph, sub, &planes, |_| {})
 }
 
 /// Classifies every active node and bin for the hash functions `h1` (nodes →
@@ -686,14 +743,15 @@ pub fn evaluate_binning(
     h1: impl Fn(u64) -> u64,
     h2: impl Fn(u64) -> u64,
 ) -> BinningEvaluation {
-    let planes = LanePlanes::single(sub, params.bins, h1, h2);
+    let palette_colors = PaletteColors::new(sub, palettes, params.bins);
+    let planes = LanePlanes::single(sub, &palette_colors, params.bins, h1, h2);
     let tests = NodeTests::new(sub, params);
     let mut node_good = Vec::with_capacity(sub.len());
     let NodeBinning {
         node_bin,
         in_bin_degree,
         in_bin_palette,
-    } = lane_zero(graph, sub, palettes, &planes, |node| {
+    } = lane_zero(graph, sub, &planes, |node| {
         node_good.push(tests.good(node) & 1 == 1);
     });
     let mut bin_counts = vec![0usize; params.bins as usize];
@@ -847,6 +905,7 @@ mod tests {
     use super::*;
     use cc_graph::builder::GraphBuilder;
     use cc_graph::instance::ListColoringInstance;
+    use cc_graph::Color;
 
     #[test]
     fn active_subgraph_precomputes_degrees_and_sizes() {
@@ -893,36 +952,50 @@ mod tests {
     fn lane_costs_match_one_pair_at_a_time() {
         let g = cc_graph::generators::gnp(60, 0.3, 2).unwrap();
         let inst = ListColoringInstance::delta_plus_one(&g).unwrap();
-        let palettes = inst.palettes();
+        // The same palettes with every color moved up by 2⁶⁰.
+        let shifted: Vec<Palette> = inst
+            .palettes()
+            .iter()
+            .map(|p| p.iter().map(|c| Color(c.0 + (1 << 60))).collect())
+            .collect();
         let half: Vec<NodeId> = g.nodes().filter(|v| v.0 % 3 != 0).collect();
-        let sub = ActiveSubgraph::new(&g, palettes, &half);
-        for (independence, bins) in [(1, 2), (1, 3), (2, 4), (4, 2), (5, 5)] {
-            let params = BinningParams {
-                ell: 20,
-                bins,
-                global_nodes: 60,
-                degree_slack: 1.5,
-                palette_slack: 0.0,
-                bin_node_threshold: 25.0,
-            };
-            let hashes = HashPair::new(independence, &g, &sub, bins);
-            let seeds: Vec<BitSeed> = (0..70u64)
-                .map(|k| BitSeed::zeros(hashes.seed_bits()).canonical_completion(0, k))
-                .collect();
-            let tests = NodeTests::new(&sub, &params);
-            let costs: Vec<f64> = hashes
-                .lane_planes(&sub, &seeds)
-                .flat_map(|planes| binning_costs(&g, &sub, palettes, &params, &tests, &planes))
-                .collect();
-            for (seed, cost) in seeds.iter().zip(costs) {
-                let (h1, h2) = hashes.functions(seed);
-                let eval =
-                    evaluate_binning(&g, &sub, palettes, &params, |x| h1.eval(x), |x| h2.eval(x));
-                assert_eq!(
-                    cost.to_bits(),
-                    eval.cost(60).to_bits(),
-                    "c = {independence}"
-                );
+        let cases = [(1, 2), (1, 3), (2, 4), (4, 2), (5, 5)];
+        for palettes in [inst.palettes(), &shifted] {
+            let sub = ActiveSubgraph::new(&g, palettes, &half);
+            for (independence, bins) in cases {
+                let params = BinningParams {
+                    ell: 20,
+                    bins,
+                    global_nodes: 60,
+                    degree_slack: 1.5,
+                    palette_slack: 0.0,
+                    bin_node_threshold: 25.0,
+                };
+                let hashes = HashPair::new(independence, &g, &sub, palettes, bins);
+                let seeds: Vec<BitSeed> = (0..70u64)
+                    .map(|k| BitSeed::zeros(hashes.seed_bits()).canonical_completion(0, k))
+                    .collect();
+                let tests = NodeTests::new(&sub, &params);
+                let costs: Vec<f64> = hashes
+                    .lane_planes(&sub, &seeds)
+                    .flat_map(|planes| binning_costs(&g, &sub, &params, &tests, &planes))
+                    .collect();
+                for (seed, cost) in seeds.iter().zip(costs) {
+                    let (h1, h2) = hashes.functions(seed);
+                    let eval = evaluate_binning(
+                        &g,
+                        &sub,
+                        palettes,
+                        &params,
+                        |x| h1.eval(x),
+                        |x| h2.eval(x),
+                    );
+                    assert_eq!(
+                        cost.to_bits(),
+                        eval.cost(60).to_bits(),
+                        "c = {independence}"
+                    );
+                }
             }
         }
     }

@@ -77,7 +77,7 @@ impl<'a> LowSpaceCost<'a> {
             sub,
             palettes,
             bins,
-            hashes: HashPair::new(independence, graph, sub, bins),
+            hashes: HashPair::new(independence, graph, sub, palettes, bins),
             degree_limit,
         }
     }
@@ -110,7 +110,7 @@ impl SeedCost for LowSpaceCost<'_> {
         let mut costs = Vec::with_capacity(seeds.len());
         for planes in self.hashes.lane_planes(self.sub, seeds) {
             let mut violators = LaneTotals::new(self.sub.len());
-            bin_lanes(self.graph, self.sub, self.palettes, &planes, |node| {
+            bin_lanes(self.graph, self.sub, &planes, |node| {
                 let degree_violation = at_least(node.degree, self.degree_limit[node.index]);
                 // Lemma 4.5 (ii): d'(v) < p'(v) for nodes with a color class.
                 let palette_violation = !node.last & !exceeds(node.palette, node.degree);
@@ -183,8 +183,9 @@ pub fn low_space_partition(
 mod tests {
     use super::*;
     use crate::config::SeedStrategy;
-    use cc_graph::generators;
+    use cc_graph::generators::{self, instance_with_palettes, PaletteKind};
     use cc_graph::instance::ListColoringInstance;
+    use cc_graph::Color;
     use cc_sim::ExecutionModel;
 
     fn ctx(n: usize) -> ClusterContext {
@@ -222,25 +223,49 @@ mod tests {
     #[test]
     fn lane_costs_match_lemma_4_5_one_seed_at_a_time() {
         let g = generators::gnp(90, 0.3, 4).unwrap();
-        let inst = ListColoringInstance::deg_plus_one(&g).unwrap();
-        let palettes = inst.palettes().to_vec();
         let nodes: Vec<NodeId> = g.nodes().filter(|v| v.0 % 4 != 1).collect();
-        let sub = ActiveSubgraph::new(&g, &palettes, &nodes);
-        for bins in [2u64, 3, 5] {
-            let cost = LowSpaceCost::new(&g, &sub, &palettes, bins, 3);
+        // Colors 0..=deg, then colors drawn from 𝔫² and from 2⁵⁰.
+        let mut instances = vec![ListColoringInstance::deg_plus_one(&g).unwrap()];
+        for universe in [90 * 90, 1 << 50] {
+            let kind = PaletteKind::DegPlusOneList { universe };
+            instances.push(instance_with_palettes(&g, kind, 4).unwrap());
+        }
+        let largest = instances[2]
+            .palettes()
+            .iter()
+            .filter_map(Palette::max_color);
+        assert!(largest.max() >= Some(Color(1 << 40)));
+        for (inst, bins) in instances
+            .iter()
+            .flat_map(|inst| [2u64, 3, 5].map(|bins| (inst, bins)))
+        {
+            let palettes = inst.palettes();
+            let sub = ActiveSubgraph::new(&g, palettes, &nodes);
+            let cost = LowSpaceCost::new(&g, &sub, palettes, bins, 3);
             let seeds: Vec<BitSeed> = (0..70)
                 .map(|k| BitSeed::zeros(cost.hashes.seed_bits()).canonical_completion(0, k))
                 .collect();
             let costs = cost.total_costs(&seeds);
             assert_eq!(costs.len(), seeds.len());
             for (seed, lane_cost) in seeds.iter().zip(costs) {
+                // The plain way: hash each node, neighbor and palette color.
+                let (h1, h2) = cost.hashes.functions(seed);
+                let bin = |v: NodeId| h1.eval(u64::from(v.0));
                 let binning = cost.binning(seed);
-                let violators = sub.nodes.iter().enumerate().filter(|&(i, v)| {
-                    let d_in = binning.in_bin_degree[i];
+                let violators = sub.nodes.iter().enumerate().filter(|&(i, &v)| {
+                    let same_bin = |u: &NodeId| sub.active[u.index()] && bin(*u) == bin(v);
+                    let d_in = g.neighbors(v).filter(same_bin).count() as u32;
+                    let p_in = palettes[v.index()]
+                        .iter()
+                        .filter(|c| h2.eval(c.0) == bin(v))
+                        .count() as u32;
+                    let last = bin(v) == bins - 1;
+                    assert_eq!(binning.node_bin[i], bin(v) as u32);
+                    assert_eq!(binning.in_bin_degree[i], d_in);
+                    assert!(last || binning.in_bin_palette[i] == p_in, "B = {bins}");
                     let d = f64::from(sub.degree_in[v.index()]);
                     let degree_violation = f64::from(d_in) >= (2.0 * d / bins as f64).max(1.0);
-                    let last = u64::from(binning.node_bin[i]) == bins - 1;
-                    degree_violation || (!last && binning.in_bin_palette[i] <= d_in)
+                    degree_violation || (!last && p_in <= d_in)
                 });
                 assert_eq!(lane_cost, violators.count() as f64, "B = {bins}");
             }

@@ -134,14 +134,7 @@ impl SeedCost for PartitionCost<'_> {
         self.hashes
             .lane_planes(self.sub, seeds)
             .flat_map(|planes| {
-                binning_costs(
-                    self.graph,
-                    self.sub,
-                    self.palettes,
-                    &self.params,
-                    &self.tests,
-                    &planes,
-                )
+                binning_costs(self.graph, self.sub, &self.params, &self.tests, &planes)
             })
             .collect()
     }
@@ -175,7 +168,7 @@ pub fn partition(
         palettes,
         tests: NodeTests::new(sub, &params),
         params,
-        hashes: HashPair::new(config.independence, graph, sub, bins),
+        hashes: HashPair::new(config.independence, graph, sub, palettes, bins),
         bound,
     };
     let outcome = select_seed(

@@ -218,3 +218,27 @@ fn explicit_and_implicit_palettes_give_equivalent_colorings_for_delta_plus_one()
     assert!(a.coloring().distinct_colors() <= palette_size);
     assert!(b.coloring().distinct_colors() <= palette_size);
 }
+
+#[test]
+fn color_ids_far_beyond_the_node_count_bin_like_small_ones() {
+    // (deg+1)-lists drawn from 2⁵⁰ colors, under a bin exponent that
+    // gives the partitions several color bins.
+    let graph = GraphFamily::Gnp { p: 0.5 }.generate(300, 8).unwrap();
+    let kind = PaletteKind::DegPlusOneList { universe: 1 << 50 };
+    let instance = instance_with_palettes(&graph, kind, 8).unwrap();
+    let config = ColorReduceConfig {
+        bin_exponent: 0.4,
+        ..fast_config()
+    };
+    let outcome = ColorReduce::new(config)
+        .run(&instance, ExecutionModel::congested_clique(300))
+        .unwrap();
+    outcome.coloring().verify(&instance).unwrap();
+    let calls = outcome.trace().calls();
+    let most_bins = calls
+        .iter()
+        .filter_map(|call| call.partition.as_ref())
+        .map(|p| p.bins)
+        .max();
+    assert!(most_bins >= Some(3), "{most_bins:?}");
+}

@@ -1,5 +1,7 @@
 //! Property-based tests (proptest) for the core invariants.
 
+use std::collections::BTreeSet;
+
 use cc_graph::csr::CsrGraph;
 use cc_graph::generators::{instance_with_palettes, GraphFamily, PaletteKind};
 use cc_graph::palette::Palette;
@@ -70,6 +72,13 @@ fn palette_kinds(n: usize) -> [PaletteKind; 3] {
     ]
 }
 
+/// (deg+1)-list palettes whose colors are nearly all distinct: drawn from
+/// the 𝔫² colors the paper allows, and from 2⁵⁰ colors, nearly all at
+/// least 2⁴⁰.
+fn sparse_palette_kinds(n: usize) -> [PaletteKind; 2] {
+    [(n * n) as u64, 1 << 50].map(|universe| PaletteKind::DegPlusOneList { universe })
+}
+
 /// A `SeedCost` given by a table: on the seed whose value is `s`, machine
 /// `x` costs `table[x][s]`. Integer entries keep every sum exact.
 struct TableCost {
@@ -112,14 +121,38 @@ fn arb_table_cost() -> impl Strategy<Value = TableCost> {
     })
 }
 
+/// The palettes of `sub`'s nodes, written once for every (h1, h2) pair of
+/// `reference_bins`: the distinct colors, ascending, and each active node's
+/// palette as indices into them.
+struct ActiveColors {
+    colors: Vec<u64>,
+    palettes: Vec<Vec<usize>>,
+}
+
+impl ActiveColors {
+    fn new(sub: &ActiveSubgraph, palettes: &[Palette]) -> Self {
+        let active = || sub.nodes.iter().map(|v| &palettes[v.index()]);
+        let colors: BTreeSet<u64> = active().flat_map(|p| p.iter().map(|c| c.0)).collect();
+        let colors: Vec<u64> = colors.into_iter().collect();
+        let palettes = active()
+            .map(|p| {
+                p.iter()
+                    .map(|c| colors.binary_search(&c.0).unwrap())
+                    .collect()
+            })
+            .collect();
+        ActiveColors { colors, palettes }
+    }
+}
+
 /// Where one (h1, h2) pair puts the active nodes, the plain way: hash every
-/// node and color, then count each node's in-bin neighbors and palette
-/// colors one by one. The in-bin palette is the whole palette in the last
-/// bin and when B = 2.
+/// node and every active color, then count each node's in-bin neighbors and
+/// palette colors one by one. The in-bin palette is the whole palette in the
+/// last bin and when B = 2.
 fn reference_bins(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
-    palettes: &[Palette],
+    active: &ActiveColors,
     bins: u64,
     (h1, h2): &(HashFunction, HashFunction),
 ) -> BinningEvaluation {
@@ -128,7 +161,6 @@ fn reference_bins(
         .iter()
         .map(|v| h1.eval(u64::from(v.0)) as u32)
         .collect();
-    let color_bin: Vec<u64> = (0..sub.color_domain).map(|c| h2.eval(c)).collect();
     let mut eval = BinningEvaluation {
         node_bin,
         in_bin_degree: Vec::new(),
@@ -137,6 +169,7 @@ fn reference_bins(
         bin_counts: vec![0; bins as usize],
         bin_good: Vec::new(),
     };
+    let color_bin: Vec<u64> = active.colors.iter().map(|&c| h2.eval(c)).collect();
     for (i, &v) in sub.nodes.iter().enumerate() {
         let bin = eval.node_bin[i];
         let d_in = graph
@@ -146,9 +179,9 @@ fn reference_bins(
         let p_in = if u64::from(bin) == bins - 1 || bins == 2 {
             sub.palette_size[i]
         } else {
-            palettes[v.index()]
+            active.palettes[i]
                 .iter()
-                .filter(|c| color_bin[c.0 as usize] == u64::from(bin))
+                .filter(|&&c| color_bin[c] == u64::from(bin))
                 .count() as u32
         };
         eval.in_bin_degree.push(d_in as u32);
@@ -435,40 +468,54 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// The bit-sliced binning kernel against `reference_binning`: on every
-    /// dense generator family and an arbitrary graph, every palette kind,
-    /// B ∈ {2, 3, 5, 7}, all nodes or a random half active, and 1, 63, 64
-    /// or 65 seeds (two groups), each lane's cost has the reference's bits,
-    /// and the one-lane call matches the reference node by node.
+    /// dense generator family and an arbitrary graph, every palette kind
+    /// (and, on a sparse power-law graph and the arbitrary one, list colors
+    /// from 𝔫² and from 2⁵⁰), B ∈ {2, 3, 5, 7}, all nodes or a random half
+    /// active, and 1, 63, 64 or 65 seeds (two groups), each lane's cost has
+    /// the reference's bits, and the one-lane call matches the reference
+    /// node by node.
     #[test]
     fn binning_kernel_matches_a_plain_reference(
         graph in arb_graph(40),
         n in 81usize..=86,
         seed in any::<u64>()
     ) {
-        let mut graphs: Vec<(String, CsrGraph)> = DENSE_FAMILIES
+        // Sparse palettes have about one color row per palette entry. On
+        // the dense graphs they would take this test far past 10 s, so a
+        // sparse graph and the arbitrary one take them.
+        let mut graphs: Vec<(String, CsrGraph, Vec<PaletteKind>)> = DENSE_FAMILIES
             .iter()
-            .map(|family| (family.label(), family.generate(n, seed).unwrap()))
+            .map(|family| {
+                (family.label(), family.generate(n, seed).unwrap(), palette_kinds(n).to_vec())
+            })
             .collect();
-        graphs.push(("arbitrary".to_string(), graph));
-        for (label, graph) in &graphs {
+        let sparse = GraphFamily::PowerLaw { edges_per_node: 4 };
+        let kinds = sparse_palette_kinds(n).to_vec();
+        graphs.push((sparse.label(), sparse.generate(n, seed).unwrap(), kinds));
+        let size = graph.node_count();
+        let kinds = [&palette_kinds(size)[..], &sparse_palette_kinds(size)].concat();
+        graphs.push(("arbitrary".to_string(), graph, kinds));
+        for (label, graph, kinds) in &graphs {
             let n = graph.node_count();
             let everyone: Vec<NodeId> = graph.nodes().collect();
             let half: Vec<NodeId> = graph
                 .nodes()
                 .filter(|v| splitmix64(seed ^ u64::from(v.0)) & 1 == 0)
                 .collect();
-            for kind in palette_kinds(n) {
+            for &kind in kinds {
                 let instance = instance_with_palettes(graph, kind, seed).unwrap();
                 let palettes = instance.palettes();
                 for active in [&everyone, &half] {
                     let sub = ActiveSubgraph::new(graph, palettes, active);
+                    let colors = ActiveColors::new(&sub, palettes);
                     for bins in [2u64, 3, 5, 7] {
-                        let hashes = HashPair::new(4, graph, &sub, bins);
+                        let hashes = HashPair::new(4, graph, &sub, palettes, bins);
                         let seeds = lane_seeds(hashes.seed_bits(), 4, seed ^ bins);
                         let counted: Vec<BinningEvaluation> = seeds
                             .iter()
                             .map(|s| {
-                                reference_bins(graph, &sub, palettes, bins, &hashes.functions(s))
+                                let functions = hashes.functions(s);
+                                reference_bins(graph, &sub, &colors, bins, &functions)
                             })
                             .collect();
                         // 64 seeds make one group: the first of the 65 seeds' two.
@@ -495,7 +542,7 @@ proptest! {
                                 let costs: Vec<u64> = groups
                                     .iter()
                                     .flat_map(|group| {
-                                        binning_costs(graph, &sub, palettes, &params, &tests, group)
+                                        binning_costs(graph, &sub, &params, &tests, group)
                                     })
                                     .map(f64::to_bits)
                                     .collect();
