@@ -142,6 +142,12 @@ impl SeedCost for PartitionCost<'_> {
     fn expectation_bound(&self) -> f64 {
         self.bound
     }
+
+    /// Lemma 3.9 asks only for a seed within the bound, so the search stops
+    /// at the first chunk whose minimizer's completion meets it.
+    fn stop_threshold(&self) -> Option<f64> {
+        Some(self.bound)
+    }
 }
 
 /// Runs `Partition(G, ℓ)` on the active subgraph, selecting hash functions

@@ -32,6 +32,14 @@ pub trait SeedCost {
     /// seed. The probabilistic method guarantees some seed achieves `q <= Q`;
     /// the selector verifies its chosen seed against this bound.
     fn expectation_bound(&self) -> f64;
+
+    /// The total at or below which a pass of the seed search may stop: once
+    /// a chunk's minimizer totals at most this, the selector returns that
+    /// candidate's canonical completion instead of fixing the remaining
+    /// chunks. The default, `None`, scores every chunk of every pass.
+    fn stop_threshold(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// A simple cost function for tests and examples: counts, over a set of

@@ -17,6 +17,14 @@
 //! completion schedule (a different salt) and, as a last resort, reports
 //! the best seed found with `met_bound = false`.
 //!
+//! A cost may also name a [`SeedCost::stop_threshold`]. A pass then ends at
+//! the first chunk whose minimizer totals at most it, and returns that
+//! candidate's canonical completion. The completion is a pure function of
+//! the broadcast prefix and the salt, and its total was just aggregated, so
+//! the stop charges nothing beyond the chunk's own aggregation and
+//! broadcast. `Partition`'s cost stops at Lemma 3.9's bound; the other costs
+//! score every chunk.
+//!
 //! Everything here is deterministic: candidate codebooks and completions are
 //! pure functions of (chunk index, salt).
 
@@ -110,7 +118,9 @@ impl GreedyChunkSelector {
         }
     }
 
-    /// One full greedy pass with a fixed completion salt.
+    /// One greedy pass with a fixed completion salt. It ends early, at the
+    /// first chunk whose minimizer totals at most the cost's
+    /// [`SeedCost::stop_threshold`], with that candidate's completion.
     fn run_pass(
         &self,
         ctx: &mut ClusterContext,
@@ -122,6 +132,7 @@ impl GreedyChunkSelector {
     ) -> (BitSeed, f64) {
         let mut seed = BitSeed::zeros(seed_bits);
         let machines = cost.machine_count();
+        let stop = cost.stop_threshold();
         let chunks = seed.chunk_count(self.chunk_bits);
         let mut final_cost = None;
         for chunk_index in 0..chunks {
@@ -130,7 +141,7 @@ impl GreedyChunkSelector {
             let candidates = self.candidates(width, chunk_index, salt);
             // Every machine scores every candidate on its local data, and the
             // per-candidate totals are aggregated (O(1) rounds).
-            let trials: Vec<BitSeed> = candidates
+            let mut trials: Vec<BitSeed> = candidates
                 .iter()
                 .map(|&value| {
                     let mut trial = seed.clone();
@@ -152,6 +163,12 @@ impl GreedyChunkSelector {
                 .expect("at least one candidate");
             seed.set_chunk(start, width, candidates[best_index]);
             broadcast_word(ctx, label, candidates[best_index]);
+            // The minimizer's completion is a pure function of the broadcast
+            // prefix and the salt, and its total was just aggregated, so
+            // every machine can adopt it without another round.
+            if stop.is_some_and(|threshold| best_total <= threshold) {
+                return (trials.swap_remove(best_index), best_total);
+            }
             final_cost = Some(best_total);
         }
         // The last chunk's completion is the identity, so its total is the
@@ -173,7 +190,7 @@ impl GreedyChunkSelector {
         let mut candidates_evaluated = 0u64;
         let mut best: Option<(BitSeed, f64)> = None;
         for salt_index in 0..self.max_salts {
-            let salt = u64::from(salt_index).wrapping_mul(0xd1b5_4a32_d192_ed03) ^ 0x5bf0_3635;
+            let salt = completion_salt(salt_index);
             let (seed, achieved) =
                 self.run_pass(ctx, label, seed_bits, cost, salt, &mut candidates_evaluated);
             let improves = best.as_ref().map(|(_, c)| achieved < *c).unwrap_or(true);
@@ -204,11 +221,17 @@ impl GreedyChunkSelector {
     }
 }
 
+/// The completion salt of the pass after `escalations` escalations.
+fn completion_salt(escalations: u32) -> u64 {
+    u64::from(escalations).wrapping_mul(0xd1b5_4a32_d192_ed03) ^ 0x5bf0_3635
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::BinZeroLoadCost;
     use cc_hash::PolynomialHashFamily;
+    use cc_sim::constants::{BROADCAST_ROUNDS, PREFIX_SUM_ROUNDS};
     use cc_sim::ExecutionModel;
 
     fn context() -> ClusterContext {
@@ -246,6 +269,56 @@ mod tests {
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.achieved_cost, b.achieved_cost);
         assert_eq!(a.candidates_evaluated, b.candidates_evaluated);
+    }
+
+    /// [`BinZeroLoadCost`] with a bound every seed meets, and a stop at it.
+    struct StopAtBound(BinZeroLoadCost);
+
+    impl SeedCost for StopAtBound {
+        fn machine_count(&self) -> usize {
+            self.0.machine_count()
+        }
+
+        fn total_cost(&self, seed: &BitSeed) -> f64 {
+            self.0.total_cost(seed)
+        }
+
+        fn expectation_bound(&self) -> f64 {
+            self.machine_count() as f64
+        }
+
+        fn stop_threshold(&self) -> Option<f64> {
+            Some(self.expectation_bound())
+        }
+    }
+
+    #[test]
+    fn pass_stops_at_the_first_chunk_meeting_the_threshold() {
+        let family = PolynomialHashFamily::new(4, 1000, 8);
+        let cost = StopAtBound(BinZeroLoadCost::new(family.clone(), (0..200).collect()));
+        let selector = GreedyChunkSelector::default();
+        let mut ctx = context();
+        let outcome = selector.select(&mut ctx, "stop", family.seed_bits(), &cost);
+        // A four-chunk seed, but chunk 0's minimizer already meets the
+        // threshold: only its candidates are scored, and only its
+        // aggregation and broadcast are charged.
+        assert_eq!(BitSeed::zeros(family.seed_bits()).chunk_count(61), 4);
+        assert_eq!(outcome.candidates_evaluated, 64);
+        assert_eq!(outcome.escalations, 0);
+        assert!(outcome.met_bound);
+        assert_eq!(ctx.rounds(), PREFIX_SUM_ROUNDS + BROADCAST_ROUNDS);
+        // The seed is chunk 0's minimizer under the first pass's canonical
+        // completion, and its reported cost is its true total.
+        let mut prefix = BitSeed::zeros(family.seed_bits());
+        prefix.set_chunk(0, 61, outcome.seed.chunk(0, 61));
+        assert_eq!(
+            outcome.seed,
+            prefix.canonical_completion(61, completion_salt(0))
+        );
+        assert!(selector
+            .candidates(61, 0, completion_salt(0))
+            .contains(&outcome.seed.chunk(0, 61)));
+        assert_eq!(outcome.achieved_cost, cost.total_cost(&outcome.seed));
     }
 
     #[test]

@@ -25,7 +25,11 @@
 //!   candidate chunk is scored by the *true* cost under a canonical
 //!   deterministic completion, with a runtime check of the expectation bound
 //!   and deterministic escalation if it is missed (substitution #2 in the
-//!   README's Substitutions list).
+//!   README's Substitutions list). A cost whose
+//!   [`SeedCost::stop_threshold`] is `Some` ends a pass at the first chunk
+//!   whose minimizer totals at most it, returning that candidate's
+//!   completion; `Partition`'s cost stops at its bound, the default
+//!   (`None`) scores every chunk.
 //!
 //! The selector charges its communication — one
 //! [`cc_sim::primitives::charge_aggregation`] and one broadcast per chunk —
