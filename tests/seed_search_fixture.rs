@@ -1,11 +1,16 @@
 //! Frozen seed-search outcomes.
 //!
 //! Every derandomized step of the pipeline picks its hash seeds with
-//! `cc_derand`'s chunked search over a `SeedCost`. The values below were
+//! `cc_derand`'s chunked search over a `SeedCost`. Most values below were
 //! recorded while each cost still answered one machine per call, with a
-//! per-seed memo behind it. Any change to the candidates scored, the
-//! per-machine terms, their aggregation or the escalation schedule shows up
-//! here. Each case pins, for every seed search, the selected seed's words,
+//! per-seed memo behind it. The two default `ColorReduce` cases were
+//! re-recorded when `Partition`'s search began to stop at the first chunk
+//! whose minimizer's completion meets Lemma 3.9's bound: each of their
+//! searches now scores chunk 0's 64 candidates and keeps the best one's
+//! canonical completion. Any change to the candidates scored, the
+//! per-machine terms, their aggregation, the stop or the escalation
+//! schedule shows up here. Each case pins, for every seed search, the
+//! selected seed's words,
 //! the bits of its achieved cost, the candidates evaluated and the
 //! escalations, plus a digest of the output and the report's rounds,
 //! communication words and peak machine words.
@@ -110,28 +115,29 @@ fn gnp_instance() -> ListColoringInstance {
     ListColoringInstance::delta_plus_one(&graph).unwrap()
 }
 
-/// Where a search lands when every candidate of every chunk scores zero on
-/// a 300- or 800-node instance: the first candidate of each chunk.
-const FIRST_CANDIDATES: [u64; 8] = [
+/// Where a stopping search lands when chunk 0's first candidate scores zero
+/// on a 300- or 800-node instance: that candidate, canonically completed
+/// under the first salt.
+const FIRST_CANDIDATE_COMPLETED: [u64; 8] = [
     13472193020030367434,
-    289183152537470296,
-    4140409401571364440,
-    7001825780865494302,
-    72514368333102556,
-    18365589154906528014,
-    13719775500234204134,
-    805087000034,
+    5056278601175809776,
+    5393427054874215771,
+    15897674999500403580,
+    14498589979504659270,
+    7932773627936670811,
+    12193956521716011263,
+    796305584254,
 ];
 
 #[test]
 fn default_color_reduce_on_gnp() {
     let got = color_reduce(&gnp_instance(), ColorReduceConfig::default());
     let want = Pinned {
-        picks: vec![pick(&FIRST_CANDIDATES, 0, 512, 0)],
-        output: 1623548183680783783,
-        rounds: 34,
-        communication_words: 173931,
-        peak_local_words: 9811,
+        picks: vec![pick(&FIRST_CANDIDATE_COMPLETED, 0, 64, 0)],
+        output: 17558847570250166960,
+        rounds: 13,
+        communication_words: 36068,
+        peak_local_words: 9270,
     };
     assert_eq!(got, want);
 }
@@ -144,25 +150,25 @@ fn default_color_reduce_on_power_law_lists() {
             .unwrap();
     let got = color_reduce(&instance, ColorReduceConfig::default());
     let child_seed = [
-        13472193020030367434,
-        289183152537470296,
-        17471064298588032600,
-        7001796981137745740,
-        72514368333102556,
-        18365589154906528014,
-        13719775500234204134,
-        805087000034,
+        189343593329955566,
+        2223973848886203234,
+        13709759445064864541,
+        15842984599570366557,
+        1794099243684995017,
+        11845861714320783290,
+        14209396894650317299,
+        509817211624,
     ];
     let want = Pinned {
         picks: vec![
-            pick(&FIRST_CANDIDATES, 0, 512, 0),
-            pick(&child_seed, 0, 512, 0),
-            pick(&child_seed, 0, 512, 0),
+            pick(&FIRST_CANDIDATE_COMPLETED, 0, 64, 0),
+            pick(&child_seed, 0, 64, 0),
+            pick(&child_seed, 0, 64, 0),
         ],
-        output: 6521632454068613525,
-        rounds: 94,
-        communication_words: 1002478,
-        peak_local_words: 43484,
+        output: 7585362486052814812,
+        rounds: 31,
+        communication_words: 264904,
+        peak_local_words: 44372,
     };
     assert_eq!(got, want);
 }
