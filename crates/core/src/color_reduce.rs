@@ -34,7 +34,7 @@ use cc_sim::report::ExecutionReport;
 use cc_sim::{ClusterContext, ExecutionModel};
 
 use crate::error::CoreError;
-use crate::good_bad::ActiveSubgraph;
+use crate::good_bad::{check_hashable_colors, ActiveSubgraph};
 use crate::local_color::{color_greedily, update_palettes_from_neighbors};
 use crate::partition::partition;
 use crate::trace::{CallAction, CallRecord, RecursionTrace};
@@ -116,7 +116,9 @@ impl ColorReduce {
     ///
     /// # Errors
     ///
-    /// Returns a [`CoreError`] for invalid configurations or instances, for
+    /// Returns a [`CoreError`] for invalid configurations or instances
+    /// (including [`CoreError::ColorOutOfRange`] for a color above
+    /// [`MAX_HASHABLE_COLOR`](crate::good_bad::MAX_HASHABLE_COLOR)), for
     /// strict-mode simulator violations, and for internal invariant failures
     /// (which would indicate a bug).
     pub fn run(
@@ -146,6 +148,7 @@ impl ColorReduce {
     ) -> Result<(Coloring, RecursionTrace), CoreError> {
         self.config.validate()?;
         instance.validate()?;
+        check_hashable_colors(instance.palettes())?;
         let graph = instance.graph();
         let n = graph.node_count();
 

@@ -1,7 +1,9 @@
 //! Error types of the coloring algorithms.
 
-use cc_graph::{GraphError, NodeId};
+use cc_graph::{Color, GraphError, NodeId};
 use cc_sim::SimError;
+
+use crate::good_bad::MAX_HASHABLE_COLOR;
 
 /// Errors returned by the coloring drivers.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +31,15 @@ pub enum CoreError {
         /// Human-readable description.
         reason: String,
     },
+    /// A palette holds a color above
+    /// [`MAX_HASHABLE_COLOR`](crate::good_bad::MAX_HASHABLE_COLOR), which
+    /// the color hash cannot take.
+    ColorOutOfRange {
+        /// The node whose palette holds the color.
+        node: NodeId,
+        /// The node's largest color.
+        color: Color,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -46,6 +57,10 @@ impl std::fmt::Display for CoreError {
                 write!(f, "recursion exceeded the safety depth of {limit}")
             }
             CoreError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
+            CoreError::ColorOutOfRange { node, color } => write!(
+                f,
+                "node {node} has color {color}, above the largest hashable color {MAX_HASHABLE_COLOR}"
+            ),
         }
     }
 }
@@ -90,6 +105,12 @@ mod tests {
         assert!(p.to_string().contains("v1"));
         let d = CoreError::RecursionDepthExceeded { limit: 9 };
         assert!(d.to_string().contains('9'));
+        let c = CoreError::ColorOutOfRange {
+            node: NodeId(4),
+            color: Color(1 << 62),
+        };
+        assert!(c.to_string().contains("v4"));
+        assert!(c.to_string().contains(&(1u64 << 62).to_string()));
     }
 
     #[test]

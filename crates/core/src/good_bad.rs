@@ -30,15 +30,34 @@
 
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
-use cc_graph::NodeId;
+use cc_graph::{Color, NodeId};
 use cc_hash::family::HashFunction;
-use cc_hash::field::Mersenne61;
+use cc_hash::field::{Mersenne61, MERSENNE_61};
 use cc_hash::{BitSeed, PolynomialHashFamily};
 
 use crate::config::ColorReduceConfig;
+use crate::error::CoreError;
 
 /// How many (h1, h2) pairs one [`LanePlanes`] holds: one per bit of a `u64`.
 pub const LANES: usize = 64;
+
+/// The largest color [`HashPair`] can bin, 2⁶¹ − 3: h2's domain, one past
+/// the largest active color, must stay below the field modulus 2⁶¹ − 1.
+pub const MAX_HASHABLE_COLOR: Color = Color(MERSENNE_61 - 2);
+
+/// Rejects palettes holding a color above [`MAX_HASHABLE_COLOR`], naming the
+/// first such node and its largest color.
+pub(crate) fn check_hashable_colors(palettes: &[Palette]) -> Result<(), CoreError> {
+    for (i, palette) in palettes.iter().enumerate() {
+        if let Some(color) = palette.max_color().filter(|&c| c > MAX_HASHABLE_COLOR) {
+            return Err(CoreError::ColorOutOfRange {
+                node: NodeId::from_index(i),
+                color,
+            });
+        }
+    }
+    Ok(())
+}
 
 /// Numeric thresholds of Definition 3.1 for one `Partition` call.
 #[derive(Debug, Clone, PartialEq)]

@@ -32,7 +32,7 @@ use cc_sim::{ClusterContext, ExecutionModel};
 
 use crate::config::SeedStrategy;
 use crate::error::CoreError;
-use crate::good_bad::ActiveSubgraph;
+use crate::good_bad::{check_hashable_colors, ActiveSubgraph};
 use crate::local_color::update_palettes_from_neighbors;
 
 /// Configuration of the low-space algorithm.
@@ -169,8 +169,10 @@ impl LowSpaceColorReduce {
     ///
     /// # Errors
     ///
-    /// Returns a [`CoreError`] for invalid inputs, strict-mode simulator
-    /// violations, or internal invariant failures.
+    /// Returns a [`CoreError`] for invalid inputs (including
+    /// [`CoreError::ColorOutOfRange`] for a color above
+    /// [`MAX_HASHABLE_COLOR`](crate::good_bad::MAX_HASHABLE_COLOR)),
+    /// strict-mode simulator violations, or internal invariant failures.
     pub fn run(
         &self,
         instance: &ListColoringInstance,
@@ -178,6 +180,7 @@ impl LowSpaceColorReduce {
     ) -> Result<LowSpaceOutcome, CoreError> {
         self.config.validate()?;
         instance.validate()?;
+        check_hashable_colors(instance.palettes())?;
         let mut ctx = ClusterContext::new(model);
         let graph = instance.graph();
         let n = graph.node_count();

@@ -95,7 +95,9 @@ impl From<u32> for NodeId {
 }
 
 /// A color. In the (Δ+1)-list coloring problem the number of distinct colors
-/// over all palettes can be as large as 𝔫², so colors are 64-bit.
+/// over all palettes can be as large as 𝔫², so colors are 64-bit. The
+/// coloring drivers hash colors into the prime field of order 2⁶¹ − 1, so
+/// they take colors up to 2⁶¹ − 3 and return an error for a larger one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Color(pub u64);
 

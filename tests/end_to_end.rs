@@ -7,7 +7,9 @@ use congested_clique_coloring::coloring::baselines::{
     trial::RandomizedTrialColoring,
 };
 use congested_clique_coloring::coloring::config::SeedStrategy;
+use congested_clique_coloring::coloring::good_bad::MAX_HASHABLE_COLOR;
 use congested_clique_coloring::coloring::low_space::LowSpaceConfig;
+use congested_clique_coloring::coloring::CoreError;
 use congested_clique_coloring::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -241,4 +243,37 @@ fn color_ids_far_beyond_the_node_count_bin_like_small_ones() {
         .map(|p| p.bins)
         .max();
     assert!(most_bins >= Some(3), "{most_bins:?}");
+}
+
+#[test]
+fn colors_beyond_the_hash_field_are_rejected_by_both_drivers() {
+    // K₄₀ with the same 41 explicit colors at every node, the largest `top`.
+    let graph = GraphBuilder::complete(40).build();
+    let limit = MAX_HASHABLE_COLOR.0;
+    assert_eq!(limit, (1 << 61) - 3);
+    for top in [limit, limit + 1, 1 << 62, u64::MAX] {
+        let palette = Palette::explicit((top - 40..=top).map(Color));
+        let instance =
+            ListColoringInstance::from_palettes(graph.clone(), vec![palette; 40]).unwrap();
+        instance.validate().unwrap();
+        let linear = ColorReduce::new(ColorReduceConfig::default())
+            .run(&instance, ExecutionModel::congested_clique(40))
+            .map(|outcome| outcome.coloring().clone());
+        let config = LowSpaceConfig::default();
+        let model = ExecutionModel::mpc_low_space(40, config.epsilon, instance.size_words() * 8);
+        let low = LowSpaceColorReduce::new(config)
+            .run(&instance, model)
+            .map(|outcome| outcome.coloring);
+        for result in [linear, low] {
+            if top <= limit {
+                result.unwrap().verify(&instance).unwrap();
+            } else {
+                let want = CoreError::ColorOutOfRange {
+                    node: NodeId(0),
+                    color: Color(top),
+                };
+                assert_eq!(result.unwrap_err(), want, "largest color {top}");
+            }
+        }
+    }
 }
