@@ -80,11 +80,14 @@ fn sparse_palette_kinds(n: usize) -> [PaletteKind; 2] {
 }
 
 /// A `SeedCost` given by a table: on the seed whose value is `s`, machine
-/// `x` costs `table[x][s]`. Integer entries keep every sum exact.
+/// `x` costs `table[x][s]`. Integer entries keep every sum exact. With
+/// `stop`, its bound is also the selector's stop threshold.
+#[derive(Clone)]
 struct TableCost {
     table: Vec<Vec<f64>>,
     seed_bits: usize,
     bound: f64,
+    stop: bool,
 }
 
 impl SeedCost for TableCost {
@@ -99,6 +102,10 @@ impl SeedCost for TableCost {
 
     fn expectation_bound(&self) -> f64 {
         self.bound
+    }
+
+    fn stop_threshold(&self) -> Option<f64> {
+        self.stop.then_some(self.bound)
     }
 }
 
@@ -117,8 +124,111 @@ fn arb_table_cost() -> impl Strategy<Value = TableCost> {
                     .collect(),
                 seed_bits,
                 bound: bound as f64,
+                stop: false,
             })
     })
+}
+
+/// One scored chunk of a reference pass: its candidate count, and its first
+/// minimizer's completed seed with that seed's total.
+type ScoredChunk = (u64, BitSeed, f64);
+
+/// The selector's passes written out plainly, one per completion salt and
+/// never stopping: each chunk scores its codebook (the whole chunk space when
+/// it is small enough) under the salt's canonical completion and fixes its
+/// first minimizer.
+fn reference_passes(
+    cost: &TableCost,
+    chunk_bits: usize,
+    candidates: usize,
+    salts: u32,
+) -> Vec<Vec<ScoredChunk>> {
+    let passes = (0..salts).map(|salt_index| {
+        let salt = u64::from(salt_index).wrapping_mul(0xd1b5_4a32_d192_ed03) ^ 0x5bf0_3635;
+        let mut prefix = BitSeed::zeros(cost.seed_bits);
+        let starts = (0..cost.seed_bits).step_by(chunk_bits).enumerate();
+        let pass = starts.map(|(chunk, start)| {
+            let width = chunk_bits.min(cost.seed_bits - start);
+            let space = 1u64 << width;
+            let codebook: Vec<u64> = if candidates as u64 >= space {
+                (0..space).collect()
+            } else {
+                let base = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ((chunk as u64) << 32);
+                (0..candidates as u64)
+                    .map(|j| splitmix64(base ^ j) & (space - 1))
+                    .collect()
+            };
+            let mut best: Option<(u64, BitSeed, f64)> = None;
+            for &value in &codebook {
+                let mut trial = prefix.clone();
+                trial.set_chunk(start, width, value);
+                let completed = trial.canonical_completion(start + width, salt);
+                let total = cost.total_cost(&completed);
+                if best.as_ref().map_or(true, |b| total < b.2) {
+                    best = Some((value, completed, total));
+                }
+            }
+            let (value, completed, total) = best.expect("at least one candidate");
+            prefix.set_chunk(start, width, value);
+            (codebook.len() as u64, completed, total)
+        });
+        pass.collect()
+    });
+    passes.collect()
+}
+
+/// What the selector should report and charge on `passes`.
+#[derive(Debug, PartialEq)]
+struct Schedule {
+    seed: BitSeed,
+    cost: f64,
+    escalations: u32,
+    candidates: u64,
+    rounds: u64,
+    words: u64,
+}
+
+/// The pass schedule under `bound`: with `stop`, a pass ends at its first
+/// chunk whose minimizer totals at most the bound. Each scored chunk charges
+/// one aggregation of `c` words per machine and one broadcast. The search
+/// keeps the best pass so far and returns once it meets the bound.
+fn reference_schedule(
+    passes: &[Vec<ScoredChunk>],
+    bound: f64,
+    stop: bool,
+    machines: u64,
+    broadcast_words: u64,
+) -> Schedule {
+    let (mut candidates, mut rounds, mut words) = (0u64, 0u64, 0u64);
+    let (mut best, mut escalations): (Option<(BitSeed, f64)>, u32) = (None, 0);
+    for (salt_index, pass) in (0u32..).zip(passes) {
+        escalations = salt_index;
+        let scored = match pass.iter().position(|chunk| chunk.2 <= bound) {
+            Some(chunk) if stop => chunk + 1,
+            _ => pass.len(),
+        };
+        for &(c, _, _) in &pass[..scored] {
+            candidates += c;
+            rounds += PREFIX_SUM_ROUNDS + BROADCAST_ROUNDS;
+            words += c + machines * c + broadcast_words;
+        }
+        let (_, seed, total) = &pass[scored - 1];
+        if best.as_ref().map_or(true, |b| *total < b.1) {
+            best = Some((seed.clone(), *total));
+        }
+        if best.as_ref().is_some_and(|b| b.1 <= bound) {
+            break;
+        }
+    }
+    let (seed, cost) = best.expect("at least one pass");
+    Schedule {
+        seed,
+        cost,
+        escalations,
+        candidates,
+        rounds,
+        words,
+    }
 }
 
 /// The palettes of `sub`'s nodes, written once for every (h1, h2) pair of
@@ -434,22 +544,55 @@ proptest! {
     /// aggregation: the cost it reports is the true total of the seed it
     /// returns, the bound flag agrees with that cost, and every chunk of a
     /// pass scores `c = min(candidates, 2^width)` candidates, then charges
-    /// one aggregation of `c` words per machine and one broadcast.
+    /// one aggregation of `c` words per machine and one broadcast. Without
+    /// a stop threshold every pass scores every chunk. With one, its seed,
+    /// cost, escalations and charges follow `reference_schedule`, and it
+    /// never scores, escalates or charges more, nor misses a bound the full
+    /// search meets. The bound is the drawn one, or one that ends the first
+    /// pass in chunk 0, in a later chunk, or never.
     #[test]
     fn greedy_selector_scores_each_candidate_once(
         cost in arb_table_cost(),
         chunk_bits in 1usize..=7,
         candidates in 1usize..=8,
-        salts in 1u32..=3
+        salts in 1u32..=3,
+        shape in 0u8..4
     ) {
         let selector = GreedyChunkSelector::new(chunk_bits, candidates, salts);
         let model = ExecutionModel::congested_clique(16);
         let broadcast_words = model.machines as u64;
-        let mut ctx = ClusterContext::new(model);
-        let outcome = selector.select(&mut ctx, "prop", cost.seed_bits, &cost);
-        prop_assert_eq!(outcome.achieved_cost, cost.total_cost(&outcome.seed));
-        prop_assert_eq!(outcome.met_bound, outcome.achieved_cost <= outcome.bound);
         let machines = cost.machine_count() as u64;
+        let passes = reference_passes(&cost, chunk_bits, candidates, salts);
+        let totals: Vec<f64> = passes[0].iter().map(|chunk| chunk.2).collect();
+        let lowest_before = |j: usize| totals[..j].iter().copied().fold(f64::INFINITY, f64::min);
+        let bound = match shape {
+            1 => totals[0],
+            2 => (1..totals.len())
+                .find(|&j| totals[j] < lowest_before(j))
+                .map_or(cost.bound, |j| totals[j]),
+            3 => lowest_before(totals.len()) - 1.0,
+            _ => cost.bound,
+        };
+        let mut runs = Vec::new();
+        for stop in [false, true] {
+            let cost = TableCost { bound, stop, ..cost.clone() };
+            let mut ctx = ClusterContext::new(model.clone());
+            let outcome = selector.select(&mut ctx, "prop", cost.seed_bits, &cost);
+            prop_assert_eq!(outcome.achieved_cost, cost.total_cost(&outcome.seed));
+            prop_assert_eq!(outcome.met_bound, outcome.achieved_cost <= outcome.bound);
+            let got = Schedule {
+                seed: outcome.seed.clone(),
+                cost: outcome.achieved_cost,
+                escalations: outcome.escalations,
+                candidates: outcome.candidates_evaluated,
+                rounds: ctx.rounds(),
+                words: ctx.communication_words(),
+            };
+            prop_assert_eq!(got, reference_schedule(&passes, bound, stop, machines, broadcast_words));
+            runs.push((outcome, ctx));
+        }
+        let ((full, full_ctx), (stopping, stopping_ctx)) = (&runs[0], &runs[1]);
+
         let (mut per_pass, mut rounds, mut words) = (0u64, 0u64, 0u64);
         for start in (0..cost.seed_bits).step_by(chunk_bits) {
             let c = candidates.min(1 << chunk_bits.min(cost.seed_bits - start)) as u64;
@@ -457,10 +600,16 @@ proptest! {
             rounds += PREFIX_SUM_ROUNDS + BROADCAST_ROUNDS;
             words += c + machines * c + broadcast_words;
         }
-        let passes = u64::from(outcome.escalations + 1);
-        prop_assert_eq!(outcome.candidates_evaluated, passes * per_pass);
-        prop_assert_eq!(ctx.rounds(), passes * rounds);
-        prop_assert_eq!(ctx.communication_words(), passes * words);
+        let passes = u64::from(full.escalations + 1);
+        prop_assert_eq!(full.candidates_evaluated, passes * per_pass);
+        prop_assert_eq!(full_ctx.rounds(), passes * rounds);
+        prop_assert_eq!(full_ctx.communication_words(), passes * words);
+
+        prop_assert!(stopping.candidates_evaluated <= full.candidates_evaluated);
+        prop_assert!(stopping.escalations <= full.escalations);
+        prop_assert!(stopping_ctx.rounds() <= full_ctx.rounds());
+        prop_assert!(stopping_ctx.communication_words() <= full_ctx.communication_words());
+        prop_assert!(stopping.met_bound || !full.met_bound);
     }
 }
 
