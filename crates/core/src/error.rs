@@ -31,9 +31,8 @@ pub enum CoreError {
         /// Human-readable description.
         reason: String,
     },
-    /// A palette holds a color above
-    /// [`MAX_HASHABLE_COLOR`](crate::good_bad::MAX_HASHABLE_COLOR), which
-    /// the color hash cannot take.
+    /// A palette holds a color above [`MAX_HASHABLE_COLOR`], which the color
+    /// hash cannot take.
     ColorOutOfRange {
         /// The node whose palette holds the color.
         node: NodeId,

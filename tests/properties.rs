@@ -164,7 +164,7 @@ fn reference_passes(
                 trial.set_chunk(start, width, value);
                 let completed = trial.canonical_completion(start + width, salt);
                 let total = cost.total_cost(&completed);
-                if best.as_ref().map_or(true, |b| total < b.2) {
+                if best.as_ref().is_none_or(|b| total < b.2) {
                     best = Some((value, completed, total));
                 }
             }
@@ -213,7 +213,7 @@ fn reference_schedule(
             words += c + machines * c + broadcast_words;
         }
         let (_, seed, total) = &pass[scored - 1];
-        if best.as_ref().map_or(true, |b| *total < b.1) {
+        if best.as_ref().is_none_or(|b| *total < b.1) {
             best = Some((seed.clone(), *total));
         }
         if best.as_ref().is_some_and(|b| b.1 <= bound) {
