@@ -15,6 +15,9 @@
 //! 5. update the palettes of G₀, collect it onto one machine (it has size
 //!    O(𝔫) by Corollary 3.10) and color it locally.
 //!
+//! The palette restriction of step 2 and steps 3–4 are one function,
+//! `color_bins`, which the low-space driver (Algorithm 3) calls too.
+//!
 //! At laptop-scale maximum degree, ⌊ℓ^0.1⌋ drops below 2 while instances are
 //! still too large to collect; the driver then continues with B = 2
 //! ("forced halving"), which is the same algorithm — the paper simply never
@@ -27,6 +30,7 @@ use cc_graph::csr::CsrGraph;
 use cc_graph::instance::ListColoringInstance;
 use cc_graph::palette::Palette;
 use cc_graph::NodeId;
+use cc_hash::family::HashFunction;
 use cc_sim::constants::LENZEN_ROUTING_ROUNDS;
 use cc_sim::distribution::Distribution;
 use cc_sim::primitives::collect_to_single_machine;
@@ -189,7 +193,7 @@ impl ColorReduce {
         &self,
         ctx: &mut ClusterContext,
         graph: &CsrGraph,
-        palettes: &mut Vec<Palette>,
+        palettes: &mut [Palette],
         coloring: &mut Coloring,
         active: Vec<NodeId>,
         ell: u64,
@@ -253,62 +257,31 @@ impl ColorReduce {
             ell,
             max_degree: sub.max_degree(),
             action: CallAction::Partitioned,
-            partition: Some(outcome.record.clone()),
+            partition: Some(outcome.record),
         });
 
-        // Restrict palettes of nodes in bins 1..B-1 to the colors h2 assigns
-        // to their bin. With a single color bin (B = 2) the restriction is
-        // the identity and is skipped, keeping implicit palettes implicit.
-        let color_bins = bins - 1;
-        if color_bins >= 2 {
-            for (bin_index, bin_nodes) in outcome.bins.iter().take(color_bins as usize).enumerate()
-            {
-                for &v in bin_nodes {
-                    let restricted = palettes[v.index()]
-                        .filtered(|c| outcome.color_hash.eval(c.0) == bin_index as u64);
-                    palettes[v.index()] = restricted;
-                }
-            }
-        }
-
         let child_ell = self.config.child_ell(ell, bins);
-
-        // Recurse on bins 1..B-1 in parallel: their color palettes are
-        // disjoint, so the recursions are independent.
-        let mut branches: Vec<ClusterContext> = Vec::new();
-        for bin_nodes in outcome.bins.iter().take(color_bins as usize) {
-            let mut branch = ctx.fork();
-            self.reduce(
-                &mut branch,
-                graph,
-                palettes,
-                coloring,
-                bin_nodes.clone(),
-                child_ell,
-                depth + 1,
-                trace,
-            )?;
-            branches.push(branch);
-        }
-        ctx.join_parallel(branches);
-
-        // The last bin received no colors: refresh its palettes against the
-        // colors already used by neighbors, then recurse on it.
-        let last_bin = outcome.bins[(bins - 1) as usize].clone();
-        if !last_bin.is_empty() {
-            ctx.charge_rounds(&format!("palette-update/{level}"), LENZEN_ROUTING_ROUNDS);
-            update_palettes_from_neighbors(graph, palettes, coloring, &last_bin);
-            self.reduce(
-                ctx,
-                graph,
-                palettes,
-                coloring,
-                last_bin,
-                child_ell,
-                depth + 1,
-                trace,
-            )?;
-        }
+        color_bins(
+            ctx,
+            graph,
+            palettes,
+            coloring,
+            outcome.bins,
+            &outcome.color_hash,
+            &format!("palette-update/{level}"),
+            |ctx, palettes, coloring, bin| {
+                self.reduce(
+                    ctx,
+                    graph,
+                    palettes,
+                    coloring,
+                    bin,
+                    child_ell,
+                    depth + 1,
+                    trace,
+                )
+            },
+        )?;
 
         // Finally color the bad-node graph G₀ locally (it has size O(𝔫)).
         if !outcome.bad_nodes.is_empty() {
@@ -320,6 +293,57 @@ impl ColorReduce {
         }
         Ok(())
     }
+}
+
+/// Colors the bins of one partition: the bin recursion of `ColorReduce` and
+/// of `LowSpaceColorReduce`. `recurse` colors one bin in the context it is
+/// given.
+///
+/// The palettes of bins `0..B-2` are restricted to the colors `color_hash`
+/// assigns to their bin. With a single color bin (B = 2) the restriction is
+/// the identity and is skipped, keeping implicit palettes implicit. Those
+/// bins are then colored in forked contexts joined by
+/// [`ClusterContext::join_parallel`]: their palettes are disjoint, so the
+/// recursions are independent. The last bin received no colors: one routing,
+/// charged under `update_label`, refreshes its palettes against the colors
+/// its neighbors already use, then it is colored.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn color_bins(
+    ctx: &mut ClusterContext,
+    graph: &CsrGraph,
+    palettes: &mut [Palette],
+    coloring: &mut Coloring,
+    mut bins: Vec<Vec<NodeId>>,
+    color_hash: &HashFunction,
+    update_label: &str,
+    mut recurse: impl FnMut(
+        &mut ClusterContext,
+        &mut [Palette],
+        &mut Coloring,
+        Vec<NodeId>,
+    ) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
+    let last = bins.pop().expect("a partition has at least two bins");
+    if bins.len() >= 2 {
+        for (bin, nodes) in (0u64..).zip(&bins) {
+            for &v in nodes {
+                palettes[v.index()] = palettes[v.index()].filtered(|c| color_hash.eval(c.0) == bin);
+            }
+        }
+    }
+    let mut branches = Vec::with_capacity(bins.len());
+    for nodes in bins {
+        let mut branch = ctx.fork();
+        recurse(&mut branch, palettes, coloring, nodes)?;
+        branches.push(branch);
+    }
+    ctx.join_parallel(branches);
+    if !last.is_empty() {
+        ctx.charge_rounds(update_label, LENZEN_ROUTING_ROUNDS);
+        update_palettes_from_neighbors(graph, palettes, coloring, &last);
+        recurse(ctx, palettes, coloring, last)?;
+    }
+    Ok(())
 }
 
 /// Convenience function: colors `instance` in the CONGESTED CLIQUE with the

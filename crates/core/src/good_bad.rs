@@ -21,12 +21,16 @@
 //! On top of that loop:
 //!
 //! * [`binning_costs`] scores a group of pairs for the seed search, reading
-//!   out only each lane's bad-node and bin totals;
-//! * [`evaluate_binning`] is its one-lane call: it classifies every active
-//!   node and every bin under one pair, for the final partition;
-//! * `bin_nodes`, one lane as well, gives the low-space partition its bins
-//!   and in-bin counts, and its cost counts Lemma 4.5's violators over the
-//!   same loop.
+//!   out only each lane's bad-node and bin totals, and the low-space cost
+//!   counts Lemma 4.5's violators the same way;
+//! * once a search has chosen its seed, [`HashPair::planes`] builds that
+//!   seed's one-lane group and the partition reads out lane 0, with the
+//!   hashes and tests its cost already holds: [`evaluate_binning`]
+//!   classifies every active node and every bin for `Partition`, and
+//!   `lane_zero` gives `LowSpacePartition` its bins and in-bin counts.
+//!
+//! Both drivers then color the bins through one recursion step,
+//! `color_reduce::color_bins`.
 
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
@@ -62,8 +66,6 @@ pub(crate) fn check_hashable_colors(palettes: &[Palette]) -> Result<(), CoreErro
 /// Numeric thresholds of Definition 3.1 for one `Partition` call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinningParams {
-    /// The degree parameter ℓ of the call.
-    pub ell: u64,
     /// Number of node bins B = ⌊ℓ^β⌋ (≥ 2).
     pub bins: u64,
     /// 𝔫 — the number of nodes of the *original* input graph (used in the
@@ -88,7 +90,6 @@ impl BinningParams {
         active_count: usize,
     ) -> Self {
         BinningParams {
-            ell,
             bins,
             global_nodes,
             degree_slack: config.degree_slack(ell),
@@ -106,9 +107,6 @@ pub struct ActiveSubgraph {
     pub nodes: Vec<NodeId>,
     /// Global-indexed membership flags.
     pub active: Vec<bool>,
-    /// Global-indexed position of each node in `nodes`
-    /// (`usize::MAX` for inactive nodes).
-    pub position: Vec<usize>,
     /// Global-indexed degree *within the active set* (0 for inactive nodes).
     pub degree_in: Vec<u32>,
     /// Palette size of each active node (indexed like `nodes`).
@@ -131,10 +129,8 @@ impl ActiveSubgraph {
         sorted.sort_unstable();
         sorted.dedup();
         let mut active = vec![false; n];
-        let mut position = vec![usize::MAX; n];
-        for (i, &v) in sorted.iter().enumerate() {
+        for &v in &sorted {
             active[v.index()] = true;
-            position[v.index()] = i;
         }
         let mut degree_in = vec![0u32; n];
         let mut edges_within = 0usize;
@@ -158,7 +154,6 @@ impl ActiveSubgraph {
         ActiveSubgraph {
             nodes: sorted,
             active,
-            position,
             degree_in,
             palette_size,
             palette_words,
@@ -378,6 +373,13 @@ impl HashPair {
             .map(move |group| self.group_planes(sub, group))
     }
 
+    /// The one-lane planes of `seed` on `sub`: lane 0 holds the pair it
+    /// selects, exactly as in the group [`HashPair::lane_planes`] scored it
+    /// in.
+    pub fn planes(&self, sub: &ActiveSubgraph, seed: &BitSeed) -> LanePlanes<'_> {
+        self.group_planes(sub, std::slice::from_ref(seed))
+    }
+
     /// The planes of at most [`LANES`] seeds. Each distinct h1 is evaluated
     /// once per node: the chunks that fix h2's bits leave h1 the same in
     /// every lane.
@@ -466,24 +468,6 @@ impl<'a> LanePlanes<'a> {
             palette_colors,
             colors: vec![0u64; palette_colors.distinct.len() * width],
         }
-    }
-
-    /// One lane, holding the pair (h1, h2).
-    fn single(
-        sub: &ActiveSubgraph,
-        palette_colors: &'a PaletteColors,
-        bins: u64,
-        h1: impl Fn(u64) -> u64,
-        h2: impl Fn(u64) -> u64,
-    ) -> Self {
-        let mut planes = LanePlanes::new(sub, palette_colors, bins, 1);
-        for &v in &sub.nodes {
-            planes.set_node(v, 1, h1(u64::from(v.0)));
-        }
-        for (row, &c) in palette_colors.distinct.iter().enumerate() {
-            planes.set_color(row, 1, h2(c));
-        }
-        planes
     }
 
     /// Number of lanes in use.
@@ -705,7 +689,7 @@ pub(crate) struct NodeBinning {
 }
 
 /// Lane 0 of `planes`, node by node; `visit` also sees each node's lanes.
-fn lane_zero(
+pub(crate) fn lane_zero(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
     planes: &LanePlanes<'_>,
@@ -729,26 +713,9 @@ fn lane_zero(
     binning
 }
 
-/// Hashes every active node into one of `bins` bins with `h1` (domain =
-/// global node ids) and counts its in-bin degree and, with `h2` (colors →
-/// the `bins − 1` color bins, domain = color values), its in-bin palette:
-/// the one-lane call of the binning loop.
-pub(crate) fn bin_nodes(
-    graph: &CsrGraph,
-    sub: &ActiveSubgraph,
-    palettes: &[Palette],
-    bins: u64,
-    h1: impl Fn(u64) -> u64,
-    h2: impl Fn(u64) -> u64,
-) -> NodeBinning {
-    let palette_colors = PaletteColors::new(sub, palettes, bins);
-    let planes = LanePlanes::single(sub, &palette_colors, bins, h1, h2);
-    lane_zero(graph, sub, &planes, |_| {})
-}
-
-/// Classifies every active node and bin for the hash functions `h1` (nodes →
-/// bins, domain = global node ids) and `h2` (colors → color bins, domain =
-/// color values): the one-lane call of [`binning_costs`]' loop and tests.
+/// Classifies every active node and bin under the pair in lane 0 of
+/// `planes` (see [`HashPair::planes`]), with the `tests` built for `params`:
+/// the one-lane read-out of [`binning_costs`]' loop and tests.
 ///
 /// Nodes hashed to the last bin (`bins - 1`) are judged only by the degree
 /// condition; all other nodes additionally need the palette condition, with
@@ -757,20 +724,17 @@ pub(crate) fn bin_nodes(
 pub fn evaluate_binning(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
-    palettes: &[Palette],
     params: &BinningParams,
-    h1: impl Fn(u64) -> u64,
-    h2: impl Fn(u64) -> u64,
+    tests: &NodeTests,
+    planes: &LanePlanes<'_>,
 ) -> BinningEvaluation {
-    let palette_colors = PaletteColors::new(sub, palettes, params.bins);
-    let planes = LanePlanes::single(sub, &palette_colors, params.bins, h1, h2);
-    let tests = NodeTests::new(sub, params);
+    debug_assert_eq!(params.bins, planes.bins);
     let mut node_good = Vec::with_capacity(sub.len());
     let NodeBinning {
         node_bin,
         in_bin_degree,
         in_bin_palette,
-    } = lane_zero(graph, sub, &planes, |node| {
+    } = lane_zero(graph, sub, planes, |node| {
         node_good.push(tests.good(node) & 1 == 1);
     });
     let mut bin_counts = vec![0usize; params.bins as usize];
@@ -926,6 +890,41 @@ mod tests {
     use cc_graph::instance::ListColoringInstance;
     use cc_graph::Color;
 
+    impl<'a> LanePlanes<'a> {
+        /// One lane, holding the pair (h1, h2): the reference the lane
+        /// kernel is checked against, and a way to hand-pick bins.
+        fn single(
+            sub: &ActiveSubgraph,
+            palette_colors: &'a PaletteColors,
+            bins: u64,
+            h1: impl Fn(u64) -> u64,
+            h2: impl Fn(u64) -> u64,
+        ) -> Self {
+            let mut planes = LanePlanes::new(sub, palette_colors, bins, 1);
+            for &v in &sub.nodes {
+                planes.set_node(v, 1, h1(u64::from(v.0)));
+            }
+            for (row, &c) in palette_colors.distinct.iter().enumerate() {
+                planes.set_color(row, 1, h2(c));
+            }
+            planes
+        }
+    }
+
+    /// [`evaluate_binning`] under the pair (h1, h2).
+    fn evaluate_pair(
+        graph: &CsrGraph,
+        sub: &ActiveSubgraph,
+        palettes: &[Palette],
+        params: &BinningParams,
+        h1: impl Fn(u64) -> u64,
+        h2: impl Fn(u64) -> u64,
+    ) -> BinningEvaluation {
+        let palette_colors = PaletteColors::new(sub, palettes, params.bins);
+        let planes = LanePlanes::single(sub, &palette_colors, params.bins, h1, h2);
+        evaluate_binning(graph, sub, params, &NodeTests::new(sub, params), &planes)
+    }
+
     #[test]
     fn active_subgraph_precomputes_degrees_and_sizes() {
         let g = GraphBuilder::cycle(6).build();
@@ -983,7 +982,6 @@ mod tests {
             let sub = ActiveSubgraph::new(&g, palettes, &half);
             for (independence, bins) in cases {
                 let params = BinningParams {
-                    ell: 20,
                     bins,
                     global_nodes: 60,
                     degree_slack: 1.5,
@@ -1001,14 +999,8 @@ mod tests {
                     .collect();
                 for (seed, cost) in seeds.iter().zip(costs) {
                     let (h1, h2) = hashes.functions(seed);
-                    let eval = evaluate_binning(
-                        &g,
-                        &sub,
-                        palettes,
-                        &params,
-                        |x| h1.eval(x),
-                        |x| h2.eval(x),
-                    );
+                    let eval =
+                        evaluate_pair(&g, &sub, palettes, &params, |x| h1.eval(x), |x| h2.eval(x));
                     assert_eq!(
                         cost.to_bits(),
                         eval.cost(60).to_bits(),
@@ -1076,14 +1068,13 @@ mod tests {
         let palettes: Vec<Palette> = (0..4).map(|_| Palette::range(100)).collect();
         let sub = ActiveSubgraph::new(&g, &palettes, &g.nodes().collect::<Vec<_>>());
         let params = BinningParams {
-            ell: 100,
             bins: 2,
             global_nodes: 4,
             degree_slack: 10.0,
             palette_slack: 5.0,
             bin_node_threshold: 100.0,
         };
-        let eval = evaluate_binning(&g, &sub, &palettes, &params, |v| v % 2, |_| 0);
+        let eval = evaluate_pair(&g, &sub, &palettes, &params, |v| v % 2, |_| 0);
         // Parity split of C4 puts both neighbors of every node in the other
         // bin.
         assert_eq!(eval.in_bin_degree, vec![0, 0, 0, 0]);
@@ -1104,7 +1095,6 @@ mod tests {
         let palettes: Vec<Palette> = (0..10).map(|_| Palette::range(50)).collect();
         let sub = ActiveSubgraph::new(&g, &palettes, &g.nodes().collect::<Vec<_>>());
         let params = BinningParams {
-            ell: 9,
             bins: 2,
             global_nodes: 10,
             degree_slack: 0.5,
@@ -1112,12 +1102,13 @@ mod tests {
             bin_node_threshold: 5.0,
         };
         // Everything to bin 0 (not the last bin).
-        let eval = evaluate_binning(&g, &sub, &palettes, &params, |_| 0, |_| 0);
+        let eval = evaluate_pair(&g, &sub, &palettes, &params, |_| 0, |_| 0);
         // Bin 0 has 10 >= 5 nodes -> bad bin; bin 1 empty -> good.
         assert_eq!(eval.bad_bin_count(), 1);
         // The hub keeps all 9 neighbors in its bin: |9 - 4.5| > 0.5 -> bad.
-        let hub_pos = sub.position[0];
-        assert!(!eval.node_good[hub_pos]);
+        // The hub, node 0, comes first among the sorted active nodes.
+        assert_eq!(sub.nodes[0], NodeId(0));
+        assert!(!eval.node_good[0]);
         assert!(eval.cost(10) >= 10.0);
     }
 }

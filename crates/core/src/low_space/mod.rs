@@ -23,6 +23,7 @@ use cc_graph::coloring::Coloring;
 use cc_graph::csr::CsrGraph;
 use cc_graph::instance::ListColoringInstance;
 use cc_graph::palette::Palette;
+use cc_graph::subgraph::InducedSubgraph;
 use cc_graph::NodeId;
 use cc_mis::derand::DerandomizedLubyMis;
 use cc_mis::reduction::ReductionGraph;
@@ -30,6 +31,7 @@ use cc_sim::constants::LENZEN_ROUTING_ROUNDS;
 use cc_sim::report::ExecutionReport;
 use cc_sim::{ClusterContext, ExecutionModel};
 
+use crate::color_reduce::color_bins;
 use crate::config::SeedStrategy;
 use crate::error::CoreError;
 use crate::good_bad::{check_hashable_colors, ActiveSubgraph};
@@ -221,7 +223,7 @@ impl LowSpaceColorReduce {
         &self,
         ctx: &mut ClusterContext,
         graph: &CsrGraph,
-        palettes: &mut Vec<Palette>,
+        palettes: &mut [Palette],
         coloring: &mut Coloring,
         active: Vec<NodeId>,
         depth: usize,
@@ -265,42 +267,18 @@ impl LowSpaceColorReduce {
         );
         stats.safety_moves += outcome.safety_moves;
 
-        // Restrict palettes of bins 1..B-1 to their color class.
-        let color_bins = bins - 1;
-        if color_bins >= 2 {
-            for (bin_index, bin_nodes) in outcome.bins.iter().take(color_bins as usize).enumerate()
-            {
-                for &v in bin_nodes {
-                    palettes[v.index()] = palettes[v.index()]
-                        .filtered(|c| outcome.color_hash.eval(c.0) == bin_index as u64);
-                }
-            }
-        }
-
-        // Recurse on the color-restricted bins in parallel.
-        let mut branches = Vec::new();
-        for bin_nodes in outcome.bins.iter().take(color_bins as usize) {
-            let mut branch = ctx.fork();
-            self.reduce(
-                &mut branch,
-                graph,
-                palettes,
-                coloring,
-                bin_nodes.clone(),
-                depth + 1,
-                stats,
-            )?;
-            branches.push(branch);
-        }
-        ctx.join_parallel(branches);
-
-        // The colorless last bin: update palettes, then recurse.
-        let last = outcome.bins[(bins - 1) as usize].clone();
-        if !last.is_empty() {
-            ctx.charge_rounds(&format!("lowspace/update{depth}"), LENZEN_ROUTING_ROUNDS);
-            update_palettes_from_neighbors(graph, palettes, coloring, &last);
-            self.reduce(ctx, graph, palettes, coloring, last, depth + 1, stats)?;
-        }
+        color_bins(
+            ctx,
+            graph,
+            palettes,
+            coloring,
+            outcome.bins,
+            &outcome.color_hash,
+            &format!("lowspace/update{depth}"),
+            |ctx, palettes, coloring, bin| {
+                self.reduce(ctx, graph, palettes, coloring, bin, depth + 1, stats)
+            },
+        )?;
 
         // Finally the low-degree residual G₀, via MIS.
         if !low.is_empty() {
@@ -325,21 +303,24 @@ impl LowSpaceColorReduce {
         }
         ctx.charge_rounds("lowspace/mis-build", LENZEN_ROUTING_ROUNDS);
         update_palettes_from_neighbors(graph, palettes, coloring, nodes);
-        // Build the induced subinstance with local ids for the reduction.
-        let induced = cc_graph::subgraph::InducedSubinstance::new(
-            &ListColoringInstance::from_palettes_unchecked(graph.clone(), palettes.to_vec()),
-            nodes,
-            |_, p| p.clone(),
-        );
-        let reduction = ReductionGraph::build(&induced.instance);
+        // The subinstance `nodes` induce, with local ids for the reduction.
+        let InducedSubgraph {
+            graph: induced,
+            to_global,
+        } = InducedSubgraph::new(graph, nodes);
+        let local_palettes = to_global.iter().map(|v| palettes[v.index()].clone());
+        let reduction = ReductionGraph::build(&ListColoringInstance::from_palettes_unchecked(
+            induced,
+            local_palettes.collect(),
+        ));
         ctx.observe_total_space("lowspace/mis-build", reduction.graph().size_words())?;
         let mis = DerandomizedLubyMis::default().run(ctx, reduction.graph());
         stats.mis_phases += mis.phases;
         stats.mis_calls += 1;
-        let mut local = Coloring::empty(induced.node_count());
+        let mut local = Coloring::empty(to_global.len());
         reduction.write_coloring(&mis.in_set, &mut local)?;
         for (local_id, color) in local.assignments() {
-            coloring.assign(induced.to_global(local_id), color)?;
+            coloring.assign(to_global[local_id.index()], color)?;
         }
         Ok(())
     }

@@ -19,8 +19,7 @@ use cc_hash::BitSeed;
 use cc_sim::ClusterContext;
 
 use crate::good_bad::{
-    at_least, bin_lanes, bin_nodes, exceeds, first_passing, ActiveSubgraph, HashPair, LaneTotals,
-    NodeBinning,
+    at_least, bin_lanes, exceeds, first_passing, lane_zero, ActiveSubgraph, HashPair, LaneTotals,
 };
 use crate::partition::select_seed;
 
@@ -33,8 +32,6 @@ pub struct LowSpacePartitionOutcome {
     pub bins: Vec<Vec<NodeId>>,
     /// The selected color hash function h2.
     pub color_hash: HashFunction,
-    /// Number of bins.
-    pub bin_count: u64,
     /// Seed-selection outcome.
     pub seed_outcome: SelectionOutcome,
     /// Nodes moved to the colorless bin because their restricted palette
@@ -47,8 +44,6 @@ pub struct LowSpacePartitionOutcome {
 struct LowSpaceCost<'a> {
     graph: &'a CsrGraph,
     sub: &'a ActiveSubgraph,
-    palettes: &'a [Palette],
-    bins: u64,
     hashes: HashPair,
     /// The least in-bin degree that breaks Lemma 4.5 (i), per active node.
     degree_limit: Vec<u64>,
@@ -75,24 +70,9 @@ impl<'a> LowSpaceCost<'a> {
         LowSpaceCost {
             graph,
             sub,
-            palettes,
-            bins,
             hashes: HashPair::new(independence, graph, sub, palettes, bins),
             degree_limit,
         }
-    }
-
-    /// Bins, in-bin degrees and in-bin palettes under a combined seed.
-    fn binning(&self, seed: &BitSeed) -> NodeBinning {
-        let (h1, h2) = self.hashes.functions(seed);
-        bin_nodes(
-            self.graph,
-            self.sub,
-            self.palettes,
-            self.bins,
-            |x| h1.eval(x),
-            |x| h2.eval(x),
-        )
     }
 }
 
@@ -149,7 +129,8 @@ pub fn low_space_partition(
         sub,
         0,
     );
-    let binning = cost.binning(&seed_outcome.seed);
+    let planes = cost.hashes.planes(sub, &seed_outcome.seed);
+    let binning = lane_zero(graph, sub, &planes, |_| {});
     let (_, color_hash) = cost.hashes.functions(&seed_outcome.seed);
 
     let mut bin_lists: Vec<Vec<NodeId>> = vec![Vec::new(); bins as usize];
@@ -173,7 +154,6 @@ pub fn low_space_partition(
     LowSpacePartitionOutcome {
         bins: bin_lists,
         color_hash,
-        bin_count: bins,
         seed_outcome,
         safety_moves,
     }
@@ -203,7 +183,7 @@ mod tests {
         let out = low_space_partition(&mut ctx(120), "lsp", &g, &palettes, &sub, 3, &config);
         let total: usize = out.bins.iter().map(Vec::len).sum();
         assert_eq!(total, 120);
-        assert_eq!(out.bin_count, 3);
+        assert_eq!(out.bins.len(), 3);
     }
 
     #[test]
@@ -251,7 +231,7 @@ mod tests {
                 // The plain way: hash each node, neighbor and palette color.
                 let (h1, h2) = cost.hashes.functions(seed);
                 let bin = |v: NodeId| h1.eval(u64::from(v.0));
-                let binning = cost.binning(seed);
+                let binning = lane_zero(&g, &sub, &cost.hashes.planes(&sub, seed), |_| {});
                 let violators = sub.nodes.iter().enumerate().filter(|&(i, &v)| {
                     let same_bin = |u: &NodeId| sub.active[u.index()] && bin(*u) == bin(v);
                     let d_in = g.neighbors(v).filter(same_bin).count() as u32;

@@ -19,8 +19,7 @@ use cc_sim::ClusterContext;
 
 use crate::config::{ColorReduceConfig, SeedStrategy};
 use crate::good_bad::{
-    binning_costs, evaluate_binning, ActiveSubgraph, BinningEvaluation, BinningParams, HashPair,
-    NodeTests,
+    binning_costs, evaluate_binning, ActiveSubgraph, BinningParams, HashPair, NodeTests,
 };
 use crate::trace::PartitionRecord;
 
@@ -36,10 +35,6 @@ pub struct PartitionOutcome {
     /// The selected color hash function h2 (used by the caller to restrict
     /// palettes of nodes in bins `0..B-2`).
     pub color_hash: HashFunction,
-    /// Number of node bins B.
-    pub bin_count: u64,
-    /// The full good/bad evaluation under the selected seed.
-    pub evaluation: BinningEvaluation,
     /// Trace record (statistics) of this call.
     pub record: PartitionRecord,
 }
@@ -98,26 +93,10 @@ pub(crate) fn select_seed(
 struct PartitionCost<'a> {
     graph: &'a CsrGraph,
     sub: &'a ActiveSubgraph,
-    palettes: &'a [Palette],
     params: BinningParams,
     tests: NodeTests,
     hashes: HashPair,
     bound: f64,
-}
-
-impl PartitionCost<'_> {
-    /// The binning evaluation for a combined seed.
-    fn evaluation(&self, seed: &BitSeed) -> BinningEvaluation {
-        let (h1, h2) = self.hashes.functions(seed);
-        evaluate_binning(
-            self.graph,
-            self.sub,
-            self.palettes,
-            &self.params,
-            |x| h1.eval(x),
-            |x| h2.eval(x),
-        )
-    }
 }
 
 impl SeedCost for PartitionCost<'_> {
@@ -171,7 +150,6 @@ pub fn partition(
     let cost = PartitionCost {
         graph,
         sub,
-        palettes,
         tests: NodeTests::new(sub, &params),
         params,
         hashes: HashPair::new(config.independence, graph, sub, palettes, bins),
@@ -186,7 +164,10 @@ pub fn partition(
         sub,
         ell.rotate_left(17),
     );
-    let evaluation = cost.evaluation(&outcome.seed);
+    // Classify under the chosen seed with the hashes and tests the search
+    // scored it with.
+    let planes = cost.hashes.planes(sub, &outcome.seed);
+    let evaluation = evaluate_binning(graph, sub, &cost.params, &cost.tests, &planes);
     let (_, color_hash) = cost.hashes.functions(&outcome.seed);
 
     // Split the active nodes into bins and the bad set.
@@ -221,8 +202,6 @@ pub fn partition(
         bins: bin_lists,
         bad_nodes,
         color_hash,
-        bin_count: bins,
-        evaluation,
         record,
     }
 }
@@ -274,7 +253,6 @@ mod tests {
         // Every active node lands in exactly one bin or the bad set.
         let total: usize = out.bins.iter().map(Vec::len).sum::<usize>() + out.bad_nodes.len();
         assert_eq!(total, 150);
-        assert_eq!(out.bin_count, 2);
         assert_eq!(out.bins.len(), 2);
         assert!(c.rounds() > 0);
         // Statistics are consistent.

@@ -10,8 +10,8 @@
 //!   per node, the input object of every algorithm in the workspace,
 //! * [`coloring::Coloring`] — a (partial) color assignment with verification,
 //! * [`generators`] — the graph and palette families used by the experiments,
-//! * [`subgraph`] — induced subinstances with global/local id mappings, used
-//!   by the recursive partitioning of the algorithm.
+//! * [`subgraph`] — induced subgraphs with global/local id mappings, used
+//!   by the low-space algorithm's reduction to MIS.
 //!
 //! # Example
 //!

@@ -1,15 +1,12 @@
-//! Induced subgraphs and subinstances with global ↔ local id mappings.
+//! Induced subgraphs with global ↔ local id mappings.
 //!
-//! The recursive partitioning of `ColorReduce` conceptually works on the
-//! graphs induced by each bin. The core algorithm mostly avoids materializing
-//! them (it filters adjacency lists by bin labels), but materialized
-//! subinstances are used when an instance is *collected onto a single
-//! machine* and colored locally, by the MIS reduction of the low-space
-//! algorithm, and extensively in tests.
+//! `ColorReduce`'s recursion never materializes the graphs its bins induce:
+//! it works on active node sets (`ActiveSubgraph` in the core crate). An
+//! [`InducedSubgraph`] is built where a graph with local ids `0..k` is
+//! needed: by the low-space algorithm, which hands its low-degree residual
+//! to the reduction to MIS, and by tests.
 
 use crate::csr::CsrGraph;
-use crate::instance::ListColoringInstance;
-use crate::palette::Palette;
 use crate::NodeId;
 
 /// A graph induced by a subset of nodes of a parent graph, with the mapping
@@ -82,61 +79,10 @@ impl InducedSubgraph {
     }
 }
 
-/// A list-coloring subinstance induced by a node subset, carrying the
-/// global-id mapping.
-#[derive(Debug, Clone)]
-pub struct InducedSubinstance {
-    /// The induced instance with local node ids.
-    pub instance: ListColoringInstance,
-    /// `to_global[local]` is the parent id of local node `local`.
-    pub to_global: Vec<NodeId>,
-}
-
-impl InducedSubinstance {
-    /// Extracts the subinstance of `parent` induced by `nodes`, cloning each
-    /// selected node's current palette (optionally transformed by
-    /// `palette_map`).
-    ///
-    /// `palette_map` receives the global node id and its palette and returns
-    /// the palette the node should carry in the subinstance; the identity is
-    /// `|_, p| p.clone()`.
-    pub fn new(
-        parent: &ListColoringInstance,
-        nodes: &[NodeId],
-        mut palette_map: impl FnMut(NodeId, &Palette) -> Palette,
-    ) -> Self {
-        let sub = InducedSubgraph::new(parent.graph(), nodes);
-        let palettes: Vec<Palette> = sub
-            .to_global
-            .iter()
-            .map(|&g| palette_map(g, parent.palette(g)))
-            .collect();
-        InducedSubinstance {
-            instance: ListColoringInstance::from_palettes_unchecked(sub.graph, palettes),
-            to_global: sub.to_global,
-        }
-    }
-
-    /// Number of nodes in the subinstance.
-    pub fn node_count(&self) -> usize {
-        self.instance.node_count()
-    }
-
-    /// Maps a local node id back to the parent instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` is out of range.
-    pub fn to_global(&self, local: NodeId) -> NodeId {
-        self.to_global[local.index()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::Color;
 
     #[test]
     fn induced_subgraph_of_cycle() {
@@ -165,23 +111,6 @@ mod tests {
         let sub = InducedSubgraph::new(&g, &[]);
         assert_eq!(sub.node_count(), 0);
         assert_eq!(sub.graph.edge_count(), 0);
-    }
-
-    #[test]
-    fn induced_subinstance_applies_palette_map() {
-        let g = GraphBuilder::complete(4).build();
-        let inst = ListColoringInstance::delta_plus_one(&g).unwrap();
-        let sub = InducedSubinstance::new(&inst, &[NodeId(0), NodeId(2)], |_, p| {
-            p.filtered(|c| c.0 < 2)
-        });
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(
-            sub.instance.palette(NodeId(0)).to_vec(),
-            vec![Color(0), Color(1)]
-        );
-        assert_eq!(sub.to_global(NodeId(1)), NodeId(2));
-        // Induced graph keeps the 0-2 edge of K4.
-        assert_eq!(sub.instance.graph().edge_count(), 1);
     }
 
     #[test]

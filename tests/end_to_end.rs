@@ -14,6 +14,9 @@ use congested_clique_coloring::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+mod common;
+use common::mismatched_searches;
+
 fn fast_config() -> ColorReduceConfig {
     ColorReduceConfig {
         independence: 2,
@@ -187,10 +190,19 @@ fn partition_statistics_are_recorded_for_dense_graphs() {
     assert!(trace.partition_count() >= 1);
     assert!(trace.collected_count() >= 1);
     assert_eq!(trace.total_bad_bins(), 0, "Lemma 3.9: no bad bins expected");
+    let mismatched = mismatched_searches(trace, 300);
+    assert!(mismatched.is_empty(), "{mismatched:?}");
     // Every call's instance is within the closed-form size bound shape: the
     // top-level call covers all nodes.
     let top = trace.calls_at_depth(0).next().unwrap();
     assert_eq!(top.nodes, 300);
+    // The fixed-salt baseline scores its one seed per partition the same way.
+    let random =
+        randomized_color_reduce(&instance, ExecutionModel::congested_clique(300), 3).unwrap();
+    random.coloring().verify(&instance).unwrap();
+    assert!(random.trace().partition_count() >= 1);
+    let mismatched = mismatched_searches(random.trace(), 300);
+    assert!(mismatched.is_empty(), "{mismatched:?}");
 }
 
 #[test]
@@ -243,6 +255,8 @@ fn color_ids_far_beyond_the_node_count_bin_like_small_ones() {
         .map(|p| p.bins)
         .max();
     assert!(most_bins >= Some(3), "{most_bins:?}");
+    let mismatched = mismatched_searches(outcome.trace(), 300);
+    assert!(mismatched.is_empty(), "{mismatched:?}");
 }
 
 #[test]

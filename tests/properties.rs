@@ -22,6 +22,9 @@ use congested_clique_coloring::derand::{GreedyChunkSelector, SeedCost};
 use congested_clique_coloring::prelude::*;
 use proptest::prelude::*;
 
+mod common;
+use common::mismatched_searches;
+
 fn fast_config() -> ColorReduceConfig {
     ColorReduceConfig {
         independence: 2,
@@ -284,7 +287,7 @@ fn reference_bins(
         let bin = eval.node_bin[i];
         let d_in = graph
             .neighbors(v)
-            .filter(|u| sub.active[u.index()] && eval.node_bin[sub.position[u.index()]] == bin)
+            .filter(|u| sub.active[u.index()] && h1.eval(u64::from(u.0)) == u64::from(bin))
             .count();
         let p_in = if u64::from(bin) == bins - 1 || bins == 2 {
             sub.palette_size[i]
@@ -382,7 +385,6 @@ fn binning_params(sub: &ActiveSubgraph, bins: u64, global_nodes: usize) -> [Binn
         u64::from(p).div_ceil(bins - 1)
     };
     let exact = BinningParams {
-        ell,
         bins,
         global_nodes,
         degree_slack: if bins == 2 { 0.5 } else { 1.0 },
@@ -503,7 +505,8 @@ proptest! {
     /// `ColorReduce` on instances too large to collect: every generator
     /// family × palette kind gives a proper list coloring within the model,
     /// with no bad bins, and partitions whenever the input exceeds one
-    /// machine. The (deg+1)-list instances also go through the low-space
+    /// machine; every partition's seed search scored the classification it
+    /// produced. The (deg+1)-list instances also go through the low-space
     /// algorithm.
     #[test]
     fn color_reduce_partitions_large_instances(n in 120usize..=200, seed in any::<u64>()) {
@@ -523,6 +526,8 @@ proptest! {
                     !past_one_machine || outcome.trace().partition_count() >= 1,
                     "{case}"
                 );
+                let mismatched = mismatched_searches(outcome.trace(), n);
+                prop_assert!(mismatched.is_empty(), "{case}: {mismatched:?}");
                 if let PaletteKind::DegPlusOneList { .. } = kind {
                     let config = LowSpaceConfig::scaled_down(0.5);
                     let budget = instance.size_words() * 8;
@@ -705,14 +710,12 @@ proptest! {
                                 );
                             }
                             for k in [0, 64] {
-                                let (h1, h2) = hashes.functions(&seeds[k]);
                                 let one_lane = evaluate_binning(
                                     graph,
                                     &sub,
-                                    palettes,
                                     &params,
-                                    |x| h1.eval(x),
-                                    |x| h2.eval(x),
+                                    &tests,
+                                    &hashes.planes(&sub, &seeds[k]),
                                 );
                                 prop_assert!(
                                     one_lane == reference[k],
