@@ -750,7 +750,7 @@ mod tests {
     use super::*;
     use crate::columns::SendSink;
     use cc_fault::{FaultPlan, NoopInjector, PlanInjector};
-    use cc_sim::ExecutionModel;
+    use cc_sim::{ExecutionModel, ViolationPolicy};
     use cc_trace::NoopRecorder;
 
     /// Stages `outbox` for `sender` and records its accounting, mimicking
@@ -949,7 +949,10 @@ mod tests {
 
     #[test]
     fn empty_rounds_are_free() {
-        let mut ctx = ClusterContext::strict(ExecutionModel::congested_clique(2));
+        let mut ctx = ClusterContext::with_policy(
+            ExecutionModel::congested_clique(2),
+            ViolationPolicy::FailFast,
+        );
         let mut ledger = MessageLedger::new();
         let mut arena = ChunkArena::new(2);
         arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
@@ -972,7 +975,10 @@ mod tests {
 
     #[test]
     fn strict_mode_aborts_on_wide_words() {
-        let mut ctx = ClusterContext::strict(ExecutionModel::congested_clique(2));
+        let mut ctx = ClusterContext::with_policy(
+            ExecutionModel::congested_clique(2),
+            ViolationPolicy::FailFast,
+        );
         let mut ledger = MessageLedger::new();
         let mut arena = ChunkArena::new(2);
         stage_outbox(&mut arena, 0, &[(1, u64::MAX)], 100);

@@ -93,14 +93,6 @@ impl ClusterContext {
         }
     }
 
-    /// Creates a strict context: the first constraint violation is returned
-    /// as an error by the offending operation. Tests use this mode.
-    /// Shorthand for [`ClusterContext::with_policy`] at
-    /// [`ViolationPolicy::FailFast`].
-    pub fn strict(model: ExecutionModel) -> Self {
-        ClusterContext::with_policy(model, ViolationPolicy::FailFast)
-    }
-
     /// Creates a context with an explicit [`ViolationPolicy`].
     pub fn with_policy(model: ExecutionModel, policy: ViolationPolicy) -> Self {
         ClusterContext {
@@ -117,11 +109,6 @@ impl ClusterContext {
     /// The context's violation policy.
     pub fn policy(&self) -> ViolationPolicy {
         self.policy
-    }
-
-    /// Whether the context fails fast on violations.
-    pub fn is_strict(&self) -> bool {
-        self.policy == ViolationPolicy::FailFast
     }
 
     /// Total rounds charged so far.
@@ -415,8 +402,8 @@ mod tests {
 
     #[test]
     fn strict_mode_errors_on_violation() {
-        let mut ctx = ClusterContext::strict(small_model());
-        assert!(ctx.is_strict());
+        let mut ctx = ClusterContext::with_policy(small_model(), ViolationPolicy::FailFast);
+        assert_eq!(ctx.policy(), ViolationPolicy::FailFast);
         let limit = ctx.model().local_space_words;
         assert!(ctx.observe_local_space("x", limit).is_ok());
         let err = ctx.observe_local_space("x", limit + 1).unwrap_err();
@@ -425,7 +412,7 @@ mod tests {
 
     #[test]
     fn total_space_and_bandwidth_checks() {
-        let mut ctx = ClusterContext::strict(small_model());
+        let mut ctx = ClusterContext::with_policy(small_model(), ViolationPolicy::FailFast);
         let total = ctx.model().total_space_words;
         assert!(ctx.observe_total_space("t", total).is_ok());
         assert!(ctx.observe_total_space("t", total + 1).is_err());
@@ -464,10 +451,10 @@ mod tests {
 
     #[test]
     fn fork_inherits_strictness_with_fresh_ledgers() {
-        let mut parent = ClusterContext::strict(small_model());
+        let mut parent = ClusterContext::with_policy(small_model(), ViolationPolicy::FailFast);
         parent.charge_rounds("x", 5);
         let child = parent.fork();
-        assert!(child.is_strict());
+        assert_eq!(child.policy(), ViolationPolicy::FailFast);
         assert_eq!(child.rounds(), 0);
     }
 
@@ -519,7 +506,6 @@ mod tests {
     fn record_policy_stores_and_continues() {
         let mut ctx = ClusterContext::with_policy(small_model(), ViolationPolicy::Record);
         assert_eq!(ctx.policy(), ViolationPolicy::Record);
-        assert!(!ctx.is_strict());
         let limit = ctx.model().local_space_words;
         ctx.observe_local_space("x", limit + 1).unwrap();
         assert_eq!(ctx.violations().len(), 1);
@@ -529,7 +515,7 @@ mod tests {
     #[test]
     fn fail_fast_policy_errors_immediately() {
         let mut ctx = ClusterContext::with_policy(small_model(), ViolationPolicy::FailFast);
-        assert!(ctx.is_strict());
+        assert_eq!(ctx.policy(), ViolationPolicy::FailFast);
         let limit = ctx.model().local_space_words;
         let err = ctx.observe_local_space("x", limit + 1).unwrap_err();
         assert!(matches!(err, SimError::ConstraintViolated(_)));
@@ -540,7 +526,6 @@ mod tests {
     fn recover_policy_records_like_record() {
         let mut ctx = ClusterContext::with_policy(small_model(), ViolationPolicy::Recover);
         assert_eq!(ctx.policy(), ViolationPolicy::Recover);
-        assert!(!ctx.is_strict());
         let limit = ctx.model().local_space_words;
         ctx.observe_local_space("x", limit + 1).unwrap();
         assert_eq!(ctx.violations().len(), 1);

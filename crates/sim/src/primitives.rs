@@ -143,9 +143,13 @@ pub fn collect_to_single_machine(
 mod tests {
     use super::*;
     use crate::model::ExecutionModel;
+    use crate::ViolationPolicy;
 
     fn ctx() -> ClusterContext {
-        ClusterContext::strict(ExecutionModel::congested_clique(100))
+        ClusterContext::with_policy(
+            ExecutionModel::congested_clique(100),
+            ViolationPolicy::FailFast,
+        )
     }
 
     #[test]

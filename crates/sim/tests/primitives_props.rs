@@ -6,12 +6,15 @@
 //! sort.
 
 use cc_sim::primitives::{distributed_sort, lenzen_route, prefix_sum};
-use cc_sim::{ClusterContext, ExecutionModel, SimError};
+use cc_sim::{ClusterContext, ExecutionModel, SimError, ViolationPolicy};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn strict_ctx(machines: usize) -> ClusterContext {
-    ClusterContext::strict(ExecutionModel::congested_clique(machines))
+    ClusterContext::with_policy(
+        ExecutionModel::congested_clique(machines),
+        ViolationPolicy::FailFast,
+    )
 }
 
 proptest! {
