@@ -16,7 +16,7 @@
 //!    O(𝔫) by Corollary 3.10) and color it locally.
 //!
 //! The palette restriction of step 2 and steps 3–4 are one function,
-//! `color_bins`, which the low-space driver (Algorithm 3) calls too.
+//! `color_bins`, which the low-space algorithm (Algorithm 3) calls too.
 //!
 //! At laptop-scale maximum degree, ⌊ℓ^0.1⌋ drops below 2 while instances are
 //! still too large to collect; the driver then continues with B = 2

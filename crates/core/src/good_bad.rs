@@ -29,8 +29,8 @@
 //!   classifies every active node and every bin for `Partition`, and
 //!   `lane_zero` gives `LowSpacePartition` its bins and in-bin counts.
 //!
-//! Both drivers then color the bins through one recursion step,
-//! `color_reduce::color_bins`.
+//! `ColorReduce` and `LowSpaceColorReduce` then color the bins through one
+//! recursion step, `color_reduce::color_bins`.
 
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;

@@ -12,9 +12,10 @@
 //! * [`family::PolynomialHashFamily`] — the classic degree-(c−1) polynomial
 //!   construction of a c-wise independent family, with the paper's
 //!   interval-based range reduction,
-//! * [`moments`] — the Bellare–Rompel tail bound (Lemma 2.2), used by tests
-//!   and experiments to compare empirical tails against the bound the
-//!   analysis relies on.
+//! * [`moments`] — the Bellare–Rompel tail bound (Lemma 2.2) the analysis
+//!   relies on. No algorithm or experiment calls it: its unit tests show
+//!   that its worst-case constants only bite at astronomically large ℓ,
+//!   which README substitution #2 cites.
 //!
 //! ```
 //! use cc_hash::family::PolynomialHashFamily;

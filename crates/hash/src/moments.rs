@@ -6,10 +6,11 @@
 //!
 //! Pr[|Z − μ| ≥ λ] ≤ 2·(c·t / λ²)^{c/2}
 //!
-//! for Z a sum of `t` c-wise independent `[0,1]` variables. Experiments
-//! compare empirically measured tail frequencies against this bound
-//! (experiment E3 / the hash-family test-suite); the algorithm itself only
-//! uses it implicitly through the good/bad thresholds.
+//! for Z a sum of `t` c-wise independent `[0,1]` variables. The algorithm
+//! only uses it implicitly, through the good/bad thresholds, and nothing
+//! outside this module calls it. Its tests show that the worst-case
+//! constants only bite at astronomically large ℓ, which README
+//! substitution #2 cites for checking each chosen seed's cost at run time.
 
 /// The Bellare–Rompel tail bound `2·(c·t / λ²)^{c/2}` (Lemma 2.2).
 ///
