@@ -4,27 +4,21 @@
 ///
 /// When the engine detects a damaged round (delivered digests differ from
 /// the intended ones), it restores the round's checkpoint and re-executes,
-/// up to `max_round_retries` times per round. Each retry also charges
-/// `backoff_rounds` extra model rounds — the accounting cost of whatever
-/// end-to-end acknowledgement or timeout scheme a real deployment would
-/// use to notice the damage. A round still damaged after the budget is
+/// up to `max_round_retries` times per round, charging each wasted
+/// attempt as one model round. A round still damaged after the budget is
 /// committed as-is and the outcome is marked degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries allowed per damaged round before committing the damage.
     pub max_round_retries: u32,
-    /// Extra model rounds charged per retry, on top of the re-executed
-    /// round itself.
-    pub backoff_rounds: u64,
 }
 
 impl Default for RetryPolicy {
-    /// 16 retries, no backoff: with per-message settling, even a 50%
-    /// fault rate leaves ~0.0015% of messages unsettled after 16 attempts.
+    /// 16 retries: with per-message settling, even a 50% fault rate leaves
+    /// ~0.0015% of messages unsettled after 16 attempts.
     fn default() -> Self {
         RetryPolicy {
             max_round_retries: 16,
-            backoff_rounds: 0,
         }
     }
 }
@@ -35,7 +29,6 @@ impl RetryPolicy {
     pub fn none() -> Self {
         RetryPolicy {
             max_round_retries: 0,
-            backoff_rounds: 0,
         }
     }
 }
@@ -48,6 +41,5 @@ mod tests {
     fn default_allows_retries_and_none_does_not() {
         assert_eq!(RetryPolicy::default().max_round_retries, 16);
         assert_eq!(RetryPolicy::none().max_round_retries, 0);
-        assert_eq!(RetryPolicy::none().backoff_rounds, 0);
     }
 }

@@ -51,11 +51,8 @@ pub struct EngineConfig {
     /// Phase label under which rounds are charged to the context.
     pub label: String,
     /// How model violations are handled: recorded in the report (the
-    /// default, matching [`cc_sim::ClusterContext::new`]), aborting the run
-    /// on the first one ([`ViolationPolicy::FailFast`]), or — under
-    /// [`ViolationPolicy::Recover`] with a fault injector attached — also
-    /// counted as round damage that triggers the bounded retry loop when
-    /// the seal detects them.
+    /// default, matching [`cc_sim::ClusterContext::new`]) or aborting the
+    /// run on the first one ([`ViolationPolicy::FailFast`]).
     pub policy: ViolationPolicy,
     /// Bounded retry of damaged rounds when a fault injector is attached
     /// (ignored under the default [`NoopInjector`]).

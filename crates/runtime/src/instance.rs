@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use cc_fault::{FaultInjector, NoopInjector};
-use cc_sim::{ClusterContext, ExecutionModel, SimError, ViolationPolicy};
+use cc_sim::{ClusterContext, ExecutionModel, SimError};
 use cc_trace::{Counter, HistKind, NoopRecorder, Phase, Recorder, DRIVER_LANE};
 
 use crate::columns::{Inbox, InboxSegment};
@@ -513,20 +513,18 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
             for (arena, group) in bank.iter().zip(&plane.groups) {
                 let arena = arena.read().expect("chunk arena poisoned");
                 attempt_faults += arena.faults_injected();
-                damaged |= arena.damaged()
-                    || (self.config.policy == ViolationPolicy::Recover && arena.has_violations());
+                damaged |= arena.damaged();
                 checkpoint_ok &= group.lock().expect("group poisoned").checkpoint_ok;
             }
             self.health.faults_injected += attempt_faults;
             let attempt = plane.attempt.load(Ordering::Relaxed);
             if damaged && checkpoint_ok && attempt < self.config.retry.max_round_retries {
-                // Roll the round back: charge the wasted attempt (plus any
-                // backoff) under its own label, skip the merge, and step
-                // the same round again from the checkpoint.
+                // Roll the round back: charge the wasted attempt under its
+                // own label, skip the merge, and step the same round again
+                // from the checkpoint.
                 plane.attempt.store(attempt + 1, Ordering::Release);
                 self.health.retries += 1;
-                self.ctx
-                    .charge_rounds(&self.retry_label, 1 + self.config.retry.backoff_rounds);
+                self.ctx.charge_rounds(&self.retry_label, 1);
                 if R::ENABLED {
                     recorder.count(DRIVER_LANE, Counter::RoundRetries, round, barrier_ts, 1);
                 }

@@ -552,13 +552,6 @@ impl ChunkArena {
                 .zip(&self.intended_digests)
                 .any(|(delivered, intended)| delivered.value() != intended.value())
     }
-
-    /// Whether this round's seal found model violations detectable before
-    /// the merge (too-wide words, send overflows) — the extra damage
-    /// signal the `Recover` violation policy retries on.
-    pub(crate) fn has_violations(&self) -> bool {
-        !self.wide_messages.is_empty() || !self.send_overflows.is_empty()
-    }
     // cc-lint: end_region
 }
 

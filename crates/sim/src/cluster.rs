@@ -44,12 +44,6 @@ pub enum ViolationPolicy {
     /// Return the first violation as an error from the offending
     /// operation — the test mode (previously "strict").
     FailFast,
-    /// Record the violation *and* ask the execution backend to treat the
-    /// round as damaged: an engine running with a fault injector restores
-    /// its checkpoint and retries the round under its `RetryPolicy`. A
-    /// backend without recovery machinery treats this like
-    /// [`ViolationPolicy::Record`].
-    Recover,
 }
 
 /// The most violations a context stores verbatim. Beyond the cap, further
@@ -520,18 +514,6 @@ mod tests {
         let err = ctx.observe_local_space("x", limit + 1).unwrap_err();
         assert!(matches!(err, SimError::ConstraintViolated(_)));
         assert!(ctx.violations().is_empty());
-    }
-
-    #[test]
-    fn recover_policy_records_like_record() {
-        let mut ctx = ClusterContext::with_policy(small_model(), ViolationPolicy::Recover);
-        assert_eq!(ctx.policy(), ViolationPolicy::Recover);
-        let limit = ctx.model().local_space_words;
-        ctx.observe_local_space("x", limit + 1).unwrap();
-        assert_eq!(ctx.violations().len(), 1);
-        // Recovery semantics live in the execution backend; the context
-        // itself records and continues.
-        assert!(ctx.fork().policy() == ViolationPolicy::Recover);
     }
 
     #[test]
