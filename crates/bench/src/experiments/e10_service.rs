@@ -224,88 +224,78 @@ fn measure_mix(mix: &Mix, threads: usize, rates: &[usize]) -> (ModeStats, Vec<(u
     match mix {
         Mix::Coloring(instances) => {
             let algo = EngineTrialColoring::default();
-            let count = instances.len();
-            let mut solo_digests = vec![0u64; count];
-            let mut make = |i: usize| {
-                let model = ExecutionModel::congested_clique(instances[i].node_count());
-                algo.service_request(&instances[i], model)
-                    .expect("E10 request")
-            };
-            let solo = {
-                let mut finish = |i: usize, out: EngineOutcome<Option<u64>>| {
-                    solo_digests[i] = out.ledger.digest();
-                    let assembled = algo.assemble(&instances[i], out).expect("E10 assemble");
-                    assembled
+            measure_requests(
+                instances.len(),
+                threads,
+                rates,
+                |i| {
+                    let model = ExecutionModel::congested_clique(instances[i].node_count());
+                    algo.service_request(&instances[i], model)
+                        .expect("E10 request")
+                },
+                |i, out| {
+                    algo.assemble(&instances[i], out)
+                        .expect("E10 assemble")
                         .outcome
                         .coloring
                         .verify(&instances[i])
-                        .expect("E10 solo verify");
-                };
-                solo_loop(count, &mut make, &mut finish, threads)
-            };
-            let services = rates
-                .iter()
-                .map(|&rate| {
-                    let mut finish = |i: usize, out: EngineOutcome<Option<u64>>| {
-                        assert_eq!(
-                            out.ledger.digest(),
-                            solo_digests[i],
-                            "batched ledger digest diverged from the solo run"
-                        );
-                        let assembled = algo.assemble(&instances[i], out).expect("E10 assemble");
-                        assembled
-                            .outcome
-                            .coloring
-                            .verify(&instances[i])
-                            .expect("E10 service verify");
-                    };
-                    (
-                        rate,
-                        service_loop(count, &mut make, &mut finish, threads, rate),
-                    )
-                })
-                .collect();
-            (solo, services)
+                        .expect("E10 verify");
+                },
+            )
         }
         Mix::Mis(graphs) => {
             let algo = EngineLubyMis::default();
-            let count = graphs.len();
-            let mut solo_digests = vec![0u64; count];
-            let mut make = |i: usize| {
-                let model = ExecutionModel::congested_clique(graphs[i].node_count());
-                algo.service_request(&graphs[i], model)
-            };
-            let solo = {
-                let mut finish = |i: usize, out: EngineOutcome<Option<bool>>| {
-                    solo_digests[i] = out.ledger.digest();
+            measure_requests(
+                graphs.len(),
+                threads,
+                rates,
+                |i| {
+                    let model = ExecutionModel::congested_clique(graphs[i].node_count());
+                    algo.service_request(&graphs[i], model)
+                },
+                |i, out| {
                     let assembled = algo.assemble(&graphs[i], out);
                     cc_mis::verify::verify_mis(&graphs[i], &assembled.result.in_set)
-                        .expect("E10 solo mis verify");
-                };
-                solo_loop(count, &mut make, &mut finish, threads)
-            };
-            let services = rates
-                .iter()
-                .map(|&rate| {
-                    let mut finish = |i: usize, out: EngineOutcome<Option<bool>>| {
-                        assert_eq!(
-                            out.ledger.digest(),
-                            solo_digests[i],
-                            "batched ledger digest diverged from the solo run"
-                        );
-                        let assembled = algo.assemble(&graphs[i], out);
-                        cc_mis::verify::verify_mis(&graphs[i], &assembled.result.in_set)
-                            .expect("E10 service mis verify");
-                    };
-                    (
-                        rate,
-                        service_loop(count, &mut make, &mut finish, threads, rate),
-                    )
-                })
-                .collect();
-            (solo, services)
+                        .expect("E10 mis verify");
+                },
+            )
         }
     }
+}
+
+/// [`measure_mix`]'s body for one algorithm: `make` builds request `i`,
+/// and `check` assembles and verifies its outcome.
+fn measure_requests<O: Send + 'static>(
+    count: usize,
+    threads: usize,
+    rates: &[usize],
+    mut make: impl FnMut(usize) -> ServiceRequest<O>,
+    check: impl Fn(usize, EngineOutcome<O>),
+) -> (ModeStats, Vec<(usize, ModeStats)>) {
+    let mut solo_digests = vec![0u64; count];
+    let mut record = |i: usize, out: EngineOutcome<O>| {
+        solo_digests[i] = out.ledger.digest();
+        check(i, out);
+    };
+    let solo = solo_loop(count, &mut make, &mut record, threads);
+    let services = rates
+        .iter()
+        .map(|&rate| {
+            let mut finish = |i: usize, out: EngineOutcome<O>| {
+                assert_eq!(
+                    out.ledger.digest(),
+                    solo_digests[i],
+                    "batched ledger digest diverged from the solo run"
+                );
+                check(i, out);
+            };
+            (
+                rate,
+                service_loop(count, &mut make, &mut finish, threads, rate),
+            )
+        })
+        .collect();
+    (solo, services)
 }
 
 /// Runs the experiment with the default thread sweep.

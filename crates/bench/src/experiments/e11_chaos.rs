@@ -27,10 +27,9 @@ use std::path::Path;
 use std::time::Instant;
 
 use cc_mis::engine::EngineLubyMis;
-use cc_runtime::trace::NoopRecorder;
-use cc_runtime::{Engine, EngineConfig, EngineSession, FaultPlan, PlanInjector};
+use cc_runtime::{Engine, EngineOutcome, FaultPlan, PlanInjector, ServiceRequest};
 use cc_sim::ExecutionModel;
-use clique_coloring::baselines::engine_trial::EngineTrialColoring;
+use clique_coloring::baselines::engine_trial::{EngineTrialColoring, EngineTrialOutcome};
 
 use crate::records::{to_json, write_json, RunRecord};
 use crate::table::Table;
@@ -103,11 +102,13 @@ fn chaos_plan(seed: u64, (drop, duplicate, corrupt): (u16, u16, u16)) -> FaultPl
     plan
 }
 
-/// A fresh engine session under `config` that injects `plan`'s faults.
-fn faulted(config: EngineConfig, plan: FaultPlan) -> EngineSession<NoopRecorder, PlanInjector> {
-    Engine::new(config)
+/// Runs `request` on a fresh engine, under its own configuration, that
+/// injects `plan`'s faults.
+fn faulted<O: Send + 'static>(request: ServiceRequest<O>, plan: FaultPlan) -> EngineOutcome<O> {
+    Engine::new(request.config)
         .with_faults(PlanInjector::new(plan))
-        .session()
+        .run(request.model, request.programs)
+        .expect("E11 faulted run")
 }
 
 /// Plan label for the table, e.g. `drop25+dup15+corr15`.
@@ -204,12 +205,11 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                 for &seed in &plan_seeds(scale) {
                     let start = Instant::now();
                     let runner = trial_runner(t);
+                    let request = runner
+                        .service_request(&instance, model.clone())
+                        .expect("E11 trial request");
                     let out = runner
-                        .run_in(
-                            &mut faulted(runner.engine_config(), chaos_plan(seed, level)),
-                            &instance,
-                            model.clone(),
-                        )
+                        .assemble(&instance, faulted(request, chaos_plan(seed, level)))
                         .expect("E11 chaos trial");
                     trial_cell.wall_ms += start.elapsed().as_secs_f64() * 1e3;
                     out.outcome.coloring.verify(&instance).expect("E11 verify");
@@ -239,13 +239,9 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
 
                     let start = Instant::now();
                     let runner = luby_runner(t);
-                    let out = runner
-                        .run_in(
-                            &mut faulted(runner.engine_config(), chaos_plan(seed ^ 0x15, level)),
-                            &graph,
-                            model.clone(),
-                        )
-                        .expect("E11 chaos luby");
+                    let request = runner.service_request(&graph, model.clone());
+                    let out =
+                        runner.assemble(&graph, faulted(request, chaos_plan(seed ^ 0x15, level)));
                     luby_cell.wall_ms += start.elapsed().as_secs_f64() * 1e3;
                     cc_mis::verify::verify_mis(&graph, &out.result.in_set).expect("E11 mis verify");
                     let recovered =
@@ -264,14 +260,11 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                     luby_cell.retries += out.health.retries;
                     luby_cell.rounds += out.report.rounds;
                 }
-                for (algorithm, cell, clean_rounds) in [
-                    (
-                        "trial-coloring",
-                        &trial_cell,
-                        clean_trial.outcome.report.rounds,
-                    ),
-                    ("luby-mis", &luby_cell, clean_luby.report.rounds),
+                for (algorithm, cell, clean_report) in [
+                    ("trial-coloring", &trial_cell, &clean_trial.outcome.report),
+                    ("luby-mis", &luby_cell, &clean_luby.report),
                 ] {
+                    let clean_rounds = clean_report.rounds;
                     let overhead = cell.mean_rounds() / clean_rounds.max(1) as f64;
                     table.row([
                         label.clone(),
@@ -294,7 +287,7 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                                 &label,
                                 &format!("{algorithm}/engine-t{t}/{}", plan_label(level)),
                                 stats,
-                                &clean_trial.outcome.report,
+                                clean_report,
                             )
                         }
                         .with_extra("threads", t as f64)
@@ -328,17 +321,15 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
             // Round 0 so a crash cannot land after its node already halted.
             crash_plan = crash_plan.with_crash(node, 0);
         }
-        let mut reference: Option<clique_coloring::baselines::engine_trial::EngineTrialOutcome> =
-            None;
+        let mut reference: Option<EngineTrialOutcome> = None;
         for &t in threads {
             let start = Instant::now();
             let runner = trial_runner(t);
+            let request = runner
+                .service_request(&instance, model.clone())
+                .expect("E11 trial request");
             let out = runner
-                .run_in(
-                    &mut faulted(runner.engine_config(), crash_plan.clone()),
-                    &instance,
-                    model.clone(),
-                )
+                .assemble(&instance, faulted(request, crash_plan.clone()))
                 .expect("E11 crash trial");
             let ms = start.elapsed().as_secs_f64() * 1e3;
             out.outcome

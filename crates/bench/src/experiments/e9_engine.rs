@@ -250,12 +250,14 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 ..EngineTrialColoring::default()
             };
             let recorder = Arc::new(RingRecorder::default());
-            let mut session = Engine::new(runner.engine_config())
+            let request = runner
+                .service_request(&instance, model.clone())
+                .expect("E9 trial request");
+            let run = Engine::new(request.config)
                 .with_recorder(Arc::clone(&recorder))
-                .session();
-            let out = runner
-                .run_in(&mut session, &instance, model.clone())
+                .run(request.model, request.programs)
                 .expect("E9 traced trial");
+            let out = runner.assemble(&instance, run).expect("E9 traced trial");
             let reference = reference.as_ref().expect("timed runs precede traced run");
             assert_eq!(
                 reference.outcome.coloring, out.outcome.coloring,
@@ -376,12 +378,12 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 ..EngineLubyMis::default()
             };
             let recorder = Arc::new(RingRecorder::default());
-            let mut session = Engine::new(runner.engine_config())
+            let request = runner.service_request(&graph, model.clone());
+            let run = Engine::new(request.config)
                 .with_recorder(Arc::clone(&recorder))
-                .session();
-            let out = runner
-                .run_in(&mut session, &graph, model.clone())
+                .run(request.model, request.programs)
                 .expect("E9 traced luby");
+            let out = runner.assemble(&graph, run);
             let reference = mis_reference
                 .as_ref()
                 .expect("timed runs precede traced run");
@@ -622,12 +624,14 @@ pub fn bench_message_plane() -> PlaneBenchRecord {
     let mut fault_best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
-        let mut session = Engine::new(runner.engine_config())
+        let request = runner
+            .service_request(&instance, model.clone())
+            .expect("bench request");
+        let run = Engine::new(request.config)
             .with_faults(PlanInjector::new(FaultPlan::new(0)))
-            .session();
-        let fault_out = runner
-            .run_in(&mut session, &instance, model.clone())
+            .run(request.model, request.programs)
             .expect("bench fault run");
+        let fault_out = runner.assemble(&instance, run).expect("bench fault run");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             fault_out.ledger, out.ledger,

@@ -13,10 +13,9 @@ use cc_graph::coloring::Coloring;
 use cc_graph::instance::ListColoringInstance;
 use cc_graph::{Color, NodeId};
 use cc_runtime::programs::trial::TrialColoringProgram;
-use cc_runtime::trace::{Recorder, TraceSummary};
+use cc_runtime::trace::TraceSummary;
 use cc_runtime::{
-    Engine, EngineConfig, EngineHealth, EngineOutcome, EngineSession, FaultInjector, MessageLedger,
-    NodeProgram, PhaseTimings, ServiceRequest,
+    Engine, EngineConfig, EngineHealth, EngineOutcome, MessageLedger, PhaseTimings, ServiceRequest,
 };
 use cc_sim::ExecutionModel;
 
@@ -71,19 +70,10 @@ pub struct EngineTrialOutcome {
 }
 
 impl EngineTrialColoring {
-    /// The engine configuration this baseline runs under; build a session
-    /// from it (with a recorder or fault injector attached) for
-    /// [`EngineTrialColoring::run_in`].
-    pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            threads: self.threads,
-            max_rounds: self.max_rounds,
-            label: "engine-trial".to_string(),
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Runs the baseline on a fresh engine.
+    /// Runs the baseline on a fresh engine: its
+    /// [`EngineTrialColoring::service_request`], run by
+    /// `Engine::new(request.config)`, finished by
+    /// [`EngineTrialColoring::assemble`].
     ///
     /// # Errors
     ///
@@ -94,43 +84,21 @@ impl EngineTrialColoring {
         instance: &ListColoringInstance,
         model: ExecutionModel,
     ) -> Result<EngineTrialOutcome, CoreError> {
-        self.run_in(
-            &mut Engine::new(self.engine_config()).session(),
-            instance,
-            model,
-        )
-    }
-
-    /// Runs the baseline in `session`, which should run under
-    /// [`EngineTrialColoring::engine_config`]. A recorder attached to the
-    /// session captures per-round spans, counters, and histograms (and
-    /// fills the outcome's `trace` summary) without changing the coloring,
-    /// report, or ledger. A fault injector attached to it drives message
-    /// faults, stalls, and crash-stops, with damaged rounds retried from
-    /// checkpoints; crashed or conflict-damaged nodes are repaired by the
-    /// deterministic greedy pass, so the returned coloring is always
-    /// proper — see the outcome's `health` and `recolored_nodes` for what
-    /// the run survived.
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineTrialColoring::run`].
-    pub fn run_in<R: Recorder, F: FaultInjector>(
-        &self,
-        session: &mut EngineSession<R, F>,
-        instance: &ListColoringInstance,
-        model: ExecutionModel,
-    ) -> Result<EngineTrialOutcome, CoreError> {
-        instance.validate()?;
-        let run = session.run(model, self.programs(instance))?;
+        let request = self.service_request(instance, model)?;
+        let run = Engine::new(request.config).run(request.model, request.programs)?;
         self.assemble(instance, run)
     }
 
-    /// Packages the baseline as a [`ServiceRequest`] for batched execution
-    /// on a [`cc_runtime::ColoringService`]: same programs, seed, and
-    /// engine configuration as [`EngineTrialColoring::run`], so the
-    /// service's outcome — finished through
-    /// [`EngineTrialColoring::assemble`] — is bit-identical to a solo run.
+    /// Packages the baseline as a [`ServiceRequest`]: one
+    /// [`TrialColoringProgram`] per node, under this baseline's threads,
+    /// round cap, and label. Submit it to a [`cc_runtime::ColoringService`]
+    /// or run it on `Engine::new(request.config)`, with a recorder or fault
+    /// injector attached if wanted, then finish through
+    /// [`EngineTrialColoring::assemble`]. A recorder fills the outcome's
+    /// `trace` without changing the coloring, report, or ledger; under an
+    /// injector, damaged rounds are retried from checkpoints and crashed or
+    /// conflicted nodes are recolored greedily, so the coloring is always
+    /// proper — `health` and `recolored_nodes` say what the run survived.
     ///
     /// # Errors
     ///
@@ -141,17 +109,8 @@ impl EngineTrialColoring {
         model: ExecutionModel,
     ) -> Result<ServiceRequest<Option<u64>>, CoreError> {
         instance.validate()?;
-        Ok(ServiceRequest::new(model, self.programs(instance)).with_config(self.engine_config()))
-    }
-
-    /// Builds one [`TrialColoringProgram`] per node (the instance must
-    /// already be validated).
-    fn programs(
-        &self,
-        instance: &ListColoringInstance,
-    ) -> Vec<Box<dyn NodeProgram<Output = Option<u64>>>> {
         let graph = instance.graph();
-        graph
+        let programs = graph
             .nodes()
             .map(|v| {
                 let neighbors: Vec<u32> = graph.neighbor_slice(v).iter().map(|u| u.0).collect();
@@ -160,7 +119,15 @@ impl EngineTrialColoring {
                     v.0, neighbors, palette, self.seed,
                 )) as _
             })
-            .collect()
+            .collect();
+        Ok(
+            ServiceRequest::new(model, programs).with_config(EngineConfig {
+                threads: self.threads,
+                max_rounds: self.max_rounds,
+                label: "engine-trial".to_string(),
+                ..EngineConfig::default()
+            }),
+        )
     }
 
     /// Turns a raw engine outcome (solo or batched) for this baseline's
@@ -202,20 +169,10 @@ impl EngineTrialColoring {
                 None => uncolored.push(v),
             }
         }
-        let recolored_nodes = uncolored.len();
-        if !uncolored.is_empty() {
-            // Round cap hit: finish deterministically, as the centralized
-            // baseline does, against palettes pruned of neighbor colors.
-            let mut palettes = instance.palettes().to_vec();
-            for &v in &uncolored {
-                for u in graph.neighbors(v) {
-                    if let Some(c) = coloring.color_of(u) {
-                        palettes[v.index()].remove(c);
-                    }
-                }
-            }
-            color_greedily(graph, &palettes, &mut coloring, &uncolored)?;
-        }
+        // Round cap hit (or repair needed): finish deterministically, as
+        // the centralized baseline does, in id order with the smallest
+        // palette color no colored neighbor holds.
+        color_greedily(graph, instance.palettes(), &mut coloring, &uncolored)?;
         Ok(EngineTrialOutcome {
             outcome: outcome("engine-trial", coloring, run.report),
             ledger: run.ledger,
@@ -223,7 +180,7 @@ impl EngineTrialColoring {
             timings: run.timings,
             trace: run.trace,
             health: run.health,
-            recolored_nodes,
+            recolored_nodes: uncolored.len(),
         })
     }
 }
@@ -296,10 +253,12 @@ mod tests {
         assert!(plain.trace.is_none());
         let recorder = Arc::new(RingRecorder::default());
         let algo = EngineTrialColoring::default();
-        let mut session = Engine::new(algo.engine_config())
+        let request = algo.service_request(&instance, model).unwrap();
+        let run = Engine::new(request.config)
             .with_recorder(Arc::clone(&recorder))
-            .session();
-        let traced = algo.run_in(&mut session, &instance, model).unwrap();
+            .run(request.model, request.programs)
+            .unwrap();
+        let traced = algo.assemble(&instance, run).unwrap();
         assert_eq!(plain.outcome.coloring, traced.outcome.coloring);
         assert_eq!(plain.ledger, traced.ledger);
         let summary = traced.trace.unwrap();
@@ -324,10 +283,12 @@ mod tests {
                 threads,
                 ..EngineTrialColoring::default()
             };
-            let mut session = Engine::new(algo.engine_config())
+            let request = algo.service_request(&instance, model.clone()).unwrap();
+            let run = Engine::new(request.config)
                 .with_faults(PlanInjector::new(plan))
-                .session();
-            let faulted = algo.run_in(&mut session, &instance, model.clone()).unwrap();
+                .run(request.model, request.programs)
+                .unwrap();
+            let faulted = algo.assemble(&instance, run).unwrap();
             assert!(faulted.health.faults_injected > 0, "threads {threads}");
             assert!(!faulted.health.degraded, "threads {threads}");
             assert_eq!(faulted.recolored_nodes, 0, "threads {threads}");
@@ -353,16 +314,14 @@ mod tests {
             threads: 2,
             ..EngineTrialColoring::default()
         };
-        let mut session = Engine::new(algo.engine_config())
-            .with_faults(PlanInjector::new(plan))
-            .session();
-        let out = algo
-            .run_in(
-                &mut session,
-                &instance,
-                ExecutionModel::congested_clique(90),
-            )
+        let request = algo
+            .service_request(&instance, ExecutionModel::congested_clique(90))
             .unwrap();
+        let run = Engine::new(request.config)
+            .with_faults(PlanInjector::new(plan))
+            .run(request.model, request.programs)
+            .unwrap();
+        let out = algo.assemble(&instance, run).unwrap();
         assert!(out.health.degraded);
         assert_eq!(out.health.crashed_nodes, 3);
         assert!(out.recolored_nodes > 0);
@@ -402,13 +361,42 @@ mod tests {
     fn round_cap_falls_back_to_greedy_completion() {
         let graph = generators::gnp(60, 0.3, 2).unwrap();
         let instance = ListColoringInstance::delta_plus_one(&graph).unwrap();
-        let out = EngineTrialColoring {
-            max_rounds: 1,
-            ..EngineTrialColoring::default()
+        // Capped after the first propose round (nothing colored yet) and
+        // after the first resolve round (some nodes colored, some not).
+        for max_rounds in [1, 2] {
+            let algo = EngineTrialColoring {
+                max_rounds,
+                ..EngineTrialColoring::default()
+            };
+            let request = algo
+                .service_request(&instance, ExecutionModel::congested_clique(60))
+                .unwrap();
+            let run = Engine::new(request.config)
+                .run(request.model, request.programs)
+                .unwrap();
+            let engine_colors = run.outputs.clone();
+            let out = algo.assemble(&instance, run).unwrap();
+            out.outcome.coloring.verify(&instance).unwrap();
+            assert_eq!(out.engine_rounds, max_rounds);
+            // In id order, each node the engine left uncolored takes the
+            // smallest color of its palette that no neighbor colored before
+            // it (by the engine, or earlier in this pass) holds.
+            let left: Vec<NodeId> = graph
+                .nodes()
+                .filter(|v| engine_colors[v.index()].is_none())
+                .collect();
+            assert!(!left.is_empty());
+            assert_eq!(out.recolored_nodes, left.len());
+            let coloring = &out.outcome.coloring;
+            for &v in &left {
+                let held: Vec<Color> = graph
+                    .neighbors(v)
+                    .filter(|&u| engine_colors[u.index()].is_some() || u < v)
+                    .filter_map(|u| coloring.color_of(u))
+                    .collect();
+                let smallest = instance.palette(v).iter().find(|c| !held.contains(c));
+                assert_eq!(coloring.color_of(v), smallest, "node {v}");
+            }
         }
-        .run(&instance, ExecutionModel::congested_clique(60))
-        .unwrap();
-        out.outcome.coloring.verify(&instance).unwrap();
-        assert_eq!(out.engine_rounds, 1);
     }
 }

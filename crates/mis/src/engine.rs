@@ -8,10 +8,10 @@
 
 use cc_graph::csr::CsrGraph;
 use cc_runtime::programs::luby::LubyMisProgram;
-use cc_runtime::trace::{Recorder, TraceSummary};
+use cc_runtime::trace::TraceSummary;
 use cc_runtime::{
-    word_bits_limit, Engine, EngineConfig, EngineHealth, EngineOutcome, EngineSession,
-    FaultInjector, MessageLedger, NodeProgram, PhaseTimings, ServiceRequest,
+    word_bits_limit, Engine, EngineConfig, EngineHealth, EngineOutcome, MessageLedger,
+    PhaseTimings, ServiceRequest,
 };
 use cc_sim::{ExecutionModel, ExecutionReport, SimError};
 
@@ -62,83 +62,55 @@ pub struct EngineMisOutcome {
 }
 
 impl EngineLubyMis {
-    /// The engine configuration this algorithm runs under; build a session
-    /// from it (with a recorder or fault injector attached) for
-    /// [`EngineLubyMis::run_in`].
-    pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            threads: self.threads,
-            max_rounds: self.max_rounds,
-            label: "engine-luby".to_string(),
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Runs the algorithm on `graph` under `model` on a fresh engine.
+    /// Runs the algorithm on `graph` under `model` on a fresh engine: its
+    /// [`EngineLubyMis::service_request`], run by
+    /// `Engine::new(request.config)`, finished by
+    /// [`EngineLubyMis::assemble`].
     ///
     /// # Errors
     ///
-    /// Never fails in lenient mode; kept fallible for parity with future
-    /// strict-mode use.
+    /// Never fails: the request's configuration records model violations
+    /// in the report instead of failing fast. The `Result` is
+    /// [`Engine::run`]'s.
     pub fn run(
         &self,
         graph: &CsrGraph,
         model: ExecutionModel,
     ) -> Result<EngineMisOutcome, SimError> {
-        self.run_in(
-            &mut Engine::new(self.engine_config()).session(),
-            graph,
-            model,
-        )
-    }
-
-    /// Runs the algorithm in `session`, which should run under
-    /// [`EngineLubyMis::engine_config`]. A recorder attached to the
-    /// session captures per-round spans, counters, and histograms (and
-    /// fills the outcome's `trace` summary) without changing the MIS,
-    /// report, or ledger. A fault injector attached to it drives message
-    /// faults, stalls, and crash-stops, with damaged rounds retried from
-    /// checkpoints; degraded runs are repaired deterministically —
-    /// adjacent joiners are evicted, then the greedy completion restores
-    /// independence and maximality — so the returned set is always a valid
-    /// MIS; see the outcome's `health`.
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineLubyMis::run`].
-    pub fn run_in<R: Recorder, F: FaultInjector>(
-        &self,
-        session: &mut EngineSession<R, F>,
-        graph: &CsrGraph,
-        model: ExecutionModel,
-    ) -> Result<EngineMisOutcome, SimError> {
-        let run = session.run(model, self.programs(graph))?;
+        let request = self.service_request(graph, model);
+        let run = Engine::new(request.config).run(request.model, request.programs)?;
         Ok(self.assemble(graph, run))
     }
 
-    /// Packages the algorithm as a [`ServiceRequest`] for batched
-    /// execution on a [`cc_runtime::ColoringService`]: same programs,
-    /// seed, and engine configuration as [`EngineLubyMis::run`], so the
-    /// service's outcome — finished through [`EngineLubyMis::assemble`] —
-    /// is bit-identical to a solo run.
+    /// Packages the algorithm as a [`ServiceRequest`]: one
+    /// [`LubyMisProgram`] per node, under this algorithm's threads, round
+    /// cap, and label. Submit it to a [`cc_runtime::ColoringService`] or
+    /// run it on `Engine::new(request.config)`, with a recorder or fault
+    /// injector attached if wanted, then finish through
+    /// [`EngineLubyMis::assemble`]. A recorder fills the outcome's `trace`
+    /// without changing the MIS, report, or ledger; under an injector,
+    /// damaged rounds are retried from checkpoints and degraded runs are
+    /// repaired (adjacent joiners evicted, then greedy completion), so the
+    /// set is always a valid MIS — `health` says what the run survived.
     pub fn service_request(
         &self,
         graph: &CsrGraph,
         model: ExecutionModel,
     ) -> ServiceRequest<Option<bool>> {
-        ServiceRequest::new(model, self.programs(graph)).with_config(self.engine_config())
-    }
-
-    /// Builds one [`LubyMisProgram`] per node.
-    fn programs(&self, graph: &CsrGraph) -> Vec<Box<dyn NodeProgram<Output = Option<bool>>>> {
         let bits = word_bits_limit(graph.node_count());
-        graph
+        let programs = graph
             .nodes()
             .map(|v| {
                 let neighbors: Vec<u32> = graph.neighbor_slice(v).iter().map(|u| u.0).collect();
                 Box::new(LubyMisProgram::new(v.0, neighbors, bits, self.seed)) as _
             })
-            .collect()
+            .collect();
+        ServiceRequest::new(model, programs).with_config(EngineConfig {
+            threads: self.threads,
+            max_rounds: self.max_rounds,
+            label: "engine-luby".to_string(),
+            ..EngineConfig::default()
+        })
     }
 
     /// Turns a raw engine outcome (solo or batched) for this algorithm's
@@ -237,10 +209,12 @@ mod tests {
         assert!(plain.trace.is_none());
         let recorder = Arc::new(RingRecorder::default());
         let algo = EngineLubyMis::default();
-        let mut session = Engine::new(algo.engine_config())
+        let request = algo.service_request(&g, model);
+        let run = Engine::new(request.config)
             .with_recorder(Arc::clone(&recorder))
-            .session();
-        let traced = algo.run_in(&mut session, &g, model).unwrap();
+            .run(request.model, request.programs)
+            .unwrap();
+        let traced = algo.assemble(&g, run);
         assert_eq!(plain.result, traced.result);
         assert_eq!(plain.ledger, traced.ledger);
         assert!(traced.trace.unwrap().events > 0);
@@ -261,10 +235,12 @@ mod tests {
                 threads,
                 ..EngineLubyMis::default()
             };
-            let mut session = Engine::new(algo.engine_config())
+            let request = algo.service_request(&g, model.clone());
+            let run = Engine::new(request.config)
                 .with_faults(PlanInjector::new(plan))
-                .session();
-            let faulted = algo.run_in(&mut session, &g, model.clone()).unwrap();
+                .run(request.model, request.programs)
+                .unwrap();
+            let faulted = algo.assemble(&g, run);
             assert!(faulted.health.faults_injected > 0, "threads {threads}");
             assert!(!faulted.health.degraded, "threads {threads}");
             assert_eq!(faulted.result, clean.result, "threads {threads}");
@@ -282,12 +258,12 @@ mod tests {
             threads: 2,
             ..EngineLubyMis::default()
         };
-        let mut session = Engine::new(algo.engine_config())
+        let request = algo.service_request(&g, ExecutionModel::congested_clique(90));
+        let run = Engine::new(request.config)
             .with_faults(PlanInjector::new(plan))
-            .session();
-        let out = algo
-            .run_in(&mut session, &g, ExecutionModel::congested_clique(90))
+            .run(request.model, request.programs)
             .unwrap();
+        let out = algo.assemble(&g, run);
         assert!(out.health.degraded);
         assert_eq!(out.health.crashed_nodes, 2);
         verify_mis(&g, &out.result.in_set).unwrap();

@@ -79,12 +79,14 @@ fn recording_leaves_the_run_unchanged() {
     let instance = instance();
     let plain = algo(1, 3).run(&instance, model()).expect("plain run");
     let recorder = Arc::new(RingRecorder::default());
-    let mut session = Engine::new(algo(1, 3).engine_config())
+    let request = algo(1, 3)
+        .service_request(&instance, model())
+        .expect("valid instance");
+    let run = Engine::new(request.config)
         .with_recorder(Arc::clone(&recorder))
-        .session();
-    let traced = algo(1, 3)
-        .run_in(&mut session, &instance, model())
+        .run(request.model, request.programs)
         .expect("recorded run");
+    let traced = algo(1, 3).assemble(&instance, run).expect("assemble");
     assert_same(&plain, &traced, "recorded vs plain");
     assert!(plain.trace.is_none());
     assert!(traced.trace.is_some());
