@@ -9,7 +9,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::local_color::color_greedily;
+use crate::local_color::{color_greedily, update_palettes_from_neighbors};
 
 use super::{outcome, BaselineOutcome};
 
@@ -66,7 +66,6 @@ impl RandomizedTrialColoring {
             }
             // Keep proposals that clash with no neighbor proposal and no
             // already-colored neighbor.
-            let mut newly_colored: Vec<NodeId> = Vec::new();
             for &v in &uncolored {
                 let Some(c) = proposal[v.index()] else {
                     continue;
@@ -76,18 +75,11 @@ impl RandomizedTrialColoring {
                 });
                 if !clash {
                     coloring.assign(v, c)?;
-                    newly_colored.push(v);
                 }
             }
             // Update palettes of the remaining nodes.
             uncolored.retain(|&v| !coloring.is_colored(v));
-            for &v in &uncolored {
-                for u in graph.neighbors(v) {
-                    if let Some(c) = coloring.color_of(u) {
-                        palettes[v.index()].remove(c);
-                    }
-                }
-            }
+            update_palettes_from_neighbors(graph, &mut palettes, &coloring, &uncolored);
         }
         if !uncolored.is_empty() {
             // Safety valve: finish deterministically.
