@@ -142,7 +142,7 @@ fn main() -> ExitCode {
         println!("  {last_name} skewed workloads: hot-receiver {hot:.1} ns/msg, power-law {plaw:.1} ns/msg");
     }
     // fault_ns_per_msg only exists in records written after the fault
-    // plane landed: the same workload with a zero-rate `PlanInjector`
+    // plane landed: the same workload with a zero-rate `FaultPlan`
     // armed (checkpoint every round, digest check every barrier, no fault
     // ever fires). The overhead of *arming* should be within noise of the
     // NoopInjector number.

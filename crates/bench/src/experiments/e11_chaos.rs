@@ -11,7 +11,7 @@
 //! retry counts from [`cc_runtime::EngineHealth`].
 //!
 //! Two control rows anchor the table. The zero-rate level attaches a live
-//! `PlanInjector` that never fires — it must inject nothing, retry
+//! `FaultPlan` that never fires — it must inject nothing, retry
 //! nothing, and reproduce the clean ledger exactly (checkpointing alone is
 //! result-invisible). The crash rows (trial coloring only) pin crash-stop
 //! schedules: those runs are *expected* to degrade, and the adapter's
@@ -27,7 +27,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use cc_mis::engine::EngineLubyMis;
-use cc_runtime::{Engine, EngineOutcome, FaultPlan, PlanInjector, ServiceRequest};
+use cc_runtime::{Engine, EngineOutcome, FaultPlan, ServiceRequest};
 use cc_sim::ExecutionModel;
 use clique_coloring::baselines::engine_trial::{EngineTrialColoring, EngineTrialOutcome};
 
@@ -106,7 +106,7 @@ fn chaos_plan(seed: u64, (drop, duplicate, corrupt): (u16, u16, u16)) -> FaultPl
 /// injects `plan`'s faults.
 fn faulted<O: Send + 'static>(request: ServiceRequest<O>, plan: FaultPlan) -> EngineOutcome<O> {
     Engine::new(request.config)
-        .with_faults(PlanInjector::new(plan))
+        .with_faults(plan)
         .run(request.model, request.programs)
         .expect("E11 faulted run")
 }

@@ -27,7 +27,7 @@ use std::time::Instant;
 use cc_mis::engine::EngineLubyMis;
 use cc_mis::luby::LubyMis;
 use cc_runtime::trace::{ChromeTrace, RingRecorder};
-use cc_runtime::{Engine, EngineConfig, FaultPlan, NodeEnv, NodeProgram, NodeStatus, PlanInjector};
+use cc_runtime::{Engine, EngineConfig, FaultPlan, NodeEnv, NodeProgram, NodeStatus};
 use cc_sim::{ClusterContext, ExecutionModel};
 use clique_coloring::baselines::engine_trial::EngineTrialColoring;
 use clique_coloring::baselines::trial::RandomizedTrialColoring;
@@ -493,7 +493,7 @@ pub struct PlaneBenchRecord {
     /// most of the load; absent from records written before PR 8).
     pub plaw_ns_per_msg: f64,
     /// ns/msg of the same trial-coloring workload with a zero-rate
-    /// `cc-fault` `PlanInjector` armed: checkpointing and damage checks run
+    /// `cc-fault` `FaultPlan` armed: checkpointing and damage checks run
     /// every round but no fault ever fires, so the delta against
     /// `ns_per_msg` is the price of *arming* the fault plane (absent from
     /// records written before the fault plane existed).
@@ -617,8 +617,8 @@ pub fn bench_message_plane() -> PlaneBenchRecord {
         }
     }
     let (wall_ms, out) = best.expect("three runs measured");
-    // Zero-rate fault-plane companion: a `PlanInjector` whose plan never
-    // fires still checkpoints every round and digest-checks every barrier.
+    // Zero-rate fault-plane companion: a `FaultPlan` that never fires
+    // still checkpoints every round and digest-checks every barrier.
     // The record tracks its ns/msg next to the NoopInjector number so
     // `bench_delta` can show what arming the fault plane costs.
     let mut fault_best = f64::INFINITY;
@@ -628,7 +628,7 @@ pub fn bench_message_plane() -> PlaneBenchRecord {
             .service_request(&instance, model.clone())
             .expect("bench request");
         let run = Engine::new(request.config)
-            .with_faults(PlanInjector::new(FaultPlan::new(0)))
+            .with_faults(FaultPlan::new(0))
             .run(request.model, request.programs)
             .expect("bench fault run");
         let fault_out = runner.assemble(&instance, run).expect("bench fault run");

@@ -190,7 +190,7 @@ mod tests {
     use super::*;
     use cc_graph::generators::{self, instance_with_palettes, PaletteKind};
     use cc_runtime::trace::RingRecorder;
-    use cc_runtime::{FaultPlan, PlanInjector};
+    use cc_runtime::FaultPlan;
     use std::sync::Arc;
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
             };
             let request = algo.service_request(&instance, model.clone()).unwrap();
             let run = Engine::new(request.config)
-                .with_faults(PlanInjector::new(plan))
+                .with_faults(plan)
                 .run(request.model, request.programs)
                 .unwrap();
             let faulted = algo.assemble(&instance, run).unwrap();
@@ -318,7 +318,7 @@ mod tests {
             .service_request(&instance, ExecutionModel::congested_clique(90))
             .unwrap();
         let run = Engine::new(request.config)
-            .with_faults(PlanInjector::new(plan))
+            .with_faults(plan)
             .run(request.model, request.programs)
             .unwrap();
         let out = algo.assemble(&instance, run).unwrap();

@@ -1,4 +1,5 @@
-//! The [`FaultInjector`] hook and its two implementations.
+//! The [`FaultInjector`] hook and its no-op implementation; the other
+//! implementation is [`crate::FaultPlan`] itself.
 //!
 //! The engine is generic over an injector exactly the way it is generic
 //! over `cc-trace`'s `Recorder`: a `const ENABLED` flag lets every call
@@ -9,7 +10,7 @@
 
 use std::fmt;
 
-use crate::plan::{FaultPlan, MessageFault};
+use crate::plan::MessageFault;
 
 /// A source of fault decisions the engine consults at seal and step time.
 ///
@@ -83,59 +84,6 @@ impl FaultInjector for NoopInjector {
     }
 }
 
-/// An injector driven by a [`FaultPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanInjector {
-    plan: FaultPlan,
-}
-
-impl PlanInjector {
-    /// Wraps a plan as an engine injector.
-    #[must_use]
-    pub fn new(plan: FaultPlan) -> Self {
-        PlanInjector { plan }
-    }
-
-    /// The wrapped plan.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
-impl FaultInjector for PlanInjector {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn message_outcome(
-        &self,
-        round: u64,
-        attempt: u32,
-        src: u32,
-        dst: u32,
-        seq: u32,
-        bits_limit: u32,
-    ) -> Option<MessageFault> {
-        self.plan
-            .message_outcome(round, attempt, src, dst, seq, bits_limit)
-    }
-
-    #[inline]
-    fn stall_spins(&self, round: u64, chunk: usize) -> u32 {
-        self.plan.stall_spins(round, chunk)
-    }
-
-    #[inline]
-    fn crash_round(&self, node: u32) -> Option<u64> {
-        self.plan.crash_round(node)
-    }
-
-    #[inline]
-    fn has_message_faults(&self) -> bool {
-        self.plan.has_message_faults()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,20 +96,5 @@ mod tests {
         assert_eq!(noop.stall_spins(0, 0), 0);
         assert_eq!(noop.crash_round(0), None);
         assert!(!noop.has_message_faults());
-    }
-
-    #[test]
-    fn plan_injector_delegates_to_its_plan() {
-        let plan = FaultPlan::new(17).with_drop(500).with_crash(3, 2);
-        let injector = PlanInjector::new(plan.clone());
-        const { assert!(PlanInjector::ENABLED) }
-        assert!(injector.has_message_faults());
-        assert_eq!(injector.crash_round(3), Some(2));
-        for i in 0..64u32 {
-            assert_eq!(
-                injector.message_outcome(1, 0, i, 0, 0, 10),
-                plan.message_outcome(1, 0, i, 0, 0, 10)
-            );
-        }
     }
 }

@@ -11,6 +11,8 @@
 
 use cc_hash::seed::splitmix64;
 
+use crate::injector::FaultInjector;
+
 /// Domain-separation salts so the per-fault-kind decisions draw from
 /// independent streams of the same seed.
 const SALT_MESSAGE: u64 = 0x6d73_675f_6661_756c; // "msg_faul"
@@ -35,7 +37,8 @@ pub enum MessageFault {
     },
 }
 
-/// A seeded, reproducible fault schedule.
+/// A seeded, reproducible fault schedule, and the engine's live
+/// [`FaultInjector`]: `Engine::with_faults(plan)` attaches it as is.
 ///
 /// Rates are in permille (0–1000) per delivery attempt; the drop,
 /// duplicate, and corrupt rates partition one roll, so their sum must stay
@@ -146,20 +149,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Whether the plan can fault message deliveries at all.
-    #[must_use]
-    pub fn has_message_faults(&self) -> bool {
-        self.drop_permille > 0 || self.duplicate_permille > 0 || self.corrupt_permille > 0
-    }
-
-    /// Whether the plan duplicates messages (the one fault kind that can
-    /// grow a delivery beyond its staged size — callers sizing reusable
-    /// buffers care).
-    #[must_use]
-    pub fn has_duplicates(&self) -> bool {
-        self.duplicate_permille > 0
-    }
-
     /// The scheduled crash-stops, sorted by node.
     #[must_use]
     pub fn crashes(&self) -> &[(u32, u64)] {
@@ -213,16 +202,19 @@ impl FaultPlan {
             None
         }
     }
+}
 
-    /// The *settled* outcome for one message at the current retry attempt:
-    /// a message settles (delivers clean, permanently) at the first attempt
-    /// whose roll is clean; until then, each attempt sees that attempt's
-    /// fault. This makes retries converge geometrically — the probability a
-    /// message is still faulted after `a` attempts is `rateᵃ` — instead of
-    /// requiring one attempt where *every* message rolls clean at once.
+impl FaultInjector for FaultPlan {
+    const ENABLED: bool = true;
+
+    /// The *settled* outcome: a message settles (delivers clean,
+    /// permanently) at the first attempt whose roll is clean; until then,
+    /// each attempt sees that attempt's fault. This makes retries converge
+    /// geometrically — the probability a message is still faulted after
+    /// `a` attempts is `rateᵃ` — instead of requiring one attempt where
+    /// *every* message rolls clean at once.
     #[inline]
-    #[must_use]
-    pub fn message_outcome(
+    fn message_outcome(
         &self,
         round: u64,
         attempt: u32,
@@ -231,17 +223,14 @@ impl FaultPlan {
         seq: u32,
         bits_limit: u32,
     ) -> Option<MessageFault> {
-        for earlier in 0..=attempt {
+        for earlier in 0..attempt {
             self.message_fault(round, earlier, src, dst, seq, bits_limit)?;
         }
         self.message_fault(round, attempt, src, dst, seq, bits_limit)
     }
 
-    /// Busy-wait iterations to inject into one chunk's seal this round
-    /// (0 = no stall).
     #[inline]
-    #[must_use]
-    pub fn stall_spins(&self, round: u64, chunk: usize) -> u32 {
+    fn stall_spins(&self, round: u64, chunk: usize) -> u32 {
         if self.stall_permille == 0 {
             return 0;
         }
@@ -253,18 +242,20 @@ impl FaultPlan {
         }
     }
 
-    /// The round at whose start `node` crash-stops, if scheduled.
     #[inline]
-    #[must_use]
-    pub fn crash_round(&self, node: u32) -> Option<u64> {
+    fn crash_round(&self, node: u32) -> Option<u64> {
         self.crashes
             .binary_search_by_key(&node, |&(v, _)| v)
             .ok()
             .map(|i| self.crashes[i].1)
     }
 
-    // cc-lint: end_region
+    #[inline]
+    fn has_message_faults(&self) -> bool {
+        self.drop_permille > 0 || self.duplicate_permille > 0 || self.corrupt_permille > 0
+    }
 }
+// cc-lint: end_region
 
 #[cfg(test)]
 mod tests {
@@ -367,6 +358,10 @@ mod tests {
         let plan = plan.with_crash(9, 2);
         assert_eq!(plan.crash_round(9), Some(2));
         assert_eq!(plan.crashes(), &[(2, 1), (9, 2)]);
+        // A plan is an enabled injector; a crash-only one faults no message.
+        const { assert!(FaultPlan::ENABLED) }
+        assert!(!plan.has_message_faults());
+        assert!(plan.with_drop(500).has_message_faults());
     }
 
     #[test]

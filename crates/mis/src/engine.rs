@@ -167,7 +167,7 @@ mod tests {
     use crate::verify::verify_mis;
     use cc_graph::generators;
     use cc_runtime::trace::RingRecorder;
-    use cc_runtime::{FaultPlan, PlanInjector};
+    use cc_runtime::FaultPlan;
     use std::sync::Arc;
 
     #[test]
@@ -237,7 +237,7 @@ mod tests {
             };
             let request = algo.service_request(&g, model.clone());
             let run = Engine::new(request.config)
-                .with_faults(PlanInjector::new(plan))
+                .with_faults(plan)
                 .run(request.model, request.programs)
                 .unwrap();
             let faulted = algo.assemble(&g, run);
@@ -260,7 +260,7 @@ mod tests {
         };
         let request = algo.service_request(&g, ExecutionModel::congested_clique(90));
         let run = Engine::new(request.config)
-            .with_faults(PlanInjector::new(plan))
+            .with_faults(plan)
             .run(request.model, request.programs)
             .unwrap();
         let out = algo.assemble(&g, run);

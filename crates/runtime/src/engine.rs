@@ -29,7 +29,7 @@
 
 use std::sync::Arc;
 
-use cc_fault::{FaultInjector, NoopInjector, RetryPolicy};
+use cc_fault::{FaultInjector, NoopInjector};
 use cc_sim::{ExecutionModel, ExecutionReport, SimError, ViolationPolicy};
 use cc_trace::{NoopRecorder, Recorder, TraceSummary};
 
@@ -54,9 +54,11 @@ pub struct EngineConfig {
     /// default, matching [`cc_sim::ClusterContext::new`]) or aborting the
     /// run on the first one ([`ViolationPolicy::FailFast`]).
     pub policy: ViolationPolicy,
-    /// Bounded retry of damaged rounds when a fault injector is attached
-    /// (ignored under the default [`NoopInjector`]).
-    pub retry: RetryPolicy,
+    /// Retries allowed per damaged round when a fault injector is attached
+    /// (ignored under the default [`NoopInjector`]); a round still damaged
+    /// after them is committed as is. The default, 16, leaves about
+    /// 0.0015% of messages unsettled even at a 50% fault rate.
+    pub max_round_retries: u32,
 }
 
 impl Default for EngineConfig {
@@ -66,7 +68,7 @@ impl Default for EngineConfig {
             max_rounds: 100_000,
             label: "engine".to_string(),
             policy: ViolationPolicy::Record,
-            retry: RetryPolicy::default(),
+            max_round_retries: 16,
         }
     }
 }
@@ -163,10 +165,10 @@ pub struct EngineOutcome<O> {
 /// construction.
 ///
 /// Likewise generic over a [`FaultInjector`]; the default [`NoopInjector`]
-/// compiles all fault paths out, and attaching a [`cc_fault::PlanInjector`]
-/// (via [`Engine::with_faults`]) drives deterministic message faults,
-/// crash-stops, and the checkpoint/retry recovery loop — see
-/// [`EngineHealth`] for what a faulted run reports.
+/// compiles all fault paths out, and attaching a seeded
+/// [`cc_fault::FaultPlan`] (via [`Engine::with_faults`]) drives
+/// deterministic message faults, crash-stops, and the checkpoint/retry
+/// recovery loop — see [`EngineHealth`] for what a faulted run reports.
 ///
 /// See the crate docs for the model contract and the determinism guarantee.
 #[derive(Debug)]
@@ -214,10 +216,9 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
         }
     }
 
-    /// The same engine injecting faults from `injector` (normally a
-    /// [`cc_fault::PlanInjector`] wrapping a seeded [`cc_fault::FaultPlan`]),
-    /// with the checkpoint/retry recovery loop governed by
-    /// [`EngineConfig::retry`].
+    /// The same engine injecting faults from `injector` (normally a seeded
+    /// [`cc_fault::FaultPlan`]), with the checkpoint/retry recovery loop
+    /// bounded by [`EngineConfig::max_round_retries`].
     #[must_use]
     pub fn with_faults<F2: FaultInjector>(self, injector: F2) -> Engine<R, F2> {
         Engine {
@@ -633,14 +634,14 @@ mod tests {
 
     #[test]
     fn a_zero_rate_injector_changes_nothing_but_health() {
-        use cc_fault::{FaultPlan, PlanInjector};
+        use cc_fault::FaultPlan;
         let n = 60;
         let clean = Engine::new(EngineConfig::with_threads(2))
             .run(ExecutionModel::congested_clique(n), chatter_programs(n))
             .unwrap();
         assert_eq!(clean.health, EngineHealth::default());
         let faulted = Engine::new(EngineConfig::with_threads(2))
-            .with_faults(PlanInjector::new(FaultPlan::new(1)))
+            .with_faults(FaultPlan::new(1))
             .run(ExecutionModel::congested_clique(n), chatter_programs(n))
             .unwrap();
         assert_eq!(faulted.outputs, clean.outputs);
@@ -654,7 +655,7 @@ mod tests {
 
     #[test]
     fn faulted_runs_recover_the_fault_free_outputs_and_ledger() {
-        use cc_fault::{FaultPlan, PlanInjector};
+        use cc_fault::FaultPlan;
         let n = 80;
         let clean = Engine::new(EngineConfig::with_threads(1))
             .run(ExecutionModel::congested_clique(n), chatter_programs(n))
@@ -666,7 +667,7 @@ mod tests {
                 .with_corrupt(20)
                 .with_stall(100, 400);
             let faulted = Engine::new(EngineConfig::with_threads(threads))
-                .with_faults(PlanInjector::new(plan))
+                .with_faults(plan)
                 .run(ExecutionModel::congested_clique(n), chatter_programs(n))
                 .unwrap();
             assert!(faulted.health.faults_injected > 0, "threads {threads}");
@@ -683,14 +684,15 @@ mod tests {
 
     #[test]
     fn exhausted_retries_commit_the_damage_and_flag_degradation() {
-        use cc_fault::{FaultPlan, PlanInjector, RetryPolicy};
+        use cc_fault::FaultPlan;
+        assert_eq!(EngineConfig::default().max_round_retries, 16);
         let n = 60;
         let plan = FaultPlan::new(0xfa17).with_drop(120);
         let faulted = Engine::new(EngineConfig {
-            retry: RetryPolicy::none(),
+            max_round_retries: 0,
             ..EngineConfig::with_threads(2)
         })
-        .with_faults(PlanInjector::new(plan))
+        .with_faults(plan)
         .run(ExecutionModel::congested_clique(n), chatter_programs(n))
         .unwrap();
         assert_eq!(faulted.health.retries, 0);
@@ -705,11 +707,11 @@ mod tests {
 
     #[test]
     fn crash_stopped_nodes_degrade_the_outcome() {
-        use cc_fault::{FaultPlan, PlanInjector};
+        use cc_fault::FaultPlan;
         let n = 40;
         let plan = FaultPlan::new(7).with_crash(5, 2).with_crash(17, 0);
         let outcome = Engine::new(EngineConfig::with_threads(2))
-            .with_faults(PlanInjector::new(plan))
+            .with_faults(plan)
             .run(ExecutionModel::congested_clique(n), chatter_programs(n))
             .unwrap();
         assert!(outcome.all_halted);

@@ -518,7 +518,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
             }
             self.health.faults_injected += attempt_faults;
             let attempt = plane.attempt.load(Ordering::Relaxed);
-            if damaged && checkpoint_ok && attempt < self.config.retry.max_round_retries {
+            if damaged && checkpoint_ok && attempt < self.config.max_round_retries {
                 // Roll the round back: charge the wasted attempt under its
                 // own label, skip the merge, and step the same round again
                 // from the checkpoint.

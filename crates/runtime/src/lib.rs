@@ -127,8 +127,8 @@
 //! keyed on model coordinates (round, src, dst, sequence), never on thread
 //! timing. Damage is *detected* at the barrier by comparing each group's
 //! delivered digest against the intended one, and *recovered* by
-//! re-executing the round from a flat-word checkpoint ([`snapshot`]) under
-//! a bounded [`cc_fault::RetryPolicy`]; crash-stopped nodes are
+//! re-executing the round from a flat-word checkpoint ([`snapshot`]) at
+//! most [`EngineConfig::max_round_retries`] times; crash-stopped nodes are
 //! quarantined and the outcome is flagged degraded
 //! ([`engine::EngineHealth`]). A recovered run's outputs and ledger are
 //! bit-identical to the fault-free run's at every thread count (asserted
@@ -162,9 +162,7 @@ pub mod service;
 pub mod snapshot;
 
 pub use cc_fault as fault;
-pub use cc_fault::{
-    FaultInjector, FaultPlan, MessageFault, NoopInjector, PlanInjector, RetryPolicy,
-};
+pub use cc_fault::{FaultInjector, FaultPlan, MessageFault, NoopInjector};
 pub use cc_trace as trace;
 pub use columns::{Inbox, MessageColumns, SendSink, Staging};
 pub use engine::{Engine, EngineConfig, EngineHealth, EngineOutcome, EngineSession, PhaseTimings};

@@ -44,7 +44,7 @@ use cc_sim::error::{Violation, ViolationKind};
 use cc_sim::{ClusterContext, SimError};
 use cc_trace::{Counter, HistKind, Recorder, DRIVER_LANE};
 
-use crate::columns::Staging;
+use crate::columns::{MessageColumns, Staging};
 use crate::ledger::{message_mix, MessageLedger, RoundStats, StreamDigest};
 use crate::message::bits_of;
 
@@ -118,7 +118,9 @@ pub(crate) struct ChunkArena {
     /// The clique size the arena routes for.
     n: usize,
     /// Staged messages in generation order (ascending sender, send order),
-    /// plus the per-destination count shard maintained at send time.
+    /// plus the per-destination count shard maintained at send time. A
+    /// faulted seal swaps the delivered batch in, so after the seal it is
+    /// always the batch receivers see.
     stage: Staging,
     /// Destination-grouped sender column (valid after [`ChunkArena::seal`]).
     sorted_src: Vec<u32>,
@@ -151,16 +153,17 @@ pub(crate) struct ChunkArena {
     send_overflows: Vec<(u32, usize)>,
     /// Too-wide messages `(sender, bits)`, in generation order.
     wide_messages: Vec<(u32, u32)>,
-    /// The post-fault delivered batch, rebuilt by the seal's fault pass.
-    /// Allocated lazily on the first faulted seal — `None` forever when no
-    /// fault injector is attached, so fault-free runs pay no memory.
-    delivered: Option<Staging>,
+    /// The seal's fault pass rebuilds the delivered batch here, then swaps
+    /// it with `stage`. Allocated lazily on the first faulted seal — `None`
+    /// forever when no fault injector is attached, so fault-free runs pay
+    /// no memory.
+    scratch: Option<Staging>,
     /// One stream digest per covered digest chunk over the *intended*
     /// (pre-fault) staged stream. Only folded on faulted seals; the driver
     /// compares it against `sub_digests` (which then cover the delivered
     /// stream) to detect round damage before the merge commits anything.
     intended_digests: Vec<StreamDigest>,
-    /// Whether this round's seal routed a post-fault delivered batch.
+    /// Whether this round's seal ran the fault pass.
     faulted: bool,
     /// Message faults the seal applied this round (drops + duplicates +
     /// corruptions).
@@ -197,7 +200,7 @@ impl ChunkArena {
             halted: 0,
             send_overflows: Vec::new(),
             wide_messages: Vec::new(),
-            delivered: None,
+            scratch: None,
             faulted: false,
             faults: 0,
         }
@@ -222,9 +225,6 @@ impl ChunkArena {
         self.halted = 0;
         self.send_overflows.clear();
         self.wide_messages.clear();
-        if let Some(delivered) = &mut self.delivered {
-            delivered.clear();
-        }
         self.faulted = false;
         self.faults = 0;
     }
@@ -236,19 +236,8 @@ impl ChunkArena {
         &mut self.stage
     }
 
-    /// The per-destination count shard of the batch the merge will
-    /// deliver: the send-time shard normally, the post-fault shard when
-    /// this round's seal applied faults. Valid whether or not the arena
-    /// has been sealed — the shards are maintained by the pushes, not by
-    /// the sort.
-    pub(crate) fn counts(&self) -> &[u32] {
-        match &self.delivered {
-            Some(delivered) if self.faulted => delivered.counts(),
-            _ => self.stage.counts(),
-        }
-    }
-
-    /// Messages staged so far this round.
+    /// Messages staged so far this round; after the seal, the messages
+    /// the merge will deliver.
     pub(crate) fn staged(&self) -> usize {
         self.stage.len()
     }
@@ -295,12 +284,13 @@ impl ChunkArena {
     /// When a fault injector with message faults is attached, a **fault
     /// pass** runs first: the intended digests fold over the pristine
     /// staged stream, then the batch is rebuilt message by message into
-    /// the lazily-allocated `delivered` staging with the injector's
+    /// the lazily-allocated scratch staging with the injector's
     /// per-message outcome applied (drop, adjacent duplicate, payload
-    /// corruption) — and the routing below runs over the *delivered*
-    /// batch, so `sub_digests`, the sorted columns, and the count shard
-    /// all describe what receivers actually see. The fault keys are
-    /// `(round, attempt, src, dst, seq-within-sender)` — all
+    /// corruption), and the rebuilt batch is swapped in as the stage. The
+    /// routing below — and the merge and next round's inboxes after it —
+    /// only ever read the stage, so `sub_digests`, the sorted columns, and
+    /// the count shard all describe what receivers actually see. The fault
+    /// keys are `(round, attempt, src, dst, seq-within-sender)` — all
     /// thread-invariant, so faulted executions stay byte-identical across
     /// worker counts.
     ///
@@ -332,31 +322,18 @@ impl ChunkArena {
         let n = self.n;
         if F::ENABLED && injector.has_message_faults() {
             self.faulted = true;
-            // Intended digests: fold the pristine staged stream per sender
-            // run, exactly as the routing fold below does for the
-            // delivered stream — equal digests ⇔ undamaged round.
-            {
-                let columns = self.stage.columns();
-                let (src, dst, word) = (columns.src(), columns.dst(), columns.word());
-                let mut run_start = 0usize;
-                for (sub, &bound) in self.boundaries.iter().enumerate() {
-                    let run_end = run_start + src[run_start..].partition_point(|&s| s < bound);
-                    let digest = &mut self.intended_digests[sub];
-                    for ((&s, &d), &w) in src[run_start..run_end]
-                        .iter()
-                        .zip(&dst[run_start..run_end])
-                        .zip(&word[run_start..run_end])
-                    {
-                        digest.fold(message_mix(round, s, d, w));
-                    }
-                    run_start = run_end;
-                }
-            }
+            // Equal intended and delivered digests ⇔ undamaged round.
+            fold_runs(
+                round,
+                &self.boundaries,
+                self.stage.columns(),
+                &mut self.intended_digests,
+            );
             // Rebuild the delivered batch. Senders ascend in generation
             // order, so the per-sender sequence number restarts at each
             // run boundary; duplicates land adjacent to their original,
             // keeping the `src` column ascending for the digest fold.
-            let delivered = self.delivered.get_or_insert_with(|| Staging::new(n));
+            let delivered = self.scratch.get_or_insert_with(|| Staging::new(n));
             delivered.clear();
             let columns = self.stage.columns();
             let (src, dst, word) = (columns.src(), columns.dst(), columns.word());
@@ -384,18 +361,11 @@ impl ChunkArena {
                 }
                 seq += 1;
             }
+            std::mem::swap(&mut self.stage, delivered);
         }
-        // Route the batch receivers will see: the delivered staging after
-        // a fault pass, the pristine stage otherwise.
-        let routed: &Staging = match &self.delivered {
-            Some(delivered) if self.faulted => delivered,
-            _ => &self.stage,
-        };
-        let counts = routed.counts();
-        let (src, dst, word) = {
-            let columns = routed.columns();
-            (columns.src(), columns.dst(), columns.word())
-        };
+        let counts = self.stage.counts();
+        let columns = self.stage.columns();
+        let (src, dst, word) = (columns.src(), columns.dst(), columns.word());
         // Prefix sum over the send-time count shard: counts → group starts
         // (`index[d]` = start of `d`). This is the only O(𝔫) pass left —
         // the O(batch) count scan happened for free inside the sinks.
@@ -412,29 +382,7 @@ impl ChunkArena {
             dst.len(),
             "prefix-sum total disagrees with the staged message count"
         );
-        // Digest pass, per sender run: senders ascend in generation order,
-        // so each digest chunk's messages form one contiguous run. Binary
-        // search finds the run end; inside a run the fold is branch-free.
-        // Fold order is exactly the old per-message order (generation
-        // order), so ledgers are byte-identical.
-        let mut run_start = 0usize;
-        for (sub, &bound) in self.boundaries.iter().enumerate() {
-            let run_end = run_start + src[run_start..].partition_point(|&s| s < bound);
-            let digest = &mut self.sub_digests[sub];
-            for ((&s, &d), &w) in src[run_start..run_end]
-                .iter()
-                .zip(&dst[run_start..run_end])
-                .zip(&word[run_start..run_end])
-            {
-                digest.fold(message_mix(round, s, d, w));
-            }
-            run_start = run_end;
-        }
-        debug_assert_eq!(
-            run_start,
-            src.len(),
-            "digest runs did not cover the whole batch"
-        );
+        fold_runs(round, &self.boundaries, columns, &mut self.sub_digests);
         // Width pass: OR the whole word column in u64 lanes.
         let or_mask = lane_or_fold(word);
         // Placement pass: scatter into destination-grouped columns,
@@ -483,7 +431,7 @@ impl ChunkArena {
         );
         if R::ENABLED {
             let messages = dst.len() as u64;
-            let moved = routed.columns().words_moved();
+            let moved = columns.words_moved();
             let rescans = u64::from(bits_of(or_mask) > bits_limit);
             recorder.count(lane, Counter::Messages, round, ts_ns, messages);
             recorder.count(lane, Counter::Words, round, ts_ns, moved);
@@ -525,15 +473,6 @@ impl ChunkArena {
         (&self.sorted_src[start..end], &self.sorted_word[start..end])
     }
 
-    /// Messages the merge will deliver this round: the post-fault batch
-    /// when the seal applied faults, the staged batch otherwise.
-    fn messages(&self) -> u64 {
-        match &self.delivered {
-            Some(delivered) if self.faulted => delivered.len() as u64,
-            _ => self.stage.len() as u64,
-        }
-    }
-
     /// Message faults this round's seal applied.
     pub(crate) fn faults_injected(&self) -> u64 {
         self.faults
@@ -554,6 +493,35 @@ impl ChunkArena {
     }
     // cc-lint: end_region
 }
+
+/// Folds `batch` into `digests`, one per digest chunk whose node-range end
+/// is the matching entry of `boundaries`. Senders ascend in generation
+/// order, so each digest chunk's messages form one contiguous run: binary
+/// search finds the run end, and inside a run the fold is branch-free, in
+/// generation order.
+// cc-lint: region(no_alloc)
+#[inline]
+fn fold_runs(round: u64, boundaries: &[u32], batch: &MessageColumns, digests: &mut [StreamDigest]) {
+    let (src, dst, word) = (batch.src(), batch.dst(), batch.word());
+    let mut run_start = 0usize;
+    for (&bound, digest) in boundaries.iter().zip(digests) {
+        let run_end = run_start + src[run_start..].partition_point(|&s| s < bound);
+        for ((&s, &d), &w) in src[run_start..run_end]
+            .iter()
+            .zip(&dst[run_start..run_end])
+            .zip(&word[run_start..run_end])
+        {
+            digest.fold(message_mix(round, s, d, w));
+        }
+        run_start = run_end;
+    }
+    debug_assert_eq!(
+        run_start,
+        src.len(),
+        "digest runs did not cover the whole batch"
+    );
+}
+// cc-lint: end_region
 
 /// ORs a word column together in 8-wide u64 lanes: the main loop keeps
 /// eight independent accumulators so the compiler can keep them in vector
@@ -661,7 +629,7 @@ pub(crate) fn merge_round<R: Recorder>(
     let mut max_send = 0usize;
     let mut halted = 0usize;
     for chunk in chunks() {
-        messages += chunk.messages();
+        messages += chunk.stage.len() as u64;
         max_send = max_send.max(chunk.max_send);
         halted += chunk.halted();
         // Groups cover consecutive digest chunks, so walking the groups in
@@ -700,7 +668,7 @@ pub(crate) fn merge_round<R: Recorder>(
         // mid-flight, and this keeps the tally self-contained either way.
         scratch.recv_words.fill(0);
         for chunk in chunks() {
-            for (tally, &count) in scratch.recv_words.iter_mut().zip(chunk.counts()) {
+            for (tally, &count) in scratch.recv_words.iter_mut().zip(chunk.stage.counts()) {
                 *tally += count;
             }
         }
@@ -723,7 +691,7 @@ pub(crate) fn merge_round<R: Recorder>(
     });
     if R::ENABLED && messages > 0 {
         recorder.count(DRIVER_LANE, Counter::Rounds, round, ts_ns, 1);
-        let fullest = chunks().map(|c| c.messages()).max().unwrap_or(0);
+        let fullest = chunks().map(|c| c.stage.len() as u64).max().unwrap_or(0);
         let parts = chunks().count() as u64;
         let permille = fullest * parts * 1000 / messages;
         recorder.count(
@@ -742,7 +710,7 @@ pub(crate) fn merge_round<R: Recorder>(
 mod tests {
     use super::*;
     use crate::columns::SendSink;
-    use cc_fault::{FaultPlan, NoopInjector, PlanInjector};
+    use cc_fault::{FaultPlan, NoopInjector};
     use cc_sim::{ExecutionModel, ViolationPolicy};
     use cc_trace::NoopRecorder;
 
@@ -880,7 +848,7 @@ mod tests {
         assert_eq!(arena.slices_for(2), (&[0u32, 1][..], &[10u64, 12][..]));
         assert_eq!(arena.slices_for(1), (&[0u32][..], &[11u64][..]));
         assert_eq!(arena.slices_for(0), (&[][..], &[][..]));
-        assert_eq!(arena.messages(), 3);
+        assert_eq!(arena.stage.len(), 3);
     }
 
     #[test]
@@ -893,7 +861,7 @@ mod tests {
         assert_eq!(arena.send_overflows.len(), 1);
         let digest_before = arena.sub_digests[0].value();
         arena.reset();
-        assert_eq!(arena.messages(), 0);
+        assert_eq!(arena.stage.len(), 0);
         assert_eq!(arena.halted(), 0);
         assert!(arena.wide_messages.is_empty());
         assert!(arena.send_overflows.is_empty());
@@ -1073,7 +1041,7 @@ mod tests {
                 for (s, outbox) in scripts.iter().enumerate() {
                     stage_outbox(&mut whole, s as u32, outbox, usize::MAX);
                 }
-                let reference: Vec<u32> = whole.counts().to_vec();
+                let reference: Vec<u32> = whole.stage.counts().to_vec();
                 let direct: Vec<u32> = (0..n as u32).map(|d| {
                     scripts.iter().flatten().filter(|&&(dst, _)| dst == d).count() as u32
                 }).collect();
@@ -1088,7 +1056,7 @@ mod tests {
                         for s in group_node_range(n, exec, k) {
                             stage_outbox(&mut arena, s as u32, &scripts[s], usize::MAX);
                         }
-                        for (tally, &count) in combined.iter_mut().zip(arena.counts()) {
+                        for (tally, &count) in combined.iter_mut().zip(arena.stage.counts()) {
                             *tally += count;
                         }
                     }
@@ -1112,7 +1080,7 @@ mod tests {
         arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
         assert!(!arena.damaged());
         assert_eq!(arena.faults_injected(), 0);
-        assert!(arena.delivered.is_none(), "no delivered staging allocated");
+        assert!(arena.scratch.is_none(), "no scratch staging allocated");
     }
 
     #[test]
@@ -1128,8 +1096,7 @@ mod tests {
         clean.seal(2, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
         let mut faulty = ChunkArena::new(n);
         stage(&mut faulty);
-        let injector = PlanInjector::new(FaultPlan::new(99));
-        faulty.seal(2, 0, 16, 0, 0, &NoopRecorder, &injector);
+        faulty.seal(2, 0, 16, 0, 0, &NoopRecorder, &FaultPlan::new(99));
         assert!(!faulty.damaged());
         for d in 0..n {
             assert_eq!(clean.slices_for(d), faulty.slices_for(d), "dst {d}");
@@ -1143,7 +1110,6 @@ mod tests {
     fn message_faults_mark_damage_and_keep_intended_digests_pristine() {
         let n = 8;
         let plan = FaultPlan::new(7).with_drop(300).with_corrupt(200);
-        let injector = PlanInjector::new(plan);
         let stage = |arena: &mut ChunkArena| {
             for s in 0..n as u32 {
                 let outbox: Vec<(u32, u64)> = (0..4).map(|j| ((s + j + 1) % n as u32, 3)).collect();
@@ -1155,7 +1121,7 @@ mod tests {
         clean.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
         let mut faulty = ChunkArena::new(n);
         stage(&mut faulty);
-        faulty.seal(0, 0, 16, 0, 0, &NoopRecorder, &injector);
+        faulty.seal(0, 0, 16, 0, 0, &NoopRecorder, &plan);
         assert!(
             faulty.faults_injected() > 0,
             "seeded plan at 50% applied none"
@@ -1168,26 +1134,25 @@ mod tests {
         }
         // Delivered accounting follows the post-fault batch.
         assert_eq!(
-            faulty.counts().iter().map(|&c| u64::from(c)).sum::<u64>(),
-            faulty.messages()
+            faulty.stage.counts().iter().sum::<u32>() as usize,
+            faulty.stage.len()
         );
-        assert_ne!(faulty.messages(), clean.messages());
+        assert_ne!(faulty.stage.len(), clean.stage.len());
     }
 
     #[test]
     fn duplicates_keep_the_sorted_src_columns_ascending() {
         let n = 8;
         let plan = FaultPlan::new(11).with_duplicate(400);
-        let injector = PlanInjector::new(plan);
         let mut arena = ChunkArena::new(n);
         for s in 0..n as u32 {
             let outbox: Vec<(u32, u64)> = (0..3).map(|j| ((s + j + 1) % n as u32, 9)).collect();
             stage_outbox(&mut arena, s, &outbox, 100);
         }
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &injector);
+        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &plan);
         assert!(arena.faults_injected() > 0);
         assert!(
-            arena.messages() > 24,
+            arena.stage.len() > 24,
             "duplicates add to the delivered batch"
         );
         for d in 0..n {
@@ -1206,7 +1171,6 @@ mod tests {
             .with_drop(200)
             .with_duplicate(150)
             .with_corrupt(150);
-        let injector = PlanInjector::new(plan);
         let mut damaged_at_0 = false;
         for attempt in 0..32u32 {
             let mut arena = ChunkArena::new(n);
@@ -1218,7 +1182,7 @@ mod tests {
                     100,
                 );
             }
-            arena.seal(1, attempt, 16, 0, 0, &NoopRecorder, &injector);
+            arena.seal(1, attempt, 16, 0, 0, &NoopRecorder, &plan);
             if attempt == 0 {
                 damaged_at_0 = arena.damaged();
             }

@@ -119,7 +119,7 @@ pub struct ServiceRequest<O> {
     /// One program per clique node of *this* instance.
     pub programs: Vec<Box<dyn NodeProgram<Output = O>>>,
     /// The per-instance execution configuration: label, round cap,
-    /// violation policy, and retry policy all apply exactly as under
+    /// violation policy, and retry budget all apply exactly as under
     /// [`crate::Engine::run`]. `threads` is ignored (see
     /// [`ServiceConfig::threads`]).
     pub config: EngineConfig,
@@ -256,7 +256,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> ColoringService<O, R, F> 
 
     /// The same service injecting faults from `injector` into every
     /// instance, each recovering under its own request's
-    /// [`EngineConfig::retry`].
+    /// [`EngineConfig::max_round_retries`].
     ///
     /// # Panics
     ///

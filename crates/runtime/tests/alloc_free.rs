@@ -28,8 +28,7 @@ use std::sync::Arc;
 use cc_runtime::trace::RingRecorder;
 use cc_runtime::{
     ColoringService, Engine, EngineConfig, EngineOutcome, EngineSession, FaultPlan, NodeEnv,
-    NodeProgram, NodeStatus, PlanInjector, ServiceConfig, ServiceRequest, SnapshotSink,
-    SnapshotSource,
+    NodeProgram, NodeStatus, ServiceConfig, ServiceRequest, SnapshotSink, SnapshotSource,
 };
 use cc_sim::ExecutionModel;
 
@@ -271,8 +270,8 @@ fn steady_state_rounds_with_ring_recorder_allocate_nothing() {
 /// duplicates**, so the delivered batch never outgrows the staged one and
 /// every buffer — checkpoint words, the delivered staging area, the
 /// intended digests — reaches its high-water capacity in the first rounds.
-fn fault_plan() -> PlanInjector {
-    PlanInjector::new(FaultPlan::new(0xa110c).with_drop(30).with_corrupt(20))
+fn fault_plan() -> FaultPlan {
+    FaultPlan::new(0xa110c).with_drop(30).with_corrupt(20)
 }
 
 /// Allocation (count, bytes) charged to one fault-injected engine run of

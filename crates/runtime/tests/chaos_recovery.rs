@@ -14,9 +14,7 @@ use proptest::prelude::*;
 
 use cc_runtime::programs::luby::LubyMisProgram;
 use cc_runtime::programs::trial::TrialColoringProgram;
-use cc_runtime::{
-    word_bits_limit, Engine, EngineConfig, FaultPlan, NodeProgram, PlanInjector, RetryPolicy,
-};
+use cc_runtime::{word_bits_limit, Engine, EngineConfig, FaultPlan, NodeProgram};
 use cc_sim::ExecutionModel;
 
 /// Deterministic pseudo-random symmetric adjacency lists (no dependency on
@@ -107,7 +105,7 @@ proptest! {
                 .with_corrupt(corrupt)
                 .with_stall(50, 200);
             let faulted = Engine::new(EngineConfig::with_threads(threads))
-                .with_faults(PlanInjector::new(plan))
+                .with_faults(plan)
                 .run(model.clone(), trial_programs(&adjacency, program_seed))
             .unwrap();
             prop_assert!(!faulted.health.degraded, "threads {threads}");
@@ -147,7 +145,7 @@ proptest! {
                 .with_duplicate(duplicate)
                 .with_corrupt(corrupt);
             let faulted = Engine::new(EngineConfig::with_threads(threads))
-                .with_faults(PlanInjector::new(plan))
+                .with_faults(plan)
                 .run(model.clone(), luby_programs(&adjacency, 3))
             .unwrap();
             prop_assert!(!faulted.health.degraded, "threads {threads}");
@@ -177,7 +175,7 @@ proptest! {
             plan
         };
         let baseline = Engine::new(EngineConfig::with_threads(1))
-            .with_faults(PlanInjector::new(build_plan()))
+            .with_faults(build_plan())
             .run(model.clone(), trial_programs(&adjacency, 5))
         .unwrap();
         prop_assert!(baseline.all_halted);
@@ -189,7 +187,7 @@ proptest! {
         }
         for threads in [2usize, 4] {
             let parallel = Engine::new(EngineConfig::with_threads(threads))
-                .with_faults(PlanInjector::new(build_plan()))
+                .with_faults(build_plan())
                 .run(model.clone(), trial_programs(&adjacency, 5))
             .unwrap();
             prop_assert_eq!(&parallel.outputs, &baseline.outputs);
@@ -211,10 +209,10 @@ fn disabled_retries_commit_damage_and_report_it() {
         .unwrap();
     let plan = FaultPlan::new(0xbad).with_drop(80);
     let faulted = Engine::new(EngineConfig {
-        retry: RetryPolicy::none(),
+        max_round_retries: 0,
         ..EngineConfig::with_threads(2)
     })
-    .with_faults(PlanInjector::new(plan))
+    .with_faults(plan)
     .run(model, trial_programs(&adjacency, 5))
     .unwrap();
     assert!(faulted.health.degraded);

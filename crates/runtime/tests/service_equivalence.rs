@@ -7,8 +7,8 @@
 
 use cc_runtime::programs::trial::TrialColoringProgram;
 use cc_runtime::{
-    ColoringService, Engine, EngineConfig, EngineOutcome, FaultPlan, NodeProgram, PlanInjector,
-    ServiceConfig, ServiceRequest,
+    ColoringService, Engine, EngineConfig, EngineOutcome, FaultPlan, NodeProgram, ServiceConfig,
+    ServiceRequest,
 };
 use cc_sim::ExecutionModel;
 use proptest::prelude::*;
@@ -97,7 +97,7 @@ fn config(spec: &InstanceSpec) -> EngineConfig {
 
 fn solo(spec: &InstanceSpec, plan: &FaultPlan) -> EngineOutcome<Option<u64>> {
     Engine::new(config(spec))
-        .with_faults(PlanInjector::new(plan.clone()))
+        .with_faults(plan.clone())
         .run(ExecutionModel::congested_clique(spec.n), programs(spec))
         .expect("lenient solo run errored")
 }
@@ -119,7 +119,7 @@ proptest! {
             specs.iter().map(|spec| solo(spec, &plan)).collect();
         for threads in [1usize, 2, 4] {
             let mut service = ColoringService::new(ServiceConfig { slots, threads })
-                .with_faults(PlanInjector::new(plan.clone()));
+                .with_faults(plan.clone());
             let split = specs.len() / 2;
             for spec in &specs[..split] {
                 service.submit(
