@@ -9,11 +9,20 @@
 //! sender id with same-sender sends kept in send order. The engine must
 //! reproduce the reference log byte for byte, and its ledgers must agree
 //! across thread counts.
+//!
+//! Under a seeded [`FaultPlan`] the reference also applies each message's
+//! first-attempt outcome: a dropped message never arrives, a duplicated one
+//! arrives twice in a row, a corrupted one arrives XORed with its mask.
+//! `Scripted` cannot checkpoint, so the engine commits every damaged round
+//! as delivered, and must still match the reference byte for byte.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use cc_runtime::{Engine, EngineConfig, NodeEnv, NodeProgram, NodeStatus};
+use cc_runtime::{
+    word_bits_limit, Engine, EngineConfig, FaultInjector, FaultPlan, MessageFault, NodeEnv,
+    NodeProgram, NodeStatus, NoopInjector,
+};
 use cc_sim::ExecutionModel;
 
 /// What one node received, per round: `(round, src, word)` in arrival
@@ -51,20 +60,50 @@ impl NodeProgram for Scripted {
     }
 }
 
-/// The reference router: plain nested loops, no chunks, no sorting tricks.
-fn reference_delivery(scripts: &[Vec<Vec<(u32, u64)>>], rounds: usize) -> Vec<InboxLog> {
+/// The reference router: plain nested loops, no chunks, no sorting tricks,
+/// with each message's first-attempt fault from `injector` applied. Returns
+/// every node's log and the number of faults that fired.
+fn reference_delivery(
+    scripts: &[Vec<Vec<(u32, u64)>>],
+    rounds: usize,
+    injector: &impl FaultInjector,
+) -> (Vec<InboxLog>, u64) {
     let n = scripts.len();
+    let bits = word_bits_limit(n);
     let mut logs = vec![InboxLog::new(); n];
+    let mut faults = 0;
     for round in 1..=rounds {
         for (src, script) in scripts.iter().enumerate() {
             if let Some(outbox) = script.get(round - 1) {
-                for &(dst, word) in outbox {
-                    logs[dst as usize].push((round as u64, src as u32, word));
+                for (seq, &(dst, word)) in outbox.iter().enumerate() {
+                    let (at, src) = (round as u64, src as u32);
+                    let log = &mut logs[dst as usize];
+                    let fault = injector.message_outcome(at - 1, 0, src, dst, seq as u32, bits);
+                    match fault {
+                        None => log.push((at, src, word)),
+                        Some(MessageFault::Drop) => {}
+                        Some(MessageFault::Duplicate) => log.extend([(at, src, word); 2]),
+                        Some(MessageFault::Corrupt { mask }) => log.push((at, src, word ^ mask)),
+                    }
+                    faults += u64::from(fault.is_some());
                 }
             }
         }
     }
-    logs
+    (logs, faults)
+}
+
+/// One `Scripted` program per node.
+fn programs(scripts: &[Vec<Vec<(u32, u64)>>]) -> Vec<Box<dyn NodeProgram<Output = InboxLog>>> {
+    scripts
+        .iter()
+        .map(|script| {
+            Box::new(Scripted {
+                script: script.clone(),
+                log: InboxLog::new(),
+            }) as _
+        })
+        .collect()
 }
 
 /// A full per-node script set: `n` nodes × `rounds` rounds × outboxes.
@@ -84,20 +123,11 @@ proptest! {
     fn engine_matches_the_reference_router(scripts in scripts_strategy()) {
         let n = scripts.len();
         let rounds = scripts[0].len();
-        let expected = reference_delivery(&scripts, rounds);
+        let (expected, _) = reference_delivery(&scripts, rounds, &NoopInjector);
         let mut ledgers = Vec::new();
         for threads in [1usize, 2, 4] {
-            let programs: Vec<Box<dyn NodeProgram<Output = InboxLog>>> = scripts
-                .iter()
-                .map(|script| {
-                    Box::new(Scripted {
-                        script: script.clone(),
-                        log: InboxLog::new(),
-                    }) as _
-                })
-                .collect();
             let outcome = Engine::new(EngineConfig::with_threads(threads))
-                .run(ExecutionModel::congested_clique(n), programs)
+                .run(ExecutionModel::congested_clique(n), programs(&scripts))
                 .unwrap();
             prop_assert!(outcome.all_halted);
             prop_assert!(outcome.outputs == expected, "mismatch at threads = {threads}");
@@ -106,6 +136,41 @@ proptest! {
             ledgers.push(outcome.ledger);
         }
         // One ledger per thread count, all identical.
+        prop_assert!(ledgers.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn faulted_delivery_matches_the_reference_router(
+        scripts in scripts_strategy(),
+        seed in any::<u64>(),
+        drop in 0u16..300,
+        duplicate in 0u16..300,
+        corrupt in 0u16..300,
+    ) {
+        let n = scripts.len();
+        let rounds = scripts[0].len();
+        let plan = FaultPlan::new(seed)
+            .with_drop(drop)
+            .with_duplicate(duplicate)
+            .with_corrupt(corrupt);
+        let (expected, faults) = reference_delivery(&scripts, rounds, &plan);
+        let delivered: usize = expected.iter().map(Vec::len).sum();
+        let mut ledgers = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let outcome = Engine::new(EngineConfig::with_threads(threads))
+                .with_faults(plan.clone())
+                .run(ExecutionModel::congested_clique(n), programs(&scripts))
+                .unwrap();
+            prop_assert!(outcome.all_halted);
+            prop_assert!(outcome.outputs == expected, "mismatch at threads = {threads}");
+            let health = outcome.health;
+            prop_assert_eq!(health.retries, 0);
+            prop_assert_eq!(health.faults_injected, faults);
+            prop_assert_eq!(health.faults_committed, faults);
+            prop_assert_eq!(health.degraded, faults > 0);
+            prop_assert_eq!(outcome.ledger.total_messages(), delivered as u64);
+            ledgers.push(outcome.ledger);
+        }
         prop_assert!(ledgers.windows(2).all(|w| w[0] == w[1]));
     }
 }
