@@ -66,18 +66,9 @@ impl ListColoringInstance {
                 nodes: graph.node_count(),
             });
         }
-        for v in graph.nodes() {
-            let p = palettes[v.index()].size();
-            let d = graph.degree(v);
-            if p <= d {
-                return Err(GraphError::PaletteTooSmall {
-                    node: v,
-                    palette_size: p,
-                    degree: d,
-                });
-            }
-        }
-        Ok(ListColoringInstance { graph, palettes })
+        let instance = ListColoringInstance { graph, palettes };
+        instance.validate()?;
+        Ok(instance)
     }
 
     /// Builds an instance without validating palette sizes.

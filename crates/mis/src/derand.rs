@@ -104,14 +104,8 @@ impl SeedCost for LubyPhaseCost<'_> {
         let priorities = self.priorities(seed);
         let joins = select_local_minima(self.graph, &self.active, &priorities);
         let mut survivors = self.active.clone();
-        for v in self.graph.nodes() {
-            if joins[v.index()] {
-                survivors[v.index()] = false;
-                for u in self.graph.neighbors(v) {
-                    survivors[u.index()] = false;
-                }
-            }
-        }
+        let mut joined = vec![false; survivors.len()];
+        apply_joins(self.graph, &joins, &mut joined, &mut survivors);
         survivors.iter().filter(|&&s| s).count() as f64
     }
 

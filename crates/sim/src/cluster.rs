@@ -7,11 +7,12 @@
 //! is free, as in the model.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 // Wall clock for trace timestamps only: recorded data is diagnostics, never
 // part of any report or result.
 use std::time::Instant;
 
-use cc_trace::{Counter, HistKind, Recorder, SharedRecorder, CONTEXT_LANE};
+use cc_trace::{Counter, HistKind, Recorder, RingRecorder, CONTEXT_LANE};
 
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::model::ExecutionModel;
@@ -23,7 +24,7 @@ use crate::report::ExecutionReport;
 /// recorder attached at the same origin).
 #[derive(Debug, Clone)]
 struct TraceProbe {
-    recorder: SharedRecorder,
+    recorder: Arc<RingRecorder>,
     epoch: Instant,
 }
 
@@ -143,7 +144,7 @@ impl ClusterContext {
     /// and bandwidth charge is mirrored onto the trace plane's context
     /// lane, timestamped from this call. Charges themselves are unchanged —
     /// recording is observable only through the recorder.
-    pub fn attach_recorder(&mut self, recorder: SharedRecorder) {
+    pub fn attach_recorder(&mut self, recorder: Arc<RingRecorder>) {
         self.probe = Some(TraceProbe {
             recorder,
             epoch: Instant::now(),
@@ -151,7 +152,7 @@ impl ClusterContext {
     }
 
     /// The attached trace recorder, if any.
-    pub fn recorder(&self) -> Option<&SharedRecorder> {
+    pub fn recorder(&self) -> Option<&Arc<RingRecorder>> {
         self.probe.as_ref().map(|p| &p.recorder)
     }
 
@@ -454,11 +455,11 @@ mod tests {
 
     #[test]
     fn attached_recorder_mirrors_charges_without_changing_them() {
-        use cc_trace::{RingRecorder, TraceEvent};
-        let shared = RingRecorder::with_capacity(64).shared();
+        use cc_trace::TraceEvent;
+        let shared = Arc::new(RingRecorder::with_capacity(64));
         let mut plain = ClusterContext::new(small_model());
         let mut traced = ClusterContext::new(small_model());
-        traced.attach_recorder(shared.clone());
+        traced.attach_recorder(Arc::clone(&shared));
         assert!(traced.recorder().is_some());
         for ctx in [&mut plain, &mut traced] {
             ctx.charge_rounds("phase", 2);

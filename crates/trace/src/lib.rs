@@ -34,7 +34,6 @@ pub use event::{Counter, HistKind, Phase, TraceEvent, EVENT_WORDS};
 pub use hist::{bucket_of, bucket_range, Histogram, BUCKETS};
 pub use recorder::{NoopRecorder, Recorder};
 pub use ring::{
-    RingRecorder, SharedRecorder, CONTEXT_LANE, DEFAULT_CAPACITY, DRIVER_LANE, NUM_LANES,
-    WORKER_LANES,
+    RingRecorder, CONTEXT_LANE, DEFAULT_CAPACITY, DRIVER_LANE, NUM_LANES, WORKER_LANES,
 };
 pub use summary::{RoundTrace, TraceSummary};

@@ -19,7 +19,6 @@
 //! [`ClusterContext`]: https://docs.rs/cc-sim
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::event::{
     pack_count, pack_span, unpack, Counter, HistKind, Phase, TraceEvent, EVENT_WORDS,
@@ -82,12 +81,6 @@ impl RingRecorder {
                 .map(|_| AtomicHistogram::new())
                 .collect(),
         }
-    }
-
-    /// The recorder wrapped for sharing with an engine and exporters.
-    #[must_use]
-    pub fn shared(self) -> SharedRecorder {
-        SharedRecorder(Arc::new(self))
     }
 
     /// Per-lane event capacity.
@@ -209,27 +202,6 @@ impl Recorder for RingRecorder {
     }
 }
 
-/// A cloneable handle to a [`RingRecorder`], for attaching one recorder to
-/// several owners (an engine, a `ClusterContext`, an exporter).
-#[derive(Debug, Clone)]
-pub struct SharedRecorder(Arc<RingRecorder>);
-
-impl SharedRecorder {
-    /// The underlying recorder.
-    #[must_use]
-    pub fn recorder(&self) -> &Arc<RingRecorder> {
-        &self.0
-    }
-}
-
-impl std::ops::Deref for SharedRecorder {
-    type Target = RingRecorder;
-
-    fn deref(&self) -> &RingRecorder {
-        &self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,15 +297,5 @@ mod tests {
         assert_eq!(rec.dropped_events(), 0);
         assert_eq!(rec.events().len(), 2000);
         assert_eq!(rec.histogram(HistKind::InboxLen).total(), 2000);
-    }
-
-    #[test]
-    fn shared_handle_derefs_to_the_recorder() {
-        let shared = RingRecorder::with_capacity(16).shared();
-        shared.span(0, Phase::Route, 0, 0, 5);
-        assert_eq!(shared.events().len(), 1);
-        let clone = shared.clone();
-        assert_eq!(clone.recorded_events(), 1);
-        assert!(std::sync::Arc::ptr_eq(shared.recorder(), clone.recorder()));
     }
 }
