@@ -113,16 +113,6 @@ impl ListColoringInstance {
         &self.palettes[v.index()]
     }
 
-    /// Mutable access to the palette of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn palette_mut(&mut self, v: NodeId) -> &mut Palette {
-        &mut self.palettes[v.index()]
-    }
-
     /// All palettes, indexed by node.
     #[inline]
     pub fn palettes(&self) -> &[Palette] {

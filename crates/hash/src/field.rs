@@ -14,9 +14,6 @@ pub const MERSENNE_61: u64 = (1u64 << 61) - 1;
 pub struct Mersenne61(u64);
 
 impl Mersenne61 {
-    /// The field modulus.
-    pub const MODULUS: u64 = MERSENNE_61;
-
     /// The additive identity.
     pub const ZERO: Mersenne61 = Mersenne61(0);
 

@@ -85,16 +85,6 @@ pub struct Lexed {
     pub comments: Vec<Comment>,
 }
 
-impl Lexed {
-    /// The last line number seen (tokens or comments), i.e. roughly the
-    /// file length in lines.
-    pub fn last_line(&self) -> u32 {
-        let t = self.tokens.last().map_or(0, |t| t.line);
-        let c = self.comments.last().map_or(0, |c| c.end_line);
-        t.max(c)
-    }
-}
-
 struct Cursor {
     chars: Vec<char>,
     pos: usize,

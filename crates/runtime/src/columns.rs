@@ -312,10 +312,6 @@ impl<'a> SendSink<'a> {
     // cc-lint: end_region
 }
 
-/// The maximum number of segments an [`Inbox`] concatenates — one per
-/// sender chunk (see the `router` module).
-pub const MAX_INBOX_SEGMENTS: usize = 16;
-
 /// One inbox segment: the sender and payload columns one chunk delivers to
 /// a node. The destination column is implicit (it is the node itself).
 pub type InboxSegment<'a> = (&'a [u32], &'a [u64]);

@@ -18,28 +18,6 @@ pub struct Distribution {
 }
 
 impl Distribution {
-    /// Packs items of the given sizes (in words) onto machines of capacity
-    /// `capacity_words`, first-fit in item order. Items larger than the
-    /// capacity get a machine of their own (and will show up as a space
-    /// violation when observed against the ledger).
-    pub fn pack_first_fit(item_words: &[usize], capacity_words: usize) -> Self {
-        let mut machine_of = Vec::with_capacity(item_words.len());
-        let mut loads: Vec<usize> = Vec::new();
-        let mut current = 0usize;
-        for &w in item_words {
-            if loads.is_empty() || loads[current] + w > capacity_words && loads[current] > 0 {
-                loads.push(0);
-                current = loads.len() - 1;
-            }
-            loads[current] += w;
-            machine_of.push(current);
-        }
-        if loads.is_empty() {
-            loads.push(0);
-        }
-        Distribution { machine_of, loads }
-    }
-
     /// Spreads items across exactly `machines` machines, assigning each item
     /// to the currently least-loaded machine, the lowest-numbered one among
     /// equals (longest-processing-time style balancing without the sort,
@@ -95,15 +73,6 @@ impl Distribution {
     pub fn total_load(&self) -> usize {
         self.loads.iter().sum()
     }
-
-    /// Items assigned to each machine, as index lists.
-    pub fn items_by_machine(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.machines_used()];
-        for (item, &machine) in self.machine_of.iter().enumerate() {
-            out[machine].push(item);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -144,34 +113,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn first_fit_respects_capacity_when_items_fit() {
-        let items = vec![3, 3, 3, 3, 3];
-        let d = Distribution::pack_first_fit(&items, 7);
-        assert!(d.max_load() <= 7);
-        assert_eq!(d.total_load(), 15);
-        assert_eq!(d.machines_used(), 3);
-        // Item -> machine mapping is consistent with loads.
-        let by_machine = d.items_by_machine();
-        let recomputed: usize = by_machine.iter().flatten().map(|&i| items[i]).sum();
-        assert_eq!(recomputed, 15);
-    }
-
-    #[test]
-    fn first_fit_gives_oversized_items_their_own_machine() {
-        let d = Distribution::pack_first_fit(&[10, 2], 4);
-        assert_eq!(d.machine_of(0), 0);
-        assert_eq!(d.machine_of(1), 1);
-        assert_eq!(d.max_load(), 10);
-    }
-
-    #[test]
-    fn first_fit_of_empty_input_uses_one_idle_machine() {
-        let d = Distribution::pack_first_fit(&[], 4);
-        assert_eq!(d.machines_used(), 1);
-        assert_eq!(d.total_load(), 0);
     }
 
     #[test]
