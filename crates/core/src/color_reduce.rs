@@ -72,11 +72,6 @@ impl ColorReduceOutcome {
     pub fn rounds(&self) -> u64 {
         self.report.rounds
     }
-
-    /// Consumes the outcome, returning its parts.
-    pub fn into_parts(self) -> (Coloring, ExecutionReport, RecursionTrace) {
-        (self.coloring, self.report, self.trace)
-    }
 }
 
 /// The deterministic constant-round (Δ+1)-list coloring algorithm

@@ -119,11 +119,6 @@ impl ListColoringInstance {
         &self.palettes
     }
 
-    /// Consumes the instance, returning its parts.
-    pub fn into_parts(self) -> (CsrGraph, Vec<Palette>) {
-        (self.graph, self.palettes)
-    }
-
     /// Total palette storage in machine words (the paper's Θ(𝔫Δ) term for
     /// explicit list-coloring input).
     pub fn total_palette_words(&self) -> usize {

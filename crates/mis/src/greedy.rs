@@ -1,27 +1,16 @@
 //! Sequential greedy MIS — the ground-truth baseline.
 
 use cc_graph::csr::CsrGraph;
-use cc_graph::NodeId;
 
 use crate::MisResult;
 
-/// Computes an MIS by scanning nodes in the given order (defaults to id
-/// order) and adding every node none of whose neighbors has been added.
+/// Computes an MIS by scanning nodes in id order and adding every node none
+/// of whose neighbors has been added.
 pub fn greedy_mis(graph: &CsrGraph) -> MisResult {
-    greedy_mis_with_order(graph, graph.nodes())
-}
-
-/// Greedy MIS with an explicit scan order. Nodes missing from `order` are
-/// never added (so passing a permutation of all nodes yields an MIS, while a
-/// partial order yields a maximal independent set of the induced subgraph).
-pub fn greedy_mis_with_order(
-    graph: &CsrGraph,
-    order: impl IntoIterator<Item = NodeId>,
-) -> MisResult {
     let mut in_set = vec![false; graph.node_count()];
     let mut blocked = vec![false; graph.node_count()];
-    for v in order {
-        if blocked[v.index()] || in_set[v.index()] {
+    for v in graph.nodes() {
+        if blocked[v.index()] {
             continue;
         }
         in_set[v.index()] = true;
@@ -65,12 +54,10 @@ mod tests {
     }
 
     #[test]
-    fn custom_order_changes_the_set() {
+    fn greedy_on_path_picks_both_ends() {
         let g = GraphBuilder::path(3).build();
         let by_id = greedy_mis(&g);
         assert_eq!(by_id.size(), 2); // {0, 2}
-        let from_middle = greedy_mis_with_order(&g, [NodeId(1), NodeId(0), NodeId(2)]);
-        assert_eq!(from_middle.size(), 1); // {1}
-        verify_mis(&g, &from_middle.in_set).unwrap();
+        verify_mis(&g, &by_id.in_set).unwrap();
     }
 }

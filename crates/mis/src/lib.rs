@@ -52,16 +52,6 @@ impl MisResult {
     pub fn size(&self) -> usize {
         self.in_set.iter().filter(|&&b| b).count()
     }
-
-    /// The members of the set as node ids.
-    pub fn members(&self) -> Vec<cc_graph::NodeId> {
-        self.in_set
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b)
-            .map(|(i, _)| cc_graph::NodeId::from_index(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -69,12 +59,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mis_result_size_and_members() {
+    fn mis_result_size_counts_the_set() {
         let r = MisResult {
             in_set: vec![true, false, true],
             phases: 2,
         };
         assert_eq!(r.size(), 2);
-        assert_eq!(r.members(), vec![cc_graph::NodeId(0), cc_graph::NodeId(2)]);
     }
 }
