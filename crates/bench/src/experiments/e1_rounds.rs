@@ -10,11 +10,9 @@
 //!   the measured growth is compared against that prediction.
 
 use cc_graph::generators::{GraphFamily, PaletteKind};
+use clique_coloring::baselines::engine_trial::EngineTrialColoring;
 use clique_coloring::baselines::mis_reduction::MisReductionColoring;
-use clique_coloring::baselines::trial::RandomizedTrialColoring;
 use clique_coloring::color_reduce::ColorReduce;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::records::{write_json, RunRecord};
 use crate::suite::InstanceSpec;
@@ -44,7 +42,6 @@ fn rounds_vs_n(scale: Scale) {
         "rand-trial",
     ]);
     let mut records = Vec::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
     // Per size, one near-regular instance (the paper's fixed-Δ reading of
     // Theorem 1.1) and one power-law instance: Δ grows with n there, yet
     // the round count should stay governed by the recursion depth alone.
@@ -87,9 +84,10 @@ fn rounds_vs_n(scale: Scale) {
         let mis = MisReductionColoring::default()
             .run(&instance, clique_model(&instance))
             .expect("E1 mis");
-        let trial = RandomizedTrialColoring::default()
-            .run(&instance, clique_model(&instance), &mut rng)
-            .expect("E1 trial");
+        let trial = EngineTrialColoring::default()
+            .run(&instance, clique_model(&instance))
+            .expect("E1 trial")
+            .outcome;
         table.row([
             spec.label.clone(),
             stats.2.to_string(),

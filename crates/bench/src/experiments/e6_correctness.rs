@@ -6,14 +6,12 @@
 //! arbitrary graphs; this experiment records it at experiment scale.
 
 use cc_sim::ExecutionModel;
+use clique_coloring::baselines::engine_trial::EngineTrialColoring;
 use clique_coloring::baselines::greedy::SequentialGreedy;
 use clique_coloring::baselines::mis_reduction::MisReductionColoring;
 use clique_coloring::baselines::randomized_color_reduce;
-use clique_coloring::baselines::trial::RandomizedTrialColoring;
 use clique_coloring::color_reduce::ColorReduce;
 use clique_coloring::low_space::{LowSpaceColorReduce, LowSpaceConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::records::{write_json, RunRecord};
 use crate::suite::standard_families;
@@ -35,7 +33,6 @@ pub fn run(scale: Scale) {
         "seq-greedy",
     ]);
     let mut records = Vec::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(77);
     for spec in standard_families(n, 51) {
         let instance = spec.build();
         let stats = graph_stats(&instance);
@@ -101,9 +98,10 @@ pub fn run(scale: Scale) {
             mis.report.rounds,
         );
 
-        let trial = RandomizedTrialColoring::default()
-            .run(&instance, clique_model(&instance), &mut rng)
-            .expect("E6 trial");
+        let trial = EngineTrialColoring::default()
+            .run(&instance, clique_model(&instance))
+            .expect("E6 trial")
+            .outcome;
         check(
             "randomized-trial",
             trial.coloring.verify(&instance).is_ok(),

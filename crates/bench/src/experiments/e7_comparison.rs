@@ -6,15 +6,14 @@
 //! model, for the deterministic `ColorReduce`, its randomized (un-
 //! derandomized) variant, the deterministic MIS-reduction baseline (an
 //! O(log)-round stand-in for the prior deterministic algorithms), the
-//! randomized trial coloring, and the centralized greedy.
+//! randomized trial coloring (run on the `cc-runtime` engine, so its words
+//! are real messages), and the centralized greedy.
 
+use clique_coloring::baselines::engine_trial::EngineTrialColoring;
 use clique_coloring::baselines::greedy::SequentialGreedy;
 use clique_coloring::baselines::mis_reduction::MisReductionColoring;
 use clique_coloring::baselines::randomized_color_reduce;
-use clique_coloring::baselines::trial::RandomizedTrialColoring;
 use clique_coloring::color_reduce::ColorReduce;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::records::{write_json, RunRecord};
 use crate::suite::standard_families;
@@ -36,7 +35,6 @@ pub fn run(scale: Scale) {
         "in-model",
     ]);
     let mut records = Vec::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(13);
     for spec in standard_families(n, 61) {
         let instance = spec.build();
         let stats = graph_stats(&instance);
@@ -75,9 +73,10 @@ pub fn run(scale: Scale) {
             .expect("E7 mis");
         push("mis-reduction (O(log)-round det.)", true, &mis.report);
 
-        let trial = RandomizedTrialColoring::default()
-            .run(&instance, clique_model(&instance), &mut rng)
-            .expect("E7 trial");
+        let trial = EngineTrialColoring::default()
+            .run(&instance, clique_model(&instance))
+            .expect("E7 trial")
+            .outcome;
         push("randomized-trial (O(log n) rand.)", false, &trial.report);
 
         let greedy = SequentialGreedy

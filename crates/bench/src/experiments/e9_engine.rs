@@ -1,16 +1,15 @@
-//! E9 — centralized accounting simulator vs the `cc-runtime` message-passing
-//! engine.
+//! E9 — the `cc-runtime` message-passing engine across worker-thread counts.
 //!
-//! For the trial coloring and Luby MIS, this measures wall-clock time of the
-//! centralized implementation against the engine at several worker-thread
-//! counts, across graph sizes (uniform G(n, p) and a skewed power-law
-//! workload whose hubs stress per-chunk load balance). Model-accounting
-//! columns (rounds, words, in-model) come from the same
-//! [`cc_sim::ExecutionReport`] machinery for both backends. The experiment
-//! also *enforces* the engine's determinism guarantee in-process: the
-//! outputs and message-ledger digests of every thread count must be
-//! identical, and `run_with` can dump them to a file so CI can diff two
-//! independent processes.
+//! For the trial coloring and Luby MIS, this measures the engine's
+//! wall-clock at several worker-thread counts, across graph sizes (uniform
+//! G(n, p) and a skewed power-law workload whose hubs stress per-chunk load
+//! balance). The speedup column is each run's wall-clock relative to the
+//! run at the first thread count (t = 1 by default). Model-accounting
+//! columns (rounds, words, in-model) come from the engine's
+//! [`cc_sim::ExecutionReport`]. The experiment also *enforces* the engine's
+//! determinism guarantee in-process: the outputs and message-ledger digests
+//! of every thread count must be identical, and `run_with` can dump them to
+//! a file so CI can diff two independent processes.
 //!
 //! When a trace path is given, each instance is re-run once per algorithm
 //! with a `cc-trace` [`RingRecorder`] attached (at the highest benched
@@ -25,14 +24,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cc_mis::engine::EngineLubyMis;
-use cc_mis::luby::LubyMis;
 use cc_runtime::trace::{ChromeTrace, RingRecorder};
 use cc_runtime::{Engine, EngineConfig, FaultPlan, NodeEnv, NodeProgram, NodeStatus};
-use cc_sim::{ClusterContext, ExecutionModel};
+use cc_sim::ExecutionModel;
 use clique_coloring::baselines::engine_trial::EngineTrialColoring;
-use clique_coloring::baselines::trial::RandomizedTrialColoring;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::records::{write_json, RunRecord};
 use crate::table::Table;
@@ -67,9 +62,8 @@ fn instances(scale: Scale) -> Vec<(String, CsrGraph)> {
     };
     let mut out = Vec::new();
     for n in sizes {
-        // Average degree ~16: sparse enough that the centralized loop and
-        // the engine run the same O(log n) phase count, dense enough that
-        // messages dominate.
+        // Average degree ~16: sparse enough for an O(log n) phase count,
+        // dense enough that messages dominate.
         let p = (16.0 / n as f64).min(0.5);
         out.push((
             format!("gnp-{n}"),
@@ -109,7 +103,6 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
     let mut table = Table::new([
         "instance",
         "algorithm",
-        "backend",
         "threads",
         "rounds",
         "words",
@@ -142,43 +135,10 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
         let stats = graph_stats(&instance);
         let model = ExecutionModel::congested_clique(n);
 
-        // --- Trial coloring: centralized reference. ---
-        let start = Instant::now();
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let central = RandomizedTrialColoring::default()
-            .run(&instance, model.clone(), &mut rng)
-            .expect("E9 centralized trial");
-        let central_ms = start.elapsed().as_secs_f64() * 1e3;
-        central.coloring.verify(&instance).expect("E9 verify");
-        table.row([
-            label.clone(),
-            "trial-coloring".into(),
-            "centralized-sim".into(),
-            "-".into(),
-            central.report.rounds.to_string(),
-            central.report.communication_words.to_string(),
-            format!("{central_ms:.1}"),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "1.00".into(),
-            yes_no(central.report.within_limits()),
-        ]);
-        records.push(
-            RunRecord::from_report(
-                "E9",
-                &label,
-                "trial-coloring/centralized",
-                stats,
-                &central.report,
-            )
-            .with_extra("wall_ms", central_ms)
-            .with_extra("speedup_vs_centralized", 1.0),
-        );
-
         // --- Trial coloring: engine at each thread count. ---
         let mut reference: Option<clique_coloring::baselines::engine_trial::EngineTrialOutcome> =
             None;
+        let mut first_ms: Option<f64> = None;
         for &t in threads {
             let runner = EngineTrialColoring {
                 threads: t,
@@ -201,10 +161,10 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 );
             }
             let ns_per_msg = ms * 1e6 / out.ledger.total_messages().max(1) as f64;
+            let speedup = *first_ms.get_or_insert(ms) / ms;
             table.row([
                 label.clone(),
                 "trial-coloring".into(),
-                "engine".into(),
                 t.to_string(),
                 out.outcome.report.rounds.to_string(),
                 out.outcome.report.communication_words.to_string(),
@@ -212,7 +172,7 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 barrier_us(out.timings.barrier_wait_ns),
                 format!("{ns_per_msg:.0}"),
                 pr2_cell("trial", &label, t),
-                speedup_cell(central_ms / ms),
+                speedup_cell(speedup),
                 yes_no(out.outcome.report.within_limits()),
             ]);
             records.push(
@@ -226,7 +186,7 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 .with_extra("threads", t as f64)
                 .with_extra("host_cpus", host_cpus as f64)
                 .with_extra("wall_ms", ms)
-                .with_extra("speedup_vs_centralized", central_ms / ms)
+                .with_extra("speedup_vs_first_threads", speedup)
                 .with_extra("ns_per_message", ns_per_msg)
                 .with_extra("route_ns", out.timings.route_ns as f64)
                 .with_extra("step_ns", out.timings.step_ns as f64)
@@ -278,37 +238,9 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
             print!("{}", summary.render());
         }
 
-        // --- Luby MIS: centralized reference. ---
-        let start = Instant::now();
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        let mut ctx = ClusterContext::new(model.clone());
-        let central_mis = LubyMis::default().run(&mut ctx, &graph, &mut rng);
-        let central_mis_ms = start.elapsed().as_secs_f64() * 1e3;
-        let central_report = ctx.report();
-        cc_mis::verify::verify_mis(&graph, &central_mis.in_set).expect("E9 mis verify");
-        table.row([
-            label.clone(),
-            "luby-mis".into(),
-            "centralized-sim".into(),
-            "-".into(),
-            central_report.rounds.to_string(),
-            central_report.communication_words.to_string(),
-            format!("{central_mis_ms:.1}"),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "1.00".into(),
-            yes_no(central_report.within_limits()),
-        ]);
-        records.push(
-            RunRecord::from_report("E9", &label, "luby-mis/centralized", stats, &central_report)
-                .with_extra("wall_ms", central_mis_ms)
-                .with_extra("speedup_vs_centralized", 1.0)
-                .with_extra("phases", central_mis.phases as f64),
-        );
-
         // --- Luby MIS: engine at each thread count. ---
         let mut mis_reference: Option<cc_mis::engine::EngineMisOutcome> = None;
+        let mut first_ms: Option<f64> = None;
         for &t in threads {
             let runner = EngineLubyMis {
                 threads: t,
@@ -329,10 +261,10 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 );
             }
             let ns_per_msg = ms * 1e6 / out.ledger.total_messages().max(1) as f64;
+            let speedup = *first_ms.get_or_insert(ms) / ms;
             table.row([
                 label.clone(),
                 "luby-mis".into(),
-                "engine".into(),
                 t.to_string(),
                 out.report.rounds.to_string(),
                 out.report.communication_words.to_string(),
@@ -340,7 +272,7 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 barrier_us(out.timings.barrier_wait_ns),
                 format!("{ns_per_msg:.0}"),
                 pr2_cell("luby", &label, t),
-                speedup_cell(central_mis_ms / ms),
+                speedup_cell(speedup),
                 yes_no(out.report.within_limits()),
             ]);
             records.push(
@@ -354,7 +286,7 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 .with_extra("threads", t as f64)
                 .with_extra("host_cpus", host_cpus as f64)
                 .with_extra("wall_ms", ms)
-                .with_extra("speedup_vs_centralized", central_mis_ms / ms)
+                .with_extra("speedup_vs_first_threads", speedup)
                 .with_extra("ns_per_message", ns_per_msg)
                 .with_extra("route_ns", out.timings.route_ns as f64)
                 .with_extra("step_ns", out.timings.step_ns as f64)
@@ -406,7 +338,7 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
             print!("{}", summary.render());
         }
     }
-    table.print("E9  execution backends: centralized accounting simulator vs cc-runtime engine");
+    table.print("E9  cc-runtime engine across worker-thread counts (speedup vs the first count)");
     write_json("e9_engine", &records);
     if let Some(path) = dump {
         match std::fs::File::create(path) {

@@ -4,8 +4,8 @@
 //! in the theorems and lemmas. Each experiment here (E1–E11, listed in the
 //! README's Experiments section) measures one of those claims, or one
 //! property of the execution stack, on concrete instances and prints a
-//! table (E9 compares the centralized accounting simulator against the
-//! `cc-runtime` message-passing engine).
+//! table (E9 times the `cc-runtime` message-passing engine across
+//! worker-thread counts).
 //!
 //! Every experiment is an ordinary function in [`experiments`]; the binaries
 //! under `src/bin/` are thin wrappers so that

@@ -4,16 +4,14 @@
 //! * [`greedy::SequentialGreedy`] — collect everything on one machine and
 //!   color greedily; the correctness ground truth and the "no distribution
 //!   at all" extreme.
-//! * [`trial::RandomizedTrialColoring`] — the classic randomized
+//! * [`engine_trial::EngineTrialColoring`] — the classic randomized
 //!   conflict-retry coloring (O(log 𝔫) rounds w.h.p.), representing simple
-//!   randomized distributed coloring.
+//!   randomized distributed coloring. It runs on the `cc-runtime`
+//!   message-passing engine, so its report counts real message words.
 //! * [`mis_reduction::MisReductionColoring`] — deterministic coloring via
 //!   the Luby reduction to MIS plus the derandomized Luby MIS; an
 //!   O(log)-round deterministic baseline in the spirit of
 //!   Censor-Hillel–Parter–Schwartzman.
-//! * [`engine_trial::EngineTrialColoring`] — the trial coloring executed on
-//!   the `cc-runtime` message-passing engine instead of the centralized
-//!   accounting simulator (experiment E9 compares the two backends).
 //! * The *randomized* variant of `ColorReduce` itself (random hash seeds, no
 //!   conditional-expectations search) is obtained by running
 //!   [`crate::color_reduce::ColorReduce`] with
@@ -23,7 +21,6 @@
 pub mod engine_trial;
 pub mod greedy;
 pub mod mis_reduction;
-pub mod trial;
 
 use cc_graph::coloring::Coloring;
 use cc_graph::instance::ListColoringInstance;

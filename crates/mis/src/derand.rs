@@ -16,8 +16,11 @@ use cc_graph::csr::CsrGraph;
 use cc_hash::{BitSeed, PolynomialHashFamily};
 use cc_sim::ClusterContext;
 
-use crate::luby::{apply_joins, select_local_minima, LUBY_PHASE_ROUNDS};
 use crate::MisResult;
+
+/// Simulated communication rounds charged per phase (one exchange of
+/// priorities with neighbors, one announcement of joins/removals).
+const LUBY_PHASE_ROUNDS: u64 = 2;
 
 /// Deterministic Luby-style MIS.
 #[derive(Debug, Clone)]
@@ -114,6 +117,39 @@ impl SeedCost for LubyPhaseCost<'_> {
     }
 }
 
+/// Returns the set of active nodes whose (priority, id) is strictly smaller
+/// than that of every active neighbor — the nodes that join the MIS this
+/// phase.
+fn select_local_minima(graph: &CsrGraph, active: &[bool], priorities: &[u64]) -> Vec<bool> {
+    let mut joins = vec![false; graph.node_count()];
+    for v in graph.nodes() {
+        if !active[v.index()] {
+            continue;
+        }
+        let key_v = (priorities[v.index()], v.index());
+        let is_min = graph
+            .neighbors(v)
+            .filter(|u| active[u.index()])
+            .all(|u| key_v < (priorities[u.index()], u.index()));
+        joins[v.index()] = is_min;
+    }
+    joins
+}
+
+/// Moves joining nodes into the set and deactivates them and their
+/// neighbors.
+fn apply_joins(graph: &CsrGraph, joins: &[bool], in_set: &mut [bool], active: &mut [bool]) {
+    for v in graph.nodes() {
+        if joins[v.index()] {
+            in_set[v.index()] = true;
+            active[v.index()] = false;
+            for u in graph.neighbors(v) {
+                active[u.index()] = false;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +202,16 @@ mod tests {
         let r = DerandomizedLubyMis::default().run(&mut ctx(200), &g);
         verify_mis(&g, &r.in_set).unwrap();
         assert!(r.phases <= 30, "too many phases: {}", r.phases);
+    }
+
+    #[test]
+    fn local_minima_selection_respects_ties_by_id() {
+        let g = GraphBuilder::path(3).build();
+        let active = vec![true, true, true];
+        // Equal priorities: node ids break ties, so node 0 and node 2 cannot
+        // both lose to node 1.
+        let joins = select_local_minima(&g, &active, &[7, 7, 7]);
+        assert_eq!(joins, vec![true, false, false]);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! * [`reduction::ReductionGraph`] — the coloring → MIS reduction and the
 //!   inverse mapping from an MIS back to a coloring,
 //! * [`greedy`] — sequential greedy MIS (ground truth / baseline),
-//! * [`luby`] — randomized Luby MIS with simulated round accounting,
 //! * [`derand`] — a deterministic Luby MIS: per-phase pairwise-independent
 //!   priorities selected by the method of conditional expectations. It
 //!   stands in for the algorithm of \[7\] (substitution #3 in the README's
@@ -22,9 +21,9 @@
 //!   experiment E5 reports its measured phase counts separately so the
 //!   substitution is visible.
 //! * [`verify`] — independence/maximality checking used by every test.
-//! * [`engine`] — Luby MIS executed on the `cc-runtime` message-passing
-//!   engine, with real per-node mailboxes instead of centralized
-//!   accounting.
+//! * [`engine`] — Luby's randomized MIS, run on the `cc-runtime`
+//!   message-passing engine with real per-node mailboxes; the crate's only
+//!   randomized algorithm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +31,6 @@
 pub mod derand;
 pub mod engine;
 pub mod greedy;
-pub mod luby;
 pub mod reduction;
 pub mod verify;
 

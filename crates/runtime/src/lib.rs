@@ -136,14 +136,13 @@
 //! bit-identical to the same faulted solo run
 //! (`tests/service_equivalence.rs`).
 //!
-//! ## Ported algorithms
+//! ## Randomized baselines
 //!
 //! [`programs::trial`] (randomized list coloring) and [`programs::luby`]
-//! (Luby MIS) port two centrally-simulated baselines onto the engine;
-//! `clique_coloring::baselines::engine_trial` and `cc_mis::engine` adapt
-//! them to the workspace's graph types. Experiment E9 (`cc-bench`) compares
-//! engine wall-clock against the centralized simulator across thread
-//! counts.
+//! (Luby MIS) are the workspace's only implementations of its two
+//! randomized baselines; `clique_coloring::baselines::engine_trial` and
+//! `cc_mis::engine` adapt them to the workspace's graph types. Experiment
+//! E9 (`cc-bench`) times them across worker-thread counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

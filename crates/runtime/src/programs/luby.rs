@@ -1,8 +1,7 @@
 //! Luby's randomized MIS as a node program.
 //!
-//! The protocol mirrors `cc_mis::luby`, unrolled into explicit messages.
-//! Each phase is three engine rounds, with round number mod 3 acting as the
-//! message tag:
+//! Luby's algorithm, unrolled into explicit messages. Each phase is three
+//! engine rounds, with round number mod 3 acting as the message tag:
 //!
 //! 1. **priority** — every undecided node draws a bounded-width random
 //!    priority and sends it to its undecided neighbors (after folding in the
@@ -12,8 +11,8 @@
 //! 3. **leave** — neighbors of joiners announce that they are leaving and
 //!    halt; everyone else trims its neighborhood and continues.
 //!
-//! Ties are broken by node id, exactly as in the centralized
-//! `select_local_minima`, so adjacent nodes can never both join.
+//! Ties are broken by node id, as in `cc_mis::derand`'s deterministic
+//! variant, so adjacent nodes can never both join.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

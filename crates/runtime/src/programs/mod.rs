@@ -1,13 +1,13 @@
-//! Algorithms ported onto the engine as per-node programs.
+//! The workspace's randomized baselines, as per-node programs.
 //!
-//! These are the message-passing counterparts of algorithms the workspace
-//! already runs against the centralized accounting simulator:
+//! These programs are the only implementations of the two classic
+//! O(log 𝔫)-phase randomized algorithms the deterministic coloring is
+//! compared against:
 //!
 //! * [`trial::TrialColoringProgram`] — the randomized propose/resolve list
-//!   coloring of `clique_coloring::baselines::trial`, two engine rounds per
-//!   phase;
-//! * [`luby::LubyMisProgram`] — Luby's MIS as in `cc_mis::luby`, three
-//!   engine rounds per phase (priorities, joins, leaves).
+//!   coloring, two engine rounds per phase;
+//! * [`luby::LubyMisProgram`] — Luby's MIS, three engine rounds per phase
+//!   (priorities, joins, leaves).
 //!
 //! Programs here depend only on plain adjacency lists and color/priority
 //! words, so `cc-runtime` stays graph-library-agnostic; the `cc-core` and

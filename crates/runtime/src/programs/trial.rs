@@ -1,10 +1,10 @@
 //! Randomized trial-and-retry list coloring as a node program.
 //!
-//! The protocol mirrors `clique_coloring::baselines::trial`: each phase is
-//! two engine rounds. In an even ("propose") round every uncolored node
-//! picks a uniformly random color from its remaining palette and sends it to
-//! its still-uncolored neighbors; in the following odd ("resolve") round a
-//! node keeps its proposal unless a *smaller-id* neighbor proposed the same
+//! The classic O(log 𝔫)-phase randomized baseline: each phase is two engine
+//! rounds. In an even ("propose") round every uncolored node picks a
+//! uniformly random color from its remaining palette and sends it to its
+//! still-uncolored neighbors; in the following odd ("resolve") round a node
+//! keeps its proposal unless a *smaller-id* neighbor proposed the same
 //! color, announces the fixed color to its neighbors, and halts. Finalized
 //! colors arriving at the start of the next propose round are removed from
 //! the receivers' palettes, so the `p(v) > d(v)` list-coloring invariant
@@ -104,8 +104,7 @@ impl NodeProgram for TrialColoringProgram {
             NodeStatus::Continue
         } else {
             // Resolve round. The inbox holds the proposals of uncolored
-            // neighbors; ties are broken toward the smaller node id, exactly
-            // as in the centralized baseline.
+            // neighbors; ties are broken toward the smaller node id.
             let proposal = self.proposal.take().expect("resolve without a proposal");
             let clash = env
                 .inbox()

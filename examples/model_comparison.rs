@@ -1,5 +1,5 @@
 //! Compare the deterministic constant-round algorithm against every baseline
-//! on the same instance, across execution models.
+//! on the same instance, in the CONGESTED CLIQUE model.
 //!
 //! This is a miniature of experiment E7 (`cargo run -p cc-bench --bin
 //! exp_comparison` produces the full table).
@@ -9,13 +9,11 @@
 //! cargo run --release --example model_comparison
 //! ```
 
+use congested_clique_coloring::coloring::baselines::engine_trial::EngineTrialColoring;
 use congested_clique_coloring::coloring::baselines::greedy::SequentialGreedy;
 use congested_clique_coloring::coloring::baselines::mis_reduction::MisReductionColoring;
 use congested_clique_coloring::coloring::baselines::randomized_color_reduce;
-use congested_clique_coloring::coloring::baselines::trial::RandomizedTrialColoring;
 use congested_clique_coloring::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 struct Row {
     algorithm: &'static str,
@@ -68,8 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     mis.coloring.verify(&instance)?;
     rows.push(row("MIS-reduction coloring", true, &mis.report));
 
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let trial = RandomizedTrialColoring::default().run(&instance, model.clone(), &mut rng)?;
+    let trial = EngineTrialColoring::default()
+        .run(&instance, model.clone())?
+        .outcome;
     trial.coloring.verify(&instance)?;
     rows.push(row("randomized trial coloring", false, &trial.report));
 

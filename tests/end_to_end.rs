@@ -3,16 +3,14 @@
 
 use cc_graph::generators::{instance_with_palettes, GraphFamily, PaletteKind};
 use congested_clique_coloring::coloring::baselines::{
-    greedy::SequentialGreedy, mis_reduction::MisReductionColoring, randomized_color_reduce,
-    trial::RandomizedTrialColoring,
+    engine_trial::EngineTrialColoring, greedy::SequentialGreedy,
+    mis_reduction::MisReductionColoring, randomized_color_reduce,
 };
 use congested_clique_coloring::coloring::config::SeedStrategy;
 use congested_clique_coloring::coloring::good_bad::MAX_HASHABLE_COLOR;
 use congested_clique_coloring::coloring::low_space::LowSpaceConfig;
 use congested_clique_coloring::coloring::CoreError;
 use congested_clique_coloring::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 mod common;
 use common::mismatched_searches;
@@ -119,7 +117,6 @@ fn every_baseline_agrees_on_validity() {
     let graph = GraphFamily::Gnp { p: 0.1 }.generate(150, 77).unwrap();
     let instance = ListColoringInstance::delta_plus_one(&graph).unwrap();
     let model = ExecutionModel::congested_clique(150);
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
 
     let derand = ColorReduce::new(fast_config())
         .run(&instance, model.clone())
@@ -134,9 +131,10 @@ fn every_baseline_agrees_on_validity() {
         .unwrap();
     mis.coloring.verify(&instance).unwrap();
 
-    let trial = RandomizedTrialColoring::default()
-        .run(&instance, model.clone(), &mut rng)
-        .unwrap();
+    let trial = EngineTrialColoring::default()
+        .run(&instance, model.clone())
+        .unwrap()
+        .outcome;
     trial.coloring.verify(&instance).unwrap();
 
     let greedy = SequentialGreedy.run(&instance, model).unwrap();
