@@ -1,9 +1,10 @@
-//! Regenerates the E9 backend-comparison table. Pass --quick for a fast,
-//! smaller-scale run; `--threads 1,4` to bench specific worker counts;
-//! `--dump PATH` to write engine outputs + ledger digests for a CI
-//! determinism diff; `--trace PATH` to capture one recorded run per
-//! instance and algorithm as Chrome trace-event JSON (open the file at
-//! ui.perfetto.dev) and print the per-round summary tables.
+//! Regenerates the E9 engine table. Pass --quick for a fast, smaller-scale
+//! run; `--threads 1,4` to bench specific worker counts (the speedup column
+//! is relative to the first); `--dump PATH` to write engine outputs +
+//! ledger digests for a CI determinism diff; `--trace PATH` to capture one
+//! recorded run per instance and algorithm, at the largest thread count, as
+//! Chrome trace-event JSON (open the file at ui.perfetto.dev) and print the
+//! per-round summary tables.
 
 use std::path::PathBuf;
 
@@ -13,7 +14,6 @@ fn main() {
     let mut threads: Vec<usize> = cc_bench::experiments::e9_engine::DEFAULT_THREADS.to_vec();
     let mut dump: Option<PathBuf> = None;
     let mut trace: Option<PathBuf> = None;
-    let mut bench_json: Option<PathBuf> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -36,17 +36,8 @@ fn main() {
                 ));
                 i += 2;
             }
-            "--bench-json" => {
-                bench_json = Some(PathBuf::from(
-                    args.get(i + 1).expect("--bench-json needs a path"),
-                ));
-                i += 2;
-            }
             _ => i += 1,
         }
     }
     cc_bench::experiments::e9_engine::run_with(scale, &threads, dump.as_deref(), trace.as_deref());
-    if let Some(path) = bench_json {
-        cc_bench::experiments::e9_engine::write_bench_record(&path);
-    }
 }
