@@ -23,15 +23,26 @@
 //! * [`binning_costs`] scores a group of pairs for the seed search, reading
 //!   out only each lane's bad-node and bin totals, and the low-space cost
 //!   counts Lemma 4.5's violators the same way;
-//! * once a search has chosen its seed, [`HashPair::planes`] builds that
-//!   seed's one-lane group and the partition reads out lane 0, with the
-//!   hashes and tests its cost already holds: [`evaluate_binning`]
-//!   classifies every active node and every bin for `Partition`, and
-//!   `lane_zero` gives `LowSpacePartition` its bins and in-bin counts.
+//! * both costs also keep, in [`ScoredLanes`], each active node's bin planes
+//!   and one verdict lane mask for every group of their latest scoring
+//!   call: whether the node is good for `Partition`, whether its in-bin
+//!   palette exceeds its in-bin degree for `LowSpacePartition`. As in §2.4,
+//!   where every machine scores every candidate of a chunk, each node
+//!   already holds its bin and verdict under the broadcast minimizer, so
+//!   the partition reads its chosen seed's lane from that record instead of
+//!   binning again. A multi-salt search can pick a seed from an earlier
+//!   pass, which the latest call did not score: that seed is scored alone
+//!   first, so there is one read-out path;
+//! * [`evaluate_binning`] classifies every active node and bin under the
+//!   one-lane group [`HashPair::planes`] builds for a seed: the plain
+//!   read-out the tests check the lanes against.
 //!
 //! `ColorReduce` and `LowSpaceColorReduce` then color the bins through one
 //! recursion step, `color_reduce::color_bins`.
 
+use std::cell::RefCell;
+
+use cc_derand::SeedCost;
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
 use cc_graph::{Color, NodeId};
@@ -639,19 +650,21 @@ impl NodeTests {
 
 /// Whether a bin of `count` nodes is good: it holds fewer than
 /// `2·n_G/B + 𝔫^0.6` nodes.
-fn bin_good(params: &BinningParams, count: u64) -> bool {
+pub(crate) fn bin_good(params: &BinningParams, count: u64) -> bool {
     (count as f64) < params.bin_node_threshold
 }
 
 /// The cost 𝔮 = #bad nodes + 𝔫·#bad bins (Equation (1)) under every lane of
 /// `planes`, in lane order: one pass over the edges for the whole group,
-/// reading out only each lane's bad-node and bin totals.
+/// reading out only each lane's bad-node and bin totals. Each active node's
+/// good lanes and bin planes go to `lanes` as the group's record.
 pub fn binning_costs(
     graph: &CsrGraph,
     sub: &ActiveSubgraph,
     params: &BinningParams,
     tests: &NodeTests,
     planes: &LanePlanes<'_>,
+    lanes: &mut ScoredLanes,
 ) -> Vec<f64> {
     debug_assert_eq!(params.bins, planes.bins);
     let mut bad_nodes = LaneTotals::new(sub.len());
@@ -659,10 +672,12 @@ pub fn binning_costs(
         .map(|_| LaneTotals::new(sub.len()))
         .collect();
     bin_lanes(graph, sub, planes, |node| {
-        bad_nodes.add(node.lanes & !tests.good(node));
+        let good = tests.good(node);
+        bad_nodes.add(node.lanes & !good);
         for (bin, sizes) in (0..).zip(&mut bin_sizes) {
             sizes.add(node.in_bin(bin));
         }
+        lanes.record(node, good);
     });
     (0..planes.lane_count())
         .map(|lane| {
@@ -675,47 +690,75 @@ pub fn binning_costs(
         .collect()
 }
 
-/// Where one (h1, h2) pair puts the active nodes, indexed like
-/// `ActiveSubgraph::nodes`.
-#[derive(Debug)]
-pub(crate) struct NodeBinning {
-    /// Bin of each active node.
-    pub(crate) node_bin: Vec<u32>,
-    /// In-bin degree d′(v) of each active node.
-    pub(crate) in_bin_degree: Vec<u32>,
-    /// In-bin palette size p′(v) of each active node, as
-    /// [`NodeLanes::palette`] defines it.
-    pub(crate) in_bin_palette: Vec<u32>,
+/// Each active node's bin and one verdict under every seed of a cost's
+/// latest scoring call, recorded while its groups were scored: what every
+/// machine holds once the search broadcasts its minimizer.
+#[derive(Debug, Default)]
+pub struct ScoredLanes {
+    /// The seeds of the call, in lane order.
+    seeds: Vec<BitSeed>,
+    /// Words per node row: the verdict lanes, then ⌈log₂ B⌉ bin planes.
+    stride: usize,
+    /// Group after group, one row per active node, in
+    /// `ActiveSubgraph::nodes` order.
+    rows: Vec<u64>,
 }
 
-/// Lane 0 of `planes`, node by node; `visit` also sees each node's lanes.
-pub(crate) fn lane_zero(
-    graph: &CsrGraph,
-    sub: &ActiveSubgraph,
-    planes: &LanePlanes<'_>,
-    mut visit: impl FnMut(&NodeLanes<'_>),
-) -> NodeBinning {
-    let mut binning = NodeBinning {
-        node_bin: Vec::with_capacity(sub.len()),
-        in_bin_degree: Vec::with_capacity(sub.len()),
-        in_bin_palette: Vec::with_capacity(sub.len()),
-    };
-    bin_lanes(graph, sub, planes, |node| {
-        binning.node_bin.push(lane_value(node.bin, 0) as u32);
-        binning
-            .in_bin_degree
-            .push(lane_value(node.degree, 0) as u32);
-        binning
-            .in_bin_palette
-            .push(lane_value(node.palette, 0) as u32);
-        visit(node);
-    });
-    binning
+impl ScoredLanes {
+    /// Forgets the previous call and starts one that bins into `bins` bins
+    /// under `seeds`: its groups of [`LANES`] seeds are then recorded in
+    /// order, one [`binning_costs`] call each.
+    pub fn start(&mut self, seeds: &[BitSeed], bins: u64) {
+        self.seeds.clear();
+        self.seeds.extend_from_slice(seeds);
+        self.stride = 1 + bit_length(bins - 1);
+        self.rows.clear();
+    }
+
+    /// Records the next active node's `verdict` lanes and its bin planes.
+    pub(crate) fn record(&mut self, node: &NodeLanes<'_>, verdict: u64) {
+        debug_assert_eq!(node.bin.len() + 1, self.stride);
+        self.rows.push(verdict & node.lanes);
+        self.rows.extend_from_slice(node.bin);
+    }
+
+    /// The bin and verdict of every active node, in `ActiveSubgraph::nodes`
+    /// order, in the lane that scored `seed`; `None` if the call did not
+    /// score it.
+    pub fn lane(&self, seed: &BitSeed) -> Option<impl Iterator<Item = (u32, bool)> + '_> {
+        let k = self.seeds.iter().position(|s| s == seed)?;
+        let group_rows = self.rows.len() / self.seeds.len().div_ceil(LANES);
+        let lane = k % LANES;
+        let group = &self.rows[k / LANES * group_rows..][..group_rows];
+        Some(group.chunks_exact(self.stride).map(move |row| {
+            let bin = lane_value(&row[1..], lane) as u32;
+            (bin, (row[0] >> lane) & 1 == 1)
+        }))
+    }
+}
+
+/// The bin and verdict of every active node under `seed`, the seed `cost`'s
+/// search chose, read from `lanes`, where the cost records its latest
+/// scoring call. A seed that call did not score (a multi-salt search can
+/// pick one from an earlier pass) is scored alone first.
+pub(crate) fn chosen_lane(
+    cost: &dyn SeedCost,
+    lanes: &RefCell<ScoredLanes>,
+    seed: &BitSeed,
+) -> Vec<(u32, bool)> {
+    let scored = lanes.borrow().lane(seed).is_some();
+    if !scored {
+        cost.total_costs(std::slice::from_ref(seed));
+    }
+    let lanes = lanes.borrow();
+    let lane = lanes.lane(seed).expect("the chosen seed was scored");
+    lane.collect()
 }
 
 /// Classifies every active node and bin under the pair in lane 0 of
 /// `planes` (see [`HashPair::planes`]), with the `tests` built for `params`:
-/// the one-lane read-out of [`binning_costs`]' loop and tests.
+/// the one-lane read-out of [`binning_costs`]' loop and tests, which the
+/// tests check the partitions' lane read-out against.
 ///
 /// Nodes hashed to the last bin (`bins - 1`) are judged only by the degree
 /// condition; all other nodes additionally need the palette condition, with
@@ -729,30 +772,28 @@ pub fn evaluate_binning(
     planes: &LanePlanes<'_>,
 ) -> BinningEvaluation {
     debug_assert_eq!(params.bins, planes.bins);
-    let mut node_good = Vec::with_capacity(sub.len());
-    let NodeBinning {
-        node_bin,
-        in_bin_degree,
-        in_bin_palette,
-    } = lane_zero(graph, sub, planes, |node| {
-        node_good.push(tests.good(node) & 1 == 1);
+    let mut eval = BinningEvaluation {
+        node_bin: Vec::with_capacity(sub.len()),
+        in_bin_degree: Vec::with_capacity(sub.len()),
+        in_bin_palette: Vec::with_capacity(sub.len()),
+        node_good: Vec::with_capacity(sub.len()),
+        bin_counts: vec![0; params.bins as usize],
+        bin_good: Vec::new(),
+    };
+    bin_lanes(graph, sub, planes, |node| {
+        let bin = lane_value(node.bin, 0);
+        eval.node_bin.push(bin as u32);
+        eval.in_bin_degree.push(lane_value(node.degree, 0) as u32);
+        eval.in_bin_palette.push(lane_value(node.palette, 0) as u32);
+        eval.node_good.push(tests.good(node) & 1 == 1);
+        eval.bin_counts[bin as usize] += 1;
     });
-    let mut bin_counts = vec![0usize; params.bins as usize];
-    for &bin in &node_bin {
-        bin_counts[bin as usize] += 1;
-    }
-    let bin_good = bin_counts
+    eval.bin_good = eval
+        .bin_counts
         .iter()
         .map(|&count| bin_good(params, count as u64))
         .collect();
-    BinningEvaluation {
-        node_bin,
-        in_bin_degree,
-        in_bin_palette,
-        node_good,
-        bin_counts,
-        bin_good,
-    }
+    eval
 }
 
 /// Per-lane totals over the active nodes, kept bit-sliced: one addition per
@@ -993,9 +1034,13 @@ mod tests {
                     .map(|k| BitSeed::zeros(hashes.seed_bits()).canonical_completion(0, k))
                     .collect();
                 let tests = NodeTests::new(&sub, &params);
+                let mut lanes = ScoredLanes::default();
+                lanes.start(&seeds, bins);
                 let costs: Vec<f64> = hashes
                     .lane_planes(&sub, &seeds)
-                    .flat_map(|planes| binning_costs(&g, &sub, &params, &tests, &planes))
+                    .flat_map(|planes| {
+                        binning_costs(&g, &sub, &params, &tests, &planes, &mut lanes)
+                    })
                     .collect();
                 for (seed, cost) in seeds.iter().zip(costs) {
                     let (h1, h2) = hashes.functions(seed);
@@ -1006,6 +1051,12 @@ mod tests {
                         eval.cost(60).to_bits(),
                         "c = {independence}"
                     );
+                    // The seed's lane, in either group, holds its bins and
+                    // verdicts.
+                    let lane: Vec<(u32, bool)> = lanes.lane(seed).unwrap().collect();
+                    let bins = eval.node_bin.iter().copied();
+                    let expected: Vec<(u32, bool)> = bins.zip(eval.node_good).collect();
+                    assert_eq!(lane, expected, "c = {independence}");
                 }
             }
         }

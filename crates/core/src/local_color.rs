@@ -1,10 +1,17 @@
-//! Greedy local coloring of collected instances.
+//! Greedy local coloring of collected instances, and the palette update
+//! that precedes it.
 //!
 //! When an instance is small enough to fit on one machine, `ColorReduce`
 //! collects it and colors it with the straightforward sequential greedy list
 //! coloring: scan the nodes, give each the smallest palette color not used
 //! by an already-colored neighbor. The invariant `p(v) > d(v)` (maintained by
 //! Lemma 3.2) guarantees this always succeeds.
+//!
+//! Both kernels mark a node's neighbor colors in one bitmap, sized once per
+//! call and cleared per node, instead of collecting and sorting them. The
+//! greedy step marks only the window its first free color must lie in; the
+//! update marks a range palette's whole range and rebuilds its removed set
+//! from the bitmap in one scan.
 
 use cc_graph::coloring::Coloring;
 use cc_graph::csr::CsrGraph;
@@ -12,6 +19,63 @@ use cc_graph::palette::Palette;
 use cc_graph::{Color, NodeId};
 
 use crate::error::CoreError;
+
+/// A bitmap over positions `0..width`, reused across a call's nodes.
+struct Marks(Vec<u64>);
+
+impl Marks {
+    /// A bitmap for widths up to `width`.
+    fn new(width: usize) -> Self {
+        Marks(vec![0; width.div_ceil(64)])
+    }
+
+    /// Clears positions `0..width`.
+    fn clear(&mut self, width: usize) {
+        self.0[..width.div_ceil(64)].fill(0);
+    }
+
+    /// Marks position `i`.
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The first unmarked position below `width`, if any.
+    fn first_clear(&self, width: usize) -> Option<usize> {
+        self.0[..width.div_ceil(64)]
+            .iter()
+            .enumerate()
+            .find(|(_, &word)| word != u64::MAX)
+            .map(|(w, word)| w * 64 + (!word).trailing_zeros() as usize)
+            .filter(|&i| i < width)
+    }
+
+    /// The marked positions below `width`, ascending.
+    fn marked(&self, width: usize) -> impl Iterator<Item = usize> + '_ {
+        self.0[..width.div_ceil(64)]
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        w * 64 + bit
+                    })
+                })
+            })
+    }
+}
+
+/// How many of a palette's smallest colors can hold the first one that `d`
+/// neighbors leave free: `d` + 1 of them, plus the removed colors of a range
+/// palette, capped at the palette.
+fn greedy_window(palette: &Palette, d: usize) -> usize {
+    match palette {
+        Palette::Range { len, removed } => (d + 1 + removed.len()).min(*len as usize),
+        Palette::Explicit(colors) => (d + 1).min(colors.len()),
+    }
+}
 
 /// Greedily colors `nodes` (in the given order) from their current palettes,
 /// avoiding the colors of *all* already-colored neighbors in `graph`.
@@ -27,19 +91,51 @@ pub fn color_greedily(
     coloring: &mut Coloring,
     nodes: &[NodeId],
 ) -> Result<(), CoreError> {
+    let window = |v: NodeId| greedy_window(&palettes[v.index()], graph.degree(v));
+    let mut marks = Marks::new(nodes.iter().map(|&v| window(v)).max().unwrap_or(0));
+    // cc-lint: region(no_alloc)
     for &v in nodes {
-        let mut used: Vec<Color> = graph
-            .neighbors(v)
-            .filter_map(|u| coloring.color_of(u))
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        let color = palettes[v.index()]
-            .first_available(&used)
-            .ok_or(CoreError::PaletteExhausted { node: v })?;
+        let width = window(v);
+        marks.clear(width);
+        let neighbor_colors = graph.neighbors(v).filter_map(|u| coloring.color_of(u));
+        // Mark the window's blocked positions: a range palette's position is
+        // the color itself, an explicit palette's its index in the list.
+        let color = match &palettes[v.index()] {
+            Palette::Range { removed, .. } => {
+                let blocked = neighbor_colors.chain(removed.iter().copied());
+                for Color(c) in blocked.filter(|c| c.0 < width as u64) {
+                    marks.set(c as usize);
+                }
+                marks.first_clear(width).map(|c| Color(c as u64))
+            }
+            Palette::Explicit(colors) => {
+                let colors = &colors[..width];
+                for color in neighbor_colors {
+                    if let Ok(i) = colors.binary_search(&color) {
+                        marks.set(i);
+                    }
+                }
+                marks.first_clear(width).map(|i| colors[i])
+            }
+        };
+        let color = color.ok_or(CoreError::PaletteExhausted { node: v })?;
         coloring.assign(v, color)?;
     }
+    // cc-lint: end_region
     Ok(())
+}
+
+/// The bitmap width a node's palette update uses: a range palette's whole
+/// range, unless that takes more words than the node has neighbors and
+/// removed colors (a range far wider than the degree), in which case, as for
+/// an explicit palette, its neighbors' colors are removed one at a time.
+fn update_width(palette: &Palette, d: usize) -> Option<usize> {
+    match palette {
+        Palette::Range { len, removed } if len.div_ceil(64) <= (d + 1 + removed.len()) as u64 => {
+            Some(*len as usize)
+        }
+        _ => None,
+    }
 }
 
 /// Removes from the palette of every node in `nodes` the colors already used
@@ -53,17 +149,36 @@ pub fn update_palettes_from_neighbors(
     coloring: &Coloring,
     nodes: &[NodeId],
 ) -> usize {
-    let mut removed = 0usize;
+    let width =
+        |palettes: &[Palette], v: NodeId| update_width(&palettes[v.index()], graph.degree(v));
+    let widest = nodes.iter().filter_map(|&v| width(palettes, v)).max();
+    let mut marks = Marks::new(widest.unwrap_or(0));
+    let mut count = 0usize;
+    // cc-lint: region(no_alloc)
     for &v in nodes {
-        for u in graph.neighbors(v) {
-            if let Some(color) = coloring.color_of(u) {
-                if palettes[v.index()].remove(color) {
-                    removed += 1;
+        let width = width(palettes, v);
+        let neighbor_colors = graph.neighbors(v).filter_map(|u| coloring.color_of(u));
+        match (&mut palettes[v.index()], width) {
+            (Palette::Range { removed, .. }, Some(width)) => {
+                marks.clear(width);
+                for Color(c) in neighbor_colors.filter(|c| c.0 < width as u64) {
+                    marks.set(c as usize);
                 }
+                let before = removed.len();
+                for &Color(c) in removed.iter() {
+                    marks.set(c as usize);
+                }
+                removed.clear();
+                removed.extend(marks.marked(width).map(|c| Color(c as u64)));
+                count += removed.len() - before;
             }
+            // A neighbor's color is rarely in an explicit list, so one
+            // binary search per colored neighbor beats marking the list.
+            (palette, _) => count += neighbor_colors.filter(|&c| palette.remove(c)).count(),
         }
     }
-    removed
+    // cc-lint: end_region
+    count
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! the colorless last bin (they then keep their full palettes, so
 //! correctness is unaffected) — the driver reports this as `safety_moves`.
 
+use std::cell::RefCell;
+
 use cc_derand::{SeedCost, SelectionOutcome};
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
@@ -19,7 +21,8 @@ use cc_hash::BitSeed;
 use cc_sim::ClusterContext;
 
 use crate::good_bad::{
-    at_least, bin_lanes, exceeds, first_passing, lane_zero, ActiveSubgraph, HashPair, LaneTotals,
+    at_least, bin_lanes, chosen_lane, exceeds, first_passing, ActiveSubgraph, HashPair, LaneTotals,
+    ScoredLanes,
 };
 use crate::partition::select_seed;
 
@@ -44,9 +47,14 @@ pub struct LowSpacePartitionOutcome {
 struct LowSpaceCost<'a> {
     graph: &'a CsrGraph,
     sub: &'a ActiveSubgraph,
+    bins: u64,
     hashes: HashPair,
     /// The least in-bin degree that breaks Lemma 4.5 (i), per active node.
     degree_limit: Vec<u64>,
+    /// Each node's bin, and the lanes in which its in-bin palette exceeds
+    /// its in-bin degree, under the seeds of the latest
+    /// [`SeedCost::total_costs`] call.
+    lanes: RefCell<ScoredLanes>,
 }
 
 impl<'a> LowSpaceCost<'a> {
@@ -70,8 +78,10 @@ impl<'a> LowSpaceCost<'a> {
         LowSpaceCost {
             graph,
             sub,
+            bins,
             hashes: HashPair::new(independence, graph, sub, palettes, bins),
             degree_limit,
+            lanes: RefCell::default(),
         }
     }
 }
@@ -85,16 +95,21 @@ impl SeedCost for LowSpaceCost<'_> {
         self.total_costs(std::slice::from_ref(seed))[0]
     }
 
-    /// One bit-sliced pass over the edges per group of 64 seeds.
+    /// One bit-sliced pass over the edges per group of 64 seeds, which also
+    /// records every node's bin and palette verdict under each seed.
     fn total_costs(&self, seeds: &[BitSeed]) -> Vec<f64> {
+        let lanes = &mut *self.lanes.borrow_mut();
+        lanes.start(seeds, self.bins);
         let mut costs = Vec::with_capacity(seeds.len());
         for planes in self.hashes.lane_planes(self.sub, seeds) {
             let mut violators = LaneTotals::new(self.sub.len());
             bin_lanes(self.graph, self.sub, &planes, |node| {
                 let degree_violation = at_least(node.degree, self.degree_limit[node.index]);
                 // Lemma 4.5 (ii): d'(v) < p'(v) for nodes with a color class.
-                let palette_violation = !node.last & !exceeds(node.palette, node.degree);
+                let palette_exceeds = exceeds(node.palette, node.degree);
+                let palette_violation = !node.last & !palette_exceeds;
                 violators.add((degree_violation | palette_violation) & node.lanes);
+                lanes.record(node, palette_exceeds);
             });
             costs.extend((0..planes.lane_count()).map(|lane| violators.get(lane) as f64));
         }
@@ -129,25 +144,23 @@ pub fn low_space_partition(
         sub,
         0,
     );
-    let planes = cost.hashes.planes(sub, &seed_outcome.seed);
-    let binning = lane_zero(graph, sub, &planes, |_| {});
     let (_, color_hash) = cost.hashes.functions(&seed_outcome.seed);
 
+    // Bin the nodes by the chosen seed's lane, as its search scored it.
     let mut bin_lists: Vec<Vec<NodeId>> = vec![Vec::new(); bins as usize];
     let mut safety_moves = 0usize;
-    for (i, &v) in sub.nodes.iter().enumerate() {
-        let assigned = binning.node_bin[i] as usize;
-        let is_last = assigned as u64 == bins - 1;
+    let lane = chosen_lane(&cost, &cost.lanes, &seed_outcome.seed);
+    for (&v, (bin, palette_exceeds)) in sub.nodes.iter().zip(lane) {
+        let is_last = u64::from(bin) == bins - 1;
         // Safety valve: a node whose restricted palette would not strictly
         // exceed its in-bin degree keeps its full palette by joining the
         // colorless bin instead.
-        let unsafe_restriction =
-            !is_last && (bins - 1) >= 2 && binning.in_bin_palette[i] <= binning.in_bin_degree[i];
+        let unsafe_restriction = !is_last && (bins - 1) >= 2 && !palette_exceeds;
         if unsafe_restriction {
             safety_moves += 1;
             bin_lists[(bins - 1) as usize].push(v);
         } else {
-            bin_lists[assigned].push(v);
+            bin_lists[bin as usize].push(v);
         }
     }
 
@@ -163,6 +176,7 @@ pub fn low_space_partition(
 mod tests {
     use super::*;
     use crate::config::SeedStrategy;
+    use crate::good_bad::{evaluate_binning, BinningEvaluation, BinningParams, NodeTests};
     use cc_graph::generators::{self, instance_with_palettes, PaletteKind};
     use cc_graph::instance::ListColoringInstance;
     use cc_graph::Color;
@@ -170,6 +184,47 @@ mod tests {
 
     fn ctx(n: usize) -> ClusterContext {
         ClusterContext::new(ExecutionModel::mpc_low_space(n, 0.5, 1 << 22))
+    }
+
+    /// `seed`'s bins and in-bin counts the plain way: lane 0 of the one-lane
+    /// group `HashPair::planes` builds for it (the tests, which this cost
+    /// does not use, pass everything).
+    fn one_lane(cost: &LowSpaceCost<'_>, seed: &BitSeed) -> BinningEvaluation {
+        let params = BinningParams {
+            bins: cost.bins,
+            global_nodes: cost.graph.node_count(),
+            degree_slack: f64::INFINITY,
+            palette_slack: 0.0,
+            bin_node_threshold: f64::INFINITY,
+        };
+        let tests = NodeTests::new(cost.sub, &params);
+        let planes = cost.hashes.planes(cost.sub, seed);
+        evaluate_binning(cost.graph, cost.sub, &params, &tests, &planes)
+    }
+
+    /// `low_space_partition`'s bins and safety moves on `sub` against the
+    /// one-lane read-out of the seed it chose.
+    fn check_bins(
+        out: &LowSpacePartitionOutcome,
+        g: &CsrGraph,
+        palettes: &[Palette],
+        sub: &ActiveSubgraph,
+        config: &LowSpaceConfig,
+    ) {
+        let bins = out.bins.len() as u64;
+        let cost = LowSpaceCost::new(g, sub, palettes, bins, config.independence);
+        let eval = one_lane(&cost, &out.seed_outcome.seed);
+        let mut expected = vec![Vec::new(); bins as usize];
+        let mut moves = 0;
+        for (i, &v) in sub.nodes.iter().enumerate() {
+            let bin = u64::from(eval.node_bin[i]);
+            let unsafe_restriction =
+                bin != bins - 1 && bins >= 3 && eval.in_bin_palette[i] <= eval.in_bin_degree[i];
+            moves += usize::from(unsafe_restriction);
+            let bin = if unsafe_restriction { bins - 1 } else { bin };
+            expected[bin as usize].push(v);
+        }
+        assert_eq!((&out.bins, out.safety_moves), (&expected, moves));
     }
 
     #[test]
@@ -184,6 +239,7 @@ mod tests {
         let total: usize = out.bins.iter().map(Vec::len).sum();
         assert_eq!(total, 120);
         assert_eq!(out.bins.len(), 3);
+        check_bins(&out, &g, &palettes, &sub, &config);
     }
 
     #[test]
@@ -231,7 +287,8 @@ mod tests {
                 // The plain way: hash each node, neighbor and palette color.
                 let (h1, h2) = cost.hashes.functions(seed);
                 let bin = |v: NodeId| h1.eval(u64::from(v.0));
-                let binning = lane_zero(&g, &sub, &cost.hashes.planes(&sub, seed), |_| {});
+                let binning = one_lane(&cost, seed);
+                let recorded: Vec<(u32, bool)> = cost.lanes.borrow().lane(seed).unwrap().collect();
                 let violators = sub.nodes.iter().enumerate().filter(|&(i, &v)| {
                     let same_bin = |u: &NodeId| sub.active[u.index()] && bin(*u) == bin(v);
                     let d_in = g.neighbors(v).filter(same_bin).count() as u32;
@@ -243,6 +300,10 @@ mod tests {
                     assert_eq!(binning.node_bin[i], bin(v) as u32);
                     assert_eq!(binning.in_bin_degree[i], d_in);
                     assert!(last || binning.in_bin_palette[i] == p_in, "B = {bins}");
+                    // The lane the search recorded: the bin, and whether the
+                    // in-bin palette exceeds the in-bin degree.
+                    let exceeds = binning.in_bin_palette[i] > d_in;
+                    assert_eq!(recorded[i], (bin(v) as u32, exceeds), "B = {bins}");
                     let d = f64::from(sub.degree_in[v.index()]);
                     let degree_violation = f64::from(d_in) >= (2.0 * d / bins as f64).max(1.0);
                     degree_violation || (!last && p_in <= d_in)
@@ -270,5 +331,6 @@ mod tests {
         let total: usize = out.bins.iter().map(Vec::len).sum();
         assert_eq!(total, 100);
         assert!(out.safety_moves <= 100);
+        check_bins(&out, &g, &palettes, &sub, &config);
     }
 }

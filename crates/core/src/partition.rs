@@ -8,6 +8,8 @@
 //! 𝔫/ℓ² nodes are bad. Bad nodes form the graph G₀ that the caller colors
 //! locally at the end of the call.
 
+use std::cell::RefCell;
+
 use cc_derand::{GreedyChunkSelector, SeedCost, SelectionOutcome};
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
@@ -19,7 +21,8 @@ use cc_sim::ClusterContext;
 
 use crate::config::{ColorReduceConfig, SeedStrategy};
 use crate::good_bad::{
-    binning_costs, evaluate_binning, ActiveSubgraph, BinningParams, HashPair, NodeTests,
+    bin_good, binning_costs, chosen_lane, ActiveSubgraph, BinningParams, HashPair, NodeTests,
+    ScoredLanes,
 };
 use crate::trace::PartitionRecord;
 
@@ -97,6 +100,34 @@ struct PartitionCost<'a> {
     tests: NodeTests,
     hashes: HashPair,
     bound: f64,
+    /// Each node's bin and good lanes under the seeds of the latest
+    /// [`SeedCost::total_costs`] call.
+    lanes: RefCell<ScoredLanes>,
+}
+
+impl<'a> PartitionCost<'a> {
+    /// The cost of one `Partition(G, ℓ)` call on `sub` into `bins` bins.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        graph: &'a CsrGraph,
+        palettes: &[Palette],
+        sub: &'a ActiveSubgraph,
+        ell: u64,
+        bins: u64,
+        global_nodes: usize,
+        config: &ColorReduceConfig,
+    ) -> Self {
+        let params = BinningParams::new(config, ell, bins, global_nodes, sub.len());
+        PartitionCost {
+            graph,
+            sub,
+            tests: NodeTests::new(sub, &params),
+            params,
+            hashes: HashPair::new(config.independence, graph, sub, palettes, bins),
+            bound: config.bad_node_bound(global_nodes, ell),
+            lanes: RefCell::default(),
+        }
+    }
 }
 
 impl SeedCost for PartitionCost<'_> {
@@ -108,12 +139,22 @@ impl SeedCost for PartitionCost<'_> {
         self.total_costs(std::slice::from_ref(seed))[0]
     }
 
-    /// One bit-sliced pass over the edges per group of 64 seeds.
+    /// One bit-sliced pass over the edges per group of 64 seeds, which also
+    /// records every node's bin and verdict under each seed.
     fn total_costs(&self, seeds: &[BitSeed]) -> Vec<f64> {
+        let lanes = &mut *self.lanes.borrow_mut();
+        lanes.start(seeds, self.params.bins);
         self.hashes
             .lane_planes(self.sub, seeds)
             .flat_map(|planes| {
-                binning_costs(self.graph, self.sub, &self.params, &self.tests, &planes)
+                binning_costs(
+                    self.graph,
+                    self.sub,
+                    &self.params,
+                    &self.tests,
+                    &planes,
+                    lanes,
+                )
             })
             .collect()
     }
@@ -145,16 +186,7 @@ pub fn partition(
     config: &ColorReduceConfig,
 ) -> PartitionOutcome {
     debug_assert!(bins >= 2, "partition needs at least two bins");
-    let bound = config.bad_node_bound(global_nodes, ell);
-    let params = BinningParams::new(config, ell, bins, global_nodes, sub.len());
-    let cost = PartitionCost {
-        graph,
-        sub,
-        tests: NodeTests::new(sub, &params),
-        params,
-        hashes: HashPair::new(config.independence, graph, sub, palettes, bins),
-        bound,
-    };
+    let cost = PartitionCost::new(graph, palettes, sub, ell, bins, global_nodes, config);
     let outcome = select_seed(
         ctx,
         label,
@@ -164,18 +196,18 @@ pub fn partition(
         sub,
         ell.rotate_left(17),
     );
-    // Classify under the chosen seed with the hashes and tests the search
-    // scored it with.
-    let planes = cost.hashes.planes(sub, &outcome.seed);
-    let evaluation = evaluate_binning(graph, sub, &cost.params, &cost.tests, &planes);
     let (_, color_hash) = cost.hashes.functions(&outcome.seed);
 
-    // Split the active nodes into bins and the bad set.
+    // Split the active nodes into bins and the bad set by the chosen seed's
+    // lane, as its search scored it.
     let mut bin_lists: Vec<Vec<NodeId>> = vec![Vec::new(); bins as usize];
+    let mut bin_counts = vec![0usize; bins as usize];
     let mut bad_nodes: Vec<NodeId> = Vec::new();
-    for (i, &v) in sub.nodes.iter().enumerate() {
-        if evaluation.node_good[i] {
-            bin_lists[evaluation.node_bin[i] as usize].push(v);
+    let lane = chosen_lane(&cost, &cost.lanes, &outcome.seed);
+    for (&v, (bin, good)) in sub.nodes.iter().zip(lane) {
+        bin_counts[bin as usize] += 1;
+        if good {
+            bin_lists[bin as usize].push(v);
         } else {
             bad_nodes.push(v);
         }
@@ -191,10 +223,13 @@ pub fn partition(
     let record = PartitionRecord {
         bins,
         bad_nodes: bad_nodes.len(),
-        bad_bins: evaluation.bad_bin_count(),
-        bad_node_bound: bound,
+        bad_bins: bin_counts
+            .iter()
+            .filter(|&&count| !bin_good(&cost.params, count as u64))
+            .count(),
+        bad_node_bound: cost.bound,
         bad_graph_words,
-        max_bin_nodes: evaluation.max_bin_count(),
+        max_bin_nodes: bin_counts.iter().copied().max().unwrap_or(0),
         seed_outcome: outcome,
     };
 
@@ -209,6 +244,7 @@ pub fn partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::good_bad::{evaluate_binning, BinningEvaluation};
     use cc_graph::generators;
     use cc_graph::instance::ListColoringInstance;
     use cc_sim::ExecutionModel;
@@ -224,41 +260,109 @@ mod tests {
         ClusterContext::new(ExecutionModel::congested_clique(n))
     }
 
+    /// `seed`'s classification the plain way: lane 0 of the one-lane group
+    /// `HashPair::planes` builds for it.
+    fn one_lane(cost: &PartitionCost<'_>, seed: &BitSeed) -> BinningEvaluation {
+        let planes = cost.hashes.planes(cost.sub, seed);
+        evaluate_binning(cost.graph, cost.sub, &cost.params, &cost.tests, &planes)
+    }
+
     #[test]
     fn partition_splits_nodes_into_bins_and_bad_set() {
         let (g, palettes) = setup(150, 0.3, 3);
         let nodes: Vec<NodeId> = g.nodes().collect();
         let sub = ActiveSubgraph::new(&g, &palettes, &nodes);
-        let config = ColorReduceConfig {
+        let derandomized = |candidates_per_chunk, max_salts| ColorReduceConfig {
             seed_strategy: SeedStrategy::Derandomized {
                 chunk_bits: 61,
-                candidates_per_chunk: 8,
-                max_salts: 1,
+                candidates_per_chunk,
+                max_salts,
             },
             ..ColorReduceConfig::paper()
         };
+        let fixed = ColorReduceConfig {
+            seed_strategy: SeedStrategy::FixedSalt { salt: 5 },
+            ..ColorReduceConfig::paper()
+        };
         let ell = g.max_degree() as u64;
-        let mut c = ctx(150);
-        let out = partition(
-            &mut c,
-            "partition",
-            &g,
-            &palettes,
-            &sub,
-            ell,
-            2,
-            150,
-            &config,
-        );
-        // Every active node lands in exactly one bin or the bad set.
-        let total: usize = out.bins.iter().map(Vec::len).sum::<usize>() + out.bad_nodes.len();
-        assert_eq!(total, 150);
-        assert_eq!(out.bins.len(), 2);
-        assert!(c.rounds() > 0);
-        // Statistics are consistent.
-        assert_eq!(out.record.bad_nodes, out.bad_nodes.len());
-        assert_eq!(out.record.bins, 2);
-        assert!(out.record.max_bin_nodes <= 150);
+        // (config, ℓ, whether the chosen seed is scored alone): 8
+        // candidates; the default search, which stops at chunk 0; 128
+        // candidates, two groups in one call; three salts under a palette
+        // slack ℓ^0.7 no palette meets, where no seed meets the bound and
+        // an earlier pass than the last wins; and a fixed salt.
+        let cases = [
+            (derandomized(8, 1), ell, false),
+            (ColorReduceConfig::paper(), ell, false),
+            (derandomized(128, 1), ell, false),
+            (derandomized(8, 3), 1 << 20, true),
+            (fixed, ell, false),
+        ];
+        for (case, (config, ell, alone)) in cases.into_iter().enumerate() {
+            let mut c = ctx(150);
+            let out = partition(
+                &mut c,
+                "partition",
+                &g,
+                &palettes,
+                &sub,
+                ell,
+                2,
+                150,
+                &config,
+            );
+            // Every active node lands in exactly one bin or the bad set.
+            let total: usize = out.bins.iter().map(Vec::len).sum::<usize>() + out.bad_nodes.len();
+            assert_eq!(total, 150);
+            assert_eq!(out.bins.len(), 2);
+            assert!(c.rounds() > 0);
+            // Statistics are consistent.
+            assert_eq!(out.record.bad_nodes, out.bad_nodes.len());
+            assert_eq!(out.record.bins, 2);
+            assert!(out.record.max_bin_nodes <= 150);
+
+            // The same search again, then the read-out of its chosen seed,
+            // which the latest scoring call holds unless an earlier pass won.
+            let cost = PartitionCost::new(&g, &palettes, &sub, ell, 2, 150, &config);
+            let strategy = config.seed_strategy;
+            let bits = cost.hashes.seed_bits();
+            let tweak = ell.rotate_left(17);
+            let searched = select_seed(&mut ctx(150), "p", strategy, bits, &cost, &sub, tweak);
+            let seed = &out.record.seed_outcome.seed;
+            assert_eq!(&searched.seed, seed, "case {case}");
+            assert_eq!(
+                cost.lanes.borrow().lane(seed).is_none(),
+                alone,
+                "case {case}"
+            );
+            let lane = chosen_lane(&cost, &cost.lanes, seed);
+            assert!(cost.lanes.borrow().lane(seed).is_some());
+            let eval = one_lane(&cost, seed);
+            let expected: Vec<(u32, bool)> = eval
+                .node_bin
+                .iter()
+                .copied()
+                .zip(eval.node_good.iter().copied())
+                .collect();
+            assert_eq!(lane, expected, "case {case}");
+            let mut bins = vec![Vec::new(); 2];
+            let mut bad = Vec::new();
+            for (&v, &(bin, good)) in sub.nodes.iter().zip(&expected) {
+                if good {
+                    bins[bin as usize].push(v);
+                } else {
+                    bad.push(v);
+                }
+            }
+            assert_eq!((&out.bins, &out.bad_nodes), (&bins, &bad), "case {case}");
+            assert_eq!(out.record.bad_bins, eval.bad_bin_count());
+            assert_eq!(out.record.max_bin_nodes, eval.max_bin_count());
+            let outcome = &out.record.seed_outcome;
+            match case {
+                1 => assert_eq!(outcome.candidates_evaluated, 64),
+                3 => assert!(!outcome.met_bound && outcome.escalations == 2),
+                _ => {}
+            }
+        }
     }
 
     #[test]

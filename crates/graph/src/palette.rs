@@ -50,11 +50,6 @@ impl Palette {
         }
     }
 
-    /// The empty palette.
-    pub fn empty() -> Self {
-        Palette::Explicit(Vec::new())
-    }
-
     /// Number of colors currently available.
     pub fn size(&self) -> usize {
         match self {
@@ -103,11 +98,6 @@ impl Palette {
         }
     }
 
-    /// Removes every color in `colors`; returns how many were present.
-    pub fn remove_all(&mut self, colors: impl IntoIterator<Item = Color>) -> usize {
-        colors.into_iter().filter(|&c| self.remove(c)).count()
-    }
-
     /// Iterator over the available colors, in increasing order.
     pub fn iter(&self) -> PaletteIter<'_> {
         match self {
@@ -140,16 +130,6 @@ impl Palette {
         }
     }
 
-    /// The smallest available color not in `forbidden` (which must be
-    /// sorted), if any. Used by the greedy local coloring step.
-    pub fn first_available(&self, forbidden: &[Color]) -> Option<Color> {
-        debug_assert!(
-            forbidden.windows(2).all(|w| w[0] <= w[1]),
-            "forbidden must be sorted"
-        );
-        self.iter().find(|c| forbidden.binary_search(c).is_err())
-    }
-
     /// Returns a new explicit palette containing only the colors for which
     /// `keep` returns true. This is how `Partition` restricts palettes to the
     /// colors hashed into a node's bin.
@@ -177,18 +157,6 @@ impl Palette {
     /// Whether the palette is stored implicitly (range form).
     pub fn is_implicit(&self) -> bool {
         matches!(self, Palette::Range { .. })
-    }
-
-    /// Drops arbitrary colors until at most `target` remain (keeping the
-    /// smallest ones). The paper uses this for local coloring of collected
-    /// instances in the optimal-global-space variant, where a node only needs
-    /// d(v)+1 colors.
-    pub fn truncate(&mut self, target: usize) {
-        if self.size() <= target {
-            return;
-        }
-        let kept: Vec<Color> = self.iter().take(target).collect();
-        *self = Palette::Explicit(kept);
     }
 }
 
@@ -279,17 +247,9 @@ mod tests {
         assert!(p.remove(Color(2)));
         assert!(!p.remove(Color(2)));
         assert_eq!(p.size(), 2);
-        assert_eq!(p.remove_all([Color(1), Color(7), Color(3)]), 2);
+        let removed = [Color(1), Color(7), Color(3)].map(|c| p.remove(c));
+        assert_eq!(removed, [true, false, true]);
         assert!(p.is_empty());
-    }
-
-    #[test]
-    fn first_available_skips_forbidden() {
-        let p = Palette::explicit([Color(0), Color(1), Color(2), Color(3)]);
-        assert_eq!(p.first_available(&[Color(0), Color(1)]), Some(Color(2)));
-        assert_eq!(p.first_available(&[]), Some(Color(0)));
-        let all: Vec<Color> = p.to_vec();
-        assert_eq!(p.first_available(&all), None);
     }
 
     #[test]
@@ -313,17 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_keeps_smallest() {
-        let mut p = Palette::range(10);
-        p.truncate(3);
-        assert_eq!(p.to_vec(), vec![Color(0), Color(1), Color(2)]);
-        // Truncating to a larger size is a no-op.
-        let mut q = Palette::explicit([Color(1), Color(2)]);
-        q.truncate(5);
-        assert_eq!(q.size(), 2);
-    }
-
-    #[test]
     fn from_iterator_collects_explicit() {
         let p: Palette = (0..4).map(Color).collect();
         assert_eq!(p.size(), 4);
@@ -334,14 +283,18 @@ mod tests {
     fn max_color_skips_removed_top_colors() {
         let mut p = Palette::range(10);
         assert_eq!(p.max_color(), Some(Color(9)));
-        p.remove_all([Color(9), Color(8), Color(6)]);
+        for c in [9, 8, 6] {
+            p.remove(Color(c));
+        }
         assert_eq!(p.max_color(), Some(Color(7)));
         assert_eq!(p.max_color(), p.iter().last());
         let mut gone = Palette::range(3);
-        gone.remove_all([Color(0), Color(1), Color(2)]);
+        for c in 0..3 {
+            gone.remove(Color(c));
+        }
         assert_eq!(gone.max_color(), None);
         assert_eq!(Palette::range(0).max_color(), None);
-        assert_eq!(Palette::empty().max_color(), None);
+        assert_eq!(Palette::explicit([]).max_color(), None);
         assert_eq!(
             Palette::explicit([Color(4), Color(2)]).max_color(),
             Some(Color(4))

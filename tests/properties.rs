@@ -14,9 +14,13 @@ use cc_mis::verify::verify_mis;
 use cc_sim::constants::{BROADCAST_ROUNDS, PREFIX_SUM_ROUNDS};
 use cc_sim::ClusterContext;
 use congested_clique_coloring::coloring::config::SeedStrategy;
+use congested_clique_coloring::coloring::error::CoreError;
 use congested_clique_coloring::coloring::good_bad::{
     binning_costs, evaluate_binning, ActiveSubgraph, BinningEvaluation, BinningParams, HashPair,
-    NodeTests,
+    NodeTests, ScoredLanes, MAX_HASHABLE_COLOR,
+};
+use congested_clique_coloring::coloring::local_color::{
+    color_greedily, update_palettes_from_neighbors,
 };
 use congested_clique_coloring::derand::{GreedyChunkSelector, SeedCost};
 use congested_clique_coloring::prelude::*;
@@ -394,6 +398,108 @@ fn binning_params(sub: &ActiveSubgraph, bins: u64, global_nodes: usize) -> [Binn
     [derived, exact]
 }
 
+/// The greedy step written out plainly: collect, sort and dedup the colors
+/// of a node's colored neighbors, then take the first palette color not
+/// among them.
+fn reference_greedy(
+    graph: &CsrGraph,
+    palettes: &[Palette],
+    coloring: &mut Coloring,
+    nodes: &[NodeId],
+) -> Result<(), CoreError> {
+    for &v in nodes {
+        let mut used: Vec<Color> = graph
+            .neighbors(v)
+            .filter_map(|u| coloring.color_of(u))
+            .collect();
+        used.sort_unstable();
+        used.dedup();
+        let color = palettes[v.index()]
+            .iter()
+            .find(|c| used.binary_search(c).is_err())
+            .ok_or(CoreError::PaletteExhausted { node: v })?;
+        coloring.assign(v, color)?;
+    }
+    Ok(())
+}
+
+/// The palette update written out plainly: one `Palette::remove` per
+/// colored neighbor.
+fn reference_update(
+    graph: &CsrGraph,
+    palettes: &mut [Palette],
+    coloring: &Coloring,
+    nodes: &[NodeId],
+) -> usize {
+    let mut removed = 0;
+    for &v in nodes {
+        for u in graph.neighbors(v) {
+            if let Some(color) = coloring.color_of(u) {
+                removed += usize::from(palettes[v.index()].remove(color));
+            }
+        }
+    }
+    removed
+}
+
+/// An input of the local-coloring property, drawn from `seed`: palettes,
+/// a partial coloring, the uncolored nodes in a drawn order, and every
+/// node in a drawn order with the first two repeated.
+///
+/// Range palettes are `0..len` minus a drawn removed set, with `len` up to
+/// d(v) + 3 (so some have p(v) ≤ d(v)) and now and then 2⁴⁰, far wider
+/// than any degree. Explicit lists hold up to d(v) + 3 colors. Colors of
+/// lists and of the coloring are small, or within a few of 2⁴⁰ or of
+/// `MAX_HASHABLE_COLOR`.
+fn local_coloring_input(
+    graph: &CsrGraph,
+    explicit: bool,
+    seed: u64,
+) -> (Vec<Palette>, Coloring, Vec<NodeId>, Vec<NodeId>) {
+    let mut draws = 0u64;
+    let mut draw = |below: u64| {
+        draws += 1;
+        splitmix64(seed ^ draws.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % below
+    };
+    let small = graph.max_degree() as u64 + 4;
+    let color = |draw: &mut dyn FnMut(u64) -> u64| match draw(8) {
+        0 => Color(MAX_HASHABLE_COLOR.0 - draw(4)),
+        1 => Color((1 << 40) - 1 - draw(4)),
+        _ => Color(draw(small)),
+    };
+    let palettes = graph
+        .nodes()
+        .map(|v| {
+            let size = draw(graph.degree(v) as u64 + 4);
+            if explicit {
+                return Palette::explicit((0..size).map(|_| color(&mut draw)));
+            }
+            let len = if draw(8) == 0 { 1 << 40 } else { size };
+            let mut palette = Palette::range(len);
+            for _ in 0..draw(small) {
+                palette.remove(color(&mut draw));
+            }
+            palette
+        })
+        .collect();
+    let mut coloring = Coloring::empty(graph.node_count());
+    for v in graph.nodes() {
+        if draw(2) == 0 {
+            coloring.assign(v, color(&mut draw)).unwrap();
+        }
+    }
+    let mut order: Vec<(u64, NodeId)> = graph.nodes().map(|v| (draw(u64::MAX), v)).collect();
+    order.sort_unstable();
+    let mut everyone: Vec<NodeId> = order.into_iter().map(|(_, v)| v).collect();
+    let uncolored = everyone
+        .iter()
+        .copied()
+        .filter(|&v| !coloring.is_colored(v))
+        .collect();
+    everyone.extend_from_within(..2);
+    (palettes, coloring, uncolored, everyone)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -423,16 +529,45 @@ proptest! {
     fn palette_updates_preserve_colorability(graph in arb_graph(40), mask in any::<u64>()) {
         let instance = ListColoringInstance::delta_plus_one(&graph).unwrap();
         for v in graph.nodes() {
-            let mut palette = instance.palette(v).clone();
-            let removed: Vec<Color> = graph
-                .neighbors(v)
-                .enumerate()
-                .filter(|(i, _)| (mask >> (i % 64)) & 1 == 1)
-                .map(|(i, _)| Color(i as u64 % (graph.max_degree() as u64 + 1)))
-                .collect();
-            palette.remove_all(removed.iter().copied());
+            // Color the masked neighbors, the i-th with i mod (Δ + 1).
+            let mut coloring = Coloring::empty(graph.node_count());
+            for (i, u) in graph.neighbors(v).enumerate() {
+                if (mask >> (i % 64)) & 1 == 1 {
+                    let color = Color(i as u64 % (graph.max_degree() as u64 + 1));
+                    coloring.assign(u, color).unwrap();
+                }
+            }
+            let mut palettes = instance.palettes().to_vec();
+            update_palettes_from_neighbors(&graph, &mut palettes, &coloring, &[v]);
+            let palette = &palettes[v.index()];
             prop_assert!(palette.size() >= instance.palette(v).size() - graph.degree(v));
             prop_assert!(!palette.is_empty() || graph.degree(v) >= instance.palette(v).size());
+        }
+    }
+
+    /// Both local-coloring kernels against the plain references, on range
+    /// palettes with drawn removed sets and on explicit lists, under a drawn
+    /// partial coloring: the update removes the same colors and counts them
+    /// the same, and greedy coloring, from the drawn palettes and from the
+    /// updated ones, gives the same partial coloring and the same error
+    /// (`PaletteExhausted` at the same node) or none.
+    #[test]
+    fn local_coloring_kernels_match_plain_references(graph in arb_graph(40), seed in any::<u64>()) {
+        for explicit in [false, true] {
+            let (palettes, coloring, uncolored, everyone) =
+                local_coloring_input(&graph, explicit, seed);
+            let (mut updated, mut expected) = (palettes.clone(), palettes.clone());
+            let removed = update_palettes_from_neighbors(&graph, &mut updated, &coloring, &everyone);
+            let reference = reference_update(&graph, &mut expected, &coloring, &everyone);
+            prop_assert_eq!(removed, reference);
+            prop_assert_eq!(&updated, &expected);
+            for palettes in [&palettes, &updated] {
+                let (mut colored, mut expected) = (coloring.clone(), coloring.clone());
+                let result = color_greedily(&graph, palettes, &mut colored, &uncolored);
+                let reference = reference_greedy(&graph, palettes, &mut expected, &uncolored);
+                prop_assert_eq!(result, reference);
+                prop_assert_eq!(&colored, &expected);
+            }
         }
     }
 
@@ -626,8 +761,9 @@ proptest! {
     /// (and, on a sparse power-law graph and the arbitrary one, list colors
     /// from 𝔫² and from 2⁵⁰), B ∈ {2, 3, 5, 7}, all nodes or a random half
     /// active, and 1, 63, 64 or 65 seeds (two groups), each lane's cost has
-    /// the reference's bits, and the one-lane call matches the reference
-    /// node by node.
+    /// the reference's bits, each seed's recorded lane holds the reference's
+    /// bins and verdicts, and the one-lane call matches the reference node
+    /// by node.
     #[test]
     fn binning_kernel_matches_a_plain_reference(
         graph in arb_graph(40),
@@ -692,11 +828,13 @@ proptest! {
                                 .map(|bins| reference_binning(&sub, &params, bins))
                                 .collect();
                             let tests = NodeTests::new(&sub, &params);
+                            let mut record = ScoredLanes::default();
                             for (lanes, groups) in planes {
+                                record.start(&seeds[..lanes], bins);
                                 let costs: Vec<u64> = groups
                                     .iter()
                                     .flat_map(|group| {
-                                        binning_costs(graph, &sub, &params, &tests, group)
+                                        binning_costs(graph, &sub, &params, &tests, group, &mut record)
                                     })
                                     .map(f64::to_bits)
                                     .collect();
@@ -708,6 +846,16 @@ proptest! {
                                     costs == expected,
                                     "{case}, {lanes} lanes: {costs:?} != {expected:?}"
                                 );
+                                // Every seed's recorded lane holds its bins and
+                                // verdicts.
+                                for (k, eval) in reference[..lanes].iter().enumerate() {
+                                    let lane: Vec<(u32, bool)> =
+                                        record.lane(&seeds[k]).unwrap().collect();
+                                    let bins = eval.node_bin.iter().copied();
+                                    let verdicts = eval.node_good.iter().copied();
+                                    let expected: Vec<(u32, bool)> = bins.zip(verdicts).collect();
+                                    prop_assert!(lane == expected, "{case}, seed {k} of {lanes}");
+                                }
                             }
                             for k in [0, 64] {
                                 let one_lane = evaluate_binning(
