@@ -29,10 +29,10 @@
 //!   palette exceeds its in-bin degree for `LowSpacePartition`. As in §2.4,
 //!   where every machine scores every candidate of a chunk, each node
 //!   already holds its bin and verdict under the broadcast minimizer, so
-//!   the partition reads its chosen seed's lane from that record instead of
-//!   binning again. A multi-salt search can pick a seed from an earlier
-//!   pass, which the latest call did not score: that seed is scored alone
-//!   first, so there is one read-out path;
+//!   the partition reads its chosen seed's lane from that record, with no
+//!   second pass over the edges. A multi-salt search can pick a seed from
+//!   an earlier pass, which the latest call did not score: that seed is
+//!   scored alone first, so there is one read-out path;
 //! * [`evaluate_binning`] classifies every active node and bin under the
 //!   one-lane group [`HashPair::planes`] builds for a seed: the plain
 //!   read-out the tests check the lanes against.

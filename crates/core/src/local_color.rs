@@ -8,10 +8,9 @@
 //! Lemma 3.2) guarantees this always succeeds.
 //!
 //! Both kernels mark a node's neighbor colors in one bitmap, sized once per
-//! call and cleared per node, instead of collecting and sorting them. The
-//! greedy step marks only the window its first free color must lie in; the
-//! update marks a range palette's whole range and rebuilds its removed set
-//! from the bitmap in one scan.
+//! call and cleared per node. The greedy step marks only the window its
+//! first free color must lie in; the update marks a range palette's whole
+//! range and rebuilds its removed set from the bitmap in one scan.
 
 use cc_graph::coloring::Coloring;
 use cc_graph::csr::CsrGraph;
