@@ -19,13 +19,14 @@ use cc_graph::{Color, NodeId};
 
 use crate::error::CoreError;
 
-/// A bitmap over positions `0..width`, reused across a call's nodes.
+/// A bitmap over positions `0..width`, reused across a call's nodes, with
+/// one spare word past the widest window.
 struct Marks(Vec<u64>);
 
 impl Marks {
     /// A bitmap for widths up to `width`.
     fn new(width: usize) -> Self {
-        Marks(vec![0; width.div_ceil(64)])
+        Marks(vec![0; width.div_ceil(64) + 1])
     }
 
     /// Clears positions `0..width`.
@@ -36,6 +37,13 @@ impl Marks {
     /// Marks position `i`.
     fn set(&mut self, i: usize) {
         self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Marks position `i` if it is below `width`, without a branch: any
+    /// other position sets a bit of the spare word, which nothing reads.
+    fn set_below(&mut self, i: u64, width: usize) {
+        let spare = (self.0.len() - 1) * 64;
+        self.set(if i < width as u64 { i as usize } else { spare });
     }
 
     /// The first unmarked position below `width`, if any.
@@ -66,6 +74,21 @@ impl Marks {
     }
 }
 
+/// Every node's color as a plain value, `u64::MAX` for an uncolored node:
+/// the range kernels mark a neighbor's color from it without branching on
+/// whether the neighbor has one, which half the neighbors may not. No range
+/// palette holds `u64::MAX`, so a node with that color marks nothing there,
+/// as it should.
+fn color_values(coloring: &Coloring) -> Vec<u64> {
+    (0..coloring.node_count())
+        .map(|i| {
+            coloring
+                .color_of(NodeId::from_index(i))
+                .map_or(u64::MAX, |c| c.0)
+        })
+        .collect()
+}
+
 /// How many of a palette's smallest colors can hold the first one that `d`
 /// neighbors leave free: `d` + 1 of them, plus the removed colors of a range
 /// palette, capped at the palette.
@@ -92,24 +115,31 @@ pub fn color_greedily(
 ) -> Result<(), CoreError> {
     let window = |v: NodeId| greedy_window(&palettes[v.index()], graph.degree(v));
     let mut marks = Marks::new(nodes.iter().map(|&v| window(v)).max().unwrap_or(0));
+    let ranges = nodes.iter().any(|v| palettes[v.index()].is_implicit());
+    let mut values = if ranges {
+        color_values(coloring)
+    } else {
+        Vec::new()
+    };
     // cc-lint: region(no_alloc)
     for &v in nodes {
         let width = window(v);
         marks.clear(width);
-        let neighbor_colors = graph.neighbors(v).filter_map(|u| coloring.color_of(u));
         // Mark the window's blocked positions: a range palette's position is
         // the color itself, an explicit palette's its index in the list.
         let color = match &palettes[v.index()] {
             Palette::Range { removed, .. } => {
-                let blocked = neighbor_colors.chain(removed.iter().copied());
-                for Color(c) in blocked.filter(|c| c.0 < width as u64) {
-                    marks.set(c as usize);
+                for u in graph.neighbor_slice(v) {
+                    marks.set_below(values[u.index()], width);
+                }
+                for &Color(c) in removed {
+                    marks.set_below(c, width);
                 }
                 marks.first_clear(width).map(|c| Color(c as u64))
             }
             Palette::Explicit(colors) => {
                 let colors = &colors[..width];
-                for color in neighbor_colors {
+                for color in graph.neighbors(v).filter_map(|u| coloring.color_of(u)) {
                     if let Ok(i) = colors.binary_search(&color) {
                         marks.set(i);
                     }
@@ -119,6 +149,9 @@ pub fn color_greedily(
         };
         let color = color.ok_or(CoreError::PaletteExhausted { node: v })?;
         coloring.assign(v, color)?;
+        if ranges {
+            values[v.index()] = color.0;
+        }
     }
     // cc-lint: end_region
     Ok(())
@@ -152,16 +185,16 @@ pub fn update_palettes_from_neighbors(
         |palettes: &[Palette], v: NodeId| update_width(&palettes[v.index()], graph.degree(v));
     let widest = nodes.iter().filter_map(|&v| width(palettes, v)).max();
     let mut marks = Marks::new(widest.unwrap_or(0));
+    let values = widest.map_or(Vec::new(), |_| color_values(coloring));
     let mut count = 0usize;
     // cc-lint: region(no_alloc)
     for &v in nodes {
         let width = width(palettes, v);
-        let neighbor_colors = graph.neighbors(v).filter_map(|u| coloring.color_of(u));
         match (&mut palettes[v.index()], width) {
             (Palette::Range { removed, .. }, Some(width)) => {
                 marks.clear(width);
-                for Color(c) in neighbor_colors.filter(|c| c.0 < width as u64) {
-                    marks.set(c as usize);
+                for u in graph.neighbor_slice(v) {
+                    marks.set_below(values[u.index()], width);
                 }
                 let before = removed.len();
                 for &Color(c) in removed.iter() {
@@ -173,7 +206,10 @@ pub fn update_palettes_from_neighbors(
             }
             // A neighbor's color is rarely in an explicit list, so one
             // binary search per colored neighbor beats marking the list.
-            (palette, _) => count += neighbor_colors.filter(|&c| palette.remove(c)).count(),
+            (palette, _) => {
+                let neighbor_colors = graph.neighbors(v).filter_map(|u| coloring.color_of(u));
+                count += neighbor_colors.filter(|&c| palette.remove(c)).count();
+            }
         }
     }
     // cc-lint: end_region
