@@ -10,7 +10,9 @@
 //! Both kernels mark a node's neighbor colors in one bitmap, sized once per
 //! call and cleared per node. The greedy step marks only the window its
 //! first free color must lie in; the update marks a range palette's whole
-//! range and rebuilds its removed set from the bitmap in one scan.
+//! range and rebuilds its removed set from the bitmap in one scan. For a
+//! range palette, where a color is its own bitmap position, neighbor colors
+//! come from an array of plain values, so marking one takes no branch.
 
 use cc_graph::coloring::Coloring;
 use cc_graph::csr::CsrGraph;
