@@ -40,8 +40,6 @@
 //! `ColorReduce` and `LowSpaceColorReduce` then color the bins through one
 //! recursion step, `color_reduce::color_bins`.
 
-use std::cell::RefCell;
-
 use cc_derand::SeedCost;
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
@@ -741,17 +739,15 @@ impl ScoredLanes {
 /// search chose, read from `lanes`, where the cost records its latest
 /// scoring call. A seed that call did not score (a multi-salt search can
 /// pick one from an earlier pass) is scored alone first.
-pub(crate) fn chosen_lane(
-    cost: &dyn SeedCost,
-    lanes: &RefCell<ScoredLanes>,
+pub(crate) fn chosen_lane<C: SeedCost>(
+    cost: &mut C,
+    lanes: impl Fn(&C) -> &ScoredLanes,
     seed: &BitSeed,
 ) -> Vec<(u32, bool)> {
-    let scored = lanes.borrow().lane(seed).is_some();
-    if !scored {
+    if lanes(cost).lane(seed).is_none() {
         cost.total_costs(std::slice::from_ref(seed));
     }
-    let lanes = lanes.borrow();
-    let lane = lanes.lane(seed).expect("the chosen seed was scored");
+    let lane = lanes(cost).lane(seed).expect("the chosen seed was scored");
     lane.collect()
 }
 

@@ -7,17 +7,18 @@
 //! by an already-colored neighbor. The invariant `p(v) > d(v)` (maintained by
 //! Lemma 3.2) guarantees this always succeeds.
 //!
-//! Both kernels mark a node's neighbor colors in one bitmap, sized once per
-//! call and cleared per node. The greedy step marks only the window its
-//! first free color must lie in; the update marks a range palette's whole
-//! range and rebuilds its removed set from the bitmap in one scan. For a
-//! range palette, where a color is its own bitmap position, neighbor colors
-//! come from an array of plain values, so marking one takes no branch.
+//! Both kernels mark a node's removed base positions and those of its
+//! neighbors' colors in one bitmap, sized once per call and cleared per
+//! node: the greedy step only the window its first free position must lie
+//! in, the update the whole base, whose removed set it then rebuilds from
+//! the bitmap. Only finding a color's position depends on the base, chosen
+//! once per node: in a range it is the color, read from an array of plain
+//! values without a branch; in a list a binary search finds it.
 
 use cc_graph::coloring::Coloring;
 use cc_graph::csr::CsrGraph;
-use cc_graph::palette::Palette;
-use cc_graph::{Color, NodeId};
+use cc_graph::palette::{Base, Palette};
+use cc_graph::NodeId;
 
 use crate::error::CoreError;
 
@@ -31,74 +32,89 @@ impl Marks {
         Marks(vec![0; width.div_ceil(64) + 1])
     }
 
-    /// Clears positions `0..width`.
-    fn clear(&mut self, width: usize) {
-        self.0[..width.div_ceil(64)].fill(0);
-    }
-
-    /// Marks position `i`.
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
+    /// The words holding positions `0..width`.
+    fn words(&self, width: usize) -> &[u64] {
+        &self.0[..width.div_ceil(64)]
     }
 
     /// Marks position `i` if it is below `width`, without a branch: any
     /// other position sets a bit of the spare word, which nothing reads.
     fn set_below(&mut self, i: u64, width: usize) {
-        let spare = (self.0.len() - 1) * 64;
-        self.set(if i < width as u64 { i as usize } else { spare });
+        let i = if i < width as u64 {
+            i as usize
+        } else {
+            (self.0.len() - 1) * 64
+        };
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Clears positions `0..width`, then marks those that `palette` has
+    /// removed or that hold the colors of `v`'s colored neighbors, which a
+    /// range reads from `values` and a list from `coloring`.
+    fn mark(
+        &mut self,
+        palette: &Palette,
+        width: usize,
+        (graph, v): (&CsrGraph, NodeId),
+        (values, coloring): (&[u64], &Coloring),
+    ) {
+        self.0[..width.div_ceil(64)].fill(0);
+        for &p in palette.removed() {
+            self.set_below(p, width);
+        }
+        match palette.base() {
+            Base::Range(_) => {
+                for u in graph.neighbor_slice(v) {
+                    self.set_below(values[u.index()], width);
+                }
+            }
+            Base::List(list) => {
+                for color in graph.neighbors(v).filter_map(|u| coloring.color_of(u)) {
+                    if let Ok(i) = list[..width].binary_search(&color) {
+                        self.set_below(i as u64, width);
+                    }
+                }
+            }
+        }
     }
 
     /// The first unmarked position below `width`, if any.
-    fn first_clear(&self, width: usize) -> Option<usize> {
-        self.0[..width.div_ceil(64)]
-            .iter()
-            .enumerate()
-            .find(|(_, &word)| word != u64::MAX)
-            .map(|(w, word)| w * 64 + (!word).trailing_zeros() as usize)
-            .filter(|&i| i < width)
+    fn first_clear(&self, width: usize) -> Option<u64> {
+        let (w, word) = (0..)
+            .zip(self.words(width))
+            .find(|(_, &word)| word != u64::MAX)?;
+        Some(w * 64 + u64::from((!word).trailing_zeros())).filter(|&p| p < width as u64)
     }
 
     /// The marked positions below `width`, ascending.
-    fn marked(&self, width: usize) -> impl Iterator<Item = usize> + '_ {
-        self.0[..width.div_ceil(64)]
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| {
-                let mut rest = word;
-                std::iter::from_fn(move || {
-                    (rest != 0).then(|| {
-                        let bit = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        w * 64 + bit
-                    })
+    fn marked(&self, width: usize) -> impl Iterator<Item = u64> + '_ {
+        (0..).zip(self.words(width)).flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    w * 64 + u64::from(bit)
                 })
             })
-    }
-}
-
-/// Every node's color as a plain value, `u64::MAX` for an uncolored node:
-/// the range kernels mark a neighbor's color from it without branching on
-/// whether the neighbor has one, which half the neighbors may not. No range
-/// palette holds `u64::MAX`, so a node with that color marks nothing there,
-/// as it should.
-fn color_values(coloring: &Coloring) -> Vec<u64> {
-    (0..coloring.node_count())
-        .map(|i| {
-            coloring
-                .color_of(NodeId::from_index(i))
-                .map_or(u64::MAX, |c| c.0)
         })
-        .collect()
+    }
 }
 
-/// How many of a palette's smallest colors can hold the first one that `d`
-/// neighbors leave free: `d` + 1 of them, plus the removed colors of a range
-/// palette, capped at the palette.
-fn greedy_window(palette: &Palette, d: usize) -> usize {
-    match palette {
-        Palette::Range { len, removed } => (d + 1 + removed.len()).min(*len as usize),
-        Palette::Explicit(colors) => (d + 1).min(colors.len()),
+/// Every node's color as a plain value, `u64::MAX` for an uncolored node,
+/// if some of `nodes` has a range palette: a range marks a neighbor's color
+/// from it without branching on whether the neighbor has one, which half
+/// the neighbors may not. No range holds `u64::MAX`, so that value marks
+/// nothing there; a list may hold it, so lists read the coloring instead.
+fn color_values(palettes: &[Palette], coloring: &Coloring, nodes: &[NodeId]) -> Vec<u64> {
+    if !nodes.iter().any(|v| palettes[v.index()].is_implicit()) {
+        return Vec::new();
     }
+    let mut values = vec![u64::MAX; coloring.node_count()];
+    for (v, color) in coloring.assignments() {
+        values[v.index()] = color.0;
+    }
+    values
 }
 
 /// Greedily colors `nodes` (in the given order) from their current palettes,
@@ -115,61 +131,26 @@ pub fn color_greedily(
     coloring: &mut Coloring,
     nodes: &[NodeId],
 ) -> Result<(), CoreError> {
-    let window = |v: NodeId| greedy_window(&palettes[v.index()], graph.degree(v));
-    let mut marks = Marks::new(nodes.iter().map(|&v| window(v)).max().unwrap_or(0));
-    let ranges = nodes.iter().any(|v| palettes[v.index()].is_implicit());
-    let mut values = if ranges {
-        color_values(coloring)
-    } else {
-        Vec::new()
+    // The first free position lies among the first d(v) + 1 + |removed|.
+    let window = |v: NodeId| {
+        let palette = &palettes[v.index()];
+        (graph.degree(v) + 1 + palette.removed().len()).min(palette.base().size() as usize)
     };
+    let mut marks = Marks::new(nodes.iter().map(|&v| window(v)).max().unwrap_or(0));
+    let mut values = color_values(palettes, coloring, nodes);
     // cc-lint: region(no_alloc)
     for &v in nodes {
-        let width = window(v);
-        marks.clear(width);
-        // Mark the window's blocked positions: a range palette's position is
-        // the color itself, an explicit palette's its index in the list.
-        let color = match &palettes[v.index()] {
-            Palette::Range { removed, .. } => {
-                for u in graph.neighbor_slice(v) {
-                    marks.set_below(values[u.index()], width);
-                }
-                for &Color(c) in removed {
-                    marks.set_below(c, width);
-                }
-                marks.first_clear(width).map(|c| Color(c as u64))
-            }
-            Palette::Explicit(colors) => {
-                let colors = &colors[..width];
-                for color in graph.neighbors(v).filter_map(|u| coloring.color_of(u)) {
-                    if let Ok(i) = colors.binary_search(&color) {
-                        marks.set(i);
-                    }
-                }
-                marks.first_clear(width).map(|i| colors[i])
-            }
-        };
+        let (palette, width) = (&palettes[v.index()], window(v));
+        marks.mark(palette, width, (graph, v), (&values, coloring));
+        let color = marks.first_clear(width).map(|p| palette.base().color(p));
         let color = color.ok_or(CoreError::PaletteExhausted { node: v })?;
         coloring.assign(v, color)?;
-        if ranges {
-            values[v.index()] = color.0;
+        if let Some(value) = values.get_mut(v.index()) {
+            *value = color.0;
         }
     }
     // cc-lint: end_region
     Ok(())
-}
-
-/// The bitmap width a node's palette update uses: a range palette's whole
-/// range, unless that takes more words than the node has neighbors and
-/// removed colors (a range far wider than the degree), in which case, as for
-/// an explicit palette, its neighbors' colors are removed one at a time.
-fn update_width(palette: &Palette, d: usize) -> Option<usize> {
-    match palette {
-        Palette::Range { len, removed } if len.div_ceil(64) <= (d + 1 + removed.len()) as u64 => {
-            Some(*len as usize)
-        }
-        _ => None,
-    }
 }
 
 /// Removes from the palette of every node in `nodes` the colors already used
@@ -183,35 +164,35 @@ pub fn update_palettes_from_neighbors(
     coloring: &Coloring,
     nodes: &[NodeId],
 ) -> usize {
-    let width =
-        |palettes: &[Palette], v: NodeId| update_width(&palettes[v.index()], graph.degree(v));
+    // A node marks its whole base, unless that takes more words than it has
+    // neighbors and removed colors: then it removes colors one at a time.
+    let width = |palettes: &[Palette], v: NodeId| {
+        let (palette, d) = (&palettes[v.index()], graph.degree(v));
+        let size = palette.base().size();
+        (size.div_ceil(64) <= (d + 1 + palette.removed().len()) as u64).then_some(size as usize)
+    };
     let widest = nodes.iter().filter_map(|&v| width(palettes, v)).max();
     let mut marks = Marks::new(widest.unwrap_or(0));
-    let values = widest.map_or(Vec::new(), |_| color_values(coloring));
+    let values = color_values(palettes, coloring, nodes);
     let mut count = 0usize;
     // cc-lint: region(no_alloc)
     for &v in nodes {
-        let width = width(palettes, v);
-        match (&mut palettes[v.index()], width) {
-            (Palette::Range { removed, .. }, Some(width)) => {
-                marks.clear(width);
-                for u in graph.neighbor_slice(v) {
-                    marks.set_below(values[u.index()], width);
-                }
-                let before = removed.len();
-                for &Color(c) in removed.iter() {
-                    marks.set(c as usize);
-                }
-                removed.clear();
-                removed.extend(marks.marked(width).map(|c| Color(c as u64)));
-                count += removed.len() - before;
-            }
-            // A neighbor's color is rarely in an explicit list, so one
-            // binary search per colored neighbor beats marking the list.
-            (palette, _) => {
-                let neighbor_colors = graph.neighbors(v).filter_map(|u| coloring.color_of(u));
-                count += neighbor_colors.filter(|&c| palette.remove(c)).count();
-            }
+        let (width, palette) = (width(palettes, v), &mut palettes[v.index()]);
+        let Some(width) = width else {
+            let neighbor_colors = graph.neighbors(v).filter_map(|u| coloring.color_of(u));
+            count += neighbor_colors.filter(|&c| palette.remove(c)).count();
+            continue;
+        };
+        marks.mark(palette, width, (graph, v), (&values, coloring));
+        let before = palette.removed().len();
+        let after: usize = marks
+            .words(width)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        if after > before {
+            palette.set_removed(marks.marked(width));
+            count += after - before;
         }
     }
     // cc-lint: end_region
@@ -223,6 +204,7 @@ mod tests {
     use super::*;
     use cc_graph::builder::GraphBuilder;
     use cc_graph::instance::ListColoringInstance;
+    use cc_graph::Color;
 
     #[test]
     fn greedy_colors_a_clique_with_exactly_delta_plus_one_colors() {

@@ -10,8 +10,6 @@
 //! the colorless last bin (they then keep their full palettes, so
 //! correctness is unaffected) — the driver reports this as `safety_moves`.
 
-use std::cell::RefCell;
-
 use cc_derand::{SeedCost, SelectionOutcome};
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
@@ -54,7 +52,7 @@ struct LowSpaceCost<'a> {
     /// Each node's bin, and the lanes in which its in-bin palette exceeds
     /// its in-bin degree, under the seeds of the latest
     /// [`SeedCost::total_costs`] call.
-    lanes: RefCell<ScoredLanes>,
+    lanes: ScoredLanes,
 }
 
 impl<'a> LowSpaceCost<'a> {
@@ -81,7 +79,7 @@ impl<'a> LowSpaceCost<'a> {
             bins,
             hashes: HashPair::new(independence, graph, sub, palettes, bins),
             degree_limit,
-            lanes: RefCell::default(),
+            lanes: ScoredLanes::default(),
         }
     }
 }
@@ -91,14 +89,14 @@ impl SeedCost for LowSpaceCost<'_> {
         self.sub.len()
     }
 
-    fn total_cost(&self, seed: &BitSeed) -> f64 {
+    fn total_cost(&mut self, seed: &BitSeed) -> f64 {
         self.total_costs(std::slice::from_ref(seed))[0]
     }
 
     /// One bit-sliced pass over the edges per group of 64 seeds, which also
     /// records every node's bin and palette verdict under each seed.
-    fn total_costs(&self, seeds: &[BitSeed]) -> Vec<f64> {
-        let lanes = &mut *self.lanes.borrow_mut();
+    fn total_costs(&mut self, seeds: &[BitSeed]) -> Vec<f64> {
+        let lanes = &mut self.lanes;
         lanes.start(seeds, self.bins);
         let mut costs = Vec::with_capacity(seeds.len());
         for planes in self.hashes.lane_planes(self.sub, seeds) {
@@ -134,13 +132,13 @@ pub fn low_space_partition(
     config: &LowSpaceConfig,
 ) -> LowSpacePartitionOutcome {
     debug_assert!(bins >= 2);
-    let cost = LowSpaceCost::new(graph, sub, palettes, bins, config.independence);
+    let mut cost = LowSpaceCost::new(graph, sub, palettes, bins, config.independence);
     let seed_outcome = select_seed(
         ctx,
         label,
         config.seed_strategy,
         cost.hashes.seed_bits(),
-        &cost,
+        &mut cost,
         sub,
         0,
     );
@@ -149,7 +147,7 @@ pub fn low_space_partition(
     // Bin the nodes by the chosen seed's lane, as its search scored it.
     let mut bin_lists: Vec<Vec<NodeId>> = vec![Vec::new(); bins as usize];
     let mut safety_moves = 0usize;
-    let lane = chosen_lane(&cost, &cost.lanes, &seed_outcome.seed);
+    let lane = chosen_lane(&mut cost, |cost| &cost.lanes, &seed_outcome.seed);
     for (&v, (bin, palette_exceeds)) in sub.nodes.iter().zip(lane) {
         let is_last = u64::from(bin) == bins - 1;
         // Safety valve: a node whose restricted palette would not strictly
@@ -277,7 +275,7 @@ mod tests {
         {
             let palettes = inst.palettes();
             let sub = ActiveSubgraph::new(&g, palettes, &nodes);
-            let cost = LowSpaceCost::new(&g, &sub, palettes, bins, 3);
+            let mut cost = LowSpaceCost::new(&g, &sub, palettes, bins, 3);
             let seeds: Vec<BitSeed> = (0..70)
                 .map(|k| BitSeed::zeros(cost.hashes.seed_bits()).canonical_completion(0, k))
                 .collect();
@@ -288,7 +286,7 @@ mod tests {
                 let (h1, h2) = cost.hashes.functions(seed);
                 let bin = |v: NodeId| h1.eval(u64::from(v.0));
                 let binning = one_lane(&cost, seed);
-                let recorded: Vec<(u32, bool)> = cost.lanes.borrow().lane(seed).unwrap().collect();
+                let recorded: Vec<(u32, bool)> = cost.lanes.lane(seed).unwrap().collect();
                 let violators = sub.nodes.iter().enumerate().filter(|&(i, &v)| {
                     let same_bin = |u: &NodeId| sub.active[u.index()] && bin(*u) == bin(v);
                     let d_in = g.neighbors(v).filter(same_bin).count() as u32;

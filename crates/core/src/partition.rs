@@ -8,8 +8,6 @@
 //! 𝔫/ℓ² nodes are bad. Bad nodes form the graph G₀ that the caller colors
 //! locally at the end of the call.
 
-use std::cell::RefCell;
-
 use cc_derand::{GreedyChunkSelector, SeedCost, SelectionOutcome};
 use cc_graph::csr::CsrGraph;
 use cc_graph::palette::Palette;
@@ -55,7 +53,7 @@ pub(crate) fn select_seed(
     label: &str,
     strategy: SeedStrategy,
     seed_bits: usize,
-    cost: &dyn SeedCost,
+    cost: &mut dyn SeedCost,
     sub: &ActiveSubgraph,
     tweak: u64,
 ) -> SelectionOutcome {
@@ -102,7 +100,7 @@ struct PartitionCost<'a> {
     bound: f64,
     /// Each node's bin and good lanes under the seeds of the latest
     /// [`SeedCost::total_costs`] call.
-    lanes: RefCell<ScoredLanes>,
+    lanes: ScoredLanes,
 }
 
 impl<'a> PartitionCost<'a> {
@@ -125,7 +123,7 @@ impl<'a> PartitionCost<'a> {
             params,
             hashes: HashPair::new(config.independence, graph, sub, palettes, bins),
             bound: config.bad_node_bound(global_nodes, ell),
-            lanes: RefCell::default(),
+            lanes: ScoredLanes::default(),
         }
     }
 }
@@ -135,14 +133,14 @@ impl SeedCost for PartitionCost<'_> {
         self.sub.len() + self.params.bins as usize
     }
 
-    fn total_cost(&self, seed: &BitSeed) -> f64 {
+    fn total_cost(&mut self, seed: &BitSeed) -> f64 {
         self.total_costs(std::slice::from_ref(seed))[0]
     }
 
     /// One bit-sliced pass over the edges per group of 64 seeds, which also
     /// records every node's bin and verdict under each seed.
-    fn total_costs(&self, seeds: &[BitSeed]) -> Vec<f64> {
-        let lanes = &mut *self.lanes.borrow_mut();
+    fn total_costs(&mut self, seeds: &[BitSeed]) -> Vec<f64> {
+        let lanes = &mut self.lanes;
         lanes.start(seeds, self.params.bins);
         self.hashes
             .lane_planes(self.sub, seeds)
@@ -186,13 +184,13 @@ pub fn partition(
     config: &ColorReduceConfig,
 ) -> PartitionOutcome {
     debug_assert!(bins >= 2, "partition needs at least two bins");
-    let cost = PartitionCost::new(graph, palettes, sub, ell, bins, global_nodes, config);
+    let mut cost = PartitionCost::new(graph, palettes, sub, ell, bins, global_nodes, config);
     let outcome = select_seed(
         ctx,
         label,
         config.seed_strategy,
         cost.hashes.seed_bits(),
-        &cost,
+        &mut cost,
         sub,
         ell.rotate_left(17),
     );
@@ -203,7 +201,7 @@ pub fn partition(
     let mut bin_lists: Vec<Vec<NodeId>> = vec![Vec::new(); bins as usize];
     let mut bin_counts = vec![0usize; bins as usize];
     let mut bad_nodes: Vec<NodeId> = Vec::new();
-    let lane = chosen_lane(&cost, &cost.lanes, &outcome.seed);
+    let lane = chosen_lane(&mut cost, |cost| &cost.lanes, &outcome.seed);
     for (&v, (bin, good)) in sub.nodes.iter().zip(lane) {
         bin_counts[bin as usize] += 1;
         if good {
@@ -322,20 +320,16 @@ mod tests {
 
             // The same search again, then the read-out of its chosen seed,
             // which the latest scoring call holds unless an earlier pass won.
-            let cost = PartitionCost::new(&g, &palettes, &sub, ell, 2, 150, &config);
+            let mut cost = PartitionCost::new(&g, &palettes, &sub, ell, 2, 150, &config);
             let strategy = config.seed_strategy;
             let bits = cost.hashes.seed_bits();
             let tweak = ell.rotate_left(17);
-            let searched = select_seed(&mut ctx(150), "p", strategy, bits, &cost, &sub, tweak);
+            let searched = select_seed(&mut ctx(150), "p", strategy, bits, &mut cost, &sub, tweak);
             let seed = &out.record.seed_outcome.seed;
             assert_eq!(&searched.seed, seed, "case {case}");
-            assert_eq!(
-                cost.lanes.borrow().lane(seed).is_none(),
-                alone,
-                "case {case}"
-            );
-            let lane = chosen_lane(&cost, &cost.lanes, seed);
-            assert!(cost.lanes.borrow().lane(seed).is_some());
+            assert_eq!(cost.lanes.lane(seed).is_none(), alone, "case {case}");
+            let lane = chosen_lane(&mut cost, |cost| &cost.lanes, seed);
+            assert!(cost.lanes.lane(seed).is_some());
             let eval = one_lane(&cost, seed);
             let expected: Vec<(u32, bool)> = eval
                 .node_bin

@@ -17,14 +17,14 @@ pub trait SeedCost {
     /// Total cost `q(seed)` of a fully specified seed: the sum of every
     /// machine's local cost, as the paper's aggregation delivers it. Work
     /// the terms share (hashing every node, simulating a phase) is done once
-    /// per call.
-    fn total_cost(&self, seed: &BitSeed) -> f64;
+    /// per call, and a cost may keep a record of it, hence `&mut self`.
+    fn total_cost(&mut self, seed: &BitSeed) -> f64;
 
     /// The total costs of several fully specified seeds, in order: what one
     /// chunk's aggregation delivers for all of its candidates. The default
     /// calls [`Self::total_cost`] once per seed; a cost that can score many
     /// seeds in one pass over its data overrides it.
-    fn total_costs(&self, seeds: &[BitSeed]) -> Vec<f64> {
+    fn total_costs(&mut self, seeds: &[BitSeed]) -> Vec<f64> {
         seeds.iter().map(|seed| self.total_cost(seed)).collect()
     }
 
@@ -64,7 +64,7 @@ impl SeedCost for BinZeroLoadCost {
         self.keys.len()
     }
 
-    fn total_cost(&self, seed: &BitSeed) -> f64 {
+    fn total_cost(&mut self, seed: &BitSeed) -> f64 {
         let h = self.family.with_seed(seed.clone());
         self.keys.iter().filter(|&&key| h.eval(key) == 0).count() as f64
     }
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn total_cost_counts_keys_in_bin_zero() {
         let family = PolynomialHashFamily::new(2, 100, 4);
-        let cost = BinZeroLoadCost::new(family.clone(), (0..100).collect());
+        let mut cost = BinZeroLoadCost::new(family.clone(), (0..100).collect());
         let seed = BitSeed::zeros(family.seed_bits());
         // Zero seed maps everything to bin 0, so every key costs 1.
         assert_eq!(cost.total_cost(&seed), 100.0);

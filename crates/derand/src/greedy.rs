@@ -126,7 +126,7 @@ impl GreedyChunkSelector {
         ctx: &mut ClusterContext,
         label: &str,
         seed_bits: usize,
-        cost: &dyn SeedCost,
+        cost: &mut dyn SeedCost,
         salt: u64,
         candidates_evaluated: &mut u64,
     ) -> (BitSeed, f64) {
@@ -184,7 +184,7 @@ impl GreedyChunkSelector {
         ctx: &mut ClusterContext,
         label: &str,
         seed_bits: usize,
-        cost: &dyn SeedCost,
+        cost: &mut dyn SeedCost,
     ) -> SelectionOutcome {
         let bound = cost.expectation_bound();
         let mut candidates_evaluated = 0u64;
@@ -241,10 +241,10 @@ mod tests {
     #[test]
     fn selects_seed_meeting_expectation_bound() {
         let family = PolynomialHashFamily::new(2, 1000, 8);
-        let cost = BinZeroLoadCost::new(family.clone(), (0..200).collect());
+        let mut cost = BinZeroLoadCost::new(family.clone(), (0..200).collect());
         let selector = GreedyChunkSelector::default();
         let mut ctx = context();
-        let outcome = selector.select(&mut ctx, "mce", family.seed_bits(), &cost);
+        let outcome = selector.select(&mut ctx, "mce", family.seed_bits(), &mut cost);
         // Expectation is ~200/8 = 25 (+1 slack in the bound); the zero seed
         // would cost 200, so the search must have done real work.
         assert!(
@@ -262,10 +262,10 @@ mod tests {
     #[test]
     fn selection_is_deterministic() {
         let family = PolynomialHashFamily::new(2, 500, 4);
-        let cost = BinZeroLoadCost::new(family.clone(), (0..120).collect());
+        let mut cost = BinZeroLoadCost::new(family.clone(), (0..120).collect());
         let selector = GreedyChunkSelector::new(31, 32, 2);
-        let a = selector.select(&mut context(), "mce", family.seed_bits(), &cost);
-        let b = selector.select(&mut context(), "mce", family.seed_bits(), &cost);
+        let a = selector.select(&mut context(), "mce", family.seed_bits(), &mut cost);
+        let b = selector.select(&mut context(), "mce", family.seed_bits(), &mut cost);
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.achieved_cost, b.achieved_cost);
         assert_eq!(a.candidates_evaluated, b.candidates_evaluated);
@@ -279,7 +279,7 @@ mod tests {
             self.0.machine_count()
         }
 
-        fn total_cost(&self, seed: &BitSeed) -> f64 {
+        fn total_cost(&mut self, seed: &BitSeed) -> f64 {
             self.0.total_cost(seed)
         }
 
@@ -295,10 +295,10 @@ mod tests {
     #[test]
     fn pass_stops_at_the_first_chunk_meeting_the_threshold() {
         let family = PolynomialHashFamily::new(4, 1000, 8);
-        let cost = StopAtBound(BinZeroLoadCost::new(family.clone(), (0..200).collect()));
+        let mut cost = StopAtBound(BinZeroLoadCost::new(family.clone(), (0..200).collect()));
         let selector = GreedyChunkSelector::default();
         let mut ctx = context();
-        let outcome = selector.select(&mut ctx, "stop", family.seed_bits(), &cost);
+        let outcome = selector.select(&mut ctx, "stop", family.seed_bits(), &mut cost);
         // A four-chunk seed, but chunk 0's minimizer already meets the
         // threshold: only its candidates are scored, and only its
         // aggregation and broadcast are charged.
@@ -340,13 +340,13 @@ mod tests {
     #[test]
     fn rounds_scale_with_chunk_count() {
         let family = PolynomialHashFamily::new(2, 100, 4);
-        let cost = BinZeroLoadCost::new(family.clone(), (0..50).collect());
+        let mut cost = BinZeroLoadCost::new(family.clone(), (0..50).collect());
         let coarse = GreedyChunkSelector::new(61, 16, 1);
         let fine = GreedyChunkSelector::new(8, 16, 1);
         let mut ctx_coarse = context();
         let mut ctx_fine = context();
-        coarse.select(&mut ctx_coarse, "mce", family.seed_bits(), &cost);
-        fine.select(&mut ctx_fine, "mce", family.seed_bits(), &cost);
+        coarse.select(&mut ctx_coarse, "mce", family.seed_bits(), &mut cost);
+        fine.select(&mut ctx_fine, "mce", family.seed_bits(), &mut cost);
         assert!(
             ctx_fine.rounds() > ctx_coarse.rounds(),
             "more chunks must cost more rounds ({} vs {})",

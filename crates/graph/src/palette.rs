@@ -1,61 +1,112 @@
 //! Color palettes.
 //!
-//! Every node of a list-coloring instance carries a palette. Two
-//! representations are provided:
+//! Every node of a list-coloring instance carries a palette: a [`Base`] set
+//! of colors minus a sorted set of removed positions in that base. The base
+//! is a range `{0, …, len-1}`, where a color is its own position, or a
+//! sorted color list shared through an [`Arc`], where a binary search finds
+//! a color's position. Ranges are the implicit (Δ+1)-palettes of Section 3.6
+//! of the paper, which store only the colors neighbors took, for O(𝔪 + 𝔫)
+//! total space; lists are the general case, whose input has size Θ(𝔫Δ). A
+//! removal never touches the base, so a clone shares its list.
 //!
-//! * [`Palette::Explicit`] stores the colors as a sorted vector — the general
-//!   (Δ+1)-list coloring case, where the input itself has size Θ(𝔫Δ).
-//! * [`Palette::Range`] stores the interval `{0, …, len-1}` minus a (small)
-//!   set of removed colors — the (Δ+1)-coloring case of Section 3.6 of the
-//!   paper, where palettes are implicit and only colors already used by
-//!   neighbors are stored, giving O(𝔪 + 𝔫) total space.
-//!
-//! The storage cost of a palette in machine words is reported by
-//! [`Palette::words`], which is what the MPC space ledgers charge.
+//! [`Palette::words`] is a palette's storage cost in O(log 𝔫)-bit machine
+//! words, which is what the MPC space ledgers charge.
+
+use std::sync::Arc;
 
 use crate::Color;
 
-/// A palette of allowed colors for one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Palette {
-    /// Explicitly listed colors (sorted, deduplicated).
-    Explicit(Vec<Color>),
-    /// The implicit range `{0, …, len-1}` minus `removed` (sorted,
-    /// deduplicated). Used for (Δ+1)-coloring where the initial palette is
-    /// `[Δ+1]` and need not be materialized.
-    Range {
-        /// Number of colors in the underlying range.
-        len: u64,
-        /// Colors removed from the range (because a neighbor took them),
-        /// sorted and deduplicated; all entries are `< len`.
-        removed: Vec<Color>,
-    },
+/// The colors a palette starts from, at positions `0..size`.
+#[derive(Debug, Clone)]
+pub enum Base {
+    /// The range `{0, …, len-1}`: a color is its own position.
+    Range(u64),
+    /// A sorted, deduplicated color list, shared by every clone.
+    List(Arc<[Color]>),
+}
+
+impl Base {
+    /// Number of colors in the base.
+    pub fn size(&self) -> u64 {
+        match self {
+            Base::Range(len) => *len,
+            Base::List(colors) => colors.len() as u64,
+        }
+    }
+
+    /// The position of `color`, if the base holds it.
+    pub fn position(&self, color: Color) -> Option<u64> {
+        match self {
+            Base::Range(len) => (color.0 < *len).then_some(color.0),
+            Base::List(colors) => colors.binary_search(&color).ok().map(|i| i as u64),
+        }
+    }
+
+    /// The color at `position`, which must be below [`Self::size`].
+    pub fn color(&self, position: u64) -> Color {
+        match self {
+            Base::Range(_) => Color(position),
+            Base::List(colors) => colors[position as usize],
+        }
+    }
+}
+
+/// A palette of allowed colors for one node: its base minus its removed
+/// positions.
+#[derive(Debug, Clone)]
+pub struct Palette {
+    base: Base,
+    /// The removed positions, ascending; boxed and absent until the first
+    /// removal, so that a palette without one takes three words.
+    #[allow(clippy::box_collection)]
+    removed: Option<Box<Vec<u64>>>,
 }
 
 impl Palette {
+    /// All of `base`, nothing removed.
+    fn whole(base: Base) -> Self {
+        Palette {
+            base,
+            removed: None,
+        }
+    }
+
     /// An explicit palette from an arbitrary iterator of colors; duplicates
     /// are collapsed.
     pub fn explicit(colors: impl IntoIterator<Item = Color>) -> Self {
         let mut v: Vec<Color> = colors.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        Palette::Explicit(v)
+        Palette::whole(Base::List(v.into()))
     }
 
     /// The implicit palette `{0, …, len-1}`.
     pub fn range(len: u64) -> Self {
-        Palette::Range {
-            len,
-            removed: Vec::new(),
-        }
+        Palette::whole(Base::Range(len))
+    }
+
+    /// The colors this palette started from.
+    pub fn base(&self) -> &Base {
+        &self.base
+    }
+
+    /// The positions in [`Self::base`] no longer available, ascending.
+    pub fn removed(&self) -> &[u64] {
+        self.removed.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// Replaces the removed set with `positions`, ascending, a superset.
+    pub fn set_removed(&mut self, positions: impl IntoIterator<Item = u64>) {
+        let removed = self.removed.get_or_insert_default();
+        removed.clear();
+        removed.extend(positions);
+        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(removed.last().is_none_or(|&p| p < self.base.size()));
     }
 
     /// Number of colors currently available.
     pub fn size(&self) -> usize {
-        match self {
-            Palette::Explicit(colors) => colors.len(),
-            Palette::Range { len, removed } => (*len as usize).saturating_sub(removed.len()),
-        }
+        self.base.size() as usize - self.removed().len()
     }
 
     /// Whether the palette is empty.
@@ -65,76 +116,50 @@ impl Palette {
 
     /// Whether `color` is available in this palette.
     pub fn contains(&self, color: Color) -> bool {
-        match self {
-            Palette::Explicit(colors) => colors.binary_search(&color).is_ok(),
-            Palette::Range { len, removed } => {
-                color.0 < *len && removed.binary_search(&color).is_err()
-            }
-        }
+        (self.base.position(color)).is_some_and(|p| self.removed().binary_search(&p).is_err())
     }
 
     /// Removes `color` if present; returns whether it was present.
     pub fn remove(&mut self, color: Color) -> bool {
-        match self {
-            Palette::Explicit(colors) => match colors.binary_search(&color) {
-                Ok(i) => {
-                    colors.remove(i);
-                    true
-                }
-                Err(_) => false,
-            },
-            Palette::Range { len, removed } => {
-                if color.0 >= *len {
-                    return false;
-                }
-                match removed.binary_search(&color) {
-                    Ok(_) => false,
-                    Err(i) => {
-                        removed.insert(i, color);
-                        true
-                    }
-                }
-            }
-        }
+        let Some(p) = self.base.position(color) else {
+            return false;
+        };
+        let removed = self.removed.get_or_insert_default();
+        let Err(i) = removed.binary_search(&p) else {
+            return false;
+        };
+        removed.insert(i, p);
+        true
     }
 
     /// Iterator over the available colors, in increasing order.
     pub fn iter(&self) -> PaletteIter<'_> {
-        match self {
-            Palette::Explicit(colors) => PaletteIter::Explicit(colors.iter()),
-            Palette::Range { len, removed } => PaletteIter::Range {
-                next: 0,
-                len: *len,
-                removed,
-                removed_pos: 0,
-            },
+        PaletteIter {
+            base: &self.base,
+            next: 0,
+            removed: self.removed(),
         }
     }
 
-    /// The largest available color, if any. A range palette steps down from
-    /// `len − 1` past its removed top colors instead of walking the range.
+    /// The largest available color, if any: the base's last position not
+    /// among the removed top ones, found without walking the base.
     pub fn max_color(&self) -> Option<Color> {
-        match self {
-            Palette::Explicit(colors) => colors.last().copied(),
-            Palette::Range { len, removed } => {
-                // One past the candidate; `removed` is sorted and below `len`.
-                let mut end = *len;
-                for &Color(c) in removed.iter().rev() {
-                    if c + 1 != end {
-                        break;
-                    }
-                    end = c;
-                }
-                end.checked_sub(1).map(Color)
+        // One past the candidate position.
+        let mut end = self.base.size();
+        for &p in self.removed().iter().rev() {
+            if p + 1 != end {
+                break;
             }
+            end = p;
         }
+        end.checked_sub(1).map(|p| self.base.color(p))
     }
 
     /// Returns a new explicit palette containing only the colors for which
     /// `keep` returns true. This is how `Partition` restricts palettes to the
     /// colors hashed into a node's bin.
     pub fn filtered(&self, mut keep: impl FnMut(Color) -> bool) -> Palette {
-        Palette::Explicit(self.iter().filter(|&c| keep(c)).collect())
+        Palette::whole(Base::List(self.iter().filter(|&c| keep(c)).collect()))
     }
 
     /// Materializes the palette as an explicit, sorted color vector.
@@ -144,21 +169,35 @@ impl Palette {
 
     /// Storage cost in O(log 𝔫)-bit machine words.
     ///
-    /// Explicit palettes cost one word per color; range palettes cost one
-    /// word for the bound plus one word per removed color (the
+    /// Explicit palettes cost one word per available color; range palettes
+    /// cost one word for the bound plus one word per removed color (the
     /// representation of Section 3.6).
     pub fn words(&self) -> usize {
-        match self {
-            Palette::Explicit(colors) => colors.len(),
-            Palette::Range { removed, .. } => 1 + removed.len(),
+        match self.base {
+            Base::Range(_) => 1 + self.removed().len(),
+            Base::List(_) => self.size(),
         }
     }
 
     /// Whether the palette is stored implicitly (range form).
     pub fn is_implicit(&self) -> bool {
-        matches!(self, Palette::Range { .. })
+        matches!(self.base, Base::Range(_))
     }
 }
+
+/// Explicit palettes are equal when they hold the same colors, range ones
+/// when they have the same bound and removed colors.
+impl PartialEq for Palette {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.base, &other.base) {
+            (Base::Range(a), Base::Range(b)) => a == b && self.removed() == other.removed(),
+            (Base::List(_), Base::List(_)) => self.iter().eq(other.iter()),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Palette {}
 
 impl FromIterator<Color> for Palette {
     fn from_iter<T: IntoIterator<Item = Color>>(iter: T) -> Self {
@@ -166,50 +205,29 @@ impl FromIterator<Color> for Palette {
     }
 }
 
-/// Iterator over the available colors of a [`Palette`].
+/// Iterator over the available colors of a [`Palette`]: its base's
+/// positions in order, minus the removed ones.
 #[derive(Debug, Clone)]
-pub enum PaletteIter<'a> {
-    /// Iterator over an explicit palette.
-    Explicit(std::slice::Iter<'a, Color>),
-    /// Iterator over a range palette, skipping removed colors.
-    Range {
-        /// Next candidate color value.
-        next: u64,
-        /// Exclusive upper bound of the range.
-        len: u64,
-        /// Removed colors (sorted).
-        removed: &'a [Color],
-        /// Cursor into `removed`.
-        removed_pos: usize,
-    },
+pub struct PaletteIter<'a> {
+    base: &'a Base,
+    next: u64,
+    /// The removed positions from `next` on.
+    removed: &'a [u64],
 }
 
 impl Iterator for PaletteIter<'_> {
     type Item = Color;
 
     fn next(&mut self) -> Option<Color> {
-        match self {
-            PaletteIter::Explicit(it) => it.next().copied(),
-            PaletteIter::Range {
-                next,
-                len,
-                removed,
-                removed_pos,
-            } => {
-                while *next < *len {
-                    let candidate = Color(*next);
-                    *next += 1;
-                    while *removed_pos < removed.len() && removed[*removed_pos] < candidate {
-                        *removed_pos += 1;
-                    }
-                    if *removed_pos < removed.len() && removed[*removed_pos] == candidate {
-                        continue;
-                    }
-                    return Some(candidate);
-                }
-                None
+        while self.next < self.base.size() {
+            let p = self.next;
+            self.next += 1;
+            match self.removed.split_first() {
+                Some((&r, rest)) if r == p => self.removed = rest,
+                _ => return Some(self.base.color(p)),
             }
         }
+        None
     }
 }
 
@@ -299,6 +317,48 @@ mod tests {
             Palette::explicit([Color(4), Color(2)]).max_color(),
             Some(Color(4))
         );
+    }
+
+    #[test]
+    fn clones_share_the_list_and_keep_their_removals_apart() {
+        let colors: Vec<Color> = (0..10).map(|c| Color(3 * c)).collect();
+        let original = Palette::explicit(colors.iter().copied());
+        let mut copy = original.clone();
+        assert!(copy.remove(Color(6)) && copy.remove(Color(27)));
+        assert_eq!((copy.size(), copy.words()), (8, 8));
+        assert!(!copy.contains(Color(6)));
+        // The original keeps every color; both still share one list.
+        assert_eq!(original.to_vec(), colors);
+        assert_eq!((original.size(), original.words()), (10, 10));
+        assert!(original.removed().is_empty());
+        let (Base::List(a), Base::List(b)) = (original.base(), copy.base()) else {
+            panic!("explicit palettes are lists");
+        };
+        assert!(Arc::ptr_eq(a, b));
+    }
+
+    #[test]
+    fn equality_compares_what_each_kind_stores() {
+        let mut list = Palette::explicit([Color(1), Color(4), Color(9), Color(16)]);
+        list.remove(Color(4));
+        list.remove(Color(16));
+        assert_eq!(list, Palette::explicit([Color(1), Color(9)]));
+        assert_eq!(list.max_color(), Some(Color(9)));
+        assert_ne!(list, Palette::explicit([Color(1), Color(4), Color(9)]));
+        // Ranges compare their bound and removed colors, and no range equals
+        // a list.
+        let mut range = Palette::range(4);
+        range.remove(Color(3));
+        assert_ne!(range, Palette::range(3));
+        let mut same = Palette::range(4);
+        same.remove(Color(3));
+        assert_eq!(range, same);
+        assert_ne!(Palette::range(3), Palette::explicit((0..3).map(Color)));
+    }
+
+    #[test]
+    fn a_palette_is_three_words() {
+        assert_eq!(std::mem::size_of::<Palette>(), 24);
     }
 
     #[test]

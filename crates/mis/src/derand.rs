@@ -52,11 +52,11 @@ impl DerandomizedLubyMis {
         while active.iter().any(|&a| a) && phases < self.max_phases {
             phases += 1;
             ctx.charge_rounds("derand-mis", LUBY_PHASE_ROUNDS);
-            let cost = LubyPhaseCost::new(graph, active.clone());
+            let mut cost = LubyPhaseCost::new(graph, active.clone());
             let family = cost.family.clone();
-            let outcome = self
-                .selector
-                .select(ctx, "derand-mis/seed", family.seed_bits(), &cost);
+            let outcome =
+                self.selector
+                    .select(ctx, "derand-mis/seed", family.seed_bits(), &mut cost);
             let priorities = cost.priorities(&outcome.seed);
             let joins = select_local_minima(graph, &active, &priorities);
             apply_joins(graph, &joins, &mut in_set, &mut active);
@@ -103,7 +103,7 @@ impl SeedCost for LubyPhaseCost<'_> {
         self.graph.node_count()
     }
 
-    fn total_cost(&self, seed: &BitSeed) -> f64 {
+    fn total_cost(&mut self, seed: &BitSeed) -> f64 {
         let priorities = self.priorities(seed);
         let joins = select_local_minima(self.graph, &self.active, &priorities);
         let mut survivors = self.active.clone();

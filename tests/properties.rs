@@ -1,10 +1,11 @@
 //! Property-based tests (proptest) for the core invariants.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use cc_graph::csr::CsrGraph;
 use cc_graph::generators::{instance_with_palettes, GraphFamily, PaletteKind};
-use cc_graph::palette::Palette;
+use cc_graph::palette::{Base, Palette};
 use cc_hash::family::{HashFunction, BITS_PER_COEFFICIENT};
 use cc_hash::seed::splitmix64;
 use cc_hash::{BitSeed, PolynomialHashFamily};
@@ -97,14 +98,21 @@ struct TableCost {
     stop: bool,
 }
 
+impl TableCost {
+    /// The sum of every machine's entry for `seed`'s first chunk.
+    fn total(&self, seed: &BitSeed) -> f64 {
+        let value = seed.chunk(0, self.seed_bits) as usize;
+        self.table.iter().map(|row| row[value]).sum()
+    }
+}
+
 impl SeedCost for TableCost {
     fn machine_count(&self) -> usize {
         self.table.len()
     }
 
-    fn total_cost(&self, seed: &BitSeed) -> f64 {
-        let value = seed.chunk(0, self.seed_bits) as usize;
-        self.table.iter().map(|row| row[value]).sum()
+    fn total_cost(&mut self, seed: &BitSeed) -> f64 {
+        self.total(seed)
     }
 
     fn expectation_bound(&self) -> f64 {
@@ -170,7 +178,7 @@ fn reference_passes(
                 let mut trial = prefix.clone();
                 trial.set_chunk(start, width, value);
                 let completed = trial.canonical_completion(start + width, salt);
-                let total = cost.total_cost(&completed);
+                let total = cost.total(&completed);
                 if best.as_ref().is_none_or(|b| total < b.2) {
                     best = Some((value, completed, total));
                 }
@@ -398,6 +406,91 @@ fn binning_params(sub: &ActiveSubgraph, bins: u64, global_nodes: usize) -> [Binn
     [derived, exact]
 }
 
+/// A palette as a `BTreeSet<Color>`: an explicit palette's available
+/// colors, or a range's removed colors, so that a range 2⁴⁰ wide fits.
+#[derive(Debug, Clone)]
+enum PaletteModel {
+    Range { len: u64, removed: BTreeSet<Color> },
+    List(BTreeSet<Color>),
+}
+
+impl PaletteModel {
+    fn contains(&self, color: Color) -> bool {
+        match self {
+            PaletteModel::Range { len, removed } => color.0 < *len && !removed.contains(&color),
+            PaletteModel::List(colors) => colors.contains(&color),
+        }
+    }
+
+    fn remove(&mut self, color: Color) -> bool {
+        let present = self.contains(color);
+        match self {
+            PaletteModel::Range { removed, .. } if present => removed.insert(color),
+            PaletteModel::Range { .. } => false,
+            PaletteModel::List(colors) => colors.remove(&color),
+        }
+    }
+
+    /// (size, words), as `Palette::size` and `Palette::words` count them.
+    fn size_and_words(&self) -> (usize, usize) {
+        match self {
+            PaletteModel::Range { len, removed } => {
+                (*len as usize - removed.len(), 1 + removed.len())
+            }
+            PaletteModel::List(colors) => (colors.len(), colors.len()),
+        }
+    }
+
+    /// The available colors, ascending.
+    fn colors(&self) -> Box<dyn Iterator<Item = Color> + '_> {
+        match self {
+            PaletteModel::Range { len, removed } => {
+                Box::new((0..*len).map(Color).filter(|c| !removed.contains(c)))
+            }
+            PaletteModel::List(colors) => Box::new(colors.iter().copied()),
+        }
+    }
+
+    fn max_color(&self) -> Option<Color> {
+        match self {
+            PaletteModel::Range { len, removed } => {
+                (0..*len).rev().map(Color).find(|c| !removed.contains(c))
+            }
+            PaletteModel::List(colors) => colors.last().copied(),
+        }
+    }
+}
+
+/// A color for the palette property from a drawn `(kind, x)`: within a few
+/// of 2⁴⁰, of `MAX_HASHABLE_COLOR` or of `u64::MAX` (itself included), or,
+/// for half the kinds, `x`, which is small.
+fn palette_color((kind, x): (u8, u64)) -> Color {
+    match kind {
+        0 => Color((1 << 40) - 2 + x % 3),
+        1 => Color(MAX_HASHABLE_COLOR.0 - 1 + x % 3),
+        2 => Color(u64::MAX - x % 3),
+        _ => Color(x),
+    }
+}
+
+/// A drawn palette and its model: with `list`, the explicit palette of the
+/// drawn colors, else the range `0..len`, or `0..2⁴⁰` for `len` 80.
+fn palette_and_model(list: bool, len: u64, colors: &[(u8, u64)]) -> (Palette, PaletteModel) {
+    if list {
+        let colors: BTreeSet<Color> = colors.iter().copied().map(palette_color).collect();
+        return (
+            Palette::explicit(colors.iter().copied()),
+            PaletteModel::List(colors),
+        );
+    }
+    let len = if len == 80 { 1 << 40 } else { len };
+    let model = PaletteModel::Range {
+        len,
+        removed: BTreeSet::new(),
+    };
+    (Palette::range(len), model)
+}
+
 /// The greedy step written out plainly: collect, sort and dedup the colors
 /// of a node's colored neighbors, then take the first palette color not
 /// among them.
@@ -442,18 +535,27 @@ fn reference_update(
     removed
 }
 
+/// The palettes [`local_coloring_input`] draws.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum DrawnPalettes {
+    Ranges,
+    Lists,
+    ListsWithRemovals,
+}
+
 /// An input of the local-coloring property, drawn from `seed`: palettes,
 /// a partial coloring, the uncolored nodes in a drawn order, and every
 /// node in a drawn order with the first two repeated.
 ///
 /// Range palettes are `0..len` minus a drawn removed set, with `len` up to
 /// d(v) + 3 (so some have p(v) ≤ d(v)) and now and then 2⁴⁰, far wider
-/// than any degree. Explicit lists hold up to d(v) + 3 colors. Colors of
-/// lists and of the coloring are small, or within a few of 2⁴⁰ or of
-/// `MAX_HASHABLE_COLOR`.
+/// than any degree. Explicit lists hold up to d(v) + 3 colors; with
+/// removals, up to 7 more, minus a drawn removed set of up to 8 of their
+/// own colors and one drawn color. Colors of lists and of the coloring are
+/// small, or within a few of 2⁴⁰ or of `MAX_HASHABLE_COLOR`.
 fn local_coloring_input(
     graph: &CsrGraph,
-    explicit: bool,
+    kind: DrawnPalettes,
     seed: u64,
 ) -> (Vec<Palette>, Coloring, Vec<NodeId>, Vec<NodeId>) {
     let mut draws = 0u64;
@@ -471,8 +573,22 @@ fn local_coloring_input(
         .nodes()
         .map(|v| {
             let size = draw(graph.degree(v) as u64 + 4);
-            if explicit {
-                return Palette::explicit((0..size).map(|_| color(&mut draw)));
+            match kind {
+                DrawnPalettes::Lists => {
+                    return Palette::explicit((0..size).map(|_| color(&mut draw)));
+                }
+                DrawnPalettes::ListsWithRemovals => {
+                    let extra = draw(8);
+                    let mut palette =
+                        Palette::explicit((0..size + extra).map(|_| color(&mut draw)));
+                    let own = palette.to_vec();
+                    for _ in 0..draw(extra + 2).min(own.len() as u64) {
+                        palette.remove(own[draw(own.len() as u64) as usize]);
+                    }
+                    palette.remove(color(&mut draw));
+                    return palette;
+                }
+                DrawnPalettes::Ranges => {}
             }
             let len = if draw(8) == 0 { 1 << 40 } else { size };
             let mut palette = Palette::range(len);
@@ -546,16 +662,16 @@ proptest! {
     }
 
     /// Both local-coloring kernels against the plain references, on range
-    /// palettes with drawn removed sets and on explicit lists, under a drawn
-    /// partial coloring: the update removes the same colors and counts them
+    /// palettes with drawn removed sets and on explicit lists with and
+    /// without them, under a drawn partial coloring: the update removes the same colors and counts them
     /// the same, and greedy coloring, from the drawn palettes and from the
     /// updated ones, gives the same partial coloring and the same error
     /// (`PaletteExhausted` at the same node) or none.
     #[test]
     fn local_coloring_kernels_match_plain_references(graph in arb_graph(40), seed in any::<u64>()) {
-        for explicit in [false, true] {
-            let (palettes, coloring, uncolored, everyone) =
-                local_coloring_input(&graph, explicit, seed);
+        use DrawnPalettes::{Lists, ListsWithRemovals, Ranges};
+        for kind in [Ranges, Lists, ListsWithRemovals] {
+            let (palettes, coloring, uncolored, everyone) = local_coloring_input(&graph, kind, seed);
             let (mut updated, mut expected) = (palettes.clone(), palettes.clone());
             let removed = update_palettes_from_neighbors(&graph, &mut updated, &coloring, &everyone);
             let reference = reference_update(&graph, &mut expected, &coloring, &everyone);
@@ -631,6 +747,58 @@ proptest! {
             .filter(|(a, b)| nodes.contains(a) && nodes.contains(b))
             .count();
         prop_assert_eq!(sub.graph.edge_count(), kept_edges);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Both palette kinds against a `BTreeSet` model, under a drawn sequence
+    /// of removals, membership tests and restrictions to a drawn residue
+    /// class (`filtered`, which makes a range explicit): after every step,
+    /// size, words, largest color and the first colors agree, as do all
+    /// colors once the palette is narrow enough to list; clones share an
+    /// explicit palette's list, and an explicit palette equals the one its
+    /// available colors make.
+    #[test]
+    fn palettes_match_a_set_model(
+        list in any::<bool>(),
+        len in 0u64..=80,
+        colors in proptest::collection::vec((0u8..6, 0u64..80), 0..40),
+        steps in proptest::collection::vec((0u8..4, (0u8..6, 0u64..80)), 0..60),
+    ) {
+        let (mut palette, mut model) = palette_and_model(list, len, &colors);
+        for (op, color) in steps {
+            let color = palette_color(color);
+            match op {
+                0 | 1 => prop_assert_eq!(palette.remove(color), model.remove(color)),
+                2 => prop_assert_eq!(palette.contains(color), model.contains(color)),
+                // Only a palette narrow enough to walk is filtered.
+                _ if palette.base().size() <= 1 << 12 => {
+                    let class = color.0 % 3;
+                    palette = palette.filtered(|c| c.0 % 3 == class);
+                    let kept = model.colors().filter(|c| c.0 % 3 == class).collect();
+                    model = PaletteModel::List(kept);
+                    prop_assert!(!palette.is_implicit());
+                }
+                _ => {}
+            }
+            prop_assert_eq!(palette.is_implicit(), matches!(model, PaletteModel::Range { .. }));
+            prop_assert_eq!((palette.size(), palette.words()), model.size_and_words());
+            prop_assert_eq!(palette.max_color(), model.max_color());
+            prop_assert!(palette.iter().take(8).eq(model.colors().take(8)));
+        }
+        if palette.base().size() <= 1 << 12 {
+            prop_assert!(palette.iter().eq(model.colors()));
+        }
+        if let PaletteModel::List(colors) = &model {
+            let copy = palette.clone();
+            let (Base::List(a), Base::List(b)) = (palette.base(), copy.base()) else {
+                panic!("an explicit palette has a list");
+            };
+            prop_assert!(Arc::ptr_eq(a, b));
+            prop_assert_eq!(&palette, &Palette::explicit(colors.iter().copied()));
+        }
     }
 }
 
@@ -715,10 +883,10 @@ proptest! {
         };
         let mut runs = Vec::new();
         for stop in [false, true] {
-            let cost = TableCost { bound, stop, ..cost.clone() };
+            let mut cost = TableCost { bound, stop, ..cost.clone() };
             let mut ctx = ClusterContext::new(model.clone());
-            let outcome = selector.select(&mut ctx, "prop", cost.seed_bits, &cost);
-            prop_assert_eq!(outcome.achieved_cost, cost.total_cost(&outcome.seed));
+            let outcome = selector.select(&mut ctx, "prop", cost.seed_bits, &mut cost);
+            prop_assert_eq!(outcome.achieved_cost, cost.total(&outcome.seed));
             prop_assert_eq!(outcome.met_bound, outcome.achieved_cost <= outcome.bound);
             let got = Schedule {
                 seed: outcome.seed.clone(),
