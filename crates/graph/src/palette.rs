@@ -22,7 +22,7 @@ pub enum Base {
     /// The range `{0, …, len-1}`: a color is its own position.
     Range(u64),
     /// A sorted, deduplicated color list, shared by every clone.
-    List(Arc<[Color]>),
+    List(Arc<Vec<Color>>),
 }
 
 impl Base {
@@ -51,8 +51,7 @@ impl Base {
     }
 }
 
-/// A palette of allowed colors for one node: its base minus its removed
-/// positions.
+/// A palette of allowed colors for one node: its base minus its removed positions.
 #[derive(Debug, Clone)]
 pub struct Palette {
     base: Base,
@@ -77,7 +76,7 @@ impl Palette {
         let mut v: Vec<Color> = colors.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        Palette::whole(Base::List(v.into()))
+        Palette::whole(Base::List(Arc::new(v)))
     }
 
     /// The implicit palette `{0, …, len-1}`.
@@ -159,7 +158,8 @@ impl Palette {
     /// `keep` returns true. This is how `Partition` restricts palettes to the
     /// colors hashed into a node's bin.
     pub fn filtered(&self, mut keep: impl FnMut(Color) -> bool) -> Palette {
-        Palette::whole(Base::List(self.iter().filter(|&c| keep(c)).collect()))
+        let kept = self.iter().filter(|&c| keep(c)).collect();
+        Palette::whole(Base::List(Arc::new(kept)))
     }
 
     /// Materializes the palette as an explicit, sorted color vector.
