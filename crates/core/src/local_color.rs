@@ -185,11 +185,8 @@ pub fn update_palettes_from_neighbors(
         };
         marks.mark(palette, width, (graph, v), (&values, coloring));
         let before = palette.removed().len();
-        let after: usize = marks
-            .words(width)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
+        let words = marks.words(width);
+        let after: usize = words.iter().map(|w| w.count_ones() as usize).sum();
         if after > before {
             palette.set_removed(marks.marked(width));
             count += after - before;

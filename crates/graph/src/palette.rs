@@ -115,7 +115,8 @@ impl Palette {
 
     /// Whether `color` is available in this palette.
     pub fn contains(&self, color: Color) -> bool {
-        (self.base.position(color)).is_some_and(|p| self.removed().binary_search(&p).is_err())
+        let position = self.base.position(color);
+        position.is_some_and(|p| self.removed().binary_search(&p).is_err())
     }
 
     /// Removes `color` if present; returns whether it was present.
