@@ -35,7 +35,7 @@ impl Base {
     }
 
     /// The position of `color`, if the base holds it.
-    pub fn position(&self, color: Color) -> Option<u64> {
+    fn position(&self, color: Color) -> Option<u64> {
         match self {
             Base::Range(len) => (color.0 < *len).then_some(color.0),
             Base::List(colors) => colors.binary_search(&color).ok().map(|i| i as u64),
@@ -99,8 +99,8 @@ impl Palette {
         let removed = self.removed.get_or_insert_default();
         removed.clear();
         removed.extend(positions);
-        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(removed.last().is_none_or(|&p| p < self.base.size()));
+        assert!(removed.is_sorted_by(|a, b| a < b));
+        assert!(removed.last().is_none_or(|&p| p < self.base.size()));
     }
 
     /// Number of colors currently available.
