@@ -80,9 +80,8 @@ impl Marks {
 
     /// The first unmarked position below `width`, if any.
     fn first_clear(&self, width: usize) -> Option<u64> {
-        let (w, word) = (0..)
-            .zip(self.words(width))
-            .find(|(_, &word)| word != u64::MAX)?;
+        let words = self.words(width);
+        let (w, word) = (0..).zip(words).find(|(_, &word)| word != u64::MAX)?;
         Some(w * 64 + u64::from((!word).trailing_zeros())).filter(|&p| p < width as u64)
     }
 

@@ -64,10 +64,8 @@ pub struct Palette {
 impl Palette {
     /// All of `base`, nothing removed.
     fn whole(base: Base) -> Self {
-        Palette {
-            base,
-            removed: None,
-        }
+        let removed = None;
+        Palette { base, removed }
     }
 
     /// An explicit palette from an arbitrary iterator of colors; duplicates
@@ -125,11 +123,9 @@ impl Palette {
             return false;
         };
         let removed = self.removed.get_or_insert_default();
-        let Err(i) = removed.binary_search(&p) else {
-            return false;
-        };
-        removed.insert(i, p);
-        true
+        // Where `p` goes, if it is not removed yet.
+        let slot = removed.binary_search(&p).err();
+        slot.inspect(|&i| removed.insert(i, p)).is_some()
     }
 
     /// Iterator over the available colors, in increasing order.
@@ -137,6 +133,7 @@ impl Palette {
         PaletteIter {
             base: &self.base,
             next: 0,
+            end: self.base.size(),
             removed: self.removed(),
         }
     }
@@ -211,8 +208,9 @@ impl FromIterator<Color> for Palette {
 #[derive(Debug, Clone)]
 pub struct PaletteIter<'a> {
     base: &'a Base,
+    /// The positions left, `next..end`, and the removed ones among them.
     next: u64,
-    /// The removed positions from `next` on.
+    end: u64,
     removed: &'a [u64],
 }
 
@@ -220,7 +218,7 @@ impl Iterator for PaletteIter<'_> {
     type Item = Color;
 
     fn next(&mut self) -> Option<Color> {
-        while self.next < self.base.size() {
+        while self.next < self.end {
             let p = self.next;
             self.next += 1;
             match self.removed.split_first() {
@@ -229,6 +227,11 @@ impl Iterator for PaletteIter<'_> {
             }
         }
         None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.end - self.next) as usize - self.removed.len();
+        (left, Some(left))
     }
 }
 
