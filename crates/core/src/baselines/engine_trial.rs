@@ -90,9 +90,12 @@ impl EngineTrialColoring {
 
     /// Packages the baseline as a [`ServiceRequest`]: one
     /// [`TrialColoringProgram`] per node, under this baseline's threads,
-    /// round cap, and label. Submit it to a [`cc_runtime::ColoringService`]
-    /// or run it on `Engine::new(request.config)`, with a recorder or fault
-    /// injector attached if wanted, then finish through
+    /// round cap, and label. Each program gets a clone of its node's
+    /// instance palette, which copies no colors: a range palette is three
+    /// words, and a list palette shares its list through an `Arc`. Submit
+    /// the request to a [`cc_runtime::ColoringService`] or run it on
+    /// `Engine::new(request.config)`, with a recorder or fault injector
+    /// attached if wanted, then finish through
     /// [`EngineTrialColoring::assemble`]. A recorder fills the outcome's
     /// `trace` without changing the coloring, report, or ledger; under an
     /// injector, damaged rounds are retried from checkpoints and crashed or
@@ -113,7 +116,7 @@ impl EngineTrialColoring {
             .nodes()
             .map(|v| {
                 let neighbors: Vec<u32> = graph.neighbor_slice(v).iter().map(|u| u.0).collect();
-                let palette: Vec<u64> = instance.palette(v).iter().map(Color::value).collect();
+                let palette = instance.palette(v).clone();
                 Box::new(TrialColoringProgram::new(
                     v.0, neighbors, palette, self.seed,
                 )) as _
@@ -131,8 +134,9 @@ impl EngineTrialColoring {
 
     /// Turns a raw engine outcome (solo or batched) for this baseline's
     /// programs into the baseline-shaped [`EngineTrialOutcome`]: extracts
-    /// the coloring, repairs conflicts on degraded runs, and completes
-    /// round-cap leftovers greedily.
+    /// the coloring, repairs conflicts on degraded runs, completes
+    /// round-cap leftovers greedily, and trims the ledger to the rounds it
+    /// recorded ([`MessageLedger::trim`]).
     ///
     /// # Errors
     ///
@@ -172,9 +176,11 @@ impl EngineTrialColoring {
         // id order with the smallest palette color no colored neighbor
         // holds.
         color_greedily(graph, instance.palettes(), &mut coloring, &uncolored)?;
+        let mut ledger = run.ledger;
+        ledger.trim();
         Ok(EngineTrialOutcome {
             outcome: outcome("engine-trial", coloring, run.report),
-            ledger: run.ledger,
+            ledger,
             engine_rounds: run.rounds,
             timings: run.timings,
             trace: run.trace,

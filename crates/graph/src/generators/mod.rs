@@ -162,7 +162,11 @@ fn random_list_palettes(
 /// Samples `count` distinct colors from `{0, …, universe-1}`.
 ///
 /// Uses rejection sampling when the universe is much larger than the sample
-/// (the common case) and a shuffle otherwise.
+/// (the common case) and a shuffle otherwise. Rejection sampling draws the
+/// missing colors in a batch, then sorts and dedups: a draw adds at most one
+/// color, so the set can reach `count` only on a batch's last draw, and the
+/// colors and the RNG's stream position are those of drawing one color at a
+/// time until `count` are distinct.
 fn sample_distinct_colors(rng: &mut impl Rng, universe: u64, count: usize) -> Palette {
     if universe <= 4 * count as u64 && universe <= 1 << 22 {
         let mut all: Vec<u64> = (0..universe).collect();
@@ -170,11 +174,14 @@ fn sample_distinct_colors(rng: &mut impl Rng, universe: u64, count: usize) -> Pa
         all.truncate(count);
         Palette::explicit(all.into_iter().map(Color))
     } else {
-        let mut chosen = std::collections::BTreeSet::new();
+        let mut chosen = Vec::with_capacity(count);
         while chosen.len() < count {
-            chosen.insert(rng.gen_range(0..universe));
+            let missing = count - chosen.len();
+            chosen.extend((0..missing).map(|_| Color(rng.gen_range(0..universe))));
+            chosen.sort_unstable();
+            chosen.dedup();
         }
-        Palette::explicit(chosen.into_iter().map(Color))
+        Palette::explicit(chosen)
     }
 }
 
@@ -260,5 +267,53 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let p = sample_distinct_colors(&mut rng, 12, 10);
         assert_eq!(p.size(), 10);
+    }
+
+    /// The sampler drawing one color at a time into a `BTreeSet`: the
+    /// reference for the batched draws.
+    fn sample_one_at_a_time(rng: &mut impl Rng, universe: u64, count: usize) -> Palette {
+        if universe <= 4 * count as u64 && universe <= 1 << 22 {
+            let mut all: Vec<u64> = (0..universe).collect();
+            all.shuffle(rng);
+            all.truncate(count);
+            Palette::explicit(all.into_iter().map(Color))
+        } else {
+            let mut chosen = std::collections::BTreeSet::new();
+            while chosen.len() < count {
+                chosen.insert(rng.gen_range(0..universe));
+            }
+            Palette::explicit(chosen.into_iter().map(Color))
+        }
+    }
+
+    #[test]
+    fn batched_draws_match_one_at_a_time_draws() {
+        let mut cases = ChaCha8Rng::seed_from_u64(0x5a3e);
+        for case in 0..800 {
+            let count = cases.gen_range(0..=300usize);
+            let universe = match case % 4 {
+                // Just below, at and above the shuffle path's bound.
+                0 => 4 * count as u64 + cases.gen_range(0..3) - 1,
+                1 => cases.gen_range(1..=20_000),
+                2 => 1 << 50,
+                _ => count as u64 + cases.gen_range(0..=8 * count as u64),
+            }
+            .max(count as u64)
+            .max(1);
+            let seed = cases.gen();
+            let (mut batched, mut reference) = (
+                ChaCha8Rng::seed_from_u64(seed),
+                ChaCha8Rng::seed_from_u64(seed),
+            );
+            let palette = sample_distinct_colors(&mut batched, universe, count);
+            let case = format!("{count} of {universe}, seed {seed}");
+            assert_eq!(palette.size(), count, "{case}");
+            assert_eq!(
+                palette,
+                sample_one_at_a_time(&mut reference, universe, count),
+                "{case}"
+            );
+            assert_eq!(batched.get_word_pos(), reference.get_word_pos(), "{case}");
+        }
     }
 }

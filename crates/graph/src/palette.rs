@@ -92,8 +92,13 @@ impl Palette {
         self.removed.as_deref().map_or(&[], Vec::as_slice)
     }
 
-    /// Replaces the removed set with `positions`, ascending, a superset.
+    /// Replaces the removed set with `positions`, ascending. A palette
+    /// without a removed set gets one only when `positions` is not empty.
     pub fn set_removed(&mut self, positions: impl IntoIterator<Item = u64>) {
+        let mut positions = positions.into_iter().peekable();
+        if self.removed.is_none() && positions.peek().is_none() {
+            return;
+        }
         let removed = self.removed.get_or_insert_default();
         removed.clear();
         removed.extend(positions);
@@ -126,6 +131,23 @@ impl Palette {
         // Where `p` goes, if it is not removed yet.
         let slot = removed.binary_search(&p).err();
         slot.inspect(|&i| removed.insert(i, p)).is_some()
+    }
+
+    /// The `k`-th available color (from 0, in increasing order), if
+    /// `k < size()`: the base position `k` moved past every removed position
+    /// at or below it.
+    pub fn nth_color(&self, k: usize) -> Option<Color> {
+        if k >= self.size() {
+            return None;
+        }
+        let mut position = k as u64;
+        for &p in self.removed() {
+            if p > position {
+                break;
+            }
+            position += 1;
+        }
+        Some(self.base.color(position))
     }
 
     /// Iterator over the available colors, in increasing order.

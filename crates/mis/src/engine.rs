@@ -116,7 +116,8 @@ impl EngineLubyMis {
 
     /// Turns a raw engine outcome (solo or batched) for this algorithm's
     /// programs into the [`EngineMisOutcome`]: decides undecided nodes,
-    /// repairs degraded runs, and restores maximality greedily.
+    /// repairs degraded runs, restores maximality greedily, and trims the
+    /// ledger to the rounds it recorded ([`cc_runtime::MessageLedger::trim`]).
     pub fn assemble(&self, graph: &CsrGraph, run: EngineOutcome<Option<bool>>) -> EngineMisOutcome {
         // If the round cap cut the protocol short, some nodes are still
         // undecided (`None`): complete deterministically by greedily joining
@@ -147,13 +148,15 @@ impl EngineLubyMis {
                 in_set[i] = true;
             }
         }
+        let mut ledger = run.ledger;
+        ledger.trim();
         EngineMisOutcome {
             result: MisResult {
                 in_set,
                 phases: run.rounds.div_ceil(ENGINE_ROUNDS_PER_PHASE),
             },
             report: run.report,
-            ledger: run.ledger,
+            ledger,
             timings: run.timings,
             trace: run.trace,
             health: run.health,

@@ -98,6 +98,15 @@ impl MessageLedger {
         self.rounds.reserve(rounds);
     }
 
+    /// Releases the room reserved for rounds that never ran. An adapter
+    /// calls this where an outcome leaves for its caller, since a ledger
+    /// reserved for a long round cap usually records a few rounds; the
+    /// engine never does, so that no allocation inside a run depends on
+    /// its round count.
+    pub fn trim(&mut self) {
+        self.rounds.shrink_to_fit();
+    }
+
     /// Folds one sender-chunk's stream digest into the ledger. Must be
     /// called in chunk order within each round — the engine's barrier does
     /// this on the driving thread.
@@ -188,6 +197,28 @@ mod tests {
         assert_eq!(l.rounds()[0].messages, 4);
         assert_eq!(l.total_messages(), 4);
         assert!(l.to_string().contains("1 rounds"));
+    }
+
+    #[test]
+    fn a_trimmed_ledger_holds_only_its_rounds() {
+        let mut l = MessageLedger::new();
+        l.reserve_rounds(512);
+        for round in 0..5 {
+            l.end_round(RoundStats {
+                round,
+                messages: round + 1,
+                max_send_words: 1,
+                max_recv_words: 1,
+            });
+        }
+        let before = l.clone();
+        l.trim();
+        assert_eq!(l.rounds.capacity(), 5);
+        assert_eq!(l, before);
+        let mut empty = MessageLedger::new();
+        empty.reserve_rounds(512);
+        empty.trim();
+        assert_eq!(empty.rounds.capacity(), 0);
     }
 
     #[test]

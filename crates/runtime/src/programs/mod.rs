@@ -9,10 +9,12 @@
 //! * [`luby::LubyMisProgram`] — Luby's MIS, three engine rounds per phase
 //!   (priorities, joins, leaves).
 //!
-//! Programs here depend only on plain adjacency lists and color/priority
-//! words, so `cc-runtime` stays graph-library-agnostic; the `cc-core` and
-//! `cc-mis` crates provide the adapters that build these programs from
-//! `CsrGraph`-based instances and interpret the outputs.
+//! Programs here take plain adjacency lists and exchange color/priority
+//! words; the trial coloring also takes its node's
+//! [`cc_graph::palette::Palette`], so a program shares its instance's
+//! palette instead of copying it. The `cc-core` and `cc-mis` crates provide
+//! the adapters that build these programs from `CsrGraph`-based instances
+//! and interpret the outputs.
 
 pub mod luby;
 pub mod trial;

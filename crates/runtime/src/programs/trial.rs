@@ -10,9 +10,17 @@
 //! the receivers' palettes, so the `p(v) > d(v)` list-coloring invariant
 //! keeps every palette non-empty.
 //!
+//! A node holds its palette as a [`Palette`]: the instance's base (a range
+//! bound, the implicit (Δ+1)-palette of Section 3.6 of the paper, or a color
+//! list shared through an `Arc`) minus the positions its neighbors' colors
+//! took. Building a program therefore copies no colors, and a checkpoint
+//! stores only the removed positions.
+//!
 //! Round parity doubles as the message tag, so every message is a bare
 //! color word — no bits are spent on a type field.
 
+use cc_graph::palette::Palette;
+use cc_graph::Color;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -27,12 +35,10 @@ pub struct TrialColoringProgram {
     /// a neighbor is removed when its color is announced, so every send
     /// loop walks exactly the live neighborhood with no flag checks.
     neighbors: Vec<u32>,
-    /// The still-usable palette, sorted ascending and kept compact so that
-    /// drawing the `k`-th usable color is one index instead of a scan.
-    /// Removals (colors taken by neighbors) happen at most once per
-    /// neighbor; draws happen every propose round, so the compact layout
-    /// pays for the O(palette) shift a removal costs.
-    usable: Vec<u64>,
+    /// The still-usable palette: the node's input palette minus the colors
+    /// its neighbors announced. A draw takes its `k`-th color by walking
+    /// the removed positions, at most one per neighbor.
+    palette: Palette,
     /// This phase's proposal, pending resolution.
     proposal: Option<u64>,
     /// The fixed color, once resolved.
@@ -50,35 +56,25 @@ impl TrialColoringProgram {
     /// # Panics
     ///
     /// Panics if the palette is not larger than the neighborhood.
-    pub fn new(node: u32, mut neighbors: Vec<u32>, mut palette: Vec<u64>, seed: u64) -> Self {
+    pub fn new(node: u32, mut neighbors: Vec<u32>, palette: Palette, seed: u64) -> Self {
         // Callers (the graph adapters) almost always pass strictly
         // ascending lists; one cheap scan then skips the sort + dedup.
         if !neighbors.windows(2).all(|w| w[0] < w[1]) {
             neighbors.sort_unstable();
             neighbors.dedup();
         }
-        if !palette.windows(2).all(|w| w[0] < w[1]) {
-            palette.sort_unstable();
-            palette.dedup();
-        }
         assert!(
-            palette.len() > neighbors.len(),
+            palette.size() > neighbors.len(),
             "node {node}: palette of {} colors for {} neighbors violates p(v) > d(v)",
-            palette.len(),
+            palette.size(),
             neighbors.len()
         );
         TrialColoringProgram {
             neighbors,
-            usable: palette,
+            palette,
             proposal: None,
             color: None,
             rng: ChaCha8Rng::seed_from_u64(seed ^ ((u64::from(node) << 32) | u64::from(node))),
-        }
-    }
-
-    fn remove_color(&mut self, color: u64) {
-        if let Ok(i) = self.usable.binary_search(&color) {
-            self.usable.remove(i);
         }
     }
 }
@@ -92,13 +88,13 @@ impl NodeProgram for TrialColoringProgram {
             // in the previous resolve round: those neighbors are done, and
             // their colors are off-limits.
             for m in env.inbox() {
-                self.remove_color(m.word);
+                self.palette.remove(Color(m.word));
                 if let Ok(pos) = self.neighbors.binary_search(&m.src) {
                     self.neighbors.remove(pos);
                 }
             }
-            let pick = self.rng.gen_range(0..self.usable.len());
-            let proposal = self.usable[pick];
+            let pick = self.rng.gen_range(0..self.palette.size());
+            let proposal = self.palette.nth_color(pick).expect("pick < size").0;
             self.proposal = Some(proposal);
             env.send_slice(&self.neighbors, proposal);
             NodeStatus::Continue
@@ -128,8 +124,10 @@ impl NodeProgram for TrialColoringProgram {
         for &u in &self.neighbors {
             sink.push(u64::from(u));
         }
-        sink.push(self.usable.len() as u64);
-        sink.push_slice(&self.usable);
+        // The base never changes, so only the removed positions are state.
+        let removed = self.palette.removed();
+        sink.push(removed.len() as u64);
+        sink.push_slice(removed);
         push_option(sink, self.proposal);
         push_option(sink, self.color);
         sink.push(self.rng.get_word_pos());
@@ -137,15 +135,16 @@ impl NodeProgram for TrialColoringProgram {
     }
 
     fn restore(&mut self, source: &mut SnapshotSource<'_>) -> bool {
-        // Neighbors and palette only ever shrink, so clearing and
-        // re-extending stays within the vectors' existing capacity.
+        // Neighbors only ever shrink and removed positions only ever grow
+        // between checkpoints, so rewriting both stays within the vectors'
+        // existing capacity.
         let neighbors = source.next_word() as usize;
         self.neighbors.clear();
         self.neighbors
             .extend((0..neighbors).map(|_| source.next_word() as u32));
-        let usable = source.next_word() as usize;
-        self.usable.clear();
-        self.usable.extend_from_slice(source.take(usable));
+        let removed = source.next_word() as usize;
+        self.palette
+            .set_removed(source.take(removed).iter().copied());
         self.proposal = take_option(source);
         self.color = take_option(source);
         self.rng.set_word_pos(source.next_word());
@@ -156,6 +155,7 @@ impl NodeProgram for TrialColoringProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::{Inbox, InboxSegment, Staging};
     use crate::engine::{Engine, EngineConfig};
     use crate::program::NodeProgram;
     use cc_sim::ExecutionModel;
@@ -170,11 +170,10 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, neighbors)| {
-                let palette: Vec<u64> = (0..=neighbors.len() as u64).collect();
                 Box::new(TrialColoringProgram::new(
                     i as u32,
                     neighbors.clone(),
-                    palette,
+                    Palette::range(neighbors.len() as u64 + 1),
                     seed,
                 )) as Box<dyn NodeProgram<Output = Option<u64>>>
             })
@@ -222,31 +221,77 @@ mod tests {
     #[test]
     #[should_panic(expected = "p(v) > d(v)")]
     fn deficient_palettes_are_rejected() {
-        let _ = TrialColoringProgram::new(0, vec![1, 2], vec![5, 9], 1);
+        let palette = Palette::explicit([Color(5), Color(9)]);
+        let _ = TrialColoringProgram::new(0, vec![1, 2], palette, 1);
+    }
+
+    /// Steps `program`, node 2 of a clique of 8, through `round` with the
+    /// messages `(senders, words)` in its inbox.
+    fn step(program: &mut TrialColoringProgram, round: u64, inbox: InboxSegment<'_>) -> NodeStatus {
+        let segments = [inbox];
+        let mut outbox = Staging::new(8);
+        let mut env = NodeEnv::new(2, 8, round, Inbox::new(2, &segments), &mut outbox);
+        program.on_round(&mut env)
+    }
+
+    /// A snapshot of `program` and a copy of it as it was.
+    fn checkpoint(program: &TrialColoringProgram) -> (Vec<u64>, TrialColoringProgram) {
+        let mut words = Vec::new();
+        assert!(program.snapshot(&mut SnapshotSink::new(&mut words)));
+        (words, program.clone())
+    }
+
+    /// Restores `program` from `(words, at)` and checks that every mutable
+    /// field, the RNG position included, is back to `at`.
+    fn assert_rewinds(
+        program: &mut TrialColoringProgram,
+        (words, at): &(Vec<u64>, TrialColoringProgram),
+    ) {
+        assert!(program.restore(&mut SnapshotSource::new(words)));
+        assert_eq!(program.neighbors, at.neighbors);
+        assert_eq!(program.palette.removed(), at.palette.removed());
+        assert_eq!(program.palette, at.palette);
+        assert_eq!(program.proposal, at.proposal);
+        assert_eq!(program.color, at.color);
+        assert_eq!(program.rng.get_word_pos(), at.rng.get_word_pos());
     }
 
     #[test]
     fn snapshot_rewinds_a_stepped_program_exactly() {
-        use crate::columns::{Inbox, Staging};
-        let mut program = TrialColoringProgram::new(2, vec![0, 1, 3], vec![0, 1, 2, 3], 7);
-        // Advance one propose round so the RNG and the proposal are
-        // mid-flight, then checkpoint.
-        let mut outbox = Staging::new(8);
-        let mut env = NodeEnv::new(2, 8, 0, Inbox::empty(2), &mut outbox);
-        program.on_round(&mut env);
-        let mut words = Vec::new();
-        assert!(program.snapshot(&mut SnapshotSink::new(&mut words)));
-        let at_snapshot = program.clone();
-        // The resolve round mutates proposal/color; restore must rewind
-        // every mutable field, including the RNG position.
-        let mut env = NodeEnv::new(2, 8, 1, Inbox::empty(2), &mut outbox);
-        program.on_round(&mut env);
-        assert_ne!(program.color, at_snapshot.color);
-        assert!(program.restore(&mut SnapshotSource::new(&words)));
-        assert_eq!(program.neighbors, at_snapshot.neighbors);
-        assert_eq!(program.usable, at_snapshot.usable);
-        assert_eq!(program.proposal, at_snapshot.proposal);
-        assert_eq!(program.color, at_snapshot.color);
-        assert_eq!(program.rng.get_word_pos(), at_snapshot.rng.get_word_pos());
+        let list = Palette::explicit([3, 8, 20, 41].map(Color));
+        for palette in [Palette::range(4), list] {
+            let mut program = TrialColoringProgram::new(2, vec![0, 1, 3], palette, 7);
+            // Advance one propose round so the RNG and the proposal are
+            // mid-flight, then checkpoint. The resolve round fixes a color.
+            step(&mut program, 0, (&[], &[]));
+            let proposed = checkpoint(&program);
+            assert_eq!(step(&mut program, 1, (&[], &[])), NodeStatus::Halt);
+            assert_ne!(program.color, proposed.1.color);
+            assert_rewinds(&mut program, &proposed);
+            // Neighbor 0, a smaller id, proposes the same color and fixes
+            // it, so the next propose round drops it and its color. The
+            // checkpoint after that holds one removed position.
+            let taken = program.proposal.unwrap();
+            assert_eq!(
+                step(&mut program, 1, (&[0], &[taken])),
+                NodeStatus::Continue
+            );
+            step(&mut program, 2, (&[0], &[taken]));
+            assert_eq!(
+                (program.neighbors.as_slice(), program.palette.size()),
+                (&[1, 3][..], 3)
+            );
+            let removed = checkpoint(&program);
+            // Neighbor 1 does the same; the restore takes back its removal.
+            let taken = program.proposal.unwrap();
+            step(&mut program, 3, (&[1], &[taken]));
+            step(&mut program, 4, (&[1], &[taken]));
+            assert_eq!(
+                (program.neighbors.as_slice(), program.palette.size()),
+                (&[3][..], 2)
+            );
+            assert_rewinds(&mut program, &removed);
+            assert_eq!(program.palette.removed().len(), 1);
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! reports, and message ledgers for every worker-thread count, and model
 //! violations surfaced through the `cc-sim` report machinery.
 
+use cc_graph::palette::Palette;
 use cc_runtime::programs::luby::LubyMisProgram;
 use cc_runtime::programs::trial::TrialColoringProgram;
 use cc_runtime::{word_bits_limit, Engine, EngineConfig, NodeEnv, NodeProgram, NodeStatus};
@@ -40,11 +41,10 @@ fn trial_programs(
         .iter()
         .enumerate()
         .map(|(i, neighbors)| {
-            let palette: Vec<u64> = (0..=neighbors.len() as u64).collect();
             Box::new(TrialColoringProgram::new(
                 i as u32,
                 neighbors.clone(),
-                palette,
+                Palette::range(neighbors.len() as u64 + 1),
                 seed,
             )) as Box<dyn NodeProgram<Output = Option<u64>>>
         })

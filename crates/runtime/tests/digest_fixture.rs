@@ -8,6 +8,7 @@
 //! sender within each chunk, send order within a sender) and chunk order,
 //! so any reordering, dropped message, or changed mix shows up here.
 
+use cc_graph::palette::Palette;
 use cc_runtime::programs::luby::LubyMisProgram;
 use cc_runtime::programs::trial::TrialColoringProgram;
 use cc_runtime::{word_bits_limit, Engine, EngineConfig, NodeProgram};
@@ -44,11 +45,10 @@ fn run_trial(n: usize, graph_seed: u64, program_seed: u64, threads: usize) -> (u
         .iter()
         .enumerate()
         .map(|(i, neighbors)| {
-            let palette: Vec<u64> = (0..=neighbors.len() as u64).collect();
             Box::new(TrialColoringProgram::new(
                 i as u32,
                 neighbors.clone(),
-                palette,
+                Palette::range(neighbors.len() as u64 + 1),
                 program_seed,
             )) as _
         })

@@ -5,6 +5,7 @@
 //! fewer slots than instances (forcing mid-stream retirement and refill)
 //! and submissions arriving while earlier instances are already in flight.
 
+use cc_graph::palette::Palette;
 use cc_runtime::programs::trial::TrialColoringProgram;
 use cc_runtime::{
     ColoringService, Engine, EngineConfig, EngineOutcome, FaultPlan, NodeProgram, ServiceConfig,
@@ -76,11 +77,10 @@ fn programs(spec: &InstanceSpec) -> Vec<Box<dyn NodeProgram<Output = Option<u64>
         .iter()
         .enumerate()
         .map(|(i, neighbors)| {
-            let palette: Vec<u64> = (0..=neighbors.len() as u64).collect();
             Box::new(TrialColoringProgram::new(
                 i as u32,
                 neighbors.clone(),
-                palette,
+                Palette::range(neighbors.len() as u64 + 1),
                 spec.program_seed,
             )) as _
         })

@@ -756,10 +756,12 @@ proptest! {
     /// Both palette kinds against a `BTreeSet` model, under a drawn sequence
     /// of removals, membership tests and restrictions to a drawn residue
     /// class (`filtered`, which makes a range explicit): after every step,
-    /// size, words, largest color and the first colors agree, as do all
-    /// colors once the palette is narrow enough to list; clones share an
-    /// explicit palette's list, and an explicit palette equals the one its
-    /// available colors make.
+    /// size, words, largest color and the first colors agree, as do the
+    /// `k`-th colors (every `k` of a palette narrow enough to list, else the
+    /// first and the last ones, and none at `k` = size), and all colors
+    /// once the palette is narrow enough to list; clones share an explicit
+    /// palette's list, and an explicit palette equals the one its available
+    /// colors make.
     #[test]
     fn palettes_match_a_set_model(
         list in any::<bool>(),
@@ -787,6 +789,15 @@ proptest! {
             prop_assert_eq!((palette.size(), palette.words()), model.size_and_words());
             prop_assert_eq!(palette.max_color(), model.max_color());
             prop_assert!(palette.iter().take(8).eq(model.colors().take(8)));
+            let narrow = palette.base().size() <= 1 << 12;
+            let listed = model.colors().take(if narrow { usize::MAX } else { 8 });
+            for (k, color) in listed.enumerate() {
+                prop_assert_eq!(palette.nth_color(k), Some(color));
+            }
+            let size = palette.size();
+            let last = size.checked_sub(1).and_then(|k| palette.nth_color(k));
+            prop_assert_eq!(last, model.max_color());
+            prop_assert_eq!(palette.nth_color(size), None);
         }
         if palette.base().size() <= 1 << 12 {
             prop_assert!(palette.iter().eq(model.colors()));
