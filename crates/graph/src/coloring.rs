@@ -4,22 +4,32 @@ use crate::instance::ListColoringInstance;
 use crate::{Color, GraphError, NodeId};
 
 /// A (possibly partial) assignment of colors to nodes.
+///
+/// Eight bytes per node plus one bit: each node's color value, and a
+/// bitmap of the colored nodes. An uncolored node's value stays 0, so two
+/// colorings are equal exactly when they color the same nodes alike, in
+/// whatever order they were assigned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coloring {
-    colors: Vec<Option<Color>>,
+    /// `values[v]` is `v`'s color, or 0 while `v` is uncolored.
+    values: Vec<u64>,
+    /// Bit `v % 64` of word `v / 64` is set once `v` is colored; the bits
+    /// past the last node stay clear.
+    colored: Vec<u64>,
 }
 
 impl Coloring {
     /// An empty coloring of `node_count` nodes.
     pub fn empty(node_count: usize) -> Self {
         Coloring {
-            colors: vec![None; node_count],
+            values: vec![0; node_count],
+            colored: vec![0; node_count.div_ceil(64)],
         }
     }
 
     /// Number of nodes the coloring covers (colored or not).
     pub fn node_count(&self) -> usize {
-        self.colors.len()
+        self.values.len()
     }
 
     /// The color of `v`, if assigned.
@@ -29,13 +39,25 @@ impl Coloring {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn color_of(&self, v: NodeId) -> Option<Color> {
-        self.colors[v.index()]
+        let i = v.index();
+        let value = self.values[i];
+        self.has(i).then_some(Color(value))
     }
 
     /// Whether `v` has been assigned a color.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     #[inline]
     pub fn is_colored(&self, v: NodeId) -> bool {
-        self.colors[v.index()].is_some()
+        self.color_of(v).is_some()
+    }
+
+    /// Whether node index `i` is colored; `i` must be in range.
+    #[inline]
+    fn has(&self, i: usize) -> bool {
+        self.colored[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Assigns `color` to `v`.
@@ -44,35 +66,36 @@ impl Coloring {
     ///
     /// Returns [`GraphError::AlreadyColored`] if `v` already has a color.
     pub fn assign(&mut self, v: NodeId, color: Color) -> Result<(), GraphError> {
-        let slot = &mut self.colors[v.index()];
-        if slot.is_some() {
+        if self.is_colored(v) {
             return Err(GraphError::AlreadyColored { node: v });
         }
-        *slot = Some(color);
+        let i = v.index();
+        self.values[i] = color.0;
+        self.colored[i / 64] |= 1 << (i % 64);
         Ok(())
     }
 
     /// Number of colored nodes.
     pub fn colored_count(&self) -> usize {
-        self.colors.iter().filter(|c| c.is_some()).count()
+        self.colored.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether every node has a color.
     pub fn is_complete(&self) -> bool {
-        self.colors.iter().all(Option::is_some)
+        self.colored_count() == self.values.len()
     }
 
-    /// Iterator over `(node, color)` pairs for the colored nodes.
+    /// Iterator over `(node, color)` pairs for the colored nodes, in node
+    /// order.
     pub fn assignments(&self) -> impl Iterator<Item = (NodeId, Color)> + '_ {
-        self.colors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|color| (NodeId::from_index(i), color)))
+        (0..self.values.len())
+            .filter(|&i| self.has(i))
+            .map(|i| (NodeId::from_index(i), Color(self.values[i])))
     }
 
     /// Number of distinct colors used.
     pub fn distinct_colors(&self) -> usize {
-        let mut used: Vec<Color> = self.colors.iter().flatten().copied().collect();
+        let mut used: Vec<Color> = self.assignments().map(|(_, color)| color).collect();
         used.sort_unstable();
         used.dedup();
         used.len()
@@ -157,6 +180,27 @@ mod tests {
             c.assign(NodeId(0), Color(1)),
             Err(GraphError::AlreadyColored { node: NodeId(0) })
         ));
+        // Color 0 and u64::MAX on either side of a bitmap word boundary:
+        // the value 0 of an uncolored node never reads as a color.
+        let mut wide = Coloring::empty(65);
+        wide.assign(NodeId(63), Color(0)).unwrap();
+        assert_eq!(wide.color_of(NodeId(63)), Some(Color(0)));
+        assert_eq!(wide.color_of(NodeId(64)), None);
+        assert_eq!(wide.colored_count(), 1);
+        wide.assign(NodeId(64), Color(u64::MAX)).unwrap();
+        assert_eq!(wide.color_of(NodeId(64)), Some(Color(u64::MAX)));
+        assert_eq!(wide.color_of(NodeId(62)), None);
+        assert_eq!(wide.colored_count(), 2);
+        assert!(matches!(
+            wide.assign(NodeId(63), Color(5)),
+            Err(GraphError::AlreadyColored { node: NodeId(63) })
+        ));
+        for v in 0..63 {
+            wide.assign(NodeId(v), Color(u64::from(v) + 1)).unwrap();
+        }
+        assert_eq!(wide.colored_count(), 65);
+        assert!(wide.is_complete());
+        assert_eq!(wide.distinct_colors(), 65);
     }
 
     #[test]
@@ -216,5 +260,32 @@ mod tests {
         c.assign(NodeId(0), Color(1)).unwrap();
         let pairs: Vec<_> = c.assignments().collect();
         assert_eq!(pairs, vec![(NodeId(0), Color(1)), (NodeId(2), Color(5))]);
+        // Node order, whatever the assignment order, across bitmap words;
+        // colorings assigned in different orders are equal.
+        let nodes = [64u32, 0, 63, 1];
+        let colors = [Color(u64::MAX), Color(0), Color(0), Color(7)];
+        let mut forward = Coloring::empty(65);
+        let mut backward = Coloring::empty(65);
+        for (&v, &color) in nodes.iter().zip(&colors) {
+            forward.assign(NodeId(v), color).unwrap();
+        }
+        for (&v, &color) in nodes.iter().zip(&colors).rev() {
+            assert_ne!(forward, backward);
+            backward.assign(NodeId(v), color).unwrap();
+        }
+        assert_eq!(forward, backward);
+        assert_ne!(forward, Coloring::empty(65));
+        let pairs: Vec<_> = forward.assignments().collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (NodeId(0), Color(0)),
+                (NodeId(1), Color(7)),
+                (NodeId(63), Color(0)),
+                (NodeId(64), Color(u64::MAX)),
+            ]
+        );
+        assert_eq!(forward.colored_count(), 4);
+        assert_eq!(forward.distinct_colors(), 3);
     }
 }

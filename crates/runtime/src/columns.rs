@@ -143,7 +143,7 @@ impl MessageColumns {
 /// shard belongs to one arena (it is never shared across chunks), so
 /// worker count stays unobservable in results and ledgers — the barrier
 /// merge combines the shards in fixed chunk order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Staging {
     columns: MessageColumns,
     /// `counts[d]` = messages staged for destination `d` this round.
@@ -161,8 +161,16 @@ impl Staging {
         }
     }
 
-    // Everything below runs every round; the constructor above is the only
-    // allocation.
+    /// Empties the staging area and sizes its count shard for an `n`-node
+    /// clique, keeping the columns' capacity: what a recycled arena does
+    /// when the next run has another clique size.
+    pub(crate) fn refit(&mut self, n: usize) {
+        self.clear();
+        self.counts.resize(n, 0);
+    }
+
+    // Everything below runs every round; the constructor and the refit
+    // above are the only allocations.
     // cc-lint: region(no_alloc)
 
     /// Number of messages staged.

@@ -5,7 +5,8 @@
 //! every round. Each round has two phases:
 //!
 //! 1. **Step (parallel).** Senders are split into execution groups fixed by
-//!    the clique size and thread count (see the `router` module). For each
+//!    the clique size and thread count, one group for any clique under 512
+//!    nodes (see the `router` module). For each
 //!    group, a thread builds every node's inbox as a zero-copy view over the
 //!    previous round's sorted arenas, steps the program (sends append
 //!    straight into the group's staging columns, counting per destination
@@ -23,7 +24,8 @@
 //! order depend only on the clique size, results, reports, and ledgers are
 //! byte-identical for any thread count. The two arena banks (last
 //! round's sealed groups, this round's staging groups) swap by round parity
-//! — nothing is reallocated between rounds, and a steady-state round
+//! — nothing is reallocated between rounds, a session's next run refits
+//! the banks in place whatever its clique size, and a steady-state round
 //! performs no heap allocation at any thread count (asserted at one and two
 //! threads by the `alloc_free` integration test).
 
@@ -44,6 +46,9 @@ use crate::router::exec_chunk_count;
 pub struct EngineConfig {
     /// Threads stepping nodes each round, the calling thread included:
     /// `threads − 1` workers are spawned (1 = the caller alone, no workers).
+    /// An upper bound: a run splits its clique into at most `2 · threads`
+    /// execution groups of at least 256 nodes each, so a clique under 512
+    /// nodes is stepped by the calling thread alone at any thread count.
     pub threads: usize,
     /// Safety cap on rounds; an execution that hits it stops with
     /// [`EngineOutcome::all_halted`] false.
@@ -262,7 +267,7 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
 
     /// A reusable execution session over this engine's configuration,
     /// recorder, and injector: the executor's workers are spawned once, and
-    /// the arena banks are recycled across same-size runs. See
+    /// the arena banks are recycled across runs of any clique size. See
     /// [`EngineSession`].
     pub fn session(&self) -> EngineSession<R, F> {
         EngineSession::new(self.clone())
@@ -276,7 +281,10 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
 /// executor's workers and allocating the two chunk-arena banks. A session
 /// hoists that one-time construction behind a handle: the executor lives
 /// for the session's lifetime, and the banks (plus the driver's merge
-/// scratch) are recycled whenever consecutive runs share a clique size.
+/// scratch) are recycled by every run, refit in place to its clique size
+/// and group count. Each kept arena keeps the capacity of the largest run
+/// it served; only arenas added because the group count grew are built
+/// fresh.
 /// Results, reports, and ledgers are byte-identical to fresh
 /// [`Engine::run`] calls — a recycled bank is fully reset before its first
 /// round, so nothing leaks between runs (the `session_reuse` tests pin the
@@ -286,7 +294,7 @@ pub struct EngineSession<R: Recorder = NoopRecorder, F: FaultInjector = NoopInje
     engine: Engine<R, F>,
     executor: ChunkedExecutor,
     /// The previous run's arena banks and merge scratch.
-    spare: Option<Banks>,
+    spare: Banks,
 }
 
 impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
@@ -297,13 +305,12 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
         EngineSession {
             engine,
             executor,
-            spare: None,
+            spare: Banks::default(),
         }
     }
 
     /// Runs one execution exactly like [`Engine::run`], reusing the
-    /// session's executor and (when the clique size matches the previous
-    /// run) its arena banks.
+    /// session's executor and its arena banks.
     ///
     /// # Errors
     ///
@@ -319,12 +326,25 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
         model: ExecutionModel,
         programs: Vec<Box<dyn NodeProgram<Output = O>>>,
     ) -> Result<EngineOutcome<O>, SimError> {
-        let config = &self.engine.config;
-        let groups = exec_chunk_count(programs.len(), config.threads);
+        let groups = exec_chunk_count(programs.len(), self.engine.config.threads);
+        self.run_grouped(model, programs, groups)
+    }
+
+    /// [`EngineSession::run`] with the clique split into `groups`
+    /// execution groups, `1 ≤ groups ≤ min(n, 16)`, whatever the thread
+    /// count. The grouping is unobservable, so every valid count gives the
+    /// same outcome; the tests compare counts the thread count no longer
+    /// picks for small cliques.
+    pub(crate) fn run_grouped<O: Send + 'static>(
+        &mut self,
+        model: ExecutionModel,
+        programs: Vec<Box<dyn NodeProgram<Output = O>>>,
+        groups: usize,
+    ) -> Result<EngineOutcome<O>, SimError> {
         let started = Instance::start(
             model,
             programs,
-            config.clone(),
+            self.engine.config.clone(),
             groups,
             0,
             &mut self.spare,
@@ -482,6 +502,37 @@ mod tests {
             .unwrap();
         assert_eq!(chatter_fresh.outputs, chatter_reused.outputs);
         assert_eq!(chatter_fresh.ledger, chatter_reused.ledger);
+        // Clique sizes across the split and back: at two threads 600 nodes
+        // run as two groups and 96 or 40 as one, so the banks gain, drop
+        // and regain an arena, and every kept arena is refit in place.
+        for size in [96, 600, 40, 600] {
+            assert_eq!(exec_chunk_count(size, 2), if size == 600 { 2 } else { 1 });
+            let model = ExecutionModel::congested_clique(size);
+            let fresh = engine.run(model.clone(), chatter_programs(size)).unwrap();
+            let reused = session.run(model, chatter_programs(size)).unwrap();
+            assert_eq!(fresh.outputs, reused.outputs, "n = {size}");
+            assert_eq!(fresh.ledger, reused.ledger, "n = {size}");
+            assert_eq!(fresh.report, reused.report, "n = {size}");
+            assert_eq!(fresh.rounds, reused.rounds, "n = {size}");
+        }
+        // The same under a message-fault plan, whose seal rebuilds each
+        // batch in a second staging area that the refit must resize too.
+        let plan = cc_fault::FaultPlan::new(0x5e55)
+            .with_drop(30)
+            .with_duplicate(20)
+            .with_corrupt(20);
+        let faulted = engine.clone().with_faults(plan);
+        let mut faulted_session = faulted.session();
+        for size in [600, 40, 600] {
+            let model = ExecutionModel::congested_clique(size);
+            let fresh = faulted.run(model.clone(), chatter_programs(size)).unwrap();
+            let reused = faulted_session.run(model, chatter_programs(size)).unwrap();
+            assert!(reused.health.faults_injected > 0, "n = {size}");
+            assert_eq!(fresh.outputs, reused.outputs, "faulted n = {size}");
+            assert_eq!(fresh.ledger, reused.ledger, "faulted n = {size}");
+            assert_eq!(fresh.report, reused.report, "faulted n = {size}");
+            assert_eq!(fresh.health, reused.health, "faulted n = {size}");
+        }
     }
 
     #[test]
@@ -767,6 +818,144 @@ mod tests {
         assert_eq!(summary.totals().0, traced.ledger.total_messages());
         assert!(summary.histogram(HistKind::InboxLen).unwrap().total() > 0);
         assert_eq!(summary.dropped, 0);
+    }
+
+    mod properties {
+        use cc_fault::FaultPlan;
+        use cc_graph::palette::Palette;
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::message::word_bits_limit;
+        use crate::programs::luby::LubyMisProgram;
+        use crate::programs::trial::TrialColoringProgram;
+        use crate::router::MAX_CHUNKS;
+
+        /// Symmetric pseudo-random adjacency lists (xorshift), sorted.
+        fn scrambled_graph(n: usize, seed: u64) -> Vec<Vec<u32>> {
+            let mut adjacency = vec![Vec::new(); n];
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for _ in 0..n * 2 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let (u, v) = (
+                    (state % n as u64) as usize,
+                    ((state >> 32) % n as u64) as usize,
+                );
+                if u != v && !adjacency[u].contains(&(v as u32)) {
+                    adjacency[u].push(v as u32);
+                    adjacency[v].push(u as u32);
+                }
+            }
+            for list in &mut adjacency {
+                list.sort_unstable();
+            }
+            adjacency
+        }
+
+        type Programs<O> = Vec<Box<dyn NodeProgram<Output = O>>>;
+
+        fn trial_programs(adjacency: &[Vec<u32>], seed: u64) -> Programs<Option<u64>> {
+            let programs = adjacency.iter().enumerate().map(|(i, neighbors)| {
+                let palette = Palette::range(neighbors.len() as u64 + 1);
+                Box::new(TrialColoringProgram::new(
+                    i as u32,
+                    neighbors.clone(),
+                    palette,
+                    seed,
+                )) as _
+            });
+            programs.collect()
+        }
+
+        fn luby_programs(adjacency: &[Vec<u32>], seed: u64) -> Programs<Option<bool>> {
+            let bits = word_bits_limit(adjacency.len());
+            let programs = adjacency.iter().enumerate().map(|(i, neighbors)| {
+                Box::new(LubyMisProgram::new(i as u32, neighbors.clone(), bits, seed)) as _
+            });
+            programs.collect()
+        }
+
+        /// Runs `programs()` through one session as one group, then at
+        /// every group count from `min(n, 16)` down to 1, and requires
+        /// each run to equal the one-group run in everything but timing.
+        fn groupings_agree<O, F>(
+            session: &mut EngineSession<NoopRecorder, F>,
+            n: usize,
+            programs: impl Fn() -> Programs<O>,
+        ) -> Result<(), TestCaseError>
+        where
+            O: PartialEq + Send + 'static,
+            F: FaultInjector,
+        {
+            let model = ExecutionModel::congested_clique(n);
+            let one = session.run_grouped(model.clone(), programs(), 1).unwrap();
+            for groups in (1..=n.min(MAX_CHUNKS)).rev() {
+                let split = session
+                    .run_grouped(model.clone(), programs(), groups)
+                    .unwrap();
+                prop_assert!(split.outputs == one.outputs, "outputs, {groups} groups");
+                prop_assert!(split.ledger == one.ledger, "ledger, {groups} groups");
+                prop_assert!(split.report == one.report, "report, {groups} groups");
+                prop_assert!(split.rounds == one.rounds, "rounds, {groups} groups");
+                prop_assert!(split.health == one.health, "health, {groups} groups");
+            }
+            Ok(())
+        }
+
+        /// One program kind through a 4-thread session under `engine`.
+        fn kind_agrees<F: FaultInjector>(
+            engine: &Engine<NoopRecorder, F>,
+            kind: u8,
+            n: usize,
+            seed: u64,
+        ) -> Result<(), TestCaseError> {
+            let mut session = engine.session();
+            let adjacency = scrambled_graph(n, seed);
+            match kind {
+                0 => groupings_agree(&mut session, n, || chatter_programs(n)),
+                1 => groupings_agree(&mut session, n, || trial_programs(&adjacency, seed)),
+                _ => groupings_agree(&mut session, n, || luby_programs(&adjacency, seed)),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The execution grouping is unobservable: chatter, trial
+            /// coloring and Luby MIS give the one-group outputs, ledger,
+            /// report, rounds and health at every group count, fault-free,
+            /// under crash-free message faults and stalls, and under a
+            /// crash schedule.
+            #[test]
+            fn every_grouping_matches_one_group(
+                n in 2usize..=64,
+                kind in 0u8..3,
+                faults in 0u8..3,
+                seed in any::<u64>(),
+                rates in (0u16..=40, 0u16..=30, 0u16..=30),
+                crashes in proptest::collection::vec((0u32..64, 0u64..4), 1..3),
+            ) {
+                let engine = Engine::new(EngineConfig::with_threads(4));
+                let (drop, duplicate, corrupt) = rates;
+                let plan = FaultPlan::new(seed)
+                    .with_drop(drop)
+                    .with_duplicate(duplicate)
+                    .with_corrupt(corrupt)
+                    .with_stall(50, 200);
+                match faults {
+                    0 => kind_agrees(&engine, kind, n, seed)?,
+                    1 => kind_agrees(&engine.with_faults(plan), kind, n, seed)?,
+                    _ => {
+                        let plan = crashes
+                            .iter()
+                            .fold(plan, |plan, &(node, round)| plan.with_crash(node % n as u32, round));
+                        kind_agrees(&engine.with_faults(plan), kind, n, seed)?;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,19 @@
 //! with [`Instance::merge`] at the barrier.
 //!
 //! An engine session runs one instance with `exec_chunk_count(n, threads)`
-//! groups; the service runs one single-group instance per slot and steps
-//! every live slot in one shared dispatch. Setup ([`Instance::start`]), the
-//! round, and the finish ([`Instance::finish`]) exist once, so solo and
-//! batched executions of the same request agree bit for bit — fault
-//! injection, retries, and health included.
+//! groups (one for any clique under 512 nodes); the service runs one
+//! single-group instance per slot and steps every live slot in one shared
+//! dispatch. Setup ([`Instance::start`]), the round, and the finish
+//! ([`Instance::finish`]) exist once, so solo and batched executions of the
+//! same request agree bit for bit — fault injection, retries, and health
+//! included.
+//!
+//! The arena banks and merge scratch ([`Banks`]) pass from one instance to
+//! the next on the same session or slot. Each start refits them in place
+//! to its clique size and group count, adding or dropping arenas to match
+//! the count, so an instance of any size reuses the previous one's arenas
+//! up to its own group count, each at the high-water capacity of the
+//! largest run it served.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -94,6 +102,8 @@ impl<R, F> Hooks<R, F> {
 /// The two chunk-arena banks and the merge scratch of one instance — the
 /// part of its state that does not depend on the programs' output type, so
 /// a session or a service slot hands it from one instance to the next.
+/// The default is empty: the first [`Banks::fit`] builds every arena.
+#[derive(Default)]
 pub(crate) struct Banks {
     /// `arenas[round & 1]` is staged into this round; the other bank holds
     /// last round's sealed (delivered) groups.
@@ -102,33 +112,29 @@ pub(crate) struct Banks {
 }
 
 impl Banks {
-    /// `spare`, fully reset, when it was built for `n` nodes in `groups`
-    /// groups; fresh banks otherwise. The reset of *both* banks is
-    /// load-bearing: the previous instance's final sealed bank would
-    /// otherwise leak into this one's round 0 as delivered messages.
-    fn fit(spare: Option<Banks>, n: usize, groups: usize) -> Banks {
-        match spare {
-            Some(mut banks)
-                if banks.arenas[0].len() == groups
-                    && banks.arenas[0][0].read().expect("chunk arena poisoned").n() == n =>
-            {
-                for arena in banks.arenas.iter_mut().flatten() {
-                    arena.get_mut().expect("chunk arena poisoned").reset();
-                }
-                banks
+    /// The banks refit to `n` nodes in `groups` groups: each bank drops
+    /// the arenas past `groups` (a merge reads every arena of a bank),
+    /// refits the rest in place and builds the missing ones, and the merge
+    /// scratch is resized. A kept arena allocates nothing unless the
+    /// clique outgrows every run it served. The refit clears *both* banks,
+    /// which is load-bearing: the previous instance's final sealed bank
+    /// would otherwise leak into this one's round 0 as delivered
+    /// messages.
+    fn fit(mut self, n: usize, groups: usize) -> Banks {
+        for bank in &mut self.arenas {
+            bank.truncate(groups);
+            for (k, arena) in bank.iter_mut().enumerate() {
+                arena
+                    .get_mut()
+                    .expect("chunk arena poisoned")
+                    .refit(n, groups, k);
             }
-            _ => {
-                let bank = || {
-                    (0..groups)
-                        .map(|k| RwLock::new(ChunkArena::for_group(n, groups, k)))
-                        .collect()
-                };
-                Banks {
-                    arenas: [bank(), bank()],
-                    scratch: MergeScratch::new(n),
-                }
+            for k in bank.len()..groups {
+                bank.push(RwLock::new(ChunkArena::for_group(n, groups, k)));
             }
         }
+        self.scratch.refit(n);
+        self
     }
 }
 
@@ -387,16 +393,15 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
     /// Sets up one execution of `programs` (one per clique node) under
     /// `config`, split into `groups` execution groups whose trace lanes
     /// start at `lane`. The arena banks and merge scratch are taken from
-    /// `spare` when they fit the clique size and grouping, and built fresh
-    /// otherwise; an execution that finishes on the spot leaves `spare`
-    /// untouched.
+    /// `spare` and refit to the clique size and grouping; an execution that
+    /// finishes on the spot leaves `spare` untouched.
     pub(crate) fn start(
         model: ExecutionModel,
         programs: Vec<Box<dyn NodeProgram<Output = O>>>,
         config: EngineConfig,
         groups: usize,
         lane: usize,
-        spare: &mut Option<Banks>,
+        spare: &mut Banks,
         hooks: &Hooks<R, F>,
     ) -> Started<O, R, F> {
         let n = programs.len();
@@ -418,7 +423,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
         // it (bounded: a capped run amortizes the rest; 512 entries stays
         // comfortably under the allocator's mmap threshold).
         ledger.reserve_rounds(usize::try_from(config.max_rounds.min(512)).unwrap_or(0));
-        let Banks { arenas, scratch } = Banks::fit(spare.take(), n, groups);
+        let Banks { arenas, scratch } = std::mem::take(spare).fit(n, groups);
         let mut programs = programs.into_iter();
         let plane = Plane {
             n,
@@ -583,7 +588,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
     pub(crate) fn finish(
         self,
         verdict: Result<bool, SimError>,
-        spare: &mut Option<Banks>,
+        spare: &mut Banks,
     ) -> Result<EngineOutcome<O>, SimError> {
         let plane = Arc::try_unwrap(self.plane)
             .map_err(|_| ())
@@ -601,10 +606,10 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
             barrier_wait_ns: self.barrier_wait_ns,
         };
         let rounds = plane.round.into_inner() + 1;
-        *spare = Some(Banks {
+        *spare = Banks {
             arenas: plane.arenas,
             scratch: self.scratch,
-        });
+        };
         let all_halted = verdict?;
         let mut outputs = Vec::with_capacity(plane.n);
         for group in plane.groups {

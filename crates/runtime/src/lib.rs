@@ -59,9 +59,11 @@
 //! group, the driver's merge (barrier-wait attribution, damage check and
 //! retry, ledger fold, halt or round-cap verdict), and the finish into an
 //! [`EngineOutcome`] are each written once. An [`EngineSession`] runs one
-//! instance with about two groups per thread; the service runs one
-//! single-group instance per slot and steps all live slots in one shared
-//! dispatch. A batched request therefore matches its solo run bit for
+//! instance with at most two groups per thread, each of at least 256
+//! nodes, so a clique under 512 nodes runs as one group on the calling
+//! thread; the service runs one single-group instance per slot and steps
+//! all live slots in one shared dispatch. Both recycle their arena banks
+//! across instances of any clique size. A batched request therefore matches its solo run bit for
 //! bit — outputs, report, ledger, rounds, and fault-recovery health — and
 //! carries its own [`PhaseTimings`].
 //!

@@ -8,10 +8,13 @@
 //! engine versions. The **execution grouping** ([`exec_chunk_count`], each
 //! group a union of consecutive digest chunks) fixes the unit of parallel
 //! work: one [`ChunkArena`] of flat `src`/`dst`/`word` column buffers per
-//! group, allocated once and reused every round. A single-threaded run
-//! uses one group — every inbox is then one contiguous slice — while
-//! parallel runs use about two groups per thread; the grouping is
-//! unobservable in results, reports, and ledgers. During the parallel step phase, programs
+//! group, allocated once and reused every round, and refit in place when
+//! the next run has another clique size or group count. A single-threaded
+//! run, and any clique under 512 nodes, uses one group — every inbox is
+//! then one contiguous slice and no worker is woken — while larger cliques
+//! split into at most two groups per thread of at least 256 nodes each;
+//! the grouping is unobservable in results, reports, and ledgers. During
+//! the parallel step phase, programs
 //! append sends directly into the chunk's *staging* area (generation
 //! order: ascending sender, then send order) — a [`crate::columns::Staging`]
 //! that pairs the columns with a per-destination count shard maintained at
@@ -60,23 +63,40 @@ pub(crate) fn digest_chunk_count(n: usize) -> usize {
     n.clamp(1, MAX_CHUNKS)
 }
 
+/// The fewest nodes an execution group holds when a clique is split.
+///
+/// Measured on a 2-CPU host as the time of one trial-coloring run in a
+/// warm session, 1 thread over 2 threads with four groups (above 1 means
+/// the split pays), over three runs: sparse G(n, 16/n) reads 0.56–0.85 at
+/// n = 256 and 0.81–0.95 at 512, and gains from 2048 nodes on (1.18–1.33
+/// at 4096); the dense gnp(512, 0.25) reads 1.30–1.47 and
+/// gnp(1024, 0.1) 1.44–1.60. Groups of at least 256 nodes keep every
+/// clique that gains 1.3× or more split and run every clique under 512
+/// nodes as one group; the one case given up is gnp(256, 0.25), at
+/// 0.92–1.08.
+const MIN_GROUP_NODES: usize = 256;
+
 /// The number of *execution* groups: the unit of parallel work (one arena,
 /// one claimed chunk index per round). Each group is a union of consecutive
 /// digest chunks, so grouping cannot be observed in inbox order (senders
 /// stay ascending), digests (sub-digests are kept per digest chunk), or
 /// violations (canonical node order either way) — which is what makes a
 /// thread-dependent choice safe. One thread gets one group (no fan-in at
-/// all: every inbox is a single slice); parallel runs get about two groups
-/// per stepping thread, the caller included. Threads claim groups from the
+/// all: every inbox is a single slice). Parallel runs get at most two
+/// groups per stepping thread, the caller included, and each group holds
+/// at least [`MIN_GROUP_NODES`] nodes, so a clique under 512 nodes runs as
+/// one group on the calling thread at any thread count: no dispatch wakes
+/// a worker, and no inbox fans in. Threads claim groups from the
 /// executor's cursor, so one that finishes early claims another, and what
 /// imbalance remains shows up as barrier wait: the time from each group's
 /// seal to the dispatch's return, summed over groups.
 pub(crate) fn exec_chunk_count(n: usize, threads: usize) -> usize {
-    let digest = digest_chunk_count(n);
     if threads <= 1 {
         1
     } else {
-        digest.min((2 * threads).min(MAX_CHUNKS))
+        digest_chunk_count(n)
+            .min(2 * threads)
+            .min((n / MIN_GROUP_NODES).max(1))
     }
 }
 
@@ -112,8 +132,9 @@ pub(crate) fn group_node_range(n: usize, exec_chunks: usize, k: usize) -> std::o
 ///
 /// All buffers are allocated once (at engine start) and reach a high-water
 /// capacity after the first rounds; steady-state rounds perform no heap
-/// allocation.
-#[derive(Debug)]
+/// allocation. [`ChunkArena::refit`] moves an arena to another clique size
+/// or group, keeping that capacity.
+#[derive(Debug, Default)]
 pub(crate) struct ChunkArena {
     /// The clique size the arena routes for.
     n: usize,
@@ -131,9 +152,9 @@ pub(crate) struct ChunkArena {
     /// The prefix sum over the staging count shard writes `index[d]` as
     /// group starts, and the placement pass advances each start to its
     /// group end — the classic in-place counting-sort cursor trick, so no
-    /// separate cursor array exists. Sized `n + 1` at construction; every
-    /// non-empty seal overwrites it wholesale, so `reset` never re-zeroes
-    /// it.
+    /// separate cursor array exists. Sized `n + 1` by every refit; every
+    /// non-empty seal overwrites it wholesale, so neither `reset` nor a
+    /// refit re-zeroes it.
     index: Vec<u32>,
     /// Whether `seal` wrote `index` this round (so [`ChunkArena::range_for`]
     /// can ignore a stale `index` after communication-free rounds).
@@ -180,30 +201,36 @@ impl ChunkArena {
 
     /// The arena of execution group `k` of `exec_chunks`.
     pub(crate) fn for_group(n: usize, exec_chunks: usize, k: usize) -> Self {
+        let mut arena = ChunkArena::default();
+        arena.refit(n, exec_chunks, k);
+        arena
+    }
+
+    /// Makes this the cleared arena of execution group `k` of
+    /// `exec_chunks` over an `n`-node clique. Everything sized by the
+    /// clique or the group is resized: both staging count shards (the
+    /// fault pass's included, since a faulted seal swaps it in as the
+    /// stage), `index`, the digest boundaries and sub-digests. Every
+    /// message column keeps its capacity. A stale shard would fail
+    /// [`crate::columns::SendSink::new`]'s length check at the next send,
+    /// or, if longer, make the seal's prefix sum run over the wrong
+    /// length.
+    pub(crate) fn refit(&mut self, n: usize, exec_chunks: usize, k: usize) {
         let digest = digest_chunk_count(n);
-        let chunks = group_digest_range(n, exec_chunks, k);
-        let boundaries: Vec<u32> = chunks
-            .clone()
-            .map(|d| chunk_range(n, digest, d).end as u32)
-            .collect();
-        ChunkArena {
-            n,
-            stage: Staging::new(n),
-            sorted_src: Vec::new(),
-            sorted_word: Vec::new(),
-            index: vec![0; n + 1],
-            routed: false,
-            sub_digests: vec![StreamDigest::new(); boundaries.len()],
-            intended_digests: vec![StreamDigest::new(); boundaries.len()],
-            boundaries,
-            max_send: 0,
-            halted: 0,
-            send_overflows: Vec::new(),
-            wide_messages: Vec::new(),
-            scratch: None,
-            faulted: false,
-            faults: 0,
+        self.n = n;
+        self.stage.refit(n);
+        if let Some(scratch) = &mut self.scratch {
+            scratch.refit(n);
         }
+        self.index.resize(n + 1, 0);
+        self.boundaries.clear();
+        self.boundaries.extend(
+            group_digest_range(n, exec_chunks, k).map(|d| chunk_range(n, digest, d).end as u32),
+        );
+        let covered = self.boundaries.len();
+        self.sub_digests.resize(covered, StreamDigest::new());
+        self.intended_digests.resize(covered, StreamDigest::new());
+        self.reset();
     }
 
     /// The clique size the arena was built for.
@@ -551,14 +578,15 @@ pub(crate) struct RoundMerge {
     pub halted: usize,
 }
 
-/// Driver-owned scratch for the barrier merge, allocated once per run.
+/// Driver-owned scratch for the barrier merge, refit to each run's clique
+/// size.
 ///
 /// [`merge_round`] combines every chunk's send-time count shard into
 /// `recv_words` with one fixed-order pass, then reads receive loads off the
 /// tally — it never rescans the merged columns. Keeping the buffer here
 /// (instead of in an arena) keeps the arenas read-locked-only at the
 /// barrier.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct MergeScratch {
     /// `recv_words[d]` = words delivered to node `d` this round, summed
     /// over chunks. Zeroed at the start of every merge, so a strict-mode
@@ -568,10 +596,17 @@ pub(crate) struct MergeScratch {
 
 impl MergeScratch {
     /// Scratch for an `n`-node clique.
+    #[cfg(test)]
     pub(crate) fn new(n: usize) -> Self {
-        MergeScratch {
-            recv_words: vec![0; n],
-        }
+        let mut scratch = MergeScratch::default();
+        scratch.refit(n);
+        scratch
+    }
+
+    /// Resizes the tally to an `n`-node clique, keeping its capacity
+    /// (every merge zeroes it before use).
+    pub(crate) fn refit(&mut self, n: usize) {
+        self.recv_words.resize(n, 0);
     }
 }
 
@@ -755,10 +790,14 @@ mod tests {
 
     #[test]
     fn exec_groups_partition_the_nodes_and_respect_digest_boundaries() {
-        for n in [1usize, 5, 17, 64, 513] {
+        for n in [1usize, 5, 17, 64, 513, 1300, 4100] {
             for threads in [1usize, 2, 3, 4, 8, 32] {
                 let exec = exec_chunk_count(n, threads);
                 assert!(exec <= digest_chunk_count(n), "n={n} threads={threads}");
+                assert!(
+                    exec == 1 || n / exec >= MIN_GROUP_NODES,
+                    "n={n} threads={threads}"
+                );
                 let mut covered_nodes = 0;
                 let mut covered_chunks = 0;
                 for k in 0..exec {
@@ -779,8 +818,11 @@ mod tests {
             }
         }
         assert_eq!(exec_chunk_count(512, 1), 1);
-        assert_eq!(exec_chunk_count(512, 4), 8);
-        assert_eq!(exec_chunk_count(512, 64), 16);
+        assert_eq!(exec_chunk_count(511, 4), 1);
+        assert_eq!(exec_chunk_count(512, 4), 2);
+        assert_eq!(exec_chunk_count(1024, 2), 4);
+        assert_eq!(exec_chunk_count(4096, 4), 8);
+        assert_eq!(exec_chunk_count(4096, 64), 16);
     }
 
     #[test]
@@ -1027,7 +1069,7 @@ mod tests {
 
             /// Sharded per-worker count shards, combined in fixed chunk
             /// order, equal the single-arena reference counts for
-            /// arbitrary outbox scripts at 1, 2, and 4 worker threads.
+            /// arbitrary outbox scripts at every group count.
             #[test]
             fn sharded_counts_match_the_single_arena_reference(
                 scripts in (2usize..24).prop_flat_map(|n| pvec(
@@ -1046,8 +1088,7 @@ mod tests {
                     scripts.iter().flatten().filter(|&&(dst, _)| dst == d).count() as u32
                 }).collect();
                 prop_assert_eq!(&reference, &direct);
-                for threads in [1usize, 2, 4] {
-                    let exec = exec_chunk_count(n, threads);
+                for exec in 1..=digest_chunk_count(n) {
                     let mut combined = vec![0u32; n];
                     // Fixed chunk order, exactly as `merge_round` walks
                     // the bank.
@@ -1060,7 +1101,7 @@ mod tests {
                             *tally += count;
                         }
                     }
-                    prop_assert!(combined == reference, "threads = {threads}");
+                    prop_assert!(combined == reference, "groups = {exec}");
                 }
             }
         }

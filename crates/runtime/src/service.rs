@@ -21,8 +21,8 @@
 //! * A fixed set of **instance slots** holds the in-flight batch. Each
 //!   occupied slot runs one instance of the engine's own round loop with a
 //!   single execution group — exactly the solo single-threaded layout. Its
-//!   arena banks are recycled across occupants (rebuilt only when the
-//!   clique size changes, reset otherwise).
+//!   arena banks are recycled across occupants of any clique size: each
+//!   admission refits them in place, keeping their capacity.
 //! * Each **super-round**, the scheduler admits queued requests into idle
 //!   slots (lowest slot first, submission order), steps every live slot
 //!   one *local* round in one dispatch (dispatch index `i` steps the
@@ -197,7 +197,7 @@ pub struct ColoringService<O, R: Recorder = NoopRecorder, F: FaultInjector = Noo
     queue: VecDeque<(RequestId, ServiceRequest<O>)>,
     slots: Vec<Option<Occupant<O, R, F>>>,
     /// Per slot, the arena banks and merge scratch its last occupant left.
-    spares: Vec<Option<Banks>>,
+    spares: Vec<Banks>,
     finished: Vec<ServiceOutcome<O>>,
     next_id: RequestId,
     super_round: u64,
@@ -231,7 +231,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> ColoringService<O, R, F> 
             step,
             queue: VecDeque::new(),
             slots: (0..slots).map(|_| None).collect(),
-            spares: (0..slots).map(|_| None).collect(),
+            spares: (0..slots).map(|_| Banks::default()).collect(),
             finished: Vec::new(),
             next_id: 0,
             super_round: 0,

@@ -13,7 +13,8 @@
 //! process-wide count would charge one test for another's allocations. A
 //! `threads = 1` engine or service steps on the calling thread alone, so
 //! its thread's tally sees every allocation the run makes. At
-//! `threads = 2` a persistent worker steps chunks too; there the test marks
+//! `threads = 2` a persistent worker steps chunks too (of an engine run,
+//! only once the clique is large enough to split); there the test marks
 //! its own thread, its programs mark every thread that steps them, and the
 //! proof sums the allocations of the marked threads. Only that one test
 //! marks threads, so no other test's allocations reach its sum. The
@@ -22,10 +23,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cc_runtime::trace::RingRecorder;
+use cc_runtime::trace::{Phase, RingRecorder, TraceEvent};
 use cc_runtime::{
     ColoringService, Engine, EngineConfig, EngineOutcome, EngineSession, FaultPlan, NodeEnv,
     NodeProgram, NodeStatus, ServiceConfig, ServiceRequest, SnapshotSink, SnapshotSource,
@@ -383,15 +385,29 @@ fn session_reuse_skips_plane_construction_allocations() {
     let first = measure_session_run(&mut session, n, rounds);
     let second = measure_session_run(&mut session, n, rounds);
     let third = measure_session_run(&mut session, n, rounds);
+    // A reuse skips at least the five buffers the arena of each bank sizes
+    // by the clique: the count shard, the destination index, the digest
+    // boundaries and both digest vectors.
+    let skipped = 2 * 5;
     assert!(
-        second.0 < first.0 && second.1 < first.1,
-        "a reused session should allocate strictly less than the first run \
+        first.0 - second.0 >= skipped && second.1 < first.1,
+        "a reused session should skip at least {skipped} bank allocations \
          (first = {first:?}, second = {second:?})"
     );
     assert_eq!(
         second, third,
         "repeat session runs should have identical allocation totals \
          (second = {second:?}, third = {third:?})"
+    );
+    // A smaller clique after the larger one refits the banks in place: it
+    // allocates exactly what a warm rerun at its own size does, so no bank
+    // memory at all.
+    let smaller = measure_session_run(&mut session, n / 2, rounds);
+    let smaller_again = measure_session_run(&mut session, n / 2, rounds);
+    assert_eq!(
+        smaller, smaller_again,
+        "a smaller clique after a larger one should allocate no bank memory \
+         (after the larger = {smaller:?}, warm rerun = {smaller_again:?})"
     );
 }
 
@@ -412,6 +428,33 @@ fn run_chatter(n: usize, rounds: u64, threads: usize, record: bool) -> EngineOut
     }
 }
 
+/// Execution groups that one `n`-node chatter run at `threads` threads
+/// steps, read off the trace: group `k` records its step spans on lane `k`.
+fn step_groups(n: usize, threads: usize) -> usize {
+    let recorder = Arc::new(RingRecorder::default());
+    let outcome = Engine::new(EngineConfig {
+        threads,
+        ..config()
+    })
+    .with_recorder(Arc::clone(&recorder))
+    .run(ExecutionModel::congested_clique(n), programs(n, 2, false))
+    .unwrap();
+    assert!(outcome.all_halted);
+    let lanes: BTreeSet<u16> = recorder
+        .events()
+        .iter()
+        .filter_map(|event| match *event {
+            TraceEvent::Span {
+                lane,
+                phase: Phase::Step,
+                ..
+            } => Some(lane),
+            _ => None,
+        })
+        .collect();
+    lanes.len()
+}
+
 /// Repeats `run` until `threads` threads are marked: every thread that
 /// steps chunks in the measured runs must be marked before they start, or
 /// its allocations would escape the sum.
@@ -427,11 +470,14 @@ fn warm_up(threads: u64, mut run: impl FnMut()) {
 
 #[test]
 fn two_thread_rounds_allocate_nothing() {
-    let n = 96;
+    // A clique large enough that a two-thread run splits it: smaller ones
+    // run as one group on the calling thread, and the worker never steps.
+    let n = 512;
+    assert_eq!(step_groups(n, 2), 2, "a {n}-node run at two threads");
     // The calling thread sets every run up and finishes it, stepping or not.
     mark_this_thread();
     // A warm two-thread session: the caller and one persistent worker
-    // claim the round's four chunks. The run's per-request costs are equal
+    // claim the round's two groups. The run's per-request costs are equal
     // at R and 2R rounds; any difference is chargeable to the rounds.
     let mut session = Engine::new(EngineConfig {
         threads: 2,
@@ -461,7 +507,10 @@ fn two_thread_rounds_allocate_nothing() {
          thread (short = {short:?}, long = {long:?})"
     );
     // Dropping the session joins its worker; the service brings a new one.
+    // Its slots step one group each, so two slots of a small clique keep
+    // both threads busy.
     drop(session);
+    let n = 96;
     let mut service = ColoringService::new(ServiceConfig {
         slots: 2,
         threads: 2,

@@ -68,28 +68,32 @@ fn luby_programs(
 
 #[test]
 fn trial_coloring_is_identical_across_thread_counts() {
-    let n = 150;
-    let adjacency = scrambled_graph(n, 8, 42);
-    let model = ExecutionModel::congested_clique(n);
-    let baseline = Engine::new(EngineConfig::with_threads(1))
-        .run(model.clone(), trial_programs(&adjacency, 7))
-        .unwrap();
-    assert!(baseline.all_halted);
-    // The coloring is proper.
-    for (v, neighbors) in adjacency.iter().enumerate() {
-        let cv = baseline.outputs[v].expect("uncolored node");
-        for &u in neighbors {
-            assert_ne!(cv, baseline.outputs[u as usize].unwrap());
-        }
-    }
-    for threads in [2, 4, 8] {
-        let parallel = Engine::new(EngineConfig::with_threads(threads))
+    // A clique under 512 nodes runs as one group at every thread count;
+    // 1024 nodes split into four groups at 2, 4 and 8 threads.
+    for n in [150, 1024] {
+        let adjacency = scrambled_graph(n, 8, 42);
+        let model = ExecutionModel::congested_clique(n);
+        let baseline = Engine::new(EngineConfig::with_threads(1))
             .run(model.clone(), trial_programs(&adjacency, 7))
             .unwrap();
-        assert_eq!(baseline.outputs, parallel.outputs, "threads = {threads}");
-        assert_eq!(baseline.ledger, parallel.ledger, "threads = {threads}");
-        assert_eq!(baseline.report, parallel.report, "threads = {threads}");
-        assert_eq!(baseline.rounds, parallel.rounds, "threads = {threads}");
+        assert!(baseline.all_halted);
+        // The coloring is proper.
+        for (v, neighbors) in adjacency.iter().enumerate() {
+            let cv = baseline.outputs[v].expect("uncolored node");
+            for &u in neighbors {
+                assert_ne!(cv, baseline.outputs[u as usize].unwrap());
+            }
+        }
+        for threads in [2, 4, 8] {
+            let parallel = Engine::new(EngineConfig::with_threads(threads))
+                .run(model.clone(), trial_programs(&adjacency, 7))
+                .unwrap();
+            let at = format!("n = {n}, threads = {threads}");
+            assert_eq!(baseline.outputs, parallel.outputs, "{at}");
+            assert_eq!(baseline.ledger, parallel.ledger, "{at}");
+            assert_eq!(baseline.report, parallel.report, "{at}");
+            assert_eq!(baseline.rounds, parallel.rounds, "{at}");
+        }
     }
 }
 
