@@ -6,33 +6,15 @@
 //! records to PATH (e.g. `e11.chaos.json` for the CI artifact) in addition
 //! to the `target/experiments/e11_chaos.json` copy.
 
-use std::path::PathBuf;
+use std::path::Path;
+
+use cc_bench::experiments::e11_chaos;
 
 fn main() {
-    let scale = cc_bench::Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads: Vec<usize> = cc_bench::experiments::e11_chaos::DEFAULT_THREADS.to_vec();
-    let mut json: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                let list = args.get(i + 1).expect("--threads needs a value, e.g. 1,4");
-                threads = list
-                    .split(',')
-                    .map(|t| t.trim().parse().expect("--threads takes integers"))
-                    .collect();
-                i += 2;
-            }
-            "--json" => {
-                json = Some(PathBuf::from(
-                    args.get(i + 1)
-                        .expect("--json needs a path, e.g. e11.chaos.json"),
-                ));
-                i += 2;
-            }
-            _ => i += 1,
-        }
-    }
-    cc_bench::experiments::e11_chaos::run_with(scale, &threads, json.as_deref());
+    let args = cc_bench::Args::parse("exp_chaos [--quick] [--threads LIST] [--json PATH]");
+    e11_chaos::run_with(
+        args.scale(),
+        &args.threads(e11_chaos::DEFAULT_THREADS),
+        args.value("--json").map(Path::new),
+    );
 }

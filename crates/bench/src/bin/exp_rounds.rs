@@ -2,6 +2,6 @@
 //! section). Pass --quick for a fast, smaller-scale run.
 
 fn main() {
-    let scale = cc_bench::Scale::from_args();
+    let scale = cc_bench::Args::parse("exp_rounds [--quick]").scale();
     cc_bench::experiments::e1_rounds::run(scale);
 }

@@ -1,17 +1,7 @@
 //! E10: batched service throughput vs the reusable-handle solo loop.
-//! Pass `--record <path>` to also write the flat service-throughput JSON
-//! record (the file CI archives as `e10.service.json`).
-
-use std::path::PathBuf;
+//! Pass --quick for a fast, smaller-scale run.
 
 fn main() {
-    let scale = cc_bench::Scale::from_args();
+    let scale = cc_bench::Args::parse("exp_service [--quick]").scale();
     cc_bench::experiments::e10_service::run(scale);
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--record") {
-        let path = args
-            .get(pos + 1)
-            .map_or_else(|| PathBuf::from("e10.service.json"), PathBuf::from);
-        cc_bench::experiments::e10_service::write_service_record(&path);
-    }
 }

@@ -1,16 +1,7 @@
-//! Runs every experiment (E1–E11) in sequence. Pass --quick for a fast run;
-//! pass --dump to also write the tracked message-plane benchmark record to
-//! `BENCH_CURRENT.json` (E9 ns/msg, engine rounds, barrier wait, host CPUs,
-//! E10 service requests/sec) and the service-throughput record to
-//! `e10.service.json`, so CI can archive them and diff the perf trajectory
-//! against the committed history (`BENCH_BASELINE_PR2.json`,
-//! `BENCH_PR3.json`, `BENCH_PR8.json`, `BENCH_PR10.json`).
-
-use std::path::Path;
+//! Runs every experiment (E1–E11) in sequence. Pass --quick for a fast run.
 
 fn main() {
-    let scale = cc_bench::Scale::from_args();
-    let dump = std::env::args().any(|a| a == "--dump");
+    let scale = cc_bench::Args::parse("run_all [--quick]").scale();
     println!("running all experiments at {scale:?} scale");
     cc_bench::experiments::e1_rounds::run(scale);
     cc_bench::experiments::e2_space::run(scale);
@@ -23,8 +14,4 @@ fn main() {
     cc_bench::experiments::e9_engine::run(scale);
     cc_bench::experiments::e10_service::run(scale);
     cc_bench::experiments::e11_chaos::run(scale);
-    if dump {
-        cc_bench::experiments::e9_engine::write_bench_record(Path::new("BENCH_CURRENT.json"));
-        cc_bench::experiments::e10_service::write_service_record(Path::new("e10.service.json"));
-    }
 }

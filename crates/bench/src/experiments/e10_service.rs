@@ -28,7 +28,6 @@
 //! service's shared dispatch against no dispatch at all, not parallelism;
 //! it reproduces on any host.
 
-use std::path::Path;
 use std::time::Instant;
 
 use cc_graph::csr::CsrGraph;
@@ -437,44 +436,4 @@ pub fn run_with(scale: Scale, threads: &[usize]) {
          (matched thread counts; digests asserted equal)",
     );
     write_json("e10_service", &records);
-}
-
-/// Measures the tracked service-throughput sample: the uniform coloring
-/// mix at the pooled configuration (threads = 2, the service's design
-/// point), full offered load. Returns `(solo_rps, service_rps)`, digests
-/// asserted equal in-process.
-pub fn service_throughput_sample() -> (f64, f64) {
-    let mix = coloring_mix(32, &[16, 24, 32, 48, 64], false);
-    // Best of three for each mode independently: the strongest solo
-    // measurement is the baseline the service number must beat.
-    let mut solo_best = 0.0f64;
-    let mut service_best = 0.0f64;
-    for _ in 0..3 {
-        let (solo, services) = measure_mix(&mix, 2, &[SERVICE_SLOTS]);
-        solo_best = solo_best.max(solo.rps);
-        service_best = service_best.max(services[0].1.rps);
-    }
-    (solo_best, service_best)
-}
-
-/// Runs a quick sweep and writes the flat service-throughput record CI
-/// archives as `e10.service.json`.
-pub fn write_service_record(path: &Path) {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let (solo_rps, service_rps) = service_throughput_sample();
-    let json = format!(
-        "{{\n  \"bench\": \"coloring-service\",\n  \"mix\": \"uniform-gnp\",\n  \
-         \"requests\": 32,\n  \"slots\": {SERVICE_SLOTS},\n  \"threads\": 2,\n  \
-         \"host_cpus\": {host_cpus},\n  \"service_rps\": {service_rps:.1},\n  \
-         \"solo_rps\": {solo_rps:.1},\n  \"service_speedup\": {:.2}\n}}\n",
-        service_rps / solo_rps.max(f64::MIN_POSITIVE),
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "wrote service-throughput record to {} ({service_rps:.0} req/s batched vs \
-             {solo_rps:.0} req/s solo loop at threads=2)",
-            path.display()
-        ),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }

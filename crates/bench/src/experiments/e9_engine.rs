@@ -14,6 +14,12 @@
 //! of every thread count must be identical, and `run_with` can dump them to
 //! a file so CI can diff two independent processes.
 //!
+//! After its table, E9 prints the message-plane legs on one line: ns/msg of
+//! an all-to-one hot-receiver blast, of a power-law-destination blast, and
+//! of trial coloring on `gnp-512` with a zero-rate fault plan armed. They
+//! are diagnostics, not a gate; the end-to-end timings CI gates come from
+//! perfbench through `perf_ab`.
+//!
 //! When a trace path is given, each instance is re-run once per algorithm
 //! with a `cc-trace` [`RingRecorder`] attached (at the highest benched
 //! thread count, outside the timed runs so the wall-clock columns stay
@@ -57,11 +63,9 @@ pub fn run(scale: Scale) {
 /// The benched workloads: uniform G(n, p) at several sizes plus one
 /// power-law graph whose degree skew exercises chunk load imbalance.
 fn instances(scale: Scale) -> Vec<(String, CsrGraph)> {
-    // BENCH_N (512) is included at both scales so the table's before/after
-    // ns/msg column covers the size the tracked benchmark record uses.
     let sizes = match scale {
-        Scale::Quick => vec![200, 400, BENCH_N],
-        Scale::Full => vec![400, BENCH_N, 1600, 3000],
+        Scale::Quick => vec![200, 400, 512],
+        Scale::Full => vec![400, 512, 1600, 3000],
     };
     let mut out = Vec::new();
     for n in sizes {
@@ -112,7 +116,6 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
         "wall (ms)",
         "barrier (us)",
         "ns/msg",
-        "ns/msg @PR2",
         "speedup",
         "in-model",
     ]);
@@ -174,7 +177,6 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 format!("{ms:.1}"),
                 barrier_us(out.timings.barrier_wait_ns),
                 format!("{ns_per_msg:.0}"),
-                pr2_cell("trial", &label, t),
                 speedup_cell(speedup),
                 yes_no(out.outcome.report.within_limits()),
             ]);
@@ -274,7 +276,6 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 format!("{ms:.1}"),
                 barrier_us(out.timings.barrier_wait_ns),
                 format!("{ns_per_msg:.0}"),
-                pr2_cell("luby", &label, t),
                 speedup_cell(speedup),
                 yes_no(out.report.within_limits()),
             ]);
@@ -342,6 +343,7 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
         }
     }
     table.print("E9  cc-runtime engine across worker-thread counts (speedup vs the first count)");
+    print_message_plane_legs();
     write_json("e9_engine", &records);
     if let Some(path) = dump {
         match std::fs::File::create(path) {
@@ -369,111 +371,6 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
 
 fn yes_no(b: bool) -> String {
     if b { "yes" } else { "NO" }.to_string()
-}
-
-/// ns/msg measured at the PR 2 router (pre-columnar, `Vec<Message>`
-/// arenas) on the reference 1-CPU dev host, single worker thread — the
-/// "before" of the table's before/after column. Rows without a recorded
-/// baseline (including the power-law workload, added later) show "-".
-fn pr2_ns_per_msg(algorithm: &str, label: &str, threads: usize) -> Option<f64> {
-    if threads != 1 {
-        return None;
-    }
-    match (algorithm, label) {
-        ("trial", "gnp-200") => Some(99.8),
-        ("trial", "gnp-400") => Some(102.8),
-        ("trial", "gnp-512") => Some(71.4),
-        ("luby", "gnp-200") => Some(78.3),
-        ("luby", "gnp-400") => Some(88.8),
-        _ => None,
-    }
-}
-
-fn pr2_cell(algorithm: &str, label: &str, threads: usize) -> String {
-    pr2_ns_per_msg(algorithm, label, threads).map_or_else(|| "-".to_string(), |v| format!("{v:.0}"))
-}
-
-/// The instance size used for the tracked message-plane benchmark record.
-pub const BENCH_N: usize = 512;
-
-/// One tracked measurement of the engine message plane, serialized as a
-/// flat JSON record so CI can diff the perf trajectory across PRs (the
-/// committed history is `BENCH_BASELINE_PR2.json`, `BENCH_PR3.json`, and
-/// `BENCH_PR8.json`; each CI run writes a fresh `BENCH_CURRENT.json` next
-/// to them).
-#[derive(Debug, Clone)]
-pub struct PlaneBenchRecord {
-    /// Nodes in the benched instance.
-    pub n: usize,
-    /// Host CPU count (1 means the speedup column is time-sharing).
-    pub host_cpus: usize,
-    /// Engine rounds executed (barriers passed).
-    pub engine_rounds: u64,
-    /// Messages the engine delivered.
-    pub total_messages: u64,
-    /// Wall-clock of the best run, in milliseconds.
-    pub wall_ms: f64,
-    /// Wall-clock per delivered message, in nanoseconds (best of 3 runs).
-    pub ns_per_msg: f64,
-    /// Per-phase breakdown of the best run, in nanoseconds:
-    /// (route, step, check). Zero when the engine does not report timings.
-    pub phase_ns: (u64, u64, u64),
-    /// Summed per-chunk barrier wait of the best run, in nanoseconds
-    /// (absent from records written before the trace plane existed).
-    pub barrier_wait_ns: u64,
-    /// ns/msg of the all-to-one hot-receiver blast (one maximal
-    /// destination group; absent from records written before PR 8).
-    pub hot_ns_per_msg: f64,
-    /// ns/msg of the power-law-destination blast (a few receivers carry
-    /// most of the load; absent from records written before PR 8).
-    pub plaw_ns_per_msg: f64,
-    /// ns/msg of the same trial-coloring workload with a zero-rate
-    /// `cc-fault` `FaultPlan` armed: checkpointing and damage checks run
-    /// every round but no fault ever fires, so the delta against
-    /// `ns_per_msg` is the price of *arming* the fault plane (absent from
-    /// records written before the fault plane existed).
-    pub fault_ns_per_msg: f64,
-    /// Requests/sec of the batched `ColoringService` on the tracked E10
-    /// sample (uniform small-instance mix, 8 slots, threads = 2; absent
-    /// from records written before the service existed).
-    pub service_rps: f64,
-    /// Requests/sec of the reusable-handle solo loop on the same sample
-    /// and thread count — the baseline `service_rps` is gated against.
-    pub solo_rps: f64,
-}
-
-impl PlaneBenchRecord {
-    /// Serializes the record as a single flat JSON object. `ns_per_msg`
-    /// stays the first `*ns_per_msg` key: `bench_delta` matches keys with
-    /// their opening quote, but keeping the headline number up front keeps
-    /// the record readable in diffs.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"engine-trial-coloring\",\n  \"n\": {},\n  \
-             \"host_cpus\": {},\n  \"engine_rounds\": {},\n  \
-             \"total_messages\": {},\n  \"wall_ms\": {:.3},\n  \
-             \"ns_per_msg\": {:.2},\n  \"route_ns\": {},\n  \"step_ns\": {},\n  \
-             \"check_ns\": {},\n  \"barrier_wait_ns\": {},\n  \
-             \"hot_ns_per_msg\": {:.2},\n  \"plaw_ns_per_msg\": {:.2},\n  \
-             \"fault_ns_per_msg\": {:.2},\n  \"service_rps\": {:.1},\n  \
-             \"solo_rps\": {:.1}\n}}\n",
-            self.n,
-            self.host_cpus,
-            self.engine_rounds,
-            self.total_messages,
-            self.wall_ms,
-            self.ns_per_msg,
-            self.phase_ns.0,
-            self.phase_ns.1,
-            self.phase_ns.2,
-            self.barrier_wait_ns,
-            self.hot_ns_per_msg,
-            self.plaw_ns_per_msg,
-            self.fault_ns_per_msg,
-            self.service_rps,
-            self.solo_rps,
-        )
-    }
 }
 
 /// Fanout and rounds of the skewed blast workloads.
@@ -506,14 +403,25 @@ impl NodeProgram for SkewBlast {
     }
 }
 
-/// Best-of-3 ns/msg for a blast workload with per-node peer lists from
-/// `peers_of`, single worker thread.
+/// The best ns/msg of three calls of `run`, which returns the messages
+/// it delivered.
+fn best_ns_per_msg(mut run: impl FnMut() -> u64) -> f64 {
+    (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let messages = run();
+            start.elapsed().as_secs_f64() * 1e9 / messages.max(1) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// ns/msg for a blast workload with per-node peer lists from `peers_of`,
+/// single worker thread.
 fn skew_ns_per_msg(n: usize, peers_of: &dyn Fn(usize) -> Vec<u32>) -> f64 {
     let model = ExecutionModel::congested_clique(n);
     let engine = Engine::new(EngineConfig::with_threads(1));
     let expected = SKEW_ROUNDS * (n * SKEW_FANOUT) as u64;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
+    best_ns_per_msg(|| {
         let programs: Vec<Box<dyn NodeProgram<Output = u64>>> = (0..n)
             .map(|i| {
                 Box::new(SkewBlast {
@@ -522,64 +430,23 @@ fn skew_ns_per_msg(n: usize, peers_of: &dyn Fn(usize) -> Vec<u32>) -> f64 {
                 }) as _
             })
             .collect();
-        let start = Instant::now();
         let outcome = engine.run(model.clone(), programs).expect("skew bench run");
-        let ns = start.elapsed().as_secs_f64() * 1e9;
         assert_eq!(outcome.ledger.total_messages(), expected);
-        best = best.min(ns / expected as f64);
-    }
-    best
+        expected
+    })
 }
 
-/// Benchmarks the message plane on trial coloring at [`BENCH_N`] nodes
-/// (single worker thread, best of three runs) and returns the record.
-pub fn bench_message_plane() -> PlaneBenchRecord {
-    let n = BENCH_N;
-    let graph = generators::gnp(n, 16.0 / n as f64, 77).expect("bench graph");
-    let instance = ListColoringInstance::delta_plus_one(&graph).expect("bench instance");
-    let model = ExecutionModel::congested_clique(n);
-    let runner = EngineTrialColoring::default();
-    let mut best: Option<(
-        f64,
-        clique_coloring::baselines::engine_trial::EngineTrialOutcome,
-    )> = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let out = runner.run(&instance, model.clone()).expect("bench run");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        if best.as_ref().is_none_or(|(b, _)| ms < *b) {
-            best = Some((ms, out));
-        }
-    }
-    let (wall_ms, out) = best.expect("three runs measured");
-    // Zero-rate fault-plane companion: a `FaultPlan` that never fires
-    // still checkpoints every round and digest-checks every barrier.
-    // The record tracks its ns/msg next to the NoopInjector number so
-    // `bench_delta` can show what arming the fault plane costs.
-    let mut fault_best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let request = runner
-            .service_request(&instance, model.clone())
-            .expect("bench request");
-        let run = Engine::new(request.config)
-            .with_faults(FaultPlan::new(0))
-            .run(request.model, request.programs)
-            .expect("bench fault run");
-        let fault_out = runner.assemble(&instance, run).expect("bench fault run");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            fault_out.ledger, out.ledger,
-            "a zero-rate fault plan changed the benched ledger"
-        );
-        assert_eq!(fault_out.health.faults_injected, 0);
-        fault_best = fault_best.min(ms * 1e6 / fault_out.ledger.total_messages().max(1) as f64);
-    }
-    // Skewed-destination companions: the all-to-one hot receiver and a
-    // power-law destination map, so counting-sort degeneracies show up in
-    // the tracked record.
-    let hot_ns_per_msg = skew_ns_per_msg(n, &|_| vec![0; SKEW_FANOUT]);
-    let plaw_ns_per_msg = skew_ns_per_msg(n, &|i| {
+/// Prints the message-plane legs on one line, each the best ns/msg of
+/// three runs at one worker thread on 512 nodes: the all-to-one
+/// hot-receiver blast, the power-law-destination blast, and trial coloring
+/// with a zero-rate `cc-fault` `FaultPlan` armed. That plan checkpoints
+/// every round and digest-checks every barrier, but no fault ever fires;
+/// the table's `gnp-512` trial-coloring row at one thread runs the same
+/// instance unarmed.
+fn print_message_plane_legs() {
+    let n = 512;
+    let hot = skew_ns_per_msg(n, &|_| vec![0; SKEW_FANOUT]);
+    let plaw = skew_ns_per_msg(n, &|i| {
         (1..=SKEW_FANOUT)
             .map(|d| {
                 if d % 2 == 0 {
@@ -590,46 +457,30 @@ pub fn bench_message_plane() -> PlaneBenchRecord {
             })
             .collect()
     });
-    // Service-throughput companion (tracked E10 sample): batched vs
-    // reusable-handle solo-loop requests/sec, so throughput regressions
-    // gate alongside ns/msg.
-    let (solo_rps, service_rps) = super::e10_service::service_throughput_sample();
-    PlaneBenchRecord {
-        n,
-        host_cpus: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        engine_rounds: out.engine_rounds,
-        total_messages: out.ledger.total_messages(),
-        wall_ms,
-        ns_per_msg: wall_ms * 1e6 / out.ledger.total_messages().max(1) as f64,
-        phase_ns: (
-            out.timings.route_ns,
-            out.timings.step_ns,
-            out.timings.check_ns,
-        ),
-        barrier_wait_ns: out.timings.barrier_wait_ns,
-        hot_ns_per_msg,
-        plaw_ns_per_msg,
-        fault_ns_per_msg: fault_best,
-        service_rps,
-        solo_rps,
-    }
-}
-
-/// Runs [`bench_message_plane`] and writes the record to `path`.
-pub fn write_bench_record(path: &Path) {
-    let record = bench_message_plane();
-    match std::fs::write(path, record.to_json()) {
-        Ok(()) => println!(
-            "wrote message-plane bench record to {} ({:.1} ns/msg over {} messages; \
-             hot {:.1}, plaw {:.1}; service {:.0} req/s vs solo {:.0})",
-            path.display(),
-            record.ns_per_msg,
-            record.total_messages,
-            record.hot_ns_per_msg,
-            record.plaw_ns_per_msg,
-            record.service_rps,
-            record.solo_rps
-        ),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    let graph = generators::gnp(n, 16.0 / n as f64, 77).expect("E9 legs graph");
+    let instance = ListColoringInstance::delta_plus_one(&graph).expect("E9 legs instance");
+    let model = ExecutionModel::congested_clique(n);
+    let runner = EngineTrialColoring::default();
+    let unarmed = runner.run(&instance, model.clone()).expect("E9 legs run");
+    let armed = best_ns_per_msg(|| {
+        let request = runner
+            .service_request(&instance, model.clone())
+            .expect("E9 legs request");
+        let run = Engine::new(request.config)
+            .with_faults(FaultPlan::new(0))
+            .run(request.model, request.programs)
+            .expect("E9 legs run");
+        let out = runner.assemble(&instance, run).expect("E9 legs run");
+        assert_eq!(out.health.faults_injected, 0);
+        assert_eq!(
+            out.ledger, unarmed.ledger,
+            "a zero-rate fault plan changed the ledger"
+        );
+        out.ledger.total_messages()
+    });
+    println!(
+        "message plane at n={n}, 1 thread, best of 3: hot-receiver {hot:.1} ns/msg, \
+         power-law {plaw:.1} ns/msg, trial coloring with a zero-rate fault plan \
+         armed {armed:.1} ns/msg"
+    );
 }

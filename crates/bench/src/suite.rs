@@ -98,42 +98,6 @@ pub fn standard_families(n: usize, seed: u64) -> Vec<InstanceSpec> {
     ]
 }
 
-/// A sweep of G(n, p) instances with roughly constant average degree, used
-/// for the rounds-vs-n experiment.
-pub fn gnp_size_sweep(sizes: &[usize], avg_degree: f64, seed: u64) -> Vec<InstanceSpec> {
-    sizes
-        .iter()
-        .map(|&n| {
-            InstanceSpec::new(
-                format!("gnp(n={n})"),
-                GraphFamily::Gnp {
-                    p: (avg_degree / n as f64).min(1.0),
-                },
-                n,
-                PaletteKind::DeltaPlusOne,
-                seed,
-            )
-        })
-        .collect()
-}
-
-/// A sweep of G(n, p) instances with growing density (growing Δ), used for
-/// the recursion-depth and space experiments.
-pub fn density_sweep(n: usize, densities: &[f64], seed: u64) -> Vec<InstanceSpec> {
-    densities
-        .iter()
-        .map(|&p| {
-            InstanceSpec::new(
-                format!("gnp(n={n},p={p})"),
-                GraphFamily::Gnp { p },
-                n,
-                PaletteKind::DeltaPlusOne,
-                seed,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,12 +110,6 @@ mod tests {
             assert_eq!(instance.node_count(), 120);
             assert!(!spec.label.is_empty());
         }
-    }
-
-    #[test]
-    fn sweeps_have_expected_lengths() {
-        assert_eq!(gnp_size_sweep(&[50, 100, 200], 8.0, 1).len(), 3);
-        assert_eq!(density_sweep(100, &[0.05, 0.1], 1).len(), 2);
     }
 
     #[test]

@@ -8,10 +8,6 @@
 //! same policy. Changing a constant rescales every algorithm's round count
 //! identically and therefore never changes a comparison's verdict.
 
-/// Rounds charged for one deterministic MapReduce-style sort of data spread
-/// across machines (Lemma 2.1, Goodrich–Sitchinava–Zhang).
-pub const SORT_ROUNDS: u64 = 3;
-
 /// Rounds charged for one prefix-sum / aggregation pass (Lemma 2.1).
 pub const PREFIX_SUM_ROUNDS: u64 = 2;
 
@@ -43,7 +39,6 @@ mod tests {
     #[test]
     fn constants_are_small_positive_integers() {
         for c in [
-            SORT_ROUNDS,
             PREFIX_SUM_ROUNDS,
             BROADCAST_ROUNDS,
             LENZEN_ROUTING_ROUNDS,

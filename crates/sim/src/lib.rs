@@ -9,14 +9,14 @@
 //!   CONGESTED CLIQUE (𝔫 machines, O(𝔫) words each, O(log 𝔫)-bit messages
 //!   with Lenzen routing), linear-space MPC (𝔰 = Θ(𝔫)) or low-space MPC
 //!   (𝔰 = Θ(𝔫^ε)).
-//! * [`cluster::ClusterContext`] is the handle algorithms run against. Every
-//!   operation an algorithm may perform in O(1) rounds — Lenzen routing,
-//!   MapReduce sorting and prefix sums (Lemma 2.1), broadcasting an
-//!   O(log 𝔫)-bit seed, aggregating per-machine sums — is exposed as a
-//!   method that charges rounds, counts words, and enforces (or records
-//!   violations of) the space bounds.
-//! * [`primitives`] charges those operations, and performs the ones given
-//!   in-memory data, so algorithms stay readable and the accounting honest.
+//! * [`cluster::ClusterContext`] is the handle algorithms run against: it
+//!   charges rounds, counts words, and enforces (or records violations of)
+//!   the space and bandwidth bounds.
+//! * [`primitives`] charges the operations an algorithm may perform in O(1)
+//!   rounds — Lenzen routing, aggregating per-machine sums in a Lemma 2.1
+//!   prefix-sum pass, broadcasting an O(log 𝔫)-bit seed, collecting a small
+//!   instance onto one machine — so algorithms stay readable and the
+//!   accounting honest.
 //! * [`report::ExecutionReport`] is the final read-out consumed by the
 //!   experiment harness: rounds (total and per phase), communication volume,
 //!   peak local/total space, and any constraint violations.
@@ -31,10 +31,10 @@
 //!
 //! let model = ExecutionModel::congested_clique(1_000);
 //! let mut ctx = ClusterContext::new(model);
-//! let values = vec![5u64; 1_000];
-//! let sums = cc_sim::primitives::prefix_sum(&mut ctx, "demo", &values);
-//! assert_eq!(sums[999], 5_000);
+//! let seed = cc_sim::primitives::broadcast_word(&mut ctx, "demo", 42);
+//! assert_eq!(seed, 42);
 //! assert!(ctx.rounds() > 0);
+//! assert_eq!(ctx.communication_words(), 1_000);
 //! ```
 
 #![forbid(unsafe_code)]

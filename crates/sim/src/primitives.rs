@@ -1,23 +1,21 @@
 //! Constant-round communication primitives.
 //!
 //! Each function *charges* the [`ClusterContext`] the rounds, words, and
-//! space checks an operation costs in the model; those given in-memory data
-//! (sorting, prefix sums) also *perform* the operation:
+//! space checks an operation costs in the model; the caller computes the
+//! operation's result itself:
 //!
-//! * sorting and prefix sums — Lemma 2.1 (Goodrich–Sitchinava–Zhang via
-//!   MapReduce), O(1) rounds for 𝔫^δ local space;
+//! * aggregation of per-machine partial sums (the communication pattern of
+//!   the method of conditional expectations) in one prefix-sum pass —
+//!   Lemma 2.1 (Goodrich–Sitchinava–Zhang via MapReduce), O(1) rounds for
+//!   𝔫^δ local space;
 //! * Lenzen routing — constant-round all-to-all routing in the CONGESTED
 //!   CLIQUE as long as every node sends and receives O(𝔫) words;
 //! * broadcast of an O(log 𝔫)-bit value (a seed chunk decision);
-//! * aggregation of per-machine partial sums (the communication pattern of
-//!   the method of conditional expectations), whose totals the caller
-//!   computes itself;
 //! * collecting a small instance onto a single machine.
 
 use crate::cluster::ClusterContext;
 use crate::constants::{
     BROADCAST_ROUNDS, COLLECT_AND_SOLVE_ROUNDS, LENZEN_ROUTING_ROUNDS, PREFIX_SUM_ROUNDS,
-    SORT_ROUNDS,
 };
 use crate::error::SimError;
 
@@ -28,26 +26,6 @@ pub fn broadcast_word(ctx: &mut ClusterContext, label: &str, value: u64) -> u64 
     ctx.charge_rounds(label, BROADCAST_ROUNDS);
     ctx.charge_communication(ctx.model().machines as u64);
     value
-}
-
-/// Computes all prefix sums of `values` (one value per logical machine),
-/// charging one Lemma 2.1 prefix-sum pass.
-pub fn prefix_sum(ctx: &mut ClusterContext, label: &str, values: &[u64]) -> Vec<u64> {
-    ctx.charge_rounds(label, PREFIX_SUM_ROUNDS);
-    ctx.charge_communication(values.len() as u64);
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = 0u64;
-    for &v in values {
-        acc += v;
-        out.push(acc);
-    }
-    out
-}
-
-/// Sums one value per machine into a single global value (a prefix-sum pass
-/// where only the last output is consumed).
-pub fn aggregate_sum(ctx: &mut ClusterContext, label: &str, values: &[u64]) -> u64 {
-    prefix_sum(ctx, label, values).last().copied().unwrap_or(0)
 }
 
 /// Charges one aggregation of per-machine partial sums: each of `machines`
@@ -73,28 +51,6 @@ pub fn charge_aggregation(
     ctx.charge_rounds(label, PREFIX_SUM_ROUNDS);
     ctx.observe_bandwidth(label, width)?;
     ctx.charge_communication((machines * width) as u64);
-    Ok(())
-}
-
-/// Sorts `items` with a deterministic MapReduce-style sort (Lemma 2.1),
-/// charging the sort rounds and checking that the data fits in total space.
-///
-/// `words_per_item` is the storage cost of one item in machine words.
-///
-/// # Errors
-///
-/// In strict mode, returns an error if the data exceeds the total space.
-pub fn distributed_sort<T: Ord>(
-    ctx: &mut ClusterContext,
-    label: &str,
-    items: &mut [T],
-    words_per_item: usize,
-) -> Result<(), SimError> {
-    ctx.charge_rounds(label, SORT_ROUNDS);
-    let total_words = items.len() * words_per_item;
-    ctx.observe_total_space(label, total_words)?;
-    ctx.charge_communication(total_words as u64);
-    items.sort_unstable();
     Ok(())
 }
 
@@ -153,21 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sum_matches_reference() {
-        let mut c = ctx();
-        let values = vec![3u64, 0, 7, 1];
-        assert_eq!(prefix_sum(&mut c, "ps", &values), vec![3, 3, 10, 11]);
-        assert_eq!(c.rounds(), PREFIX_SUM_ROUNDS);
-        assert_eq!(aggregate_sum(&mut c, "sum", &values), 11);
-    }
-
-    #[test]
-    fn aggregate_sum_of_empty_is_zero() {
-        let mut c = ctx();
-        assert_eq!(aggregate_sum(&mut c, "sum", &[]), 0);
-    }
-
-    #[test]
     fn aggregation_charges_one_prefix_sum_pass() {
         let mut c = ctx();
         charge_aggregation(&mut c, "mce", 7, 5).unwrap();
@@ -182,24 +123,6 @@ mod tests {
         let mut c = ctx();
         let too_many = c.model().per_round_bandwidth_words + 1;
         assert!(charge_aggregation(&mut c, "mce", 1, too_many).is_err());
-    }
-
-    #[test]
-    fn sort_sorts_and_charges() {
-        let mut c = ctx();
-        let mut items = vec![5, 1, 4, 2];
-        distributed_sort(&mut c, "sort", &mut items, 2).unwrap();
-        assert_eq!(items, vec![1, 2, 4, 5]);
-        assert_eq!(c.rounds(), SORT_ROUNDS);
-        assert_eq!(c.communication_words(), 8);
-    }
-
-    #[test]
-    fn sort_rejects_oversized_data_in_strict_mode() {
-        let mut c = ctx();
-        let limit = c.model().total_space_words;
-        let mut items = vec![0u8; 8];
-        assert!(distributed_sort(&mut c, "sort", &mut items, limit).is_err());
     }
 
     #[test]

@@ -713,21 +713,6 @@ proptest! {
         prop_assert!(coloring.verify(&instance).is_ok());
     }
 
-    /// The simulator's prefix-sum primitive matches a sequential reference
-    /// and charges a constant number of rounds regardless of input length.
-    #[test]
-    fn prefix_sum_matches_reference(values in proptest::collection::vec(0u64..1000, 0..200)) {
-        let model = ExecutionModel::congested_clique(values.len().max(1));
-        let mut ctx = cc_sim::ClusterContext::new(model);
-        let sums = cc_sim::primitives::prefix_sum(&mut ctx, "prop", &values);
-        let mut acc = 0u64;
-        for (i, &v) in values.iter().enumerate() {
-            acc += v;
-            prop_assert_eq!(sums[i], acc);
-        }
-        prop_assert_eq!(ctx.rounds(), cc_sim::constants::PREFIX_SUM_ROUNDS);
-    }
-
     /// Induced subinstances preserve adjacency: an edge exists in the
     /// subgraph iff both endpoints were selected and adjacent in the parent.
     #[test]
