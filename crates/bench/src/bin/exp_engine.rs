@@ -1,10 +1,10 @@
 //! Regenerates the E9 engine table. Pass --quick for a fast, smaller-scale
-//! run; `--threads 1,4` to bench specific worker counts (the speedup column
-//! is relative to the first); `--dump PATH` to write engine outputs +
-//! ledger digests for a CI determinism diff; `--trace PATH` to capture one
-//! recorded run per instance and algorithm, at the largest thread count, as
-//! Chrome trace-event JSON (open the file at ui.perfetto.dev) and print the
-//! per-round summary tables.
+//! run; `--threads 1,4` to check specific worker counts against each other
+//! (every count must give the same outputs and ledgers); `--dump PATH` to
+//! write engine outputs + ledger digests for a CI determinism diff;
+//! `--trace PATH` to capture one recorded run per instance and algorithm,
+//! at the largest thread count, as Chrome trace-event JSON (open the file
+//! at ui.perfetto.dev) and print the per-round summary tables.
 
 use std::path::Path;
 

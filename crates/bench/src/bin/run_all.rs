@@ -1,4 +1,4 @@
-//! Runs every experiment (E1–E11) in sequence. Pass --quick for a fast run.
+//! Runs every experiment (E1–E9 and E11) in sequence. Pass --quick for a fast run.
 
 fn main() {
     let scale = cc_bench::Args::parse("run_all [--quick]").scale();
@@ -12,6 +12,5 @@ fn main() {
     cc_bench::experiments::e7_comparison::run(scale);
     cc_bench::experiments::e8_ablation::run(scale);
     cc_bench::experiments::e9_engine::run(scale);
-    cc_bench::experiments::e10_service::run(scale);
     cc_bench::experiments::e11_chaos::run(scale);
 }

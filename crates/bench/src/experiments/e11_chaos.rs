@@ -24,7 +24,6 @@
 //! thread count.
 
 use std::path::Path;
-use std::time::Instant;
 
 use cc_mis::engine::EngineLubyMis;
 use cc_runtime::{Engine, EngineOutcome, FaultPlan, ServiceRequest};
@@ -129,7 +128,6 @@ struct Cell {
     faults: u64,
     retries: u64,
     rounds: u64,
-    wall_ms: f64,
 }
 
 impl Cell {
@@ -203,7 +201,6 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                 let mut trial_cell = Cell::default();
                 let mut luby_cell = Cell::default();
                 for &seed in &plan_seeds(scale) {
-                    let start = Instant::now();
                     let runner = trial_runner(t);
                     let request = runner
                         .service_request(&instance, model.clone())
@@ -211,7 +208,6 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                     let out = runner
                         .assemble(&instance, faulted(request, chaos_plan(seed, level)))
                         .expect("E11 chaos trial");
-                    trial_cell.wall_ms += start.elapsed().as_secs_f64() * 1e3;
                     out.outcome.coloring.verify(&instance).expect("E11 verify");
                     let recovered = out.outcome.coloring == clean_trial.outcome.coloring
                         && out.ledger == clean_trial.ledger;
@@ -237,12 +233,10 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                     trial_cell.retries += out.health.retries;
                     trial_cell.rounds += out.outcome.report.rounds;
 
-                    let start = Instant::now();
                     let runner = luby_runner(t);
                     let request = runner.service_request(&graph, model.clone());
                     let out =
                         runner.assemble(&graph, faulted(request, chaos_plan(seed ^ 0x15, level)));
-                    luby_cell.wall_ms += start.elapsed().as_secs_f64() * 1e3;
                     cc_mis::verify::verify_mis(&graph, &out.result.in_set).expect("E11 mis verify");
                     let recovered =
                         out.result == clean_luby.result && out.ledger == clean_luby.ledger;
@@ -303,8 +297,7 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                         .with_extra("retries", cell.retries as f64)
                         .with_extra("rounds_clean", clean_rounds as f64)
                         .with_extra("retry_round_overhead", overhead)
-                        .with_extra("degraded_runs", cell.degraded as f64)
-                        .with_extra("wall_ms", cell.wall_ms),
+                        .with_extra("degraded_runs", cell.degraded as f64),
                     );
                 }
             }
@@ -323,7 +316,6 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
         }
         let mut reference: Option<EngineTrialOutcome> = None;
         for &t in threads {
-            let start = Instant::now();
             let runner = trial_runner(t);
             let request = runner
                 .service_request(&instance, model.clone())
@@ -331,7 +323,6 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
             let out = runner
                 .assemble(&instance, faulted(request, crash_plan.clone()))
                 .expect("E11 crash trial");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
             out.outcome
                 .coloring
                 .verify(&instance)
@@ -379,8 +370,7 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                 .with_extra("crashed_nodes", out.health.crashed_nodes as f64)
                 .with_extra("recolored_nodes", out.recolored_nodes as f64)
                 .with_extra("checkpoint_words", out.health.checkpoint_words as f64)
-                .with_extra("degraded_runs", 1.0)
-                .with_extra("wall_ms", ms),
+                .with_extra("degraded_runs", 1.0),
             );
             if reference.is_none() {
                 reference = Some(out);

@@ -1,8 +1,7 @@
-//! The experiments (E1–E11), listed in the README's Experiments section.
+//! The experiments (E1–E9 and E11), listed in the README's Experiments section.
 //! Each submodule prints its table and dumps a JSON copy under
 //! `target/experiments/`.
 
-pub mod e10_service;
 pub mod e11_chaos;
 pub mod e1_rounds;
 pub mod e2_space;

@@ -1,11 +1,13 @@
 //! Experiment harness for the reproduction.
 //!
 //! The paper has no empirical tables or figures; its quantitative content is
-//! in the theorems and lemmas. Each experiment here (E1–E11, listed in the
-//! README's Experiments section) measures one of those claims, or one
-//! property of the execution stack, on concrete instances and prints a
-//! table (E9 times the `cc-runtime` message-passing engine across
-//! worker-thread counts).
+//! in the theorems and lemmas. Each experiment here (E1–E9 and E11, listed
+//! in the README's Experiments section) measures one of those claims, or
+//! one property of the execution stack, on concrete instances and prints a
+//! table (E9 checks the `cc-runtime` message-passing engine across
+//! worker-thread counts, E11 its fault recovery). Every table counts rounds,
+//! words and outcomes, never time, so two runs print the same output; all
+//! timing is the benchmark's (`perfbench/`, below).
 //!
 //! Every experiment is an ordinary function in [`experiments`]; the binaries
 //! under `src/bin/` are thin wrappers so that

@@ -7,10 +7,7 @@ use std::process::Command;
 fn unknown_and_incomplete_flags_exit_2_with_the_usage_line() {
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_run_all"), &["--quick", "--dump"][..]),
-        (
-            env!("CARGO_BIN_EXE_exp_service"),
-            &["--quick", "--record", "x.json"],
-        ),
+        (env!("CARGO_BIN_EXE_exp_chaos"), &["--quick", "--json"]),
         (env!("CARGO_BIN_EXE_exp_engine"), &["--quick", "--dump"]),
     ] {
         let output = Command::new(bin)

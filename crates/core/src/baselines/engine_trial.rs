@@ -15,7 +15,7 @@ use cc_graph::{Color, NodeId};
 use cc_runtime::programs::trial::TrialColoringProgram;
 use cc_runtime::trace::TraceSummary;
 use cc_runtime::{
-    Engine, EngineConfig, EngineHealth, EngineOutcome, MessageLedger, PhaseTimings, ServiceRequest,
+    Engine, EngineConfig, EngineHealth, EngineOutcome, MessageLedger, ServiceRequest,
 };
 use cc_sim::ExecutionModel;
 
@@ -56,8 +56,6 @@ pub struct EngineTrialOutcome {
     pub ledger: MessageLedger,
     /// Engine rounds executed (including communication-free ones).
     pub engine_rounds: u64,
-    /// Per-phase wall-clock breakdown (route / step / check / barrier).
-    pub timings: PhaseTimings,
     /// The per-round trace aggregation, when run with a recorder.
     pub trace: Option<TraceSummary>,
     /// Fault-injection and recovery health (all zeros when fault-free).
@@ -182,7 +180,6 @@ impl EngineTrialColoring {
             outcome: outcome("engine-trial", coloring, run.report),
             ledger,
             engine_rounds: run.rounds,
-            timings: run.timings,
             trace: run.trace,
             health: run.health,
             recolored_nodes: uncolored.len(),
@@ -349,26 +346,27 @@ mod tests {
         use cc_runtime::{ColoringService, ServiceConfig};
         let algo = EngineTrialColoring::default();
         let instances: Vec<_> = (0..4)
-            .map(|seed| {
-                let graph = generators::gnp(40 + 10 * seed as usize, 0.1, seed).unwrap();
-                ListColoringInstance::delta_plus_one(&graph).unwrap()
-            })
+            .map(|seed| generators::gnp(40 + 10 * seed as usize, 0.1, seed).unwrap())
+            .chain([generators::power_law(64, 8, 4).unwrap()])
+            .map(|graph| ListColoringInstance::delta_plus_one(&graph).unwrap())
             .collect();
-        let mut service = ColoringService::new(ServiceConfig::with_slots(2));
-        for instance in &instances {
-            let model = ExecutionModel::congested_clique(instance.graph().node_count());
-            service.submit(algo.service_request(instance, model).unwrap());
-        }
-        let mut outcomes = service.run_until_idle();
-        outcomes.sort_by_key(|o| o.id);
-        for (instance, outcome) in instances.iter().zip(outcomes) {
-            let model = ExecutionModel::congested_clique(instance.graph().node_count());
-            let solo = algo.run(instance, model).unwrap();
-            let batched = algo.assemble(instance, outcome.result.unwrap()).unwrap();
-            assert_eq!(batched.outcome.coloring, solo.outcome.coloring);
-            assert_eq!(batched.ledger, solo.ledger);
-            assert_eq!(batched.outcome.report, solo.outcome.report);
-            assert_eq!(batched.engine_rounds, solo.engine_rounds);
+        for threads in [1, 2] {
+            let mut service = ColoringService::new(ServiceConfig { slots: 2, threads });
+            for instance in &instances {
+                let model = ExecutionModel::congested_clique(instance.graph().node_count());
+                service.submit(algo.service_request(instance, model).unwrap());
+            }
+            let mut outcomes = service.run_until_idle();
+            outcomes.sort_by_key(|o| o.id);
+            for (instance, outcome) in instances.iter().zip(outcomes) {
+                let model = ExecutionModel::congested_clique(instance.graph().node_count());
+                let solo = algo.run(instance, model).unwrap();
+                let batched = algo.assemble(instance, outcome.result.unwrap()).unwrap();
+                assert_eq!(batched.outcome.coloring, solo.outcome.coloring);
+                assert_eq!(batched.ledger, solo.ledger);
+                assert_eq!(batched.outcome.report, solo.outcome.report);
+                assert_eq!(batched.engine_rounds, solo.engine_rounds);
+            }
         }
     }
 

@@ -56,13 +56,6 @@ pub fn guaranteed_collection_depth(decay: f64) -> u32 {
     depth
 }
 
-/// Evaluates Lemma 3.14 at the guaranteed collection depth and reports the
-/// ratio `bound / 𝔫` — the constant hidden in the paper's `O(𝔫)`.
-pub fn collection_size_constant(n: usize, delta: u64, decay: f64) -> f64 {
-    let depth = guaranteed_collection_depth(decay);
-    instance_size_bound(n, delta, depth, decay) / (n as f64).max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +100,8 @@ mod tests {
         // Δ^0.4 ≤ 𝔫^0.4 (always true since Δ < 𝔫).
         let n = 1_000_000usize;
         let delta = 999_999u64;
-        let constant = collection_size_constant(n, delta, 0.9);
+        let depth = guaranteed_collection_depth(0.9);
+        let constant = instance_size_bound(n, delta, depth, 0.9) / n as f64;
         assert!(
             constant <= 2.0 * 6f64.powi(9),
             "constant {constant} too large"

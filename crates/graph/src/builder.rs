@@ -41,17 +41,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds every edge from an iterator.
-    pub fn add_edges(&mut self, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> &mut Self {
-        self.edges.extend(edges);
-        self
-    }
-
-    /// Number of edges currently queued (duplicates not yet collapsed).
-    pub fn queued_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the graph, panicking on malformed edges.
     ///
     /// # Panics
@@ -191,9 +180,8 @@ mod tests {
     fn builder_chaining_and_queued_edges() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(NodeId(0), NodeId(1))
-            .add_edge(NodeId(1), NodeId(2));
-        b.add_edges([(NodeId(0), NodeId(2))]);
-        assert_eq!(b.queued_edges(), 3);
+            .add_edge(NodeId(1), NodeId(2))
+            .add_edge(NodeId(0), NodeId(2));
         assert_eq!(b.build().edge_count(), 3);
     }
 }

@@ -45,13 +45,6 @@ pub fn independence_needed(t: f64, lambda: f64, target: f64, c_max: u32) -> Opti
     None
 }
 
-/// The deviation threshold ℓ^0.6 and related fractional powers used by the
-/// paper's good/bad definitions, provided here so every crate computes them
-/// identically (floating point, then compared against integer counts).
-pub fn fractional_power(base: u64, exponent: f64) -> f64 {
-    (base as f64).powf(exponent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,10 +104,5 @@ mod tests {
     #[should_panic(expected = "even c >= 4")]
     fn odd_c_rejected() {
         let _ = bellare_rompel_bound(5, 10.0, 1.0);
-    }
-
-    #[test]
-    fn fractional_power_matches_f64_pow() {
-        assert!((fractional_power(1024, 0.1) - 1024f64.powf(0.1)).abs() < 1e-12);
     }
 }

@@ -12,7 +12,7 @@ use cc_runtime::programs::luby::LubyMisProgram;
 use cc_runtime::trace::TraceSummary;
 use cc_runtime::{
     word_bits_limit, Engine, EngineConfig, EngineHealth, EngineOutcome, MessageLedger,
-    PhaseTimings, ServiceRequest,
+    ServiceRequest,
 };
 use cc_sim::{ExecutionModel, ExecutionReport, SimError};
 
@@ -54,8 +54,6 @@ pub struct EngineMisOutcome {
     pub report: ExecutionReport,
     /// The engine's message ledger (digest + per-round loads).
     pub ledger: MessageLedger,
-    /// Per-phase wall-clock breakdown (route / step / check / barrier).
-    pub timings: PhaseTimings,
     /// The per-round trace aggregation, when run with a recorder.
     pub trace: Option<TraceSummary>,
     /// Fault-injection and recovery health (all zeros when fault-free).
@@ -157,7 +155,6 @@ impl EngineLubyMis {
             },
             report: run.report,
             ledger,
-            timings: run.timings,
             trace: run.trace,
             health: run.health,
         }
@@ -299,21 +296,24 @@ mod tests {
         let algo = EngineLubyMis::default();
         let graphs: Vec<_> = (0..4)
             .map(|seed| generators::gnp(40 + 15 * seed as usize, 0.09, seed).unwrap())
+            .chain([generators::power_law(64, 8, 4).unwrap()])
             .collect();
-        let mut service = ColoringService::new(ServiceConfig::with_slots(2));
-        for g in &graphs {
-            let model = ExecutionModel::congested_clique(g.node_count());
-            service.submit(algo.service_request(g, model));
-        }
-        let mut outcomes = service.run_until_idle();
-        outcomes.sort_by_key(|o| o.id);
-        for (g, outcome) in graphs.iter().zip(outcomes) {
-            let model = ExecutionModel::congested_clique(g.node_count());
-            let solo = algo.run(g, model).unwrap();
-            let batched = algo.assemble(g, outcome.result.unwrap());
-            assert_eq!(batched.result, solo.result);
-            assert_eq!(batched.ledger, solo.ledger);
-            assert_eq!(batched.report, solo.report);
+        for threads in [1, 2] {
+            let mut service = ColoringService::new(ServiceConfig { slots: 2, threads });
+            for g in &graphs {
+                let model = ExecutionModel::congested_clique(g.node_count());
+                service.submit(algo.service_request(g, model));
+            }
+            let mut outcomes = service.run_until_idle();
+            outcomes.sort_by_key(|o| o.id);
+            for (g, outcome) in graphs.iter().zip(outcomes) {
+                let model = ExecutionModel::congested_clique(g.node_count());
+                let solo = algo.run(g, model).unwrap();
+                let batched = algo.assemble(g, outcome.result.unwrap());
+                assert_eq!(batched.result, solo.result);
+                assert_eq!(batched.ledger, solo.ledger);
+                assert_eq!(batched.report, solo.report);
+            }
         }
     }
 

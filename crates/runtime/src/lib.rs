@@ -144,7 +144,9 @@
 //! (Luby MIS) are the workspace's only implementations of its two
 //! randomized baselines; `clique_coloring::baselines::engine_trial` and
 //! `cc_mis::engine` adapt them to the workspace's graph types. Experiment
-//! E9 (`cc-bench`) times them across worker-thread counts.
+//! E9 (`cc-bench`) checks that their outputs and ledgers are identical at
+//! every worker-thread count; the benchmark's `stream-t2` workload times
+//! the trial coloring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -54,11 +54,6 @@ impl Distribution {
         self.machine_of[i]
     }
 
-    /// Number of machines used.
-    pub fn machines_used(&self) -> usize {
-        self.loads.len()
-    }
-
     /// Load (in words) of each machine.
     pub fn loads(&self) -> &[usize] {
         &self.loads
@@ -119,7 +114,7 @@ mod tests {
     fn balanced_spreads_loads() {
         let items = vec![5, 1, 1, 1, 1, 1];
         let d = Distribution::pack_balanced(&items, 3);
-        assert_eq!(d.machines_used(), 3);
+        assert_eq!(d.loads().len(), 3);
         assert_eq!(d.total_load(), 10);
         // The big item sits alone-ish: max load should be 5, not 10.
         assert_eq!(d.max_load(), 5);
