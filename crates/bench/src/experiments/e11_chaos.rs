@@ -149,7 +149,7 @@ pub fn run(scale: Scale) {
 ///
 /// Panics if a chaos run violates an enforced invariant: an improper
 /// coloring or invalid MIS (the adapters' repair contract), a zero-rate
-/// injector perturbing results, a recovered run whose health claims
+/// plan perturbing results, a recovered run whose health claims
 /// otherwise, or crash outcomes differing across thread counts.
 pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
     let mut table = Table::new([
@@ -214,7 +214,7 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                     if level == (0, 0, 0) {
                         assert!(
                             recovered && out.health.faults_injected == 0,
-                            "zero-rate injector perturbed the trial run (t = {t})"
+                            "zero-rate plan perturbed the trial run (t = {t})"
                         );
                     }
                     assert_eq!(
@@ -243,7 +243,7 @@ pub fn run_with(scale: Scale, threads: &[usize], json: Option<&Path>) {
                     if level == (0, 0, 0) {
                         assert!(
                             recovered && out.health.faults_injected == 0,
-                            "zero-rate injector perturbed the Luby run (t = {t})"
+                            "zero-rate plan perturbed the Luby run (t = {t})"
                         );
                     }
                     assert!(recovered, "Luby run failed to recover (t = {t})");

@@ -29,7 +29,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use cc_mis::engine::{EngineLubyMis, EngineMisOutcome};
-use cc_runtime::trace::{ChromeTrace, RingRecorder, TraceSummary};
+use cc_runtime::trace::{ChromeTrace, RingRecorder};
 use cc_runtime::Engine;
 use cc_sim::{ExecutionModel, ExecutionReport};
 use clique_coloring::baselines::engine_trial::{EngineTrialColoring, EngineTrialOutcome};
@@ -154,7 +154,7 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 same_trial(&out, &traced),
                 "attaching a recorder changed the trial coloring or its ledger"
             );
-            capture.add(&format!("{label} trial-coloring"), &recorder, traced.trace);
+            capture.add(&format!("{label} trial-coloring"), &recorder);
         }
         add_row(
             "trial-coloring",
@@ -192,7 +192,7 @@ pub fn run_with(scale: Scale, threads: &[usize], dump: Option<&Path>, trace: Opt
                 same_luby(&out, &traced),
                 "attaching a recorder changed the MIS or its ledger"
             );
-            capture.add(&format!("{label} luby-mis"), &recorder, traced.trace);
+            capture.add(&format!("{label} luby-mis"), &recorder);
         }
         add_row(
             "luby-mis",
@@ -264,14 +264,13 @@ struct Capture {
 impl Capture {
     /// Adds a traced run's events as the next process and prints its
     /// per-round summary.
-    fn add(&mut self, name: &str, recorder: &RingRecorder, summary: Option<TraceSummary>) {
+    fn add(&mut self, name: &str, recorder: &RingRecorder) {
         let name = format!("{name} t={}", self.threads);
         self.chrome
             .add_process(self.processes, &name, &recorder.events());
         self.processes += 1;
-        let summary = summary.expect("recorded run carries a trace summary");
         println!("\ntrace: {name}");
-        print!("{}", summary.render());
+        print!("{}", recorder.summary().render());
     }
 }
 

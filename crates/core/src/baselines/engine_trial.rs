@@ -13,7 +13,6 @@ use cc_graph::coloring::Coloring;
 use cc_graph::instance::ListColoringInstance;
 use cc_graph::{Color, NodeId};
 use cc_runtime::programs::trial::TrialColoringProgram;
-use cc_runtime::trace::TraceSummary;
 use cc_runtime::{
     Engine, EngineConfig, EngineHealth, EngineOutcome, MessageLedger, ServiceRequest,
 };
@@ -56,8 +55,6 @@ pub struct EngineTrialOutcome {
     pub ledger: MessageLedger,
     /// Engine rounds executed (including communication-free ones).
     pub engine_rounds: u64,
-    /// The per-round trace aggregation, when run with a recorder.
-    pub trace: Option<TraceSummary>,
     /// Fault-injection and recovery health (all zeros when fault-free).
     pub health: EngineHealth,
     /// Nodes the deterministic greedy pass colored or re-colored after the
@@ -92,11 +89,11 @@ impl EngineTrialColoring {
     /// instance palette, which copies no colors: a range palette is three
     /// words, and a list palette shares its list through an `Arc`. Submit
     /// the request to a [`cc_runtime::ColoringService`] or run it on
-    /// `Engine::new(request.config)`, with a recorder or fault injector
+    /// `Engine::new(request.config)`, with a recorder or fault plan
     /// attached if wanted, then finish through
-    /// [`EngineTrialColoring::assemble`]. A recorder fills the outcome's
-    /// `trace` without changing the coloring, report, or ledger; under an
-    /// injector, damaged rounds are retried from checkpoints and crashed or
+    /// [`EngineTrialColoring::assemble`]. A recorder captures the run
+    /// without changing the coloring, report, or ledger; under a fault
+    /// plan, damaged rounds are retried from checkpoints and crashed or
     /// conflicted nodes are recolored greedily, so the coloring is always
     /// proper — `health` and `recolored_nodes` say what the run survived.
     ///
@@ -180,7 +177,6 @@ impl EngineTrialColoring {
             outcome: outcome("engine-trial", coloring, run.report),
             ledger,
             engine_rounds: run.rounds,
-            trace: run.trace,
             health: run.health,
             recolored_nodes: uncolored.len(),
         })
@@ -255,14 +251,13 @@ mod tests {
     }
 
     #[test]
-    fn recorded_run_matches_plain_run_and_carries_a_summary() {
+    fn recorded_run_matches_plain_run_and_fills_the_recorder() {
         let graph = generators::gnp(100, 0.1, 3).unwrap();
         let instance = ListColoringInstance::delta_plus_one(&graph).unwrap();
         let model = ExecutionModel::congested_clique(100);
         let plain = EngineTrialColoring::default()
             .run(&instance, model.clone())
             .unwrap();
-        assert!(plain.trace.is_none());
         let recorder = Arc::new(RingRecorder::default());
         let algo = EngineTrialColoring::default();
         let request = algo.service_request(&instance, model).unwrap();
@@ -273,7 +268,7 @@ mod tests {
         let traced = algo.assemble(&instance, run).unwrap();
         assert_eq!(plain.outcome.coloring, traced.outcome.coloring);
         assert_eq!(plain.ledger, traced.ledger);
-        let summary = traced.trace.unwrap();
+        let summary = recorder.summary();
         assert_eq!(summary.rounds.len() as u64, traced.engine_rounds);
         assert!(recorder.recorded_events() > 0);
     }

@@ -11,8 +11,6 @@
 
 use cc_hash::seed::splitmix64;
 
-use crate::injector::FaultInjector;
-
 /// Domain-separation salts so the per-fault-kind decisions draw from
 /// independent streams of the same seed.
 const SALT_MESSAGE: u64 = 0x6d73_675f_6661_756c; // "msg_faul"
@@ -37,8 +35,8 @@ pub enum MessageFault {
     },
 }
 
-/// A seeded, reproducible fault schedule, and the engine's live
-/// [`FaultInjector`]: `Engine::with_faults(plan)` attaches it as is.
+/// A seeded, reproducible fault schedule, and the engine's one fault
+/// source: `Engine::with_faults(plan)` attaches it as is.
 ///
 /// Rates are in permille (0–1000) per delivery attempt; the drop,
 /// duplicate, and corrupt rates partition one roll, so their sum must stay
@@ -202,19 +200,17 @@ impl FaultPlan {
             None
         }
     }
-}
 
-impl FaultInjector for FaultPlan {
-    const ENABLED: bool = true;
-
-    /// The *settled* outcome: a message settles (delivers clean,
-    /// permanently) at the first attempt whose roll is clean; until then,
-    /// each attempt sees that attempt's fault. This makes retries converge
-    /// geometrically — the probability a message is still faulted after
-    /// `a` attempts is `rateᵃ` — instead of requiring one attempt where
-    /// *every* message rolls clean at once.
+    /// The *settled* outcome for one staged message at the given retry
+    /// attempt (`None` = deliver clean): a message settles (delivers
+    /// clean, permanently) at the first attempt whose roll is clean; until
+    /// then, each attempt sees that attempt's fault. This makes retries
+    /// converge geometrically — the probability a message is still
+    /// faulted after `a` attempts is `rateᵃ` — instead of requiring one
+    /// attempt where *every* message rolls clean at once.
     #[inline]
-    fn message_outcome(
+    #[must_use]
+    pub fn message_outcome(
         &self,
         round: u64,
         attempt: u32,
@@ -229,8 +225,10 @@ impl FaultInjector for FaultPlan {
         self.message_fault(round, attempt, src, dst, seq, bits_limit)
     }
 
+    /// Busy-wait iterations to inject into one chunk's seal this round.
     #[inline]
-    fn stall_spins(&self, round: u64, chunk: usize) -> u32 {
+    #[must_use]
+    pub fn stall_spins(&self, round: u64, chunk: usize) -> u32 {
         if self.stall_permille == 0 {
             return 0;
         }
@@ -242,16 +240,22 @@ impl FaultInjector for FaultPlan {
         }
     }
 
+    /// The round at whose start `node` crash-stops, if scheduled.
     #[inline]
-    fn crash_round(&self, node: u32) -> Option<u64> {
+    #[must_use]
+    pub fn crash_round(&self, node: u32) -> Option<u64> {
         self.crashes
             .binary_search_by_key(&node, |&(v, _)| v)
             .ok()
             .map(|i| self.crashes[i].1)
     }
 
+    /// Whether any message-delivery fault can ever fire (lets the engine
+    /// skip the fault pass, and its delivered-side buffers, for crash- or
+    /// stall-only plans).
     #[inline]
-    fn has_message_faults(&self) -> bool {
+    #[must_use]
+    pub fn has_message_faults(&self) -> bool {
         self.drop_permille > 0 || self.duplicate_permille > 0 || self.corrupt_permille > 0
     }
 }
@@ -358,8 +362,7 @@ mod tests {
         let plan = plan.with_crash(9, 2);
         assert_eq!(plan.crash_round(9), Some(2));
         assert_eq!(plan.crashes(), &[(2, 1), (9, 2)]);
-        // A plan is an enabled injector; a crash-only one faults no message.
-        const { assert!(FaultPlan::ENABLED) }
+        // A crash-only plan faults no message.
         assert!(!plan.has_message_faults());
         assert!(plan.with_drop(500).has_message_faults());
     }

@@ -130,16 +130,6 @@ impl ListColoringInstance {
         self.graph.size_words() + self.total_palette_words()
     }
 
-    /// The minimum slack `p(v) - d(v)` over all nodes. A valid instance has
-    /// slack ≥ 1 everywhere.
-    pub fn min_slack(&self) -> isize {
-        self.graph
-            .nodes()
-            .map(|v| self.palettes[v.index()].size() as isize - self.graph.degree(v) as isize)
-            .min()
-            .unwrap_or(isize::MAX)
-    }
-
     /// Checks the `p(v) > d(v)` invariant for every node.
     ///
     /// # Errors
@@ -183,7 +173,6 @@ mod tests {
             assert_eq!(inst.palette(v).size(), 6);
         }
         assert!(inst.all_palettes_implicit());
-        assert_eq!(inst.min_slack(), 1);
     }
 
     #[test]
@@ -253,6 +242,5 @@ mod tests {
             vec![Palette::range(1), Palette::range(3), Palette::range(3)],
         );
         assert!(inst.validate().is_err());
-        assert!(inst.min_slack() < 1);
     }
 }

@@ -63,27 +63,6 @@ impl BitSeed {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Sets bit `i` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub fn set_bit(&mut self, i: usize, value: bool) {
-        assert!(
-            i < self.bits,
-            "bit index {i} out of range for {} bits",
-            self.bits
-        );
-        let word = &mut self.words[i / 64];
-        let mask = 1u64 << (i % 64);
-        if value {
-            *word |= mask;
-        } else {
-            *word &= !mask;
-        }
-    }
-
     /// Reads the `width`-bit chunk starting at bit `start` (little-endian
     /// within the chunk). Bits past the end of the seed read as zero.
     ///
@@ -223,13 +202,9 @@ mod tests {
 
     #[test]
     fn zeros_and_bit_access() {
-        let mut s = BitSeed::zeros(70);
+        let s = BitSeed::zeros(70);
         assert_eq!(s.len(), 70);
         assert!(!s.is_empty());
-        assert!(!s.bit(69));
-        s.set_bit(69, true);
-        assert!(s.bit(69));
-        s.set_bit(69, false);
         assert!(!s.bit(69));
     }
 

@@ -22,7 +22,7 @@ use crate::rules::{push, FileContext};
 /// of model coordinates, never of wall clock or thread timing — and the
 /// batching service, whose scheduling decisions must depend only on
 /// submission order and round state).
-const HOT_MODULES: [&str; 10] = [
+const HOT_MODULES: [&str; 8] = [
     "crates/runtime/src/router.rs",
     "crates/runtime/src/columns.rs",
     "crates/runtime/src/instance.rs",
@@ -30,9 +30,7 @@ const HOT_MODULES: [&str; 10] = [
     "crates/runtime/src/pool.rs",
     "crates/runtime/src/service.rs",
     "crates/trace/src/ring.rs",
-    "crates/trace/src/recorder.rs",
     "crates/fault/src/plan.rs",
-    "crates/fault/src/injector.rs",
 ];
 
 /// Hash-order-dependent collections and hashers.

@@ -9,7 +9,6 @@
 
 use cc_graph::csr::CsrGraph;
 use cc_runtime::programs::luby::LubyMisProgram;
-use cc_runtime::trace::TraceSummary;
 use cc_runtime::{
     word_bits_limit, Engine, EngineConfig, EngineHealth, EngineOutcome, MessageLedger,
     ServiceRequest,
@@ -54,8 +53,6 @@ pub struct EngineMisOutcome {
     pub report: ExecutionReport,
     /// The engine's message ledger (digest + per-round loads).
     pub ledger: MessageLedger,
-    /// The per-round trace aggregation, when run with a recorder.
-    pub trace: Option<TraceSummary>,
     /// Fault-injection and recovery health (all zeros when fault-free).
     pub health: EngineHealth,
 }
@@ -85,10 +82,10 @@ impl EngineLubyMis {
     /// [`LubyMisProgram`] per node, under this algorithm's threads, round
     /// cap, and label. Submit it to a [`cc_runtime::ColoringService`] or
     /// run it on `Engine::new(request.config)`, with a recorder or fault
-    /// injector attached if wanted, then finish through
-    /// [`EngineLubyMis::assemble`]. A recorder fills the outcome's `trace`
-    /// without changing the MIS, report, or ledger; under an injector,
-    /// damaged rounds are retried from checkpoints and degraded runs are
+    /// plan attached if wanted, then finish through
+    /// [`EngineLubyMis::assemble`]. A recorder captures the run without
+    /// changing the MIS, report, or ledger; under a fault plan, damaged
+    /// rounds are retried from checkpoints and degraded runs are
     /// repaired (adjacent joiners evicted, then greedy completion), so the
     /// set is always a valid MIS — `health` says what the run survived.
     pub fn service_request(
@@ -155,7 +152,6 @@ impl EngineLubyMis {
             },
             report: run.report,
             ledger,
-            trace: run.trace,
             health: run.health,
         }
     }
@@ -211,11 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn recorded_run_matches_plain_run_and_carries_a_summary() {
+    fn recorded_run_matches_plain_run_and_fills_the_recorder() {
         let g = generators::gnp(100, 0.08, 11).unwrap();
         let model = ExecutionModel::congested_clique(100);
         let plain = EngineLubyMis::default().run(&g, model.clone()).unwrap();
-        assert!(plain.trace.is_none());
         let recorder = Arc::new(RingRecorder::default());
         let algo = EngineLubyMis::default();
         let request = algo.service_request(&g, model);
@@ -226,7 +221,7 @@ mod tests {
         let traced = algo.assemble(&g, run);
         assert_eq!(plain.result, traced.result);
         assert_eq!(plain.ledger, traced.ledger);
-        assert!(traced.trace.unwrap().events > 0);
+        assert!(recorder.summary().events > 0);
         assert!(recorder.recorded_events() > 0);
     }
 

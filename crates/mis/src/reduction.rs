@@ -89,11 +89,6 @@ impl ReductionGraph {
         &self.graph
     }
 
-    /// Number of vertices in the reduction graph (total palette size).
-    pub fn vertex_count(&self) -> usize {
-        self.origin.len()
-    }
-
     /// The (original node, color) pair represented by reduction vertex `x`.
     ///
     /// # Panics
@@ -168,7 +163,7 @@ mod tests {
         let inst = ListColoringInstance::delta_plus_one(&g).unwrap();
         let red = ReductionGraph::build(&inst);
         // 3 nodes × 3 colors = 9 vertices.
-        assert_eq!(red.vertex_count(), 9);
+        assert_eq!(red.graph().node_count(), 9);
         // Each node contributes a triangle (3 edges); each of the 3 original
         // edges contributes 3 conflict edges (one per shared color).
         assert_eq!(red.graph().edge_count(), 3 * 3 + 3 * 3);
@@ -206,7 +201,7 @@ mod tests {
         let g = GraphBuilder::path(2).build();
         let inst = ListColoringInstance::delta_plus_one(&g).unwrap();
         let red = ReductionGraph::build(&inst);
-        let empty = vec![false; red.vertex_count()];
+        let empty = vec![false; red.graph().node_count()];
         let mut coloring = Coloring::empty(2);
         assert!(matches!(
             red.write_coloring(&empty, &mut coloring),

@@ -31,9 +31,9 @@
 
 use std::sync::Arc;
 
-use cc_fault::{FaultInjector, NoopInjector};
+use cc_fault::FaultPlan;
 use cc_sim::{ExecutionModel, ExecutionReport, SimError, ViolationPolicy};
-use cc_trace::{NoopRecorder, Recorder, TraceSummary};
+use cc_trace::RingRecorder;
 
 use crate::instance::{Banks, Hooks, Instance, Started};
 use crate::ledger::MessageLedger;
@@ -59,10 +59,10 @@ pub struct EngineConfig {
     /// default, matching [`cc_sim::ClusterContext::new`]) or aborting the
     /// run on the first one ([`ViolationPolicy::FailFast`]).
     pub policy: ViolationPolicy,
-    /// Retries allowed per damaged round when a fault injector is attached
-    /// (ignored under the default [`NoopInjector`]); a round still damaged
-    /// after them is committed as is. The default, 16, leaves about
-    /// 0.0015% of messages unsettled even at a 50% fault rate.
+    /// Retries allowed per damaged round when a fault plan is attached
+    /// (ignored without one); a round still damaged after them is
+    /// committed as is. The default, 16, leaves about 0.0015% of messages
+    /// unsettled even at a 50% fault rate.
     pub max_round_retries: u32,
 }
 
@@ -110,7 +110,8 @@ pub struct PhaseTimings {
 }
 
 /// Fault-injection and recovery health of one execution — all zeros (and
-/// `degraded` false) when no fault injector was attached or no fault fired.
+/// `degraded` false) when no fault plan was attached. A plan attached but
+/// never firing still checkpoints, so `checkpoint_words` counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineHealth {
     /// Message faults applied across *all* delivery attempts, including
@@ -153,42 +154,27 @@ pub struct EngineOutcome<O> {
     pub all_halted: bool,
     /// Per-phase wall-clock breakdown (route / step / check / barrier).
     pub timings: PhaseTimings,
-    /// The per-round trace aggregation, when the engine ran with a
-    /// recording [`Recorder`] attached (`None` under [`NoopRecorder`]).
-    pub trace: Option<TraceSummary>,
-    /// Fault-injection and recovery health (all zeros when fault-free).
+    /// Fault-injection and recovery health (all zeros without a fault
+    /// plan).
     pub health: EngineHealth,
 }
 
 /// The round-synchronous message-passing engine.
 ///
-/// Generic over a [`Recorder`] trace sink; the default [`NoopRecorder`]
-/// compiles all instrumentation out, and attaching a
-/// [`cc_trace::RingRecorder`] (via [`Engine::with_recorder`]) captures
+/// Recording and fault injection are optional and off by default.
+/// [`Engine::with_recorder`] attaches a [`RingRecorder`], which captures
 /// per-round spans, counters, and histograms without changing any result,
 /// report, or ledger digest — recording is diagnostics-only by
-/// construction.
-///
-/// Likewise generic over a [`FaultInjector`]; the default [`NoopInjector`]
-/// compiles all fault paths out, and attaching a seeded
-/// [`cc_fault::FaultPlan`] (via [`Engine::with_faults`]) drives
-/// deterministic message faults, crash-stops, and the checkpoint/retry
-/// recovery loop — see [`EngineHealth`] for what a faulted run reports.
+/// construction. [`Engine::with_faults`] attaches a seeded [`FaultPlan`],
+/// which drives deterministic message faults, crash-stops, and the
+/// checkpoint/retry recovery loop — see [`EngineHealth`] for what a
+/// faulted run reports.
 ///
 /// See the crate docs for the model contract and the determinism guarantee.
-#[derive(Debug)]
-pub struct Engine<R: Recorder = NoopRecorder, F: FaultInjector = NoopInjector> {
+#[derive(Debug, Clone)]
+pub struct Engine {
     config: EngineConfig,
-    hooks: Hooks<R, F>,
-}
-
-impl<R: Recorder, F: FaultInjector> Clone for Engine<R, F> {
-    fn clone(&self) -> Self {
-        Engine {
-            config: self.config.clone(),
-            hooks: self.hooks.clone(),
-        }
-    }
+    hooks: Hooks,
 }
 
 impl Default for Engine {
@@ -207,29 +193,24 @@ impl Engine {
             hooks: Hooks::none(),
         }
     }
-}
 
-impl<R: Recorder, F: FaultInjector> Engine<R, F> {
     /// The same engine recording every run into `recorder`. The recorder
-    /// is shared, not consumed: keep a clone of the `Arc` to export the
-    /// capture after the run (or read [`EngineOutcome::trace`]).
+    /// is shared, not consumed: keep a clone of the `Arc` to read the
+    /// capture after the run ([`RingRecorder::summary`],
+    /// [`RingRecorder::events`]).
     #[must_use]
-    pub fn with_recorder<R2: Recorder>(self, recorder: Arc<R2>) -> Engine<R2, F> {
-        Engine {
-            config: self.config,
-            hooks: self.hooks.with_recorder(recorder),
-        }
+    pub fn with_recorder(mut self, recorder: Arc<RingRecorder>) -> Self {
+        self.hooks.recorder = Some(recorder);
+        self
     }
 
-    /// The same engine injecting faults from `injector` (normally a seeded
-    /// [`cc_fault::FaultPlan`]), with the checkpoint/retry recovery loop
-    /// bounded by [`EngineConfig::max_round_retries`].
+    /// The same engine injecting faults from `plan`, with the
+    /// checkpoint/retry recovery loop bounded by
+    /// [`EngineConfig::max_round_retries`].
     #[must_use]
-    pub fn with_faults<F2: FaultInjector>(self, injector: F2) -> Engine<R, F2> {
-        Engine {
-            config: self.config,
-            hooks: self.hooks.with_faults(injector),
-        }
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.hooks.faults = Some(Arc::new(plan));
+        self
     }
 
     /// The engine's configuration.
@@ -266,10 +247,10 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
     }
 
     /// A reusable execution session over this engine's configuration,
-    /// recorder, and injector: the executor's workers are spawned once, and
-    /// the arena banks are recycled across runs of any clique size. See
-    /// [`EngineSession`].
-    pub fn session(&self) -> EngineSession<R, F> {
+    /// recorder, and fault plan: the executor's workers are spawned once,
+    /// and the arena banks are recycled across runs of any clique size.
+    /// See [`EngineSession`].
+    pub fn session(&self) -> EngineSession {
         EngineSession::new(self.clone())
     }
 }
@@ -290,17 +271,17 @@ impl<R: Recorder, F: FaultInjector> Engine<R, F> {
 /// round, so nothing leaks between runs (the `session_reuse` tests pin the
 /// equality, and the counting-allocator harness pins that reused runs skip
 /// the construction allocations).
-pub struct EngineSession<R: Recorder = NoopRecorder, F: FaultInjector = NoopInjector> {
-    engine: Engine<R, F>,
+pub struct EngineSession {
+    engine: Engine,
     executor: ChunkedExecutor,
     /// The previous run's arena banks and merge scratch.
     spare: Banks,
 }
 
-impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
+impl EngineSession {
     /// A session running under `engine`'s configuration. The executor is
     /// spawned here, once, and reused by every [`EngineSession::run`].
-    pub fn new(engine: Engine<R, F>) -> Self {
+    pub fn new(engine: Engine) -> Self {
         let executor = ChunkedExecutor::new(engine.config.threads);
         EngineSession {
             engine,
@@ -350,7 +331,7 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
             &mut self.spare,
             &self.engine.hooks,
         );
-        let outcome = match started {
+        match started {
             Started::Finished(outcome) => Ok(outcome),
             Started::Running(mut instance) => {
                 // One closure for the whole run; the plane's round counter
@@ -368,13 +349,7 @@ impl<R: Recorder, F: FaultInjector> EngineSession<R, F> {
                 drop(step);
                 instance.finish(verdict, &mut self.spare)
             }
-        };
-        outcome.map(|mut outcome| {
-            if R::ENABLED {
-                outcome.trace = self.engine.hooks.recorder.summary();
-            }
-            outcome
-        })
+        }
     }
 }
 
@@ -684,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_rate_injector_changes_nothing_but_health() {
+    fn a_zero_rate_plan_changes_nothing_but_health() {
         use cc_fault::FaultPlan;
         let n = 60;
         let clean = Engine::new(EngineConfig::with_threads(2))
@@ -779,7 +754,6 @@ mod tests {
         let plain = Engine::new(EngineConfig::with_threads(2))
             .run(ExecutionModel::congested_clique(n), ring_programs(n))
             .unwrap();
-        assert!(plain.trace.is_none());
         let rec = Arc::new(RingRecorder::default());
         let traced = Engine::new(EngineConfig::with_threads(2))
             .with_recorder(Arc::clone(&rec))
@@ -813,7 +787,7 @@ mod tests {
                 }
             }
         }
-        let summary = traced.trace.expect("recording run carries a summary");
+        let summary = rec.summary();
         assert_eq!(summary.rounds.len() as u64, traced.rounds);
         assert_eq!(summary.totals().0, traced.ledger.total_messages());
         assert!(summary.histogram(HistKind::InboxLen).unwrap().total() > 0);
@@ -823,6 +797,7 @@ mod tests {
     mod properties {
         use cc_fault::FaultPlan;
         use cc_graph::palette::Palette;
+        use cc_trace::RingRecorder;
         use proptest::prelude::*;
 
         use super::*;
@@ -877,22 +852,20 @@ mod tests {
             programs.collect()
         }
 
-        /// Runs `programs()` through one session as one group, then at
-        /// every group count from `min(n, 16)` down to 1, and requires
-        /// each run to equal the one-group run in everything but timing.
-        fn groupings_agree<O, F>(
-            session: &mut EngineSession<NoopRecorder, F>,
+        /// Runs `programs()` through `plain` as one group, then through
+        /// `hooked` at every group count from `min(n, 16)` down to 1, and
+        /// requires each run to equal the one-group run in everything but
+        /// timing.
+        fn groupings_agree<O: PartialEq + Send + 'static>(
+            plain: &mut EngineSession,
+            hooked: &mut EngineSession,
             n: usize,
             programs: impl Fn() -> Programs<O>,
-        ) -> Result<(), TestCaseError>
-        where
-            O: PartialEq + Send + 'static,
-            F: FaultInjector,
-        {
+        ) -> Result<(), TestCaseError> {
             let model = ExecutionModel::congested_clique(n);
-            let one = session.run_grouped(model.clone(), programs(), 1).unwrap();
+            let one = plain.run_grouped(model.clone(), programs(), 1).unwrap();
             for groups in (1..=n.min(MAX_CHUNKS)).rev() {
-                let split = session
+                let split = hooked
                     .run_grouped(model.clone(), programs(), groups)
                     .unwrap();
                 prop_assert!(split.outputs == one.outputs, "outputs, {groups} groups");
@@ -904,35 +877,44 @@ mod tests {
             Ok(())
         }
 
-        /// One program kind through a 4-thread session under `engine`.
-        fn kind_agrees<F: FaultInjector>(
-            engine: &Engine<NoopRecorder, F>,
+        /// One program kind through two 4-thread sessions: `engine` for the
+        /// one-group reference and `hooked` (the same engine, maybe
+        /// recording) for every grouping.
+        fn kind_agrees(
+            engine: &Engine,
+            hooked: &Engine,
             kind: u8,
             n: usize,
             seed: u64,
         ) -> Result<(), TestCaseError> {
-            let mut session = engine.session();
+            let (mut plain, mut hooked) = (engine.session(), hooked.session());
             let adjacency = scrambled_graph(n, seed);
             match kind {
-                0 => groupings_agree(&mut session, n, || chatter_programs(n)),
-                1 => groupings_agree(&mut session, n, || trial_programs(&adjacency, seed)),
-                _ => groupings_agree(&mut session, n, || luby_programs(&adjacency, seed)),
+                0 => groupings_agree(&mut plain, &mut hooked, n, || chatter_programs(n)),
+                1 => groupings_agree(&mut plain, &mut hooked, n, || {
+                    trial_programs(&adjacency, seed)
+                }),
+                _ => groupings_agree(&mut plain, &mut hooked, n, || {
+                    luby_programs(&adjacency, seed)
+                }),
             }
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// The execution grouping is unobservable: chatter, trial
-            /// coloring and Luby MIS give the one-group outputs, ledger,
-            /// report, rounds and health at every group count, fault-free,
-            /// under crash-free message faults and stalls, and under a
-            /// crash schedule.
+            /// The execution grouping and the recorder are unobservable:
+            /// chatter, trial coloring and Luby MIS give the unrecorded
+            /// one-group outputs, ledger, report, rounds and health at
+            /// every group count, with a recorder attached or not,
+            /// fault-free, under crash-free message faults and stalls, and
+            /// under a crash schedule.
             #[test]
             fn every_grouping_matches_one_group(
                 n in 2usize..=64,
                 kind in 0u8..3,
                 faults in 0u8..3,
+                recorded in any::<bool>(),
                 seed in any::<u64>(),
                 rates in (0u16..=40, 0u16..=30, 0u16..=30),
                 crashes in proptest::collection::vec((0u32..64, 0u64..4), 1..3),
@@ -944,16 +926,21 @@ mod tests {
                     .with_duplicate(duplicate)
                     .with_corrupt(corrupt)
                     .with_stall(50, 200);
-                match faults {
-                    0 => kind_agrees(&engine, kind, n, seed)?,
-                    1 => kind_agrees(&engine.with_faults(plan), kind, n, seed)?,
-                    _ => {
-                        let plan = crashes
-                            .iter()
-                            .fold(plan, |plan, &(node, round)| plan.with_crash(node % n as u32, round));
-                        kind_agrees(&engine.with_faults(plan), kind, n, seed)?;
-                    }
-                }
+                let engine = match faults {
+                    0 => engine,
+                    1 => engine.with_faults(plan),
+                    _ => engine.with_faults(crashes.iter().fold(plan, |plan, &(node, round)| {
+                        plan.with_crash(node % n as u32, round)
+                    })),
+                };
+                let recorder = Arc::new(RingRecorder::with_capacity(256));
+                let hooked = if recorded {
+                    engine.clone().with_recorder(Arc::clone(&recorder))
+                } else {
+                    engine.clone()
+                };
+                kind_agrees(&engine, &hooked, kind, n, seed)?;
+                prop_assert_eq!(recorder.recorded_events() > 0, recorded);
             }
         }
     }

@@ -30,9 +30,9 @@ use std::sync::{Arc, Mutex, RwLock};
 // cc-lint: allow(determinism) — wall clock feeds PhaseTimings and trace timestamps only, never any result or digest
 use std::time::Instant;
 
-use cc_fault::{FaultInjector, NoopInjector};
+use cc_fault::FaultPlan;
 use cc_sim::{ClusterContext, ExecutionModel, SimError};
-use cc_trace::{Counter, HistKind, NoopRecorder, Phase, Recorder, DRIVER_LANE};
+use cc_trace::{Counter, HistKind, Phase, RingRecorder, DRIVER_LANE};
 
 use crate::columns::{Inbox, InboxSegment};
 use crate::engine::{EngineConfig, EngineHealth, EngineOutcome, PhaseTimings};
@@ -46,55 +46,27 @@ use crate::router::{
 use crate::snapshot::{SnapshotSink, SnapshotSource};
 
 /// What an engine or a service attaches to every instance it runs: the
-/// trace sink, the fault source, and the origin of trace timestamps.
-#[derive(Debug)]
-pub(crate) struct Hooks<R, F> {
-    pub(crate) recorder: Arc<R>,
-    pub(crate) injector: Arc<F>,
+/// trace sink and the fault plan, each optional, and the origin of trace
+/// timestamps. Every probe and every fault site checks for its hook, so an
+/// instance with neither records and injects nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Hooks {
+    pub(crate) recorder: Option<Arc<RingRecorder>>,
+    pub(crate) faults: Option<Arc<FaultPlan>>,
     /// Every recorded nanosecond offset is relative to this instant, so
     /// spans from all lanes — and all slots of a service — share one axis.
     // cc-lint: allow(determinism) — the epoch anchors diagnostic timestamps only, never any result or digest
     pub(crate) epoch: Instant,
 }
 
-impl<R, F> Clone for Hooks<R, F> {
-    fn clone(&self) -> Self {
-        Hooks {
-            recorder: Arc::clone(&self.recorder),
-            injector: Arc::clone(&self.injector),
-            epoch: self.epoch,
-        }
-    }
-}
-
-impl Hooks<NoopRecorder, NoopInjector> {
+impl Hooks {
     /// No recording and no faults.
     pub(crate) fn none() -> Self {
         Hooks {
-            recorder: Arc::new(NoopRecorder),
-            injector: Arc::new(NoopInjector),
+            recorder: None,
+            faults: None,
             // cc-lint: allow(determinism) — the epoch anchors diagnostic timestamps only, never any result or digest
             epoch: Instant::now(),
-        }
-    }
-}
-
-impl<R, F> Hooks<R, F> {
-    /// The same hooks recording into `recorder`.
-    pub(crate) fn with_recorder<R2>(self, recorder: Arc<R2>) -> Hooks<R2, F> {
-        Hooks {
-            recorder,
-            injector: self.injector,
-            epoch: self.epoch,
-        }
-    }
-
-    /// The same hooks injecting faults from `injector`.
-    pub(crate) fn with_faults<F2>(self, injector: F2) -> Hooks<R, F2> {
-        Hooks {
-            recorder: self.recorder,
-            injector: Arc::new(injector),
-            epoch: self.epoch,
         }
     }
 }
@@ -143,7 +115,7 @@ impl Banks {
 struct Group<O> {
     programs: Vec<Box<dyn NodeProgram<Output = O>>>,
     halted: Vec<bool>,
-    /// Round checkpoint (fault-injected runs only): every live program's
+    /// Round checkpoint (runs with a fault plan only): every live program's
     /// snapshot words, concatenated, with `checkpoint_at[j]..checkpoint_at
     /// [j + 1]` delimiting program `j`'s slice, plus the halted flags as
     /// they were when the round began. Reused every round — high-water
@@ -158,7 +130,7 @@ struct Group<O> {
 
 /// The worker side of an instance, shared with the workers through one
 /// `Arc` for the instance's whole lifetime, so rounds allocate nothing.
-pub(crate) struct Plane<O, R, F> {
+pub(crate) struct Plane<O> {
     n: usize,
     bits_limit: u32,
     bandwidth_limit: usize,
@@ -183,10 +155,10 @@ pub(crate) struct Plane<O, R, F> {
     /// When group `k` sealed this round, in nanoseconds since the epoch;
     /// the driver reads these at the barrier to attribute barrier wait.
     finish_ns: Vec<AtomicU64>,
-    hooks: Hooks<R, F>,
+    hooks: Hooks,
 }
 
-impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
+impl<O: Send + 'static> Plane<O> {
     /// Steps every live node of group `k` for the current round and seals
     /// the group's arena. Runs on whichever thread claims group `k`;
     /// touches only group-`k`-owned mutable state plus read-shared
@@ -196,8 +168,8 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
     pub(crate) fn step_group(&self, k: usize) {
         let round = self.round.load(Ordering::Acquire);
         let lane = self.lane + k;
-        let recorder = &*self.hooks.recorder;
-        let injector = &*self.hooks.injector;
+        let recorder = self.hooks.recorder.as_deref();
+        let plan = self.hooks.faults.as_deref();
         let mut arena = self.arenas[(round & 1) as usize][k]
             .write()
             .expect("chunk arena poisoned");
@@ -217,10 +189,10 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
         let group = &mut *group;
         let attempt = self.attempt.load(Ordering::Acquire);
         let mut checkpoint_words_now = 0u64;
-        if F::ENABLED {
+        if let Some(plan) = plan {
             // Deterministic per-(round, group) stall: pure timing skew to
             // shake out barrier races; never touches any compared state.
-            for _ in 0..injector.stall_spins(round, k) {
+            for _ in 0..plan.stall_spins(round, k) {
                 std::hint::spin_loop();
             }
             if attempt == 0 {
@@ -273,10 +245,9 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
                 arena.note_halted();
                 continue;
             }
-            if F::ENABLED
-                && injector
-                    .crash_round(i as u32)
-                    .is_some_and(|crash| round >= crash)
+            if plan
+                .and_then(|plan| plan.crash_round(i as u32))
+                .is_some_and(|crash| round >= crash)
             {
                 // Crash-stop: the node is quarantined — it stops stepping
                 // and sending, counts as halted for termination, and its
@@ -304,7 +275,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
                 }
             }
             let inbox = Inbox::new(i as u32, &segments[..filled]);
-            if R::ENABLED {
+            if let Some(recorder) = recorder {
                 recorder.observe(lane, HistKind::InboxLen, inbox.len() as u64);
             }
             let before = arena.staged();
@@ -333,7 +304,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
             lane,
             route_ts,
             recorder,
-            injector,
+            plan,
         );
         // cc-lint: allow(determinism) — phase timing for diagnostics; folded into route_ns, not into results
         let route_end = Instant::now();
@@ -345,11 +316,11 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
         // the barrier-wait attribution in PhaseTimings, recorder or not.
         let sealed_ts = (route_end - self.hooks.epoch).as_nanos() as u64;
         self.finish_ns[k].store(sealed_ts, Ordering::Relaxed);
-        if R::ENABLED {
+        if let Some(recorder) = recorder {
             let step_ts = (step_start - self.hooks.epoch).as_nanos() as u64;
             recorder.span(lane, Phase::Step, round, step_ts, route_ts);
             recorder.span(lane, Phase::Route, round, route_ts, sealed_ts);
-            if F::ENABLED && checkpoint_words_now > 0 {
+            if checkpoint_words_now > 0 {
                 recorder.count(
                     lane,
                     Counter::CheckpointWords,
@@ -364,10 +335,10 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Plane<O, R, F> {
 }
 
 /// How [`Instance::start`] left an execution.
-pub(crate) enum Started<O, R, F> {
+pub(crate) enum Started<O> {
     /// Set up: dispatch [`Plane::step_group`] over its groups and call
     /// [`Instance::merge`] until it returns a verdict.
-    Running(Instance<O, R, F>),
+    Running(Instance<O>),
     /// No round could run — an empty clique or a zero round cap — so the
     /// execution finished on the spot: no rounds, the programs finished as
     /// they are, `all_halted` only for an empty clique.
@@ -376,8 +347,8 @@ pub(crate) enum Started<O, R, F> {
 
 /// The driver side of an instance: accounting, ledger, merge scratch, and
 /// retry state. Only the driving thread touches it.
-pub(crate) struct Instance<O, R, F> {
-    plane: Arc<Plane<O, R, F>>,
+pub(crate) struct Instance<O> {
+    plane: Arc<Plane<O>>,
     config: EngineConfig,
     ctx: ClusterContext,
     ledger: MessageLedger,
@@ -389,7 +360,7 @@ pub(crate) struct Instance<O, R, F> {
     health: EngineHealth,
 }
 
-impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
+impl<O: Send + 'static> Instance<O> {
     /// Sets up one execution of `programs` (one per clique node) under
     /// `config`, split into `groups` execution groups whose trace lanes
     /// start at `lane`. The arena banks and merge scratch are taken from
@@ -402,8 +373,8 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
         groups: usize,
         lane: usize,
         spare: &mut Banks,
-        hooks: &Hooks<R, F>,
-    ) -> Started<O, R, F> {
+        hooks: &Hooks,
+    ) -> Started<O> {
         let n = programs.len();
         let ctx = ClusterContext::with_policy(model, config.policy);
         if n == 0 || config.max_rounds == 0 {
@@ -414,7 +385,6 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
                 rounds: 0,
                 all_halted: n == 0,
                 timings: PhaseTimings::default(),
-                trace: None,
                 health: EngineHealth::default(),
             });
         }
@@ -424,6 +394,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
         // comfortably under the allocator's mmap threshold).
         ledger.reserve_rounds(usize::try_from(config.max_rounds.min(512)).unwrap_or(0));
         let Banks { arenas, scratch } = std::mem::take(spare).fit(n, groups);
+        let faulted = hooks.faults.is_some();
         let mut programs = programs.into_iter();
         let plane = Plane {
             n,
@@ -442,8 +413,8 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
                         programs: programs.by_ref().take(len).collect(),
                         halted: vec![false; len],
                         checkpoint: Vec::new(),
-                        checkpoint_at: Vec::with_capacity(if F::ENABLED { len + 1 } else { 0 }),
-                        checkpoint_halted: Vec::with_capacity(if F::ENABLED { len } else { 0 }),
+                        checkpoint_at: Vec::with_capacity(if faulted { len + 1 } else { 0 }),
+                        checkpoint_halted: Vec::with_capacity(if faulted { len } else { 0 }),
                         checkpoint_ok: true,
                     })
                 })
@@ -453,7 +424,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
             finish_ns: (0..groups).map(|_| AtomicU64::new(0)).collect(),
             hooks: hooks.clone(),
         };
-        let retry_label = if F::ENABLED {
+        let retry_label = if faulted {
             format!("{}:retry", config.label)
         } else {
             String::new()
@@ -472,13 +443,14 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
     }
 
     /// The worker side, for the dispatch closure.
-    pub(crate) fn plane(&self) -> &Arc<Plane<O, R, F>> {
+    pub(crate) fn plane(&self) -> &Arc<Plane<O>> {
         &self.plane
     }
 
     /// Closes the round the workers just stepped: attributes barrier wait,
-    /// checks a fault-injected round for damage (rolling it back for a
-    /// retry while the budget and the programs' snapshot support hold),
+    /// checks the round for damage when a fault plan is attached (rolling
+    /// it back for a retry while the budget and the programs' snapshot
+    /// support hold),
     /// merges the sealed groups in fixed group order into the context and
     /// ledger, and advances the round. Returns the verdict once the
     /// execution is over — `Ok(true)` when every node halted, `Ok(false)`
@@ -486,7 +458,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
     /// it goes on.
     pub(crate) fn merge(&mut self) -> Option<Result<bool, SimError>> {
         let plane = &*self.plane;
-        let recorder = &*plane.hooks.recorder;
+        let recorder = plane.hooks.recorder.as_deref();
         let round = plane.round.load(Ordering::Relaxed);
         // One clock read serves three purposes — the end of every group's
         // barrier wait, the start of the check phase, and the timestamp of
@@ -497,7 +469,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
         for (k, finish) in plane.finish_ns.iter().enumerate() {
             let sealed_ts = finish.load(Ordering::Relaxed);
             self.barrier_wait_ns += barrier_ts.saturating_sub(sealed_ts);
-            if R::ENABLED {
+            if let Some(recorder) = recorder {
                 recorder.span(
                     plane.lane + k,
                     Phase::BarrierWait,
@@ -508,7 +480,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
             }
         }
         let bank = &plane.arenas[(round & 1) as usize];
-        if F::ENABLED {
+        if plane.hooks.faults.is_some() {
             // Damage check, before the merge commits anything: compare
             // what receivers will see (the sealed sub-digests) against what
             // senders intended.
@@ -530,7 +502,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
                 plane.attempt.store(attempt + 1, Ordering::Release);
                 self.health.retries += 1;
                 self.ctx.charge_rounds(&self.retry_label, 1);
-                if R::ENABLED {
+                if let Some(recorder) = recorder {
                     recorder.count(DRIVER_LANE, Counter::RoundRetries, round, barrier_ts, 1);
                 }
                 self.check_ns += check_start.elapsed().as_nanos() as u64;
@@ -540,7 +512,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
                 self.health.damaged_rounds_committed += 1;
             }
             self.health.faults_committed += attempt_faults;
-            if R::ENABLED {
+            if let Some(recorder) = recorder {
                 let crashed = plane.crashed.load(Ordering::Relaxed);
                 for (counter, value) in [
                     (Counter::FaultsInjected, attempt_faults),
@@ -565,7 +537,7 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
             recorder,
         );
         self.check_ns += check_start.elapsed().as_nanos() as u64;
-        if R::ENABLED {
+        if let Some(recorder) = recorder {
             // cc-lint: allow(determinism) — phase timing for diagnostics; recorded as the check span only
             let check_end_ts = (Instant::now() - plane.hooks.epoch).as_nanos() as u64;
             recorder.span(DRIVER_LANE, Phase::Check, round, barrier_ts, check_end_ts);
@@ -583,8 +555,8 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
 
     /// Ends the execution with the `verdict` [`Instance::merge`] returned:
     /// finishes the programs into per-node outputs and assembles the
-    /// outcome (`trace` is left `None`), handing the arena banks and merge
-    /// scratch back to `spare` for the next instance.
+    /// outcome, handing the arena banks and merge scratch back to `spare`
+    /// for the next instance.
     pub(crate) fn finish(
         self,
         verdict: Result<bool, SimError>,
@@ -593,12 +565,11 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
         let plane = Arc::try_unwrap(self.plane)
             .map_err(|_| ())
             .expect("a worker still holds the plane after the final barrier");
+        // Without a fault plan every count here is zero.
         let mut health = self.health;
-        if F::ENABLED {
-            health.crashed_nodes = plane.crashed.into_inner();
-            health.checkpoint_words = plane.checkpoint_words.into_inner();
-            health.degraded = health.damaged_rounds_committed > 0 || health.crashed_nodes > 0;
-        }
+        health.crashed_nodes = plane.crashed.into_inner();
+        health.checkpoint_words = plane.checkpoint_words.into_inner();
+        health.degraded = health.damaged_rounds_committed > 0 || health.crashed_nodes > 0;
         let timings = PhaseTimings {
             route_ns: plane.route_ns.into_inner(),
             step_ns: plane.step_ns.into_inner(),
@@ -623,7 +594,6 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> Instance<O, R, F> {
             rounds,
             all_halted,
             timings,
-            trace: None,
             health,
         })
     }

@@ -108,29 +108,32 @@
 //!
 //! ## Observability
 //!
-//! The engine is generic over a [`cc_trace::Recorder`] (re-exported as
-//! [`trace`]): the default `NoopRecorder` compiles every probe out, while
-//! [`Engine::with_recorder`] (or [`ColoringService::with_recorder`]) with
-//! a `RingRecorder` captures per-round route/step/check/barrier spans per
-//! worker lane, message counters, and power-of-two histograms — lock-free,
+//! Recording is optional. [`Engine::with_recorder`] (or
+//! [`ColoringService::with_recorder`]) attaches an `Arc` of a
+//! [`cc_trace::RingRecorder`] (the `cc-trace` crate is re-exported as
+//! [`trace`]), the same handle `cc-sim`'s `ClusterContext` takes. It
+//! captures per-round route/step/check/barrier spans per worker lane,
+//! message counters, and power-of-two histograms — lock-free,
 //! allocation-free in steady state, and provably unobservable in results,
-//! reports, and ledgers. Captures
-//! export as Chrome trace-event JSON (Perfetto) or a per-round summary
-//! table; see the `cc-trace` crate docs.
+//! reports, and ledgers. Without one, every probe is skipped. The caller
+//! keeps a clone of the `Arc` and reads the capture after the run, as
+//! Chrome trace-event JSON (Perfetto) or a per-round summary table; see
+//! the `cc-trace` crate docs.
 //!
 //! ## Fault injection & recovery
 //!
-//! The engine is likewise generic over a [`cc_fault::FaultInjector`]
-//! (re-exported as [`fault`]): the default `NoopInjector` compiles every
-//! fault path out — the fault-free hot loop is untouched — while
-//! [`Engine::with_faults`] (or [`ColoringService::with_faults`]) with a
-//! seeded [`cc_fault::FaultPlan`] delivers deterministic message
+//! Fault injection is optional too. [`Engine::with_faults`] (or
+//! [`ColoringService::with_faults`]) attaches a seeded
+//! [`cc_fault::FaultPlan`] (the `cc-fault` crate is re-exported as
+//! [`fault`]), which delivers deterministic message
 //! drops/duplicates/corruptions, per-group stalls, and node crash-stops
 //! keyed on model coordinates (round, src, dst, sequence), never on thread
-//! timing. Damage is *detected* at the barrier by comparing each group's
-//! delivered digest against the intended one, and *recovered* by
-//! re-executing the round from a flat-word checkpoint ([`snapshot`]) at
-//! most [`EngineConfig::max_round_retries`] times; crash-stopped nodes are
+//! timing. Without a plan, every fault site is skipped. With one — even a
+//! zero-rate one — every round is checkpointed. Damage is *detected* at
+//! the barrier by comparing each group's delivered digest against the
+//! intended one, and *recovered* by re-executing the round from a
+//! flat-word checkpoint ([`snapshot`]) at most
+//! [`EngineConfig::max_round_retries`] times; crash-stopped nodes are
 //! quarantined and the outcome is flagged degraded
 //! ([`engine::EngineHealth`]). A recovered run's outputs and ledger are
 //! bit-identical to the fault-free run's at every thread count (asserted
@@ -165,7 +168,7 @@ pub mod service;
 pub mod snapshot;
 
 pub use cc_fault as fault;
-pub use cc_fault::{FaultInjector, FaultPlan, MessageFault, NoopInjector};
+pub use cc_fault::{FaultPlan, MessageFault};
 pub use cc_trace as trace;
 pub use columns::{Inbox, MessageColumns, SendSink, Staging};
 pub use engine::{Engine, EngineConfig, EngineHealth, EngineOutcome, EngineSession, PhaseTimings};

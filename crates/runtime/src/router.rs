@@ -42,10 +42,10 @@
 
 use std::sync::{RwLock, RwLockReadGuard};
 
-use cc_fault::{FaultInjector, MessageFault};
+use cc_fault::{FaultPlan, MessageFault};
 use cc_sim::error::{Violation, ViolationKind};
 use cc_sim::{ClusterContext, SimError};
-use cc_trace::{Counter, HistKind, Recorder, DRIVER_LANE};
+use cc_trace::{Counter, HistKind, RingRecorder, DRIVER_LANE};
 
 use crate::columns::{MessageColumns, Staging};
 use crate::ledger::{message_mix, MessageLedger, RoundStats, StreamDigest};
@@ -176,7 +176,7 @@ pub(crate) struct ChunkArena {
     wide_messages: Vec<(u32, u32)>,
     /// The seal's fault pass rebuilds the delivered batch here, then swaps
     /// it with `stage`. Allocated lazily on the first faulted seal — `None`
-    /// forever when no fault injector is attached, so fault-free runs pay
+    /// forever when no fault plan is attached, so fault-free runs pay
     /// no memory.
     scratch: Option<Staging>,
     /// One stream digest per covered digest chunk over the *intended*
@@ -301,17 +301,17 @@ impl ChunkArena {
     /// order. Only if the OR mask exceeds `bits_limit` is the batch
     /// rescanned to attribute the too-wide messages (the rare path).
     ///
-    /// When the recorder is enabled, a non-empty seal also emits its
+    /// When a recorder is attached, a non-empty seal also emits its
     /// routing telemetry on `lane` at `ts_ns` (nanoseconds since the
     /// engine's epoch): messages routed, column words moved, count passes
     /// skipped (always 1 — the shard made it free), and whether the
     /// width-mask rescan fired — as counter events and as per-chunk-round
     /// histogram observations.
     ///
-    /// When a fault injector with message faults is attached, a **fault
+    /// When a fault plan with message faults is attached, a **fault
     /// pass** runs first: the intended digests fold over the pristine
     /// staged stream, then the batch is rebuilt message by message into
-    /// the lazily-allocated scratch staging with the injector's
+    /// the lazily-allocated scratch staging with the plan's
     /// per-message outcome applied (drop, adjacent duplicate, payload
     /// corruption), and the rebuilt batch is swapped in as the stage. The
     /// routing below — and the merge and next round's inboxes after it —
@@ -328,15 +328,15 @@ impl ChunkArena {
     // messages become delivered ones, so the fault hook must thread here.
     #[allow(clippy::too_many_arguments)]
     // cc-lint: region(no_alloc)
-    pub(crate) fn seal<R: Recorder, F: FaultInjector>(
+    pub(crate) fn seal(
         &mut self,
         round: u64,
         attempt: u32,
         bits_limit: u32,
         lane: usize,
         ts_ns: u64,
-        recorder: &R,
-        injector: &F,
+        recorder: Option<&RingRecorder>,
+        plan: Option<&FaultPlan>,
     ) {
         if self.stage.is_empty() {
             // Communication-free round: `routed` stays false, so every
@@ -347,7 +347,7 @@ impl ChunkArena {
         }
         self.routed = true;
         let n = self.n;
-        if F::ENABLED && injector.has_message_faults() {
+        if let Some(plan) = plan.filter(|plan| plan.has_message_faults()) {
             self.faulted = true;
             // Equal intended and delivered digests ⇔ undamaged round.
             fold_runs(
@@ -373,7 +373,7 @@ impl ChunkArena {
                     cur_src = s;
                     seq = 0;
                 }
-                match injector.message_outcome(round, attempt, s, d, seq, bits_limit) {
+                match plan.message_outcome(round, attempt, s, d, seq, bits_limit) {
                     None => delivered.push_message(s, d, w),
                     Some(MessageFault::Drop) => self.faults += 1,
                     Some(MessageFault::Duplicate) => {
@@ -456,7 +456,7 @@ impl ChunkArena {
             word.iter().filter(|&&w| bits_of(w) > bits_limit).count(),
             "width-mask fast path and attribution rescan disagree"
         );
-        if R::ENABLED {
+        if let Some(recorder) = recorder {
             let messages = dst.len() as u64;
             let moved = columns.words_moved();
             let rescans = u64::from(bits_of(or_mask) > bits_limit);
@@ -633,7 +633,7 @@ pub(crate) fn read_bank(
 /// per-destination loads fall out of one O(𝔫·chunks) add — independent of
 /// the number of messages.
 ///
-/// When the recorder is enabled, communicating rounds also emit the
+/// When a recorder is attached, communicating rounds also emit the
 /// driver-lane telemetry at `ts_ns`: the round charge and the chunk load
 /// imbalance in permille (1000 = perfectly even; 2000 = the fullest chunk
 /// carried twice its fair share).
@@ -646,7 +646,7 @@ pub(crate) fn read_bank(
 // that sees every chunk of a round at once, so the driver-lane counters
 // have to be emitted from here.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_round<R: Recorder>(
+pub(crate) fn merge_round(
     round: u64,
     bank: &[RwLock<ChunkArena>],
     scratch: &mut MergeScratch,
@@ -655,7 +655,7 @@ pub(crate) fn merge_round<R: Recorder>(
     label: &str,
     bits_limit: u32,
     ts_ns: u64,
-    recorder: &R,
+    recorder: Option<&RingRecorder>,
 ) -> Result<RoundMerge, SimError> {
     let guards = read_bank(bank);
     let chunks = || guards.iter().flatten();
@@ -724,7 +724,7 @@ pub(crate) fn merge_round<R: Recorder>(
         max_send_words: max_send,
         max_recv_words: max_recv,
     });
-    if R::ENABLED && messages > 0 {
+    if let Some(recorder) = recorder.filter(|_| messages > 0) {
         recorder.count(DRIVER_LANE, Counter::Rounds, round, ts_ns, 1);
         let fullest = chunks().map(|c| c.stage.len() as u64).max().unwrap_or(0);
         let parts = chunks().count() as u64;
@@ -745,9 +745,8 @@ pub(crate) fn merge_round<R: Recorder>(
 mod tests {
     use super::*;
     use crate::columns::SendSink;
-    use cc_fault::{FaultPlan, NoopInjector};
+    use cc_fault::FaultPlan;
     use cc_sim::{ExecutionModel, ViolationPolicy};
-    use cc_trace::NoopRecorder;
 
     /// Stages `outbox` for `sender` and records its accounting, mimicking
     /// the engine's step loop.
@@ -840,7 +839,7 @@ mod tests {
         let mut scratch = MergeScratch::new(n);
         let mut whole = ChunkArena::for_group(n, 1, 0);
         send(&mut whole, 0, n);
-        whole.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        whole.seal(0, 0, 16, 0, 0, None, None);
         merge_round(
             0,
             &bank(whole),
@@ -850,7 +849,7 @@ mod tests {
             "t",
             16,
             0,
-            &NoopRecorder,
+            None,
         )
         .unwrap();
 
@@ -862,7 +861,7 @@ mod tests {
                 let mut arena = ChunkArena::for_group(n, exec, k);
                 let nodes = group_node_range(n, exec, k);
                 send(&mut arena, nodes.start, nodes.end);
-                arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+                arena.seal(0, 0, 16, 0, 0, None, None);
                 RwLock::new(arena)
             })
             .collect();
@@ -875,7 +874,7 @@ mod tests {
             "t",
             16,
             0,
-            &NoopRecorder,
+            None,
         )
         .unwrap();
         assert_eq!(one, many);
@@ -886,7 +885,7 @@ mod tests {
         let mut arena = ChunkArena::new(4);
         stage_outbox(&mut arena, 0, &[(2, 10), (1, 11)], 100);
         stage_outbox(&mut arena, 1, &[(2, 12)], 100);
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(0, 0, 16, 0, 0, None, None);
         assert_eq!(arena.slices_for(2), (&[0u32, 1][..], &[10u64, 12][..]));
         assert_eq!(arena.slices_for(1), (&[0u32][..], &[11u64][..]));
         assert_eq!(arena.slices_for(0), (&[][..], &[][..]));
@@ -898,7 +897,7 @@ mod tests {
         let mut arena = ChunkArena::new(3);
         stage_outbox(&mut arena, 0, &[(1, u64::MAX)], 0);
         arena.note_halted();
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(0, 0, 16, 0, 0, None, None);
         assert_eq!(arena.wide_messages.len(), 1);
         assert_eq!(arena.send_overflows.len(), 1);
         let digest_before = arena.sub_digests[0].value();
@@ -908,7 +907,7 @@ mod tests {
         assert!(arena.wide_messages.is_empty());
         assert!(arena.send_overflows.is_empty());
         assert_ne!(arena.sub_digests[0].value(), digest_before);
-        arena.seal(1, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(1, 0, 16, 0, 0, None, None);
         assert_eq!(arena.slices_for(1), (&[][..], &[][..]));
     }
 
@@ -923,7 +922,7 @@ mod tests {
         let flood: Vec<(u32, u64)> = (0..=limit).map(|_| (1, 1)).collect();
         stage_outbox(&mut arena, 0, &flood, limit);
         stage_outbox(&mut arena, 2, &[(3, u64::MAX)], limit);
-        arena.seal(3, 0, 32, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(3, 0, 32, 0, 0, None, None);
         let merge = merge_round(
             3,
             &bank(arena),
@@ -933,7 +932,7 @@ mod tests {
             "test",
             32,
             0,
-            &NoopRecorder,
+            None,
         )
         .unwrap();
         assert_eq!(merge.messages as usize, limit + 2);
@@ -958,7 +957,7 @@ mod tests {
         );
         let mut ledger = MessageLedger::new();
         let mut arena = ChunkArena::new(2);
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(0, 0, 16, 0, 0, None, None);
         let merge = merge_round(
             0,
             &bank(arena),
@@ -968,7 +967,7 @@ mod tests {
             "test",
             16,
             0,
-            &NoopRecorder,
+            None,
         )
         .unwrap();
         assert_eq!(merge.messages, 0);
@@ -985,7 +984,7 @@ mod tests {
         let mut ledger = MessageLedger::new();
         let mut arena = ChunkArena::new(2);
         stage_outbox(&mut arena, 0, &[(1, u64::MAX)], 100);
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(0, 0, 16, 0, 0, None, None);
         let err = merge_round(
             0,
             &bank(arena),
@@ -995,7 +994,7 @@ mod tests {
             "test",
             16,
             0,
-            &NoopRecorder,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::ConstraintViolated(_)));
@@ -1006,7 +1005,7 @@ mod tests {
         let mut arena = ChunkArena::new(4);
         stage_outbox(&mut arena, 0, &[(1, 3), (2, u64::MAX), (3, 1)], 100);
         stage_outbox(&mut arena, 1, &[(0, 1 << 20)], 100);
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(0, 0, 16, 0, 0, None, None);
         assert_eq!(arena.wide_messages, vec![(0, 64), (1, 21)]);
     }
 
@@ -1030,7 +1029,7 @@ mod tests {
         stage_outbox(&mut arena, 7, &[(0, 1 << 30), (1, 1), (2, u64::MAX)], 100);
         offenders.push((7, 31));
         offenders.push((7, 64));
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(0, 0, 16, 0, 0, None, None);
         assert_eq!(arena.wide_messages, offenders);
     }
 
@@ -1115,10 +1114,10 @@ mod tests {
     }
 
     #[test]
-    fn noop_injector_seal_never_marks_fault_state() {
+    fn planless_seal_never_marks_fault_state() {
         let mut arena = ChunkArena::new(4);
         stage_outbox(&mut arena, 0, &[(1, 5), (2, 6)], 100);
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        arena.seal(0, 0, 16, 0, 0, None, None);
         assert!(!arena.damaged());
         assert_eq!(arena.faults_injected(), 0);
         assert!(arena.scratch.is_none(), "no scratch staging allocated");
@@ -1134,10 +1133,10 @@ mod tests {
         };
         let mut clean = ChunkArena::new(n);
         stage(&mut clean);
-        clean.seal(2, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        clean.seal(2, 0, 16, 0, 0, None, None);
         let mut faulty = ChunkArena::new(n);
         stage(&mut faulty);
-        faulty.seal(2, 0, 16, 0, 0, &NoopRecorder, &FaultPlan::new(99));
+        faulty.seal(2, 0, 16, 0, 0, None, Some(&FaultPlan::new(99)));
         assert!(!faulty.damaged());
         for d in 0..n {
             assert_eq!(clean.slices_for(d), faulty.slices_for(d), "dst {d}");
@@ -1159,10 +1158,10 @@ mod tests {
         };
         let mut clean = ChunkArena::new(n);
         stage(&mut clean);
-        clean.seal(0, 0, 16, 0, 0, &NoopRecorder, &NoopInjector);
+        clean.seal(0, 0, 16, 0, 0, None, None);
         let mut faulty = ChunkArena::new(n);
         stage(&mut faulty);
-        faulty.seal(0, 0, 16, 0, 0, &NoopRecorder, &plan);
+        faulty.seal(0, 0, 16, 0, 0, None, Some(&plan));
         assert!(
             faulty.faults_injected() > 0,
             "seeded plan at 50% applied none"
@@ -1190,7 +1189,7 @@ mod tests {
             let outbox: Vec<(u32, u64)> = (0..3).map(|j| ((s + j + 1) % n as u32, 9)).collect();
             stage_outbox(&mut arena, s, &outbox, 100);
         }
-        arena.seal(0, 0, 16, 0, 0, &NoopRecorder, &plan);
+        arena.seal(0, 0, 16, 0, 0, None, Some(&plan));
         assert!(arena.faults_injected() > 0);
         assert!(
             arena.stage.len() > 24,
@@ -1223,7 +1222,7 @@ mod tests {
                     100,
                 );
             }
-            arena.seal(1, attempt, 16, 0, 0, &NoopRecorder, &plan);
+            arena.seal(1, attempt, 16, 0, 0, None, Some(&plan));
             if attempt == 0 {
                 damaged_at_0 = arena.damaged();
             }

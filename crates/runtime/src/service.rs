@@ -47,27 +47,28 @@
 //! faults). Fail-fast violations retire only the offending instance — its
 //! outcome carries the error; neighbors keep running.
 //!
-//! A fault injector attached with [`ColoringService::with_faults`] reaches
+//! A fault plan attached with [`ColoringService::with_faults`] reaches
 //! every instance: each one checkpoints, detects damage, retries, and
 //! reports [`crate::EngineHealth`] exactly as a solo run under the same
-//! injector does. Outcomes carry each instance's own
-//! [`crate::PhaseTimings`]; `trace` stays `None`, since the service's
-//! recorder holds every slot's events together.
+//! plan does. Outcomes carry each instance's own
+//! [`crate::PhaseTimings`].
 //!
 //! ## Observability
 //!
-//! With a recording [`Recorder`] attached, each slot emits step/route and
+//! With a [`RingRecorder`] attached, each slot emits step/route and
 //! barrier-wait spans on the trace lane of its slot index, each merge emits
 //! a driver-lane check span, and the driver lane carries two service gauges
 //! per super-round: [`Counter::QueueDepth`] (requests waiting) and
-//! [`Counter::Occupancy`] (slots live).
+//! [`Counter::Occupancy`] (slots live). The recorder holds every slot's
+//! events together; read them from the `Arc` passed to
+//! [`ColoringService::with_recorder`].
 
 use std::collections::VecDeque;
 use std::sync::{Arc, RwLock};
 
-use cc_fault::{FaultInjector, NoopInjector};
+use cc_fault::FaultPlan;
 use cc_sim::{ExecutionModel, SimError};
-use cc_trace::{Counter, NoopRecorder, Recorder, DRIVER_LANE, WORKER_LANES};
+use cc_trace::{Counter, RingRecorder, DRIVER_LANE, WORKER_LANES};
 
 use crate::engine::{EngineConfig, EngineOutcome};
 use crate::instance::{Banks, Hooks, Instance, Plane, Started};
@@ -150,8 +151,8 @@ pub struct ServiceOutcome<O> {
     pub id: RequestId,
     /// The instance's result, bit-identical (outputs, report, ledger,
     /// rounds, `all_halted`, `health`) to a solo [`crate::Engine::run`]
-    /// under the request's own config and the service's fault injector.
-    /// `timings` are the instance's own; `trace` is `None`. Fail-fast
+    /// under the request's own config and the service's fault plan.
+    /// `timings` are the instance's own. Fail-fast
     /// violations surface here as [`SimError`] without disturbing other
     /// instances.
     pub result: Result<EngineOutcome<O>, SimError>,
@@ -164,13 +165,13 @@ pub struct ServiceOutcome<O> {
 
 /// The planes of one super-round's live slots, shared with the dispatch
 /// closure.
-type LivePlanes<O, R, F> = Arc<RwLock<Vec<Arc<Plane<O, R, F>>>>>;
+type LivePlanes<O> = Arc<RwLock<Vec<Arc<Plane<O>>>>>;
 
 /// An occupied slot: the request in flight and its instance.
-struct Occupant<O, R, F> {
+struct Occupant<O> {
     id: RequestId,
     admitted_super_round: u64,
-    instance: Instance<O, R, F>,
+    instance: Instance<O>,
 }
 
 /// A batched multi-instance execution service — see the
@@ -183,19 +184,19 @@ struct Occupant<O, R, F> {
 /// [`ColoringService::drain_finished`] yields retired outcomes. The
 /// caller owns the pacing, which is what lets `cc-bench` measure
 /// offered-load sweeps without the service owning a clock.
-pub struct ColoringService<O, R: Recorder = NoopRecorder, F: FaultInjector = NoopInjector> {
-    hooks: Hooks<R, F>,
+pub struct ColoringService<O> {
+    hooks: Hooks,
     executor: ChunkedExecutor,
     /// The planes of this super-round's live slots, ascending by slot:
     /// dispatch index `i` steps the single group of `live[i]`. Filled by
     /// the driver before each dispatch and emptied after it, so retiring
     /// instances can reclaim their planes.
-    live: LivePlanes<O, R, F>,
+    live: LivePlanes<O>,
     /// The one dispatch closure, built at construction: super-rounds
     /// clone the `Arc`, never re-create the closure.
     step: Job,
     queue: VecDeque<(RequestId, ServiceRequest<O>)>,
-    slots: Vec<Option<Occupant<O, R, F>>>,
+    slots: Vec<Option<Occupant<O>>>,
     /// Per slot, the arena banks and merge scratch its last occupant left.
     spares: Vec<Banks>,
     finished: Vec<ServiceOutcome<O>>,
@@ -208,25 +209,15 @@ impl<O: Send + 'static> ColoringService<O> {
     /// [`ColoringService::with_recorder`] and
     /// [`ColoringService::with_faults`] to attach them.
     pub fn new(config: ServiceConfig) -> Self {
-        Self::build(
-            ChunkedExecutor::new(config.threads),
-            config.slots,
-            Hooks::none(),
-        )
-    }
-}
-
-impl<O: Send + 'static, R: Recorder, F: FaultInjector> ColoringService<O, R, F> {
-    fn build(executor: ChunkedExecutor, slots: usize, hooks: Hooks<R, F>) -> Self {
-        let slots = slots.max(1);
-        let live: LivePlanes<O, R, F> = Arc::new(RwLock::new(Vec::with_capacity(slots)));
+        let slots = config.slots.max(1);
+        let live: LivePlanes<O> = Arc::new(RwLock::new(Vec::with_capacity(slots)));
         let step: Job = {
             let live = Arc::clone(&live);
             Arc::new(move |i| live.read().expect("live list poisoned")[i].step_group(0))
         };
         ColoringService {
-            hooks,
-            executor,
+            hooks: Hooks::none(),
+            executor: ChunkedExecutor::new(config.threads),
             live,
             step,
             queue: VecDeque::new(),
@@ -239,36 +230,22 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> ColoringService<O, R, F> 
     }
 
     /// The same service recording per-slot spans and driver-lane
-    /// queue/occupancy gauges into `recorder`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request was already submitted.
+    /// queue/occupancy gauges into `recorder`. Instances already admitted
+    /// keep the hooks they started with.
     #[must_use]
-    pub fn with_recorder<R2: Recorder>(self, recorder: Arc<R2>) -> ColoringService<O, R2, F> {
-        assert_eq!(self.next_id, 0, "attach a recorder before submitting");
-        ColoringService::build(
-            self.executor,
-            self.slots.len(),
-            self.hooks.with_recorder(recorder),
-        )
+    pub fn with_recorder(mut self, recorder: Arc<RingRecorder>) -> Self {
+        self.hooks.recorder = Some(recorder);
+        self
     }
 
-    /// The same service injecting faults from `injector` into every
-    /// instance, each recovering under its own request's
-    /// [`EngineConfig::max_round_retries`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request was already submitted.
+    /// The same service injecting faults from `plan` into every instance
+    /// it admits from now on, each recovering under its own request's
+    /// [`EngineConfig::max_round_retries`]. Instances already admitted
+    /// keep the hooks they started with.
     #[must_use]
-    pub fn with_faults<F2: FaultInjector>(self, injector: F2) -> ColoringService<O, R, F2> {
-        assert_eq!(self.next_id, 0, "attach an injector before submitting");
-        ColoringService::build(
-            self.executor,
-            self.slots.len(),
-            self.hooks.with_faults(injector),
-        )
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.hooks.faults = Some(Arc::new(plan));
+        self
     }
 
     /// Enqueues one instance; it is admitted to a slot on a subsequent
@@ -324,8 +301,8 @@ impl<O: Send + 'static, R: Recorder, F: FaultInjector> ColoringService<O, R, F> 
             );
             live.len()
         };
-        if R::ENABLED {
-            let (recorder, round) = (&self.hooks.recorder, self.super_round);
+        if let Some(recorder) = &self.hooks.recorder {
+            let round = self.super_round;
             let ts = self.hooks.epoch.elapsed().as_nanos() as u64;
             let (queued, occupied) = (self.queue.len() as u64, live_count as u64);
             recorder.count(DRIVER_LANE, Counter::QueueDepth, round, ts, queued);
@@ -663,7 +640,7 @@ mod tests {
     fn queue_and_occupancy_gauges_land_on_the_driver_lane() {
         use cc_trace::{RingRecorder, TraceEvent};
         let rec = Arc::new(RingRecorder::default());
-        let mut service: ColoringService<u64, _> =
+        let mut service =
             ColoringService::new(ServiceConfig::with_slots(1)).with_recorder(Arc::clone(&rec));
         service.submit(request(6, 3));
         service.submit(request(6, 3));

@@ -1,6 +1,6 @@
 //! Round checkpointing: flat-word snapshots of node-program state.
 //!
-//! When the engine runs with a fault injector attached, it checkpoints
+//! When the engine runs with a fault plan attached, it checkpoints
 //! every live program at the start of each round so a damaged round
 //! (dropped, duplicated, or corrupted deliveries detected at the barrier)
 //! can be re-executed from the same state. The snapshot format is

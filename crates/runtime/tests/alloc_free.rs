@@ -238,12 +238,12 @@ fn steady_state_rounds_allocate_nothing() {
 /// test is that *recording into* them is allocation-free.
 fn measure_recorded(n: usize, rounds: u64, recorder: Arc<RingRecorder>) -> (u64, u64) {
     let programs = programs(n, rounds, false);
-    let engine = Engine::new(config()).with_recorder(recorder);
+    let engine = Engine::new(config()).with_recorder(Arc::clone(&recorder));
     let (outcome, delta) = measured(|| engine.run(ExecutionModel::congested_clique(n), programs));
     let outcome = outcome.unwrap();
     assert!(outcome.all_halted);
     assert_eq!(outcome.rounds, rounds + 1);
-    assert!(outcome.trace.is_some());
+    assert!(recorder.recorded_events() > 0);
     delta
 }
 
@@ -251,11 +251,8 @@ fn measure_recorded(n: usize, rounds: u64, recorder: Arc<RingRecorder>) -> (u64,
 fn steady_state_rounds_with_ring_recorder_allocate_nothing() {
     let n = 96;
     // Tiny rings that saturate within the first rounds: every extra round
-    // only overwrites ring slots, and the end-of-run summary decodes the
-    // same saturated window for both runs (the chatter workload emits the
-    // same events every round, so the retained tail is structurally
-    // identical at 40 and at 80 rounds). Any allocation difference is
-    // therefore chargeable to the recording hot path itself.
+    // only overwrites ring slots. Any allocation difference is therefore
+    // chargeable to the recording hot path itself.
     let _ = measure_recorded(n, 10, Arc::new(RingRecorder::with_capacity(16)));
     let short = measure_recorded(n, 40, Arc::new(RingRecorder::with_capacity(16)));
     let long = measure_recorded(n, 80, Arc::new(RingRecorder::with_capacity(16)));
@@ -411,21 +408,27 @@ fn session_reuse_skips_plane_construction_allocations() {
     );
 }
 
-/// One chatter run at the given thread count, optionally recorded.
-fn run_chatter(n: usize, rounds: u64, threads: usize, record: bool) -> EngineOutcome<u64> {
-    let engine = Engine::new(EngineConfig {
+/// One chatter run at the given thread count, recorded into `recorder` if
+/// one is given.
+fn run_chatter(
+    n: usize,
+    rounds: u64,
+    threads: usize,
+    recorder: Option<Arc<RingRecorder>>,
+) -> EngineOutcome<u64> {
+    let mut engine = Engine::new(EngineConfig {
         threads,
         ..config()
     });
-    let model = ExecutionModel::congested_clique(n);
-    if record {
-        engine
-            .with_recorder(Arc::new(RingRecorder::default()))
-            .run(model, programs(n, rounds, false))
-            .unwrap()
-    } else {
-        engine.run(model, programs(n, rounds, false)).unwrap()
+    if let Some(recorder) = recorder {
+        engine = engine.with_recorder(recorder);
     }
+    engine
+        .run(
+            ExecutionModel::congested_clique(n),
+            programs(n, rounds, false),
+        )
+        .unwrap()
 }
 
 /// Execution groups that one `n`-node chatter run at `threads` threads
@@ -532,8 +535,9 @@ fn ring_recorder_leaves_outputs_and_ledger_digest_unchanged() {
     let n = 64;
     let rounds = 24;
     for threads in [1, 4] {
-        let plain = run_chatter(n, rounds, threads, false);
-        let recorded = run_chatter(n, rounds, threads, true);
+        let plain = run_chatter(n, rounds, threads, None);
+        let recorder = Arc::new(RingRecorder::default());
+        let recorded = run_chatter(n, rounds, threads, Some(Arc::clone(&recorder)));
         assert_eq!(
             plain.outputs, recorded.outputs,
             "recording changed node outputs at threads = {threads}"
@@ -547,7 +551,6 @@ fn ring_recorder_leaves_outputs_and_ledger_digest_unchanged() {
             plain.ledger, recorded.ledger,
             "recording changed the ledger at threads = {threads}"
         );
-        assert!(plain.trace.is_none());
-        assert!(recorded.trace.is_some());
+        assert_eq!(recorder.summary().rounds.len() as u64, recorded.rounds);
     }
 }

@@ -20,8 +20,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use cc_runtime::{
-    word_bits_limit, Engine, EngineConfig, FaultInjector, FaultPlan, MessageFault, NodeEnv,
-    NodeProgram, NodeStatus, NoopInjector,
+    word_bits_limit, Engine, EngineConfig, FaultPlan, MessageFault, NodeEnv, NodeProgram,
+    NodeStatus,
 };
 use cc_sim::ExecutionModel;
 
@@ -61,12 +61,12 @@ impl NodeProgram for Scripted {
 }
 
 /// The reference router: plain nested loops, no chunks, no sorting tricks,
-/// with each message's first-attempt fault from `injector` applied. Returns
-/// every node's log and the number of faults that fired.
+/// with each message's first-attempt fault from `plan`, if any, applied.
+/// Returns every node's log and the number of faults that fired.
 fn reference_delivery(
     scripts: &[Vec<Vec<(u32, u64)>>],
     rounds: usize,
-    injector: &impl FaultInjector,
+    plan: Option<&FaultPlan>,
 ) -> (Vec<InboxLog>, u64) {
     let n = scripts.len();
     let bits = word_bits_limit(n);
@@ -78,7 +78,9 @@ fn reference_delivery(
                 for (seq, &(dst, word)) in outbox.iter().enumerate() {
                     let (at, src) = (round as u64, src as u32);
                     let log = &mut logs[dst as usize];
-                    let fault = injector.message_outcome(at - 1, 0, src, dst, seq as u32, bits);
+                    let fault = plan.and_then(|plan| {
+                        plan.message_outcome(at - 1, 0, src, dst, seq as u32, bits)
+                    });
                     match fault {
                         None => log.push((at, src, word)),
                         Some(MessageFault::Drop) => {}
@@ -123,7 +125,7 @@ proptest! {
     fn engine_matches_the_reference_router(scripts in scripts_strategy()) {
         let n = scripts.len();
         let rounds = scripts[0].len();
-        let (expected, _) = reference_delivery(&scripts, rounds, &NoopInjector);
+        let (expected, _) = reference_delivery(&scripts, rounds, None);
         let mut ledgers = Vec::new();
         for threads in [1usize, 2, 4] {
             let outcome = Engine::new(EngineConfig::with_threads(threads))
@@ -153,7 +155,7 @@ proptest! {
             .with_drop(drop)
             .with_duplicate(duplicate)
             .with_corrupt(corrupt);
-        let (expected, faults) = reference_delivery(&scripts, rounds, &plan);
+        let (expected, faults) = reference_delivery(&scripts, rounds, Some(&plan));
         let delivered: usize = expected.iter().map(Vec::len).sum();
         let mut ledgers = Vec::new();
         for threads in [1usize, 2, 4] {

@@ -1,12 +1,16 @@
 //! Property: a `ColoringService` batch of k instances produces, for every
 //! instance, outputs / message ledger / execution report / round count /
-//! health byte-identical to k solo `Engine::run`s under the same
-//! crash-free fault plan — at service thread counts 1, 2, and 4, with
-//! fewer slots than instances (forcing mid-stream retirement and refill)
-//! and submissions arriving while earlier instances are already in flight.
+//! health byte-identical to k unrecorded solo `Engine::run`s under the
+//! same crash-free fault plan — at service thread counts 1, 2, and 4, with
+//! a trace recorder attached to the service or not, with fewer slots than
+//! instances (forcing mid-stream retirement and refill) and submissions
+//! arriving while earlier instances are already in flight.
+
+use std::sync::Arc;
 
 use cc_graph::palette::Palette;
 use cc_runtime::programs::trial::TrialColoringProgram;
+use cc_runtime::trace::RingRecorder;
 use cc_runtime::{
     ColoringService, Engine, EngineConfig, EngineOutcome, FaultPlan, NodeProgram, ServiceConfig,
     ServiceRequest,
@@ -114,12 +118,17 @@ proptest! {
         // mid-flight (or already retired and their slots refilled).
         stagger in 0usize..6,
         plan in plan_strategy(),
+        recorded in any::<bool>(),
     ) {
         let references: Vec<EngineOutcome<Option<u64>>> =
             specs.iter().map(|spec| solo(spec, &plan)).collect();
         for threads in [1usize, 2, 4] {
             let mut service = ColoringService::new(ServiceConfig { slots, threads })
                 .with_faults(plan.clone());
+            let recorder = Arc::new(RingRecorder::with_capacity(256));
+            if recorded {
+                service = service.with_recorder(Arc::clone(&recorder));
+            }
             let split = specs.len() / 2;
             for spec in &specs[..split] {
                 service.submit(
@@ -154,6 +163,7 @@ proptest! {
                 prop_assert_eq!(got.all_halted, reference.all_halted);
                 prop_assert_eq!(got.health, reference.health);
             }
+            prop_assert_eq!(recorder.recorded_events() > 0, recorded);
         }
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 // part of any report or result.
 use std::time::Instant;
 
-use cc_trace::{Counter, HistKind, Recorder, RingRecorder, CONTEXT_LANE};
+use cc_trace::{Counter, HistKind, RingRecorder, CONTEXT_LANE};
 
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::model::ExecutionModel;

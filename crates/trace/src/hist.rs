@@ -71,16 +71,6 @@ impl Histogram {
         self.total() == 0
     }
 
-    /// The largest non-empty bucket's upper bound (an upper bound on the
-    /// maximum observation), or 0 for an empty histogram.
-    #[must_use]
-    pub fn max_bound(&self) -> u64 {
-        self.counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .map_or(0, |b| bucket_range(b).1)
-    }
-
     /// Renders the non-empty buckets as `lo-hi:count` cells, for the
     /// human-readable summary.
     #[must_use]
@@ -175,11 +165,9 @@ mod tests {
         assert_eq!(snap.counts()[1], 1);
         assert_eq!(snap.counts()[3], 3);
         assert_eq!(snap.counts()[11], 1);
-        assert_eq!(snap.max_bound(), 2047);
         assert!(!snap.is_empty());
         hist.reset();
         assert!(hist.snapshot().is_empty());
-        assert_eq!(hist.snapshot().max_bound(), 0);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::event::{
     pack_count, pack_span, unpack, Counter, HistKind, Phase, TraceEvent, EVENT_WORDS,
 };
 use crate::hist::AtomicHistogram;
-use crate::recorder::Recorder;
 use crate::summary::TraceSummary;
 
 /// Lanes reserved for execution chunks (the engine's parallel work units;
@@ -89,10 +88,40 @@ impl RingRecorder {
         self.capacity
     }
 
-    // The write path: a cursor bump and EVENT_WORDS relaxed stores. This
-    // runs inside the engine's steady-state rounds and must never lock or
-    // touch the allocator.
+    // The recording hot path: event packing plus a cursor bump and
+    // EVENT_WORDS relaxed stores, or one bucket increment. It runs inside
+    // the engine's steady-state rounds, concurrently from worker threads,
+    // and must never lock or touch the allocator. `lane` names the writer
+    // (one lane per execution chunk plus the driver and context lanes);
+    // callers keep one writer per lane within a phase, so atomics suffice.
     // cc-lint: region(no_alloc)
+
+    /// Records a timed phase of one round on one lane. Timestamps are
+    /// nanoseconds since an epoch the caller fixed for the whole run.
+    #[inline]
+    pub fn span(&self, lane: usize, phase: Phase, round: u64, start_ns: u64, end_ns: u64) {
+        self.write(
+            lane,
+            pack_span(lane as u16, phase, round as u32, start_ns, end_ns),
+        );
+    }
+
+    /// Records a per-round counted quantity on one lane.
+    #[inline]
+    pub fn count(&self, lane: usize, counter: Counter, round: u64, ts_ns: u64, value: u64) {
+        self.write(
+            lane,
+            pack_count(lane as u16, counter, round as u32, ts_ns, value),
+        );
+    }
+
+    /// Folds one observation into a power-of-two histogram.
+    #[inline]
+    pub fn observe(&self, lane: usize, hist: HistKind, value: u64) {
+        let lane = lane.min(NUM_LANES - 1);
+        self.hists[lane * NUM_HISTS + hist as usize].observe(value);
+    }
+
     #[inline]
     fn write(&self, lane: usize, words: [u64; EVENT_WORDS]) {
         let lane = lane.min(NUM_LANES - 1);
@@ -157,6 +186,13 @@ impl RingRecorder {
         crate::hist::Histogram::from_counts(counts)
     }
 
+    /// The per-round aggregation of everything recorded so far. Allocates
+    /// — call after the run.
+    #[must_use]
+    pub fn summary(&self) -> TraceSummary {
+        TraceSummary::from_recorder(self)
+    }
+
     /// Clears all events and histograms for reuse. Not safe to race with
     /// writers — call between runs, not during one.
     pub fn reset(&self) {
@@ -166,39 +202,6 @@ impl RingRecorder {
         for hist in self.hists.iter() {
             hist.reset();
         }
-    }
-}
-
-impl Recorder for RingRecorder {
-    const ENABLED: bool = true;
-
-    // Event packing + ring write: the recording hot path.
-    // cc-lint: region(no_alloc)
-    #[inline]
-    fn span(&self, lane: usize, phase: Phase, round: u64, start_ns: u64, end_ns: u64) {
-        self.write(
-            lane,
-            pack_span(lane as u16, phase, round as u32, start_ns, end_ns),
-        );
-    }
-
-    #[inline]
-    fn count(&self, lane: usize, counter: Counter, round: u64, ts_ns: u64, value: u64) {
-        self.write(
-            lane,
-            pack_count(lane as u16, counter, round as u32, ts_ns, value),
-        );
-    }
-
-    #[inline]
-    fn observe(&self, lane: usize, hist: HistKind, value: u64) {
-        let lane = lane.min(NUM_LANES - 1);
-        self.hists[lane * NUM_HISTS + hist as usize].observe(value);
-    }
-    // cc-lint: end_region
-
-    fn summary(&self) -> Option<TraceSummary> {
-        Some(TraceSummary::from_recorder(self))
     }
 }
 

@@ -1,5 +1,5 @@
 //! [`TraceSummary`]: a per-round aggregation of a recorded run, cheap to
-//! embed in an engine outcome and render as a text table.
+//! build from the recorder after the run and render as a text table.
 //!
 //! The summary is built *after* a run, by folding the surviving ring
 //! events round by round: span durations sum into per-phase nanosecond
@@ -108,9 +108,9 @@ pub struct TraceSummary {
 
 impl TraceSummary {
     /// Folds a recorder's surviving events and histograms into per-round
-    /// rows. Allocates freely — call after the run.
-    #[must_use]
-    pub fn from_recorder(recorder: &RingRecorder) -> Self {
+    /// rows ([`RingRecorder::summary`]). Allocates freely — call after the
+    /// run.
+    pub(crate) fn from_recorder(recorder: &RingRecorder) -> Self {
         let mut rounds: BTreeMap<u32, RoundTrace> = BTreeMap::new();
         for event in recorder.events() {
             let row = rounds.entry(event.round()).or_default();
@@ -217,7 +217,6 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
     use crate::ring::{RingRecorder, DRIVER_LANE};
 
     fn recorded() -> RingRecorder {

@@ -88,7 +88,6 @@ fn recording_leaves_the_run_unchanged() {
         .expect("recorded run");
     let traced = algo(1, 3).assemble(&instance, run).expect("assemble");
     assert_same(&plain, &traced, "recorded vs plain");
-    assert!(plain.trace.is_none());
-    assert!(traced.trace.is_some());
     assert!(recorder.recorded_events() > 0);
+    assert_eq!(recorder.summary().rounds.len() as u64, traced.engine_rounds);
 }
