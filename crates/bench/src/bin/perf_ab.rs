@@ -11,11 +11,16 @@
 //!
 //! For each workload it prints, for every end-to-end metric of PARENT's
 //! `BENCHMARK.json`, the two medians, the move in the metric's worse
-//! direction as a share of PARENT's median, and the metric's bound. It
-//! exits 1 when a median moves past its bound in the worse direction, when
-//! a metric is missing from a run, or when a run does not read
-//! `"correct": true` with `"failed": 0`; it exits 2 on a usage error or on
-//! paths of unequal length. Absolute times do not carry over between hosts,
+//! direction as a share of PARENT's median, each side's interquartile
+//! range (IQR) as a share of PARENT's median, and the metric's bound. A
+//! metric whose median passes reads `unresolved` instead of `ok` when
+//! either side's IQR exceeds the bound, unless every CHANGE run is better
+//! than every PARENT run: a spread that wide can hide a move past the
+//! bound. It exits 1 when a median moves past its bound in the worse
+//! direction, when a metric is missing from a run, or when a run does not
+//! read `"correct": true` with `"failed": 0`; it exits 2 on a usage error
+//! or on paths of unequal length. An unresolved metric does not change the
+//! exit status. Absolute times do not carry over between hosts,
 //! nor between hours on one shared host, so the gate compares only runs it
 //! made itself, alternately, on one runner.
 
@@ -111,7 +116,9 @@ fn gate(parent: &Path, change: &Path) -> Result<Vec<String>, String> {
             }
         }
         let (table, found) = judge(&specs[0].metrics, &runs[0], &runs[1]);
-        table.print(&format!("{workload}: medians of {PAIRS} runs per side"));
+        table.print(&format!(
+            "{workload}: medians and IQRs of {PAIRS} runs per side"
+        ));
         problems.extend(found.into_iter().map(|p| format!("{workload} {p}")));
     }
     Ok(problems)
@@ -207,7 +214,8 @@ fn run(bin: &Path, checkout: &Path, workload: &str, seed: u64) -> Result<String,
 
 /// Judges one workload's result lines: a table row per metric, and each
 /// problem that fails the gate. A metric's move is the change of CHANGE's
-/// median in the metric's worse direction, as a share of PARENT's median.
+/// median in the metric's worse direction, and each side's spread its
+/// IQR, both as shares of PARENT's median.
 fn judge(metrics: &[Metric], parent: &[String], change: &[String]) -> (Table, Vec<String>) {
     let mut problems: Vec<String> = [("PARENT", parent), ("CHANGE", change)]
         .iter()
@@ -215,25 +223,44 @@ fn judge(metrics: &[Metric], parent: &[String], change: &[String]) -> (Table, Ve
         .map(|(side, r)| format!("a {side} run is not correct with 0 failed: {r}"))
         .collect();
     let mut table = Table::new([
-        "metric", "unit", "PARENT", "CHANGE", "worse by", "bound", "",
+        "metric",
+        "unit",
+        "PARENT",
+        "CHANGE",
+        "worse by",
+        "PARENT IQR",
+        "CHANGE IQR",
+        "bound",
+        "",
     ]);
     for metric in metrics {
-        let median_of = |runs: &[String]| -> Option<f64> {
+        let sorted_values = |runs: &[String]| -> Option<Vec<f64>> {
             let values = runs
                 .iter()
                 .map(|r| number(after(r, &metric.name)?, "value"));
-            values
+            let mut values = values
                 .collect::<Option<Vec<f64>>>()
-                .filter(|v| !v.is_empty())
-                .map(median)
+                .filter(|v| !v.is_empty())?;
+            values.sort_by(f64::total_cmp);
+            Some(values)
         };
-        let (Some(p), Some(c)) = (median_of(parent), median_of(change)) else {
+        let (Some(pv), Some(cv)) = (sorted_values(parent), sorted_values(change)) else {
             problems.push(format!("{} is missing from a run", metric.name));
             continue;
         };
-        let rise = if p == c { 0.0 } else { (c - p) / p.abs() };
+        let (p, c) = (quantile(&pv, 0.5), quantile(&cv, 0.5));
+        let share = |x: f64| if x == 0.0 { 0.0 } else { x / p.abs() };
+        let iqr = |v: &[f64]| share(quantile(v, 0.75) - quantile(v, 0.25));
+        let (p_iqr, c_iqr) = (iqr(&pv), iqr(&cv));
+        let rise = share(c - p);
         let worse_by = if metric.higher_is_better { -rise } else { rise };
         let breached = worse_by > metric.bound;
+        let every_run_better = if metric.higher_is_better {
+            cv[0] > pv[pv.len() - 1]
+        } else {
+            cv[cv.len() - 1] < pv[0]
+        };
+        let unresolved = (p_iqr > metric.bound || c_iqr > metric.bound) && !every_run_better;
         if breached {
             problems.push(format!(
                 "{} median moved {:.1}% in its worse direction ({} -> {} {}), past its {:.0}% bound",
@@ -251,8 +278,17 @@ fn judge(metrics: &[Metric], parent: &[String], change: &[String]) -> (Table, Ve
             significant(p),
             significant(c),
             format!("{:+.1}%", worse_by * 100.0),
+            format!("{:.1}%", p_iqr * 100.0),
+            format!("{:.1}%", c_iqr * 100.0),
             format!("{:.0}%", metric.bound * 100.0),
-            if breached { "FAIL" } else { "ok" }.to_string(),
+            if breached {
+                "FAIL"
+            } else if unresolved {
+                "unresolved"
+            } else {
+                "ok"
+            }
+            .to_string(),
         ]);
     }
     (table, problems)
@@ -264,14 +300,12 @@ fn correct(run: &str) -> bool {
         && number(run, "failed") == Some(0.0)
 }
 
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(f64::total_cmp);
-    let mid = values.len() / 2;
-    if values.len() % 2 == 1 {
-        values[mid]
-    } else {
-        (values[mid - 1] + values[mid]) / 2.0
-    }
+/// The `q`-quantile of ascending, non-empty `sorted`, interpolated
+/// linearly between the two nearest ranks; `q = 0.5` is the median.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = q * (sorted.len() - 1) as f64;
+    let (below, above) = (sorted[rank.floor() as usize], sorted[rank.ceil() as usize]);
+    below + (above - below) * rank.fract()
 }
 
 /// Four significant digits.
@@ -402,6 +436,48 @@ mod tests {
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn a_spread_past_the_bound_leaves_a_passing_median_unresolved() {
+        let metrics = [metric("color_s", false)];
+        let runs = |values: &[f64]| -> Vec<String> {
+            values
+                .iter()
+                .map(|&v| result(true, 0, &[("color_s", v)]))
+                .collect()
+        };
+        // The row's cells after the metric and unit: both medians, the
+        // move, both IQRs, the bound and the verdict.
+        let row = |parent: &[f64], change: &[f64]| -> Vec<String> {
+            let (table, problems) = judge(&metrics, &runs(parent), &runs(change));
+            assert!(problems.is_empty(), "{problems:?}");
+            let rendered = table.render();
+            let last = rendered.lines().last().unwrap();
+            last.split_whitespace().skip(2).map(String::from).collect()
+        };
+        let steady = [1.0; 4];
+        // Quartiles 0.85 and 1.15 around a median of 1: an IQR of 30%.
+        let wide = [0.4, 1.0, 1.0, 1.6];
+        assert_eq!(row(&steady, &steady)[6], "ok");
+        assert_eq!(
+            row(&steady, &wide),
+            [
+                "1.000",
+                "1.000",
+                "+0.0%",
+                "0.0%",
+                "30.0%",
+                "25%",
+                "unresolved"
+            ]
+        );
+        assert_eq!(row(&wide, &steady)[6], "unresolved");
+        // Unless every CHANGE run is better than every PARENT run.
+        assert_eq!(row(&[1.7, 2.0, 3.0, 3.5], &wide)[6], "ok");
+        // A median past its bound still fails, whatever the spread.
+        let slow = runs(&[1.0, 1.4, 1.4, 2.0]);
+        assert_eq!(judge(&metrics, &runs(&wide), &slow).1.len(), 1);
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl BinningEvaluation {
     pub fn cost(&self, global_nodes: usize) -> f64 {
         self.bad_node_count() as f64 + (global_nodes * self.bad_bin_count()) as f64
     }
-
-    /// The largest bin size.
-    pub fn max_bin_count(&self) -> usize {
-        self.bin_counts.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Extracts `len` bits starting at `start` from `seed` into a fresh seed.
@@ -1129,7 +1124,6 @@ mod tests {
         assert_eq!(eval.bad_node_count(), 0);
         assert_eq!(eval.bad_bin_count(), 0);
         assert_eq!(eval.cost(4), 0.0);
-        assert_eq!(eval.max_bin_count(), 2);
         // Single color bin: nodes outside the last bin keep their palettes.
         assert_eq!(eval.in_bin_palette[0], 100);
     }

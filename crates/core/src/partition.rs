@@ -349,7 +349,10 @@ mod tests {
             }
             assert_eq!((&out.bins, &out.bad_nodes), (&bins, &bad), "case {case}");
             assert_eq!(out.record.bad_bins, eval.bad_bin_count());
-            assert_eq!(out.record.max_bin_nodes, eval.max_bin_count());
+            assert_eq!(
+                Some(out.record.max_bin_nodes),
+                eval.bin_counts.iter().copied().max()
+            );
             let outcome = &out.record.seed_outcome;
             match case {
                 1 => assert_eq!(outcome.candidates_evaluated, 64),

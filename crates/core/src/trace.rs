@@ -121,14 +121,6 @@ impl RecursionTrace {
             .sum()
     }
 
-    /// Whether every partition's bad-node count met the Lemma 3.9 bound.
-    pub fn all_bad_node_bounds_met(&self) -> bool {
-        self.calls
-            .iter()
-            .filter_map(|c| c.partition.as_ref())
-            .all(|p| (p.bad_nodes as f64) <= p.bad_node_bound.max(1.0))
-    }
-
     /// Per-depth summary rows: (depth, calls, max nodes, max ℓ, max size).
     pub fn depth_summary(&self) -> Vec<DepthSummary> {
         let mut rows: Vec<DepthSummary> = Vec::new();
@@ -226,7 +218,6 @@ mod tests {
         assert_eq!(t.collected_count(), 2);
         assert_eq!(t.total_bad_nodes(), 4);
         assert_eq!(t.total_bad_bins(), 0);
-        assert!(t.all_bad_node_bounds_met());
         assert_eq!(t.calls().len(), 4);
         assert_eq!(t.calls_at_depth(1).count(), 2);
     }
@@ -246,22 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn bound_violations_are_detected() {
-        let mut t = RecursionTrace::new();
-        let mut c = call(0, true);
-        if let Some(p) = c.partition.as_mut() {
-            p.bad_nodes = 1000;
-            p.bad_node_bound = 2.0;
-        }
-        t.record(c);
-        assert!(!t.all_bad_node_bounds_met());
-    }
-
-    #[test]
     fn empty_trace_defaults() {
         let t = RecursionTrace::new();
         assert_eq!(t.max_depth(), 0);
         assert_eq!(t.depth_summary().len(), 0);
-        assert!(t.all_bad_node_bounds_met());
     }
 }

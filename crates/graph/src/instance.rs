@@ -149,13 +149,6 @@ impl ListColoringInstance {
         }
         Ok(())
     }
-
-    /// Whether every palette is stored implicitly (range form), i.e. the
-    /// instance qualifies for the O(𝔪+𝔫) global-space accounting of
-    /// Theorem 1.3.
-    pub fn all_palettes_implicit(&self) -> bool {
-        self.palettes.iter().all(Palette::is_implicit)
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +165,6 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(inst.palette(v).size(), 6);
         }
-        assert!(inst.all_palettes_implicit());
     }
 
     #[test]
@@ -231,7 +223,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(explicit.total_palette_words(), 12);
-        assert!(!explicit.all_palettes_implicit());
     }
 
     #[test]

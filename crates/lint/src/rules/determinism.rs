@@ -16,15 +16,16 @@ use crate::report::{Finding, Rule};
 use crate::rules::{push, FileContext};
 
 /// Modules in which *all* code is held to the determinism rule (the
-/// message plane, the round loop and the engine driver, the trace plane's
-/// hot path — recording must never introduce a result-visible determinism
-/// source — and the fault plane: injected faults must be a pure function
-/// of model coordinates, never of wall clock or thread timing — and the
-/// batching service, whose scheduling decisions must depend only on
-/// submission order and round state).
-const HOT_MODULES: [&str; 8] = [
+/// message plane and the send path into it, the round loop and the engine
+/// driver, the trace plane's hot path — recording must never introduce a
+/// result-visible determinism source — and the fault plane: injected
+/// faults must be a pure function of model coordinates, never of wall
+/// clock or thread timing — and the batching service, whose scheduling
+/// decisions must depend only on submission order and round state).
+const HOT_MODULES: [&str; 9] = [
     "crates/runtime/src/router.rs",
     "crates/runtime/src/columns.rs",
+    "crates/runtime/src/env.rs",
     "crates/runtime/src/instance.rs",
     "crates/runtime/src/engine.rs",
     "crates/runtime/src/pool.rs",

@@ -1,151 +1,36 @@
-//! Columnar (structure-of-arrays) message storage and the views programs
-//! run against.
+//! Columnar (structure-of-arrays) message storage: the staging area
+//! programs send into and the inbox views they read.
 //!
-//! The message plane never materializes `Vec<Message>`s on the hot path:
-//! messages live in [`MessageColumns`] — three parallel `src`/`dst`/`word`
-//! columns inside a per-chunk arena that is allocated once and reused every
-//! round. A program writes through a [`SendSink`] (an appender pinned to
-//! the sending node) and reads through an [`Inbox`] (a zero-copy
-//! concatenated view of the per-chunk slices addressed to it). The
-//! [`crate::message::Message`] struct survives only as the *iteration item*
-//! of these views and in tests — it is never the storage format.
+//! The message plane never materializes `Vec<Message>`s on the hot path.
+//! A round's sends live in a [`Staging`] area — three parallel
+//! `src`/`dst`/`word` columns plus a per-destination count shard, inside a
+//! per-group arena that is allocated once and reused every round.
+//! [`crate::env::NodeEnv`] appends to it directly, and a program reads
+//! through an [`Inbox`] (a zero-copy concatenated view of the per-chunk
+//! slices addressed to it). [`Message`] survives only as the *iteration
+//! item* of that view — it is never the storage format.
 
 use crate::message::Message;
 
-/// Structure-of-arrays storage for a batch of messages: three parallel
-/// columns, one entry per message.
+/// A group's staging area for one round: the raw message columns, one
+/// entry per message in generation order, plus a per-destination **count
+/// shard** maintained at send time.
 ///
 /// Keeping the fields in separate columns lets the router run each pass
 /// over exactly the bytes it needs — the width check folds only `word`,
-/// the counting sort keys only on `dst` — and lets capacity be reused
-/// across rounds without re-allocation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MessageColumns {
+/// the placement keys only on `dst` — and lets capacity be reused across
+/// rounds without re-allocation. Counting at send time is what kills the
+/// router's count pass: the append already touches the destination id, so
+/// by the time the last program of the group returns, the per-destination
+/// loads are complete and the `router` module's seal starts straight at
+/// the prefix sum. The shard belongs to one arena (it is never shared
+/// across groups), so worker count stays unobservable in results and
+/// ledgers — the barrier merge combines the shards in fixed group order.
+#[derive(Debug, Default)]
+pub(crate) struct Staging {
     src: Vec<u32>,
     dst: Vec<u32>,
     word: Vec<u64>,
-}
-
-impl MessageColumns {
-    /// Empty columns.
-    #[must_use]
-    pub fn new() -> Self {
-        MessageColumns::default()
-    }
-
-    // Everything below runs every round on every message; the arena's
-    // capacity is the only allocation, made once at start-up.
-    // cc-lint: region(no_alloc)
-
-    /// Number of messages stored.
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.dst.len()
-    }
-
-    /// Whether no messages are stored.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.dst.is_empty()
-    }
-
-    /// Removes all messages, keeping the allocated capacity.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.src.clear();
-        self.dst.clear();
-        self.word.clear();
-    }
-
-    /// Appends one message.
-    #[inline]
-    pub fn push(&mut self, src: u32, dst: u32, word: u64) {
-        self.src.push(src);
-        self.dst.push(dst);
-        self.word.push(word);
-    }
-
-    /// Appends one copy of `word` from `src` to every destination in
-    /// `dsts`, in order — the bulk form of [`MessageColumns::push`],
-    /// column-wise (a memcpy and two fills) instead of element-wise.
-    #[inline]
-    pub fn push_to_all(&mut self, src: u32, dsts: &[u32], word: u64) {
-        self.src.resize(self.src.len() + dsts.len(), src);
-        self.dst.extend_from_slice(dsts);
-        self.word.resize(self.word.len() + dsts.len(), word);
-    }
-
-    /// The `i`-th message, rematerialized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    #[must_use]
-    pub fn get(&self, i: usize) -> Message {
-        Message {
-            src: self.src[i],
-            dst: self.dst[i],
-            word: self.word[i],
-        }
-    }
-
-    /// The sender column.
-    #[inline]
-    #[must_use]
-    pub fn src(&self) -> &[u32] {
-        &self.src
-    }
-
-    /// The destination column.
-    #[inline]
-    #[must_use]
-    pub fn dst(&self) -> &[u32] {
-        &self.dst
-    }
-
-    /// The payload column.
-    #[inline]
-    #[must_use]
-    pub fn word(&self) -> &[u64] {
-        &self.word
-    }
-
-    /// Iterates the stored messages in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = Message> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// 64-bit words of column data one routing pass moves for this batch:
-    /// per message, the placement scatter rewrites the `u32` sender and
-    /// the `u64` payload (1.5 words) and reads the `u32` destination key
-    /// (0.5 words) — 2 words per message. (The former counting pass is
-    /// gone: per-destination counts are maintained at send time by the
-    /// [`SendSink`].) The traffic metric behind the trace plane's
-    /// "words-moved" counter.
-    #[inline]
-    #[must_use]
-    pub fn words_moved(&self) -> u64 {
-        2 * self.len() as u64
-    }
-    // cc-lint: end_region
-}
-
-/// A chunk's staging area for one round: the raw message columns plus a
-/// per-destination **count shard** maintained incrementally at send time.
-///
-/// Counting at the sink is what kills the router's count pass: the staging
-/// write already touches the destination id, so by the time the last
-/// program of the chunk returns, the per-destination loads are complete
-/// and the `router` module's seal starts straight at the prefix sum. The
-/// shard belongs to one arena (it is never shared across chunks), so
-/// worker count stays unobservable in results and ledgers — the barrier
-/// merge combines the shards in fixed chunk order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Staging {
-    columns: MessageColumns,
     /// `counts[d]` = messages staged for destination `d` this round.
     counts: Vec<u32>,
 }
@@ -153,11 +38,10 @@ pub struct Staging {
 impl Staging {
     /// An empty staging area for an `n`-node clique. The count shard is
     /// allocated here, once — clearing between rounds keeps it.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Staging {
-            columns: MessageColumns::new(),
             counts: vec![0; n],
+            ..Staging::default()
         }
     }
 
@@ -169,50 +53,70 @@ impl Staging {
         self.counts.resize(n, 0);
     }
 
-    // Everything below runs every round; the constructor and the refit
-    // above are the only allocations.
+    // Everything below runs every round on every message; the constructor
+    // and the refit above are the only allocations.
     // cc-lint: region(no_alloc)
 
     /// Number of messages staged.
     #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.columns.len()
+    pub(crate) fn len(&self) -> usize {
+        self.dst.len()
     }
 
     /// Whether no messages are staged.
     #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.dst.is_empty()
     }
 
-    /// The staged columns.
+    /// The sender column.
     #[inline]
-    #[must_use]
-    pub fn columns(&self) -> &MessageColumns {
-        &self.columns
+    pub(crate) fn src(&self) -> &[u32] {
+        &self.src
+    }
+
+    /// The destination column.
+    #[inline]
+    pub(crate) fn dst(&self) -> &[u32] {
+        &self.dst
+    }
+
+    /// The payload column.
+    #[inline]
+    pub(crate) fn word(&self) -> &[u64] {
+        &self.word
     }
 
     /// The per-destination count shard: `counts()[d]` staged messages are
-    /// addressed to `d`. Complete at all times — the sink updates it on
-    /// every push.
+    /// addressed to `d`. Complete at all times — every append updates it.
     #[inline]
-    #[must_use]
-    pub fn counts(&self) -> &[u32] {
+    pub(crate) fn counts(&self) -> &[u32] {
         &self.counts
     }
 
-    /// Appends one message directly, bumping the count shard exactly as a
-    /// [`SendSink`] push would. This is the router's fault-pass entry
-    /// point: rebuilding a post-fault delivered batch must keep the shard
-    /// consistent with the columns, and the fields are private to this
-    /// module. The destination is trusted — the original send already
-    /// validated it.
+    /// Appends one message and bumps its destination's count. The caller
+    /// has checked `dst` against the clique size: a program's send checks
+    /// it, and the router's fault pass only re-appends sent messages.
     #[inline]
-    pub(crate) fn push_message(&mut self, src: u32, dst: u32, word: u64) {
+    pub(crate) fn push(&mut self, src: u32, dst: u32, word: u64) {
         self.counts[dst as usize] += 1;
-        self.columns.push(src, dst, word);
+        self.src.push(src);
+        self.dst.push(dst);
+        self.word.push(word);
+    }
+
+    /// Appends one copy of `word` from `src` to every destination in
+    /// `dsts`, in order — the bulk form of [`Staging::push`], column-wise
+    /// (a memcpy and two fills) instead of element-wise. The caller has
+    /// checked every destination.
+    #[inline]
+    pub(crate) fn push_all(&mut self, src: u32, dsts: &[u32], word: u64) {
+        for &dst in dsts {
+            self.counts[dst as usize] += 1;
+        }
+        self.src.resize(self.src.len() + dsts.len(), src);
+        self.dst.extend_from_slice(dsts);
+        self.word.resize(self.word.len() + dsts.len(), word);
     }
 
     /// Clears the staged batch, keeping every allocation. Zeroing the
@@ -220,109 +124,20 @@ impl Staging {
     /// (the shard is already all zeros), so communication-free rounds pay
     /// no O(𝔫) reset.
     #[inline]
-    pub fn clear(&mut self) {
-        if !self.columns.is_empty() {
+    pub(crate) fn clear(&mut self) {
+        if !self.is_empty() {
             self.counts.fill(0);
         }
-        self.columns.clear();
-    }
-    // cc-lint: end_region
-}
-
-/// A write-only appender into a [`Staging`] arena, pinned to one sending
-/// node.
-///
-/// This is the outbox a [`crate::program::NodeProgram`] sees (through
-/// [`crate::env::NodeEnv::send`]): sends go straight into the owning
-/// chunk's staging columns, so there is no per-node outbox to allocate,
-/// copy out of, or clear. Every push also bumps the staging area's
-/// per-destination count shard — the send already validated and wrote the
-/// destination, so the increment rides on a line the sink is touching
-/// anyway, and the router's seal never has to re-scan the batch to count.
-#[derive(Debug)]
-pub struct SendSink<'a> {
-    src: u32,
-    n: u32,
-    columns: &'a mut MessageColumns,
-    counts: &'a mut [u32],
-}
-
-impl<'a> SendSink<'a> {
-    /// An appender writing messages from `src` into `staging`, in an
-    /// `n`-node clique.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `staging`'s count shard was not built for `n` nodes.
-    pub fn new(src: u32, n: usize, staging: &'a mut Staging) -> Self {
-        assert_eq!(
-            staging.counts.len(),
-            n,
-            "staging count shard was built for a different clique size"
-        );
-        SendSink {
-            src,
-            n: u32::try_from(n).expect("clique size exceeds u32"),
-            columns: &mut staging.columns,
-            counts: &mut staging.counts,
-        }
-    }
-
-    // The per-send path of every program: stays allocation-free.
-    // cc-lint: region(no_alloc)
-
-    /// Appends one word addressed to `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is outside `0..n` — a bug in the program, not a
-    /// model violation: out-of-range destinations would corrupt the
-    /// counting sort, so they are rejected at the door.
-    #[inline]
-    pub fn push(&mut self, dst: u32, word: u64) {
-        assert!(
-            dst < self.n,
-            "node {} sent to non-existent node {dst} (n = {})",
-            self.src,
-            self.n
-        );
-        self.counts[dst as usize] += 1;
-        self.columns.push(self.src, dst, word);
-    }
-
-    /// Appends one copy of `word` addressed to every destination in
-    /// `dsts`, in order — the bulk form of [`SendSink::push`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any destination is outside `0..n`.
-    pub fn push_all(&mut self, dsts: &[u32], word: u64) {
-        let max = dsts.iter().copied().max().unwrap_or(0);
-        assert!(
-            max < self.n || dsts.is_empty(),
-            "node {} sent to non-existent node {max} (n = {})",
-            self.src,
-            self.n
-        );
-        for &dst in dsts {
-            self.counts[dst as usize] += 1;
-        }
-        self.columns.push_to_all(self.src, dsts, word);
-    }
-
-    /// Messages currently staged in the underlying columns (all senders,
-    /// not just this one).
-    #[inline]
-    #[must_use]
-    pub fn staged(&self) -> usize {
-        self.columns.len()
+        self.src.clear();
+        self.dst.clear();
+        self.word.clear();
     }
     // cc-lint: end_region
 }
 
 /// One inbox segment: the sender and payload columns one chunk delivers to
 /// a node. The destination column is implicit (it is the node itself).
-pub type InboxSegment<'a> = (&'a [u32], &'a [u64]);
+pub(crate) type InboxSegment<'a> = (&'a [u32], &'a [u64]);
 
 /// A node's inbox for one round: a zero-copy concatenation of the slices
 /// each sender chunk's sorted arena holds for this node, in chunk order —
@@ -348,7 +163,7 @@ impl<'a> Inbox<'a> {
     ///
     /// Panics if a segment's column lengths disagree.
     #[must_use]
-    pub fn new(node: u32, segments: &'a [InboxSegment<'a>]) -> Self {
+    pub(crate) fn new(node: u32, segments: &'a [InboxSegment<'a>]) -> Self {
         let mut len = 0;
         for (src, word) in segments {
             assert_eq!(src.len(), word.len(), "ragged inbox segment");
@@ -383,22 +198,6 @@ impl<'a> Inbox<'a> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The `i`-th delivered message (ordered by sender id), if any.
-    #[must_use]
-    pub fn get(&self, mut i: usize) -> Option<Message> {
-        for (src, word) in self.segments {
-            if i < src.len() {
-                return Some(Message {
-                    src: src[i],
-                    dst: self.node,
-                    word: word[i],
-                });
-            }
-            i -= src.len();
-        }
-        None
     }
 
     /// Iterates the delivered messages in sender order.
@@ -459,57 +258,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn columns_push_get_iterate() {
-        let mut cols = MessageColumns::new();
-        assert!(cols.is_empty());
-        cols.push(0, 1, 7);
-        cols.push(2, 0, 9);
-        assert_eq!(cols.len(), 2);
-        assert_eq!(
-            cols.get(1),
-            Message {
-                src: 2,
-                dst: 0,
-                word: 9
-            }
-        );
-        let all: Vec<Message> = cols.iter().collect();
-        assert_eq!(all.len(), 2);
-        cols.clear();
-        assert!(cols.is_empty());
-    }
-
-    #[test]
-    fn sink_stamps_the_sender_and_counts_destinations() {
-        let mut staging = Staging::new(8);
-        let mut sink = SendSink::new(3, 8, &mut staging);
-        sink.push(1, 10);
-        sink.push(7, 11);
-        sink.push(7, 12);
-        assert_eq!(sink.staged(), 3);
-        assert_eq!(staging.columns().src(), &[3, 3, 3]);
-        assert_eq!(staging.columns().dst(), &[1, 7, 7]);
-        assert_eq!(staging.columns().word(), &[10, 11, 12]);
-        assert_eq!(staging.counts(), &[0, 1, 0, 0, 0, 0, 0, 2]);
-    }
-
-    #[test]
-    fn bulk_sends_count_every_destination() {
+    fn staging_appends_count_destinations_and_clear() {
         let mut staging = Staging::new(4);
-        let mut sink = SendSink::new(0, 4, &mut staging);
-        sink.push_all(&[1, 3, 1], 5);
-        assert_eq!(staging.counts(), &[0, 2, 0, 1]);
+        assert!(staging.is_empty());
+        staging.push(3, 1, 10);
+        staging.push_all(3, &[1, 3, 1], 5);
+        staging.push(0, 2, 9);
+        assert_eq!(staging.len(), 5);
+        assert_eq!(staging.src(), &[3, 3, 3, 3, 0]);
+        assert_eq!(staging.dst(), &[1, 1, 3, 1, 2]);
+        assert_eq!(staging.word(), &[10, 5, 5, 5, 9]);
+        assert_eq!(staging.counts(), &[0, 3, 1, 1]);
         staging.clear();
         assert!(staging.is_empty());
         assert_eq!(staging.counts(), &[0, 0, 0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-existent node")]
-    fn sink_rejects_out_of_range_destinations() {
-        let mut staging = Staging::new(2);
-        let mut sink = SendSink::new(0, 2, &mut staging);
-        sink.push(2, 1);
     }
 
     #[test]
@@ -525,9 +287,8 @@ mod tests {
         assert_eq!(all.len(), 3);
         assert_eq!(all[0].src, 0);
         assert_eq!(all[2].src, 5);
+        assert_eq!(all[2].word, 15);
         assert!(all.iter().all(|m| m.dst == 9));
-        assert_eq!(inbox.get(2).unwrap().word, 15);
-        assert!(inbox.get(3).is_none());
         // The view is Copy: iterating twice works on the same value.
         assert_eq!(inbox.iter().count(), inbox.iter().count());
     }
@@ -537,6 +298,5 @@ mod tests {
         let inbox = Inbox::empty(4);
         assert!(inbox.is_empty());
         assert_eq!(inbox.iter().next(), None);
-        assert!(inbox.get(0).is_none());
     }
 }

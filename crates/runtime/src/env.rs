@@ -1,39 +1,51 @@
 //! The per-node, per-round view a [`crate::program::NodeProgram`] runs
 //! against.
 
-use crate::columns::{Inbox, SendSink, Staging};
+use crate::columns::{Inbox, Staging};
 
 /// What one node sees during one round: its identity, the messages delivered
-/// to it this round, and a send sink for the messages it sends.
+/// to it this round, and the sends it makes.
 ///
 /// The environment is handed to [`crate::program::NodeProgram::on_round`] by
 /// the engine. Everything here is local to the node — a program can not
 /// observe any other node's state, which is what makes parallel execution
-/// sound. Sends are appended straight into the owning chunk's columnar
-/// staging arena (see [`crate::columns`]); the inbox is a zero-copy view
-/// over the previous round's sorted arenas.
+/// sound. Sends are appended straight into the owning execution group's
+/// columnar staging arena, which counts them per destination as they land;
+/// the inbox is a zero-copy view over the previous round's sorted arenas.
 #[derive(Debug)]
 pub struct NodeEnv<'a> {
     node: u32,
     n: usize,
     round: u64,
     inbox: Inbox<'a>,
-    sink: SendSink<'a>,
+    outbox: &'a mut Staging,
 }
 
 impl<'a> NodeEnv<'a> {
     /// An environment for `node` of an `n`-node clique in `round`, reading
     /// `inbox` and appending sends to `outbox`.
     ///
-    /// The engine builds these internally; the constructor is public so
-    /// programs can be unit-tested without an engine.
-    pub fn new(node: u32, n: usize, round: u64, inbox: Inbox<'a>, outbox: &'a mut Staging) -> Self {
+    /// # Panics
+    ///
+    /// Panics if `outbox`'s count shard was not built for `n` nodes.
+    pub(crate) fn new(
+        node: u32,
+        n: usize,
+        round: u64,
+        inbox: Inbox<'a>,
+        outbox: &'a mut Staging,
+    ) -> Self {
+        assert_eq!(
+            outbox.counts().len(),
+            n,
+            "staging count shard was built for a different clique size"
+        );
         NodeEnv {
             node,
             n,
             round,
             inbox,
-            sink: SendSink::new(node, n, outbox),
+            outbox,
         }
     }
 
@@ -65,20 +77,30 @@ impl<'a> NodeEnv<'a> {
         self.inbox
     }
 
+    // The per-send path of every program: stays allocation-free.
+    // cc-lint: region(no_alloc)
+
     /// Sends one word to `dst`, to be delivered next round.
     ///
     /// The engine checks the word width and this node's per-round send
     /// budget at delivery time, so a program can not observe global state
     /// through error paths. Only the destination range is checked here —
     /// it is local knowledge, and an out-of-range id is a program bug, not
-    /// a model violation.
+    /// a model violation: it would corrupt the router's counting sort, so
+    /// it is rejected at the door.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is outside `0..n`.
     #[inline]
     pub fn send(&mut self, dst: u32, word: u64) {
-        self.sink.push(dst, word);
+        assert!(
+            (dst as usize) < self.n,
+            "node {} sent to non-existent node {dst} (n = {})",
+            self.node,
+            self.n
+        );
+        self.outbox.push(self.node, dst, word);
     }
 
     /// Sends `word` to every node in `dsts`.
@@ -97,7 +119,14 @@ impl<'a> NodeEnv<'a> {
     /// Panics if any destination is outside `0..n`.
     #[inline]
     pub fn send_slice(&mut self, dsts: &[u32], word: u64) {
-        self.sink.push_all(dsts, word);
+        let max = dsts.iter().copied().max().unwrap_or(0);
+        assert!(
+            (max as usize) < self.n || dsts.is_empty(),
+            "node {} sent to non-existent node {max} (n = {})",
+            self.node,
+            self.n
+        );
+        self.outbox.push_all(self.node, dsts, word);
     }
 
     /// Sends `word` to every other node in the clique.
@@ -108,12 +137,13 @@ impl<'a> NodeEnv<'a> {
             }
         }
     }
+    // cc-lint: end_region
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::{InboxSegment, Staging};
+    use crate::columns::InboxSegment;
 
     #[test]
     fn send_and_broadcast_fill_the_outbox() {
@@ -126,17 +156,50 @@ mod tests {
         assert_eq!(env.n(), 4);
         assert_eq!(env.round(), 3);
         assert_eq!(env.inbox().len(), 1);
-        assert_eq!(env.inbox().get(0).unwrap().src, 2);
+        assert_eq!(env.inbox().iter().next().unwrap().src, 2);
         env.send(0, 7);
         env.send_to_all([2, 3], 8);
         env.broadcast(5);
-        // broadcast skips the sender itself.
-        assert_eq!(outbox.len(), 1 + 2 + 3);
-        assert!(outbox.columns().iter().all(|m| m.src == 1));
-        assert!(outbox.columns().iter().all(|m| m.dst != 1));
+        // Every send is stamped with the sender, in send order; broadcast
+        // skips the sender itself.
+        assert_eq!(outbox.src(), &[1; 6]);
+        assert_eq!(outbox.dst(), &[0, 2, 3, 0, 2, 3]);
+        assert_eq!(outbox.word(), &[7, 8, 8, 5, 5, 5]);
         // The count shard tracked every send: one to node 0 (plus a
         // broadcast copy), one each to 2 and 3 (plus broadcast copies).
         assert_eq!(outbox.counts(), &[2, 0, 2, 2]);
+    }
+
+    #[test]
+    fn send_slice_stages_what_repeated_sends_do() {
+        let dsts = [3, 0, 3, 1];
+        let mut bulk = Staging::new(5);
+        NodeEnv::new(2, 5, 0, Inbox::empty(2), &mut bulk).send_slice(&dsts, 6);
+        let mut single = Staging::new(5);
+        let mut env = NodeEnv::new(2, 5, 0, Inbox::empty(2), &mut single);
+        for dst in dsts {
+            env.send(dst, 6);
+        }
+        assert_eq!(bulk.len(), 4);
+        assert_eq!(bulk.src(), single.src());
+        assert_eq!(bulk.dst(), single.dst());
+        assert_eq!(bulk.word(), single.word());
+        assert_eq!(bulk.counts(), single.counts());
+        assert_eq!(bulk.counts(), &[1, 1, 0, 2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-existent node 2 (n = 2)")]
+    fn send_rejects_out_of_range_destinations() {
+        let mut outbox = Staging::new(2);
+        NodeEnv::new(0, 2, 0, Inbox::empty(0), &mut outbox).send(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-existent node 4 (n = 3)")]
+    fn send_slice_rejects_out_of_range_destinations() {
+        let mut outbox = Staging::new(3);
+        NodeEnv::new(0, 3, 0, Inbox::empty(0), &mut outbox).send_slice(&[1, 4, 2], 1);
     }
 
     #[test]

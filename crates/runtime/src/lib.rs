@@ -22,16 +22,15 @@
 //! ## The columnar message plane
 //!
 //! Messages are never materialized as `Vec<Message>`s on the hot path.
-//! Each sender chunk owns an arena of flat `src`/`dst`/`word` column
-//! buffers ([`columns::MessageColumns`]) allocated once at engine start
-//! and reused every round: programs send through a
-//! [`columns::SendSink`] appending straight into a [`columns::Staging`]
-//! area that counts per destination as messages land, the router
-//! counting-sorts the batch by destination off those send-time counts
-//! (prefix sum, per-sender-run digest fold, placement — the count pass
-//! never runs; see the `router` module), and next round's inboxes are
-//! zero-copy [`columns::Inbox`] views over the sorted columns. Width
-//! checking is an 8-wide u64-lane OR-fold over the word column.
+//! Each execution group owns an arena of flat `src`/`dst`/`word` column
+//! buffers allocated once at engine start and reused every round:
+//! [`NodeEnv::send`] appends straight into the group's staging columns and
+//! counts per destination as messages land, the router counting-sorts the
+//! batch by destination off those send-time counts (prefix sum,
+//! per-sender-run digest fold, placement — the count pass never runs; see
+//! the `router` module), and next round's inboxes are zero-copy [`Inbox`]
+//! views over the sorted columns. Width checking is an 8-wide u64-lane
+//! OR-fold over the word column.
 //! Steady-state rounds perform **zero heap allocations** at any thread
 //! count: the executor publishes each round's job without boxing it
 //! (asserted at one and two threads by an allocation-counting test
@@ -154,7 +153,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod columns;
+mod columns;
 pub mod engine;
 pub mod env;
 mod instance;
@@ -170,7 +169,7 @@ pub mod snapshot;
 pub use cc_fault as fault;
 pub use cc_fault::{FaultPlan, MessageFault};
 pub use cc_trace as trace;
-pub use columns::{Inbox, MessageColumns, SendSink, Staging};
+pub use columns::{Inbox, InboxIter};
 pub use engine::{Engine, EngineConfig, EngineHealth, EngineOutcome, EngineSession, PhaseTimings};
 pub use env::NodeEnv;
 pub use ledger::{MessageLedger, RoundStats};

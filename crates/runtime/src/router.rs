@@ -16,9 +16,9 @@
 //! the grouping is unobservable in results, reports, and ledgers. During
 //! the parallel step phase, programs
 //! append sends directly into the chunk's *staging* area (generation
-//! order: ascending sender, then send order) — a [`crate::columns::Staging`]
-//! that pairs the columns with a per-destination count shard maintained at
-//! send time, so the counting sort's first O(batch) scan never runs.
+//! order: ascending sender, then send order) — a [`Staging`] that pairs
+//! the columns with a per-destination count shard maintained at send time,
+//! so the counting sort's first O(batch) scan never runs.
 //! [`ChunkArena::seal`] then routes the batch keyed on `dst ∈ [0, 𝔫)`: a
 //! prefix sum over the pre-counted shard turns counts into offsets; the
 //! stream digest folds per *sender run* (the digest-chunk cursor advances
@@ -47,7 +47,7 @@ use cc_sim::error::{Violation, ViolationKind};
 use cc_sim::{ClusterContext, SimError};
 use cc_trace::{Counter, HistKind, RingRecorder, DRIVER_LANE};
 
-use crate::columns::{MessageColumns, Staging};
+use crate::columns::Staging;
 use crate::ledger::{message_mix, MessageLedger, RoundStats, StreamDigest};
 use crate::message::bits_of;
 
@@ -212,9 +212,8 @@ impl ChunkArena {
     /// fault pass's included, since a faulted seal swaps it in as the
     /// stage), `index`, the digest boundaries and sub-digests. Every
     /// message column keeps its capacity. A stale shard would fail
-    /// [`crate::columns::SendSink::new`]'s length check at the next send,
-    /// or, if longer, make the seal's prefix sum run over the wrong
-    /// length.
+    /// [`crate::env::NodeEnv::new`]'s length check at the next step, or,
+    /// if longer, make the seal's prefix sum run over the wrong length.
     pub(crate) fn refit(&mut self, n: usize, exec_chunks: usize, k: usize) {
         let digest = digest_chunk_count(n);
         self.n = n;
@@ -258,7 +257,7 @@ impl ChunkArena {
     // cc-lint: end_region
 
     /// The staging area programs append into (via
-    /// [`crate::columns::SendSink`]).
+    /// [`crate::env::NodeEnv`]).
     pub(crate) fn stage_mut(&mut self) -> &mut Staging {
         &mut self.stage
     }
@@ -353,7 +352,7 @@ impl ChunkArena {
             fold_runs(
                 round,
                 &self.boundaries,
-                self.stage.columns(),
+                &self.stage,
                 &mut self.intended_digests,
             );
             // Rebuild the delivered batch. Senders ascend in generation
@@ -362,8 +361,7 @@ impl ChunkArena {
             // keeping the `src` column ascending for the digest fold.
             let delivered = self.scratch.get_or_insert_with(|| Staging::new(n));
             delivered.clear();
-            let columns = self.stage.columns();
-            let (src, dst, word) = (columns.src(), columns.dst(), columns.word());
+            let (src, dst, word) = (self.stage.src(), self.stage.dst(), self.stage.word());
             // Senders are `< n ≤ u32::MAX`, so MAX is a safe "no previous
             // sender" sentinel.
             let mut cur_src = u32::MAX;
@@ -374,15 +372,15 @@ impl ChunkArena {
                     seq = 0;
                 }
                 match plan.message_outcome(round, attempt, s, d, seq, bits_limit) {
-                    None => delivered.push_message(s, d, w),
+                    None => delivered.push(s, d, w),
                     Some(MessageFault::Drop) => self.faults += 1,
                     Some(MessageFault::Duplicate) => {
-                        delivered.push_message(s, d, w);
-                        delivered.push_message(s, d, w);
+                        delivered.push(s, d, w);
+                        delivered.push(s, d, w);
                         self.faults += 1;
                     }
                     Some(MessageFault::Corrupt { mask }) => {
-                        delivered.push_message(s, d, w ^ mask);
+                        delivered.push(s, d, w ^ mask);
                         self.faults += 1;
                     }
                 }
@@ -391,11 +389,10 @@ impl ChunkArena {
             std::mem::swap(&mut self.stage, delivered);
         }
         let counts = self.stage.counts();
-        let columns = self.stage.columns();
-        let (src, dst, word) = (columns.src(), columns.dst(), columns.word());
+        let (src, dst, word) = (self.stage.src(), self.stage.dst(), self.stage.word());
         // Prefix sum over the send-time count shard: counts → group starts
         // (`index[d]` = start of `d`). This is the only O(𝔫) pass left —
-        // the O(batch) count scan happened for free inside the sinks.
+        // the O(batch) count scan happened for free at send time.
         self.index[0] = 0;
         let mut running = 0u32;
         for (slot, &count) in self.index[1..].iter_mut().zip(counts) {
@@ -409,7 +406,7 @@ impl ChunkArena {
             dst.len(),
             "prefix-sum total disagrees with the staged message count"
         );
-        fold_runs(round, &self.boundaries, columns, &mut self.sub_digests);
+        fold_runs(round, &self.boundaries, &self.stage, &mut self.sub_digests);
         // Width pass: OR the whole word column in u64 lanes.
         let or_mask = lane_or_fold(word);
         // Placement pass: scatter into destination-grouped columns,
@@ -458,7 +455,10 @@ impl ChunkArena {
         );
         if let Some(recorder) = recorder {
             let messages = dst.len() as u64;
-            let moved = columns.words_moved();
+            // Column words one routing pass moves: per message, the
+            // placement rewrites the `u32` sender and the `u64` payload
+            // (1.5 words) and reads the `u32` destination key (0.5 words).
+            let moved = 2 * messages;
             let rescans = u64::from(bits_of(or_mask) > bits_limit);
             recorder.count(lane, Counter::Messages, round, ts_ns, messages);
             recorder.count(lane, Counter::Words, round, ts_ns, moved);
@@ -528,7 +528,7 @@ impl ChunkArena {
 /// generation order.
 // cc-lint: region(no_alloc)
 #[inline]
-fn fold_runs(round: u64, boundaries: &[u32], batch: &MessageColumns, digests: &mut [StreamDigest]) {
+fn fold_runs(round: u64, boundaries: &[u32], batch: &Staging, digests: &mut [StreamDigest]) {
     let (src, dst, word) = (batch.src(), batch.dst(), batch.word());
     let mut run_start = 0usize;
     for (&bound, digest) in boundaries.iter().zip(digests) {
@@ -744,7 +744,8 @@ pub(crate) fn merge_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::SendSink;
+    use crate::columns::Inbox;
+    use crate::env::NodeEnv;
     use cc_fault::FaultPlan;
     use cc_sim::{ExecutionModel, ViolationPolicy};
 
@@ -753,9 +754,9 @@ mod tests {
     fn stage_outbox(arena: &mut ChunkArena, sender: u32, outbox: &[(u32, u64)], limit: usize) {
         let n = arena.n();
         let before = arena.staged();
-        let mut sink = SendSink::new(sender, n, arena.stage_mut());
+        let mut env = NodeEnv::new(sender, n, 0, Inbox::empty(sender), arena.stage_mut());
         for &(dst, word) in outbox {
-            sink.push(dst, word);
+            env.send(dst, word);
         }
         let sent = arena.staged() - before;
         arena.note_sender(sender, sent, limit);

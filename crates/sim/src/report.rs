@@ -50,15 +50,6 @@ impl ExecutionReport {
         }
     }
 
-    /// Peak total space as a fraction of the limit.
-    pub fn total_space_utilization(&self) -> f64 {
-        if self.total_space_limit == 0 {
-            0.0
-        } else {
-            self.peak_total_words as f64 / self.total_space_limit as f64
-        }
-    }
-
     /// Rounds charged under labels starting with `prefix`.
     pub fn rounds_with_prefix(&self, prefix: &str) -> u64 {
         self.rounds_by_label
@@ -129,7 +120,6 @@ mod tests {
         let r = sample();
         assert!(r.within_limits());
         assert!((r.local_space_utilization() - 0.5).abs() < 1e-12);
-        assert!((r.total_space_utilization() - 9000.0 / 80_000.0).abs() < 1e-12);
         assert_eq!(r.rounds_with_prefix("partition"), 18);
         assert_eq!(r.rounds_with_prefix("collect"), 4);
         assert_eq!(r.rounds_with_prefix("nope"), 0);
@@ -164,8 +154,6 @@ mod tests {
     fn zero_limits_do_not_divide_by_zero() {
         let mut r = sample();
         r.local_space_limit = 0;
-        r.total_space_limit = 0;
         assert_eq!(r.local_space_utilization(), 0.0);
-        assert_eq!(r.total_space_utilization(), 0.0);
     }
 }
