@@ -173,6 +173,36 @@ fn default_color_reduce_on_power_law_lists() {
     assert_eq!(got, want);
 }
 
+/// E3's power-law row: (deg+1)-lists from 4n colors, outside Lemma 3.9's
+/// hypothesis. No candidate totals 0 and no search meets its bound, so every
+/// salt runs every chunk.
+#[test]
+fn default_color_reduce_on_power_law_deg_plus_one_lists() {
+    let graph = generators::power_law(500, 16, 24).unwrap();
+    let kind = PaletteKind::DegPlusOneList { universe: 2000 };
+    let instance = instance_with_palettes(&graph, kind, 24 ^ 0xABCD).unwrap();
+    let got = color_reduce(&instance, ColorReduceConfig::default());
+    let seed = [
+        12030350392025516841,
+        10877779643314618765,
+        2256454723586605071,
+        7002990112904033301,
+        72514368333102556,
+        18365589154906528014,
+        13719775500234204134,
+        805087000034,
+    ];
+    let want = Pinned {
+        // 196 bad nodes after 4 salts of 8 chunks of 64 candidates.
+        picks: vec![pick(&seed, 196f64.to_bits(), 2048, 3)],
+        output: 9972624134644243492,
+        rounds: 112,
+        communication_words: 1069201,
+        peak_local_words: 13566,
+    };
+    assert_eq!(got, want);
+}
+
 #[test]
 fn multi_bin_narrow_selector_escalates() {
     // ⌊ℓ^0.4⌋ = 6 bins; two candidates per 20-bit chunk miss the bound, so
