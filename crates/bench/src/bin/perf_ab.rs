@@ -12,15 +12,20 @@
 //! For each workload it prints, for every end-to-end metric of PARENT's
 //! `BENCHMARK.json`, the two medians, the move in the metric's worse
 //! direction as a share of PARENT's median, each side's interquartile
-//! range (IQR) as a share of PARENT's median, and the metric's bound. A
-//! metric whose median passes reads `unresolved` instead of `ok` when
-//! either side's IQR exceeds the bound, unless every CHANGE run is better
-//! than every PARENT run: a spread that wide can hide a move past the
-//! bound. It exits 1 when a median moves past its bound in the worse
+//! range (IQR) as a share of PARENT's median, the metric's bound, and in
+//! how many pairs CHANGE beat PARENT in the metric's better direction (a
+//! tie counts for neither). A metric whose median passes reads `unresolved`
+//! instead of `ok` when either side's IQR exceeds the bound, unless every
+//! CHANGE run is better than every PARENT run: a spread that wide can hide
+//! a move past the bound. It reads `gain` when CHANGE wins at least nine
+//! tenths of the pairs and its median is better than PARENT's by more than
+//! PARENT's IQR, the rule a claimed gain must meet. Under each table it
+//! prints each side's median host steal (perfbench's `host_steal_pct`).
+//! It exits 1 when a median moves past its bound in the worse
 //! direction, when a metric is missing from a run, or when a run does not
 //! read `"correct": true` with `"failed": 0`; it exits 2 on a usage error
-//! or on paths of unequal length. An unresolved metric does not change the
-//! exit status. Absolute times do not carry over between hosts,
+//! or on paths of unequal length. An unresolved metric or a gain does not
+//! change the exit status. Absolute times do not carry over between hosts,
 //! nor between hours on one shared host, so the gate compares only runs it
 //! made itself, alternately, on one runner.
 
@@ -107,18 +112,29 @@ fn gate(parent: &Path, change: &Path) -> Result<Vec<String>, String> {
         .iter()
         .filter(|w| specs[1].workloads.contains(w))
     {
-        let mut runs = [Vec::new(), Vec::new()];
+        let (mut runs, mut steal) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
         for seed in 1..=PAIRS {
             eprintln!("perf_ab: {workload} pair {seed}/{PAIRS}");
             let order = if seed % 2 == 1 { [0, 1] } else { [1, 0] };
             for side in order {
-                runs[side].push(run(&bins[side], checkouts[side], workload, seed)?);
+                let (detail, result) = run(&bins[side], checkouts[side], workload, seed)?;
+                steal[side].extend(number(&detail, "host_steal_pct"));
+                runs[side].push(result);
             }
         }
         let (table, found) = judge(&specs[0].metrics, &runs[0], &runs[1]);
         table.print(&format!(
             "{workload}: medians and IQRs of {PAIRS} runs per side"
         ));
+        let [p, c] = steal.map(|mut values| {
+            values.sort_by(f64::total_cmp);
+            if values.is_empty() {
+                "n/a".to_string()
+            } else {
+                format!("{:.1}%", quantile(&values, 0.5))
+            }
+        });
+        println!("{workload}: median host steal PARENT {p}, CHANGE {c}");
         problems.extend(found.into_iter().map(|p| format!("{workload} {p}")));
     }
     Ok(problems)
@@ -186,9 +202,9 @@ fn build(checkout: &Path) -> Result<PathBuf, String> {
     Ok(target.join("release/perfbench"))
 }
 
-/// Runs one untraced perfbench window in `checkout` and returns its result
-/// line, the last line it prints.
-fn run(bin: &Path, checkout: &Path, workload: &str, seed: u64) -> Result<String, String> {
+/// Runs one untraced perfbench window in `checkout` and returns its detail
+/// line and its result line, the last two lines it prints.
+fn run(bin: &Path, checkout: &Path, workload: &str, seed: u64) -> Result<(String, String), String> {
     let output = Command::new(bin)
         .args(["--workload", workload, "--trace", "0"])
         .args([
@@ -209,13 +225,15 @@ fn run(bin: &Path, checkout: &Path, workload: &str, seed: u64) -> Result<String,
         ));
     }
     let stdout = String::from_utf8_lossy(&output.stdout);
-    Ok(stdout.lines().last().unwrap_or_default().to_string())
+    let mut lines = stdout.lines().rev().map(str::to_string);
+    let result = lines.next().unwrap_or_default();
+    Ok((lines.next().unwrap_or_default(), result))
 }
 
-/// Judges one workload's result lines: a table row per metric, and each
-/// problem that fails the gate. A metric's move is the change of CHANGE's
-/// median in the metric's worse direction, and each side's spread its
-/// IQR, both as shares of PARENT's median.
+/// Judges one workload's result lines, each side's in pair order: a table
+/// row per metric, and each problem that fails the gate. A metric's move is
+/// the change of CHANGE's median in the metric's worse direction, and each
+/// side's spread its IQR, both as shares of PARENT's median.
 fn judge(metrics: &[Metric], parent: &[String], change: &[String]) -> (Table, Vec<String>) {
     let mut problems: Vec<String> = [("PARENT", parent), ("CHANGE", change)]
         .iter()
@@ -231,23 +249,40 @@ fn judge(metrics: &[Metric], parent: &[String], change: &[String]) -> (Table, Ve
         "PARENT IQR",
         "CHANGE IQR",
         "bound",
+        "CHANGE wins",
         "",
     ]);
     for metric in metrics {
-        let sorted_values = |runs: &[String]| -> Option<Vec<f64>> {
+        let values = |runs: &[String]| -> Option<Vec<f64>> {
             let values = runs
                 .iter()
                 .map(|r| number(after(r, &metric.name)?, "value"));
-            let mut values = values
+            values
                 .collect::<Option<Vec<f64>>>()
-                .filter(|v| !v.is_empty())?;
-            values.sort_by(f64::total_cmp);
-            Some(values)
+                .filter(|v| !v.is_empty())
         };
-        let (Some(pv), Some(cv)) = (sorted_values(parent), sorted_values(change)) else {
+        let (Some(paired_p), Some(paired_c)) = (values(parent), values(change)) else {
             problems.push(format!("{} is missing from a run", metric.name));
             continue;
         };
+        let better = |c: f64, p: f64| {
+            if metric.higher_is_better {
+                c > p
+            } else {
+                c < p
+            }
+        };
+        let pairs = paired_p.len().min(paired_c.len());
+        let wins = paired_c
+            .iter()
+            .zip(&paired_p)
+            .filter(|&(&c, &p)| better(c, p))
+            .count();
+        let sorted = |mut values: Vec<f64>| {
+            values.sort_by(f64::total_cmp);
+            values
+        };
+        let (pv, cv) = (sorted(paired_p), sorted(paired_c));
         let (p, c) = (quantile(&pv, 0.5), quantile(&cv, 0.5));
         let share = |x: f64| if x == 0.0 { 0.0 } else { x / p.abs() };
         let iqr = |v: &[f64]| share(quantile(v, 0.75) - quantile(v, 0.25));
@@ -255,12 +290,9 @@ fn judge(metrics: &[Metric], parent: &[String], change: &[String]) -> (Table, Ve
         let rise = share(c - p);
         let worse_by = if metric.higher_is_better { -rise } else { rise };
         let breached = worse_by > metric.bound;
-        let every_run_better = if metric.higher_is_better {
-            cv[0] > pv[pv.len() - 1]
-        } else {
-            cv[cv.len() - 1] < pv[0]
-        };
+        let every_run_better = cv.iter().all(|&c| pv.iter().all(|&p| better(c, p)));
         let unresolved = (p_iqr > metric.bound || c_iqr > metric.bound) && !every_run_better;
+        let gain = 10 * wins >= 9 * pairs && -worse_by > p_iqr;
         if breached {
             problems.push(format!(
                 "{} median moved {:.1}% in its worse direction ({} -> {} {}), past its {:.0}% bound",
@@ -281,8 +313,11 @@ fn judge(metrics: &[Metric], parent: &[String], change: &[String]) -> (Table, Ve
             format!("{:.1}%", p_iqr * 100.0),
             format!("{:.1}%", c_iqr * 100.0),
             format!("{:.0}%", metric.bound * 100.0),
+            format!("{wins}/{pairs}"),
             if breached {
                 "FAIL"
+            } else if gain {
+                "gain"
             } else if unresolved {
                 "unresolved"
             } else {
@@ -438,28 +473,31 @@ mod tests {
         );
     }
 
+    /// One `color_s` result line per value, in pair order.
+    fn runs(values: &[f64]) -> Vec<String> {
+        values
+            .iter()
+            .map(|&v| result(true, 0, &[("color_s", v)]))
+            .collect()
+    }
+
+    /// The `color_s` row's cells after the metric and unit: both medians,
+    /// the move, both IQRs, the bound, CHANGE's pair wins and the verdict.
+    fn row(parent: &[f64], change: &[f64]) -> Vec<String> {
+        let (table, problems) = judge(&[metric("color_s", false)], &runs(parent), &runs(change));
+        assert!(problems.is_empty(), "{problems:?}");
+        let rendered = table.render();
+        let last = rendered.lines().last().unwrap();
+        last.split_whitespace().skip(2).map(String::from).collect()
+    }
+
     #[test]
     fn a_spread_past_the_bound_leaves_a_passing_median_unresolved() {
         let metrics = [metric("color_s", false)];
-        let runs = |values: &[f64]| -> Vec<String> {
-            values
-                .iter()
-                .map(|&v| result(true, 0, &[("color_s", v)]))
-                .collect()
-        };
-        // The row's cells after the metric and unit: both medians, the
-        // move, both IQRs, the bound and the verdict.
-        let row = |parent: &[f64], change: &[f64]| -> Vec<String> {
-            let (table, problems) = judge(&metrics, &runs(parent), &runs(change));
-            assert!(problems.is_empty(), "{problems:?}");
-            let rendered = table.render();
-            let last = rendered.lines().last().unwrap();
-            last.split_whitespace().skip(2).map(String::from).collect()
-        };
         let steady = [1.0; 4];
         // Quartiles 0.85 and 1.15 around a median of 1: an IQR of 30%.
         let wide = [0.4, 1.0, 1.0, 1.6];
-        assert_eq!(row(&steady, &steady)[6], "ok");
+        assert_eq!(row(&steady, &steady)[7], "ok");
         assert_eq!(
             row(&steady, &wide),
             [
@@ -469,15 +507,62 @@ mod tests {
                 "0.0%",
                 "30.0%",
                 "25%",
+                "1/4",
                 "unresolved"
             ]
         );
-        assert_eq!(row(&wide, &steady)[6], "unresolved");
-        // Unless every CHANGE run is better than every PARENT run.
-        assert_eq!(row(&[1.7, 2.0, 3.0, 3.5], &wide)[6], "ok");
+        assert_eq!(row(&wide, &steady)[7], "unresolved");
+        // Unless every CHANGE run is better than every PARENT run (here by
+        // less than PARENT's IQR, so no gain either).
+        assert_eq!(row(&[1.7, 2.0, 3.0, 3.5], &[1.2, 1.5, 1.6, 1.65])[7], "ok");
         // A median past its bound still fails, whatever the spread.
         let slow = runs(&[1.0, 1.4, 1.4, 2.0]);
         assert_eq!(judge(&metrics, &runs(&wide), &slow).1.len(), 1);
+    }
+
+    #[test]
+    fn nine_pair_wins_past_the_parents_iqr_read_gain() {
+        // Ten pairs around 1.0 with quartiles 0.99 and 1.01.
+        let parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.01, 0.99];
+        let faster = |slower_pairs: &[usize], tied_pairs: &[usize]| -> Vec<f64> {
+            (0..10)
+                .map(|k| match k {
+                    _ if slower_pairs.contains(&k) => 1.2,
+                    _ if tied_pairs.contains(&k) => parent[k],
+                    _ => 0.7,
+                })
+                .collect()
+        };
+        let verdict = |change: &[f64]| {
+            let cells = row(&parent, change);
+            (cells[6].clone(), cells[7].clone())
+        };
+        let gain = |wins: &str| (wins.to_string(), "gain".to_string());
+        let no_gain = |wins: &str| (wins.to_string(), "ok".to_string());
+        // 9 of 10 pairs, by 30% against an IQR of 2%.
+        assert_eq!(verdict(&faster(&[3], &[])), gain("9/10"));
+        assert_eq!(verdict(&faster(&[], &[3])), gain("9/10"));
+        // 8 of 10, whether the pair CHANGE did not win is lost or tied.
+        assert_eq!(verdict(&faster(&[3, 7], &[])), no_gain("8/10"));
+        assert_eq!(verdict(&faster(&[3], &[7])), no_gain("8/10"));
+        // Every pair won, by less than PARENT's IQR.
+        let close: Vec<f64> = parent.iter().map(|p| p - 0.005).collect();
+        assert_eq!(verdict(&close), no_gain("10/10"));
+        // The same for a metric where higher is better.
+        let rps = [metric("solo_rps", true)];
+        let lines = |values: &[f64]| -> Vec<String> {
+            let line = |&v: &f64| result(true, 0, &[("solo_rps", v)]);
+            values.iter().map(line).collect()
+        };
+        let faster_rps: Vec<f64> = parent.iter().map(|p| p * 1.3).collect();
+        let rendered = judge(&rps, &lines(&parent), &lines(&faster_rps)).0.render();
+        let cells: Vec<&str> = rendered
+            .lines()
+            .last()
+            .unwrap()
+            .split_whitespace()
+            .collect();
+        assert_eq!(cells[cells.len() - 2..], ["10/10", "gain"]);
     }
 
     #[test]

@@ -837,7 +837,10 @@ fn add(counter: &mut [u64], mut carry: u64) {
 /// Adds to the bit-sliced `counter` (zero, with at least three planes), in
 /// every lane, the number of `items` whose `mask` has the lane set. Eight
 /// masks at a time go through a carry-save adder tree into ones, twos and
-/// fours digits, so only the eights ripple through the counter.
+/// fours digits, so only the eights ripple through the counter. They ripple
+/// through every plane, without [`add`]'s exit at a zero carry: with few
+/// lanes in use, where that exit falls depends on the data, and the branch
+/// cost more than the planes it skipped.
 #[inline]
 fn count_lanes<T>(counter: &mut [u64], items: &[T], mask: impl Fn(&T) -> u64) {
     /// The sum and carry bits of three one-bit inputs, per lane.
@@ -858,7 +861,11 @@ fn count_lanes<T>(counter: &mut [u64], items: &[T], mask: impl Fn(&T) -> u64) {
         let (t, fours_b) = csa(t, twos_a, twos_b);
         let (f, eights) = csa(fours, fours_a, fours_b);
         (ones, twos, fours) = (o, t, f);
-        add(&mut counter[3..], eights);
+        let mut carry = eights;
+        for plane in &mut counter[3..] {
+            (*plane, carry) = (*plane ^ carry, *plane & carry);
+        }
+        debug_assert_eq!(carry, 0, "bit-sliced counter overflowed");
     }
     counter[..3].copy_from_slice(&[ones, twos, fours]);
     for item in blocks.remainder() {
@@ -940,6 +947,13 @@ mod tests {
                 planes.set_color(row, 1, h2(c));
             }
             planes
+        }
+    }
+
+    impl ScoredLanes {
+        /// How many seeds the recorded call scored.
+        pub(crate) fn scored(&self) -> usize {
+            self.seeds.len()
         }
     }
 

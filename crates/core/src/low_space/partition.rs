@@ -118,6 +118,11 @@ impl SeedCost for LowSpaceCost<'_> {
         // Lemma 4.4: the expected number of bad machines is below 1.
         1.0
     }
+
+    /// A seed that no node violates costs 0.
+    fn floor(&self) -> Option<f64> {
+        Some(0.0)
+    }
 }
 
 /// Hashes the high-degree nodes of `sub` into `bins` bins and the colors into

@@ -166,6 +166,11 @@ impl SeedCost for PartitionCost<'_> {
     fn stop_threshold(&self) -> Option<f64> {
         Some(self.bound)
     }
+
+    /// A seed with no bad node and no bad bin costs 0.
+    fn floor(&self) -> Option<f64> {
+        Some(0.0)
+    }
 }
 
 /// Runs `Partition(G, ℓ)` on the active subgraph, selecting hash functions
@@ -284,15 +289,19 @@ mod tests {
         };
         let ell = g.max_degree() as u64;
         // (config, ℓ, whether the chosen seed is scored alone): 8
-        // candidates; the default search, which stops at chunk 0; 128
-        // candidates, two groups in one call; three salts under a palette
-        // slack ℓ^0.7 no palette meets, where no seed meets the bound and
-        // an earlier pass than the last wins; and a fixed salt.
+        // candidates; the default search, which stops at chunk 0 and reads
+        // its seed from the lead of 8 it scored; 128 candidates, whose lead
+        // holds a zero too; three salts under a palette slack ℓ^0.7 no
+        // palette meets, where no seed meets the bound and an earlier pass
+        // than the last wins; 128 candidates under that slack, where the
+        // lead misses floor 0 and every chunk scores its whole codebook, two
+        // groups in one call; and a fixed salt.
         let cases = [
             (derandomized(8, 1), ell, false),
             (ColorReduceConfig::paper(), ell, false),
             (derandomized(128, 1), ell, false),
             (derandomized(8, 3), 1 << 20, true),
+            (derandomized(128, 1), 1 << 20, false),
             (fixed, ell, false),
         ];
         for (case, (config, ell, alone)) in cases.into_iter().enumerate() {
@@ -354,9 +363,12 @@ mod tests {
                 eval.bin_counts.iter().copied().max()
             );
             let outcome = &out.record.seed_outcome;
+            let recorded = cost.lanes.scored();
             match case {
-                1 => assert_eq!(outcome.candidates_evaluated, 64),
+                1 => assert_eq!((outcome.candidates_evaluated, recorded), (64, 8)),
+                2 => assert_eq!((outcome.candidates_evaluated, recorded), (128, 8)),
                 3 => assert!(!outcome.met_bound && outcome.escalations == 2),
+                4 => assert!(!outcome.met_bound && recorded == 128),
                 _ => {}
             }
         }

@@ -9,7 +9,10 @@ use cc_hash::BitSeed;
 /// Implementors describe *what* is being minimized (e.g. "number of bad nodes
 /// plus 𝔫 × number of bad bins" for `Partition`); the seed selector decides
 /// *how* the seed is searched, and charges the aggregation of every
-/// machine's term.
+/// machine's term. It asks for the totals of a chunk's candidates in
+/// codebook order; a cost that names a [`SeedCost::floor`] may be asked for
+/// only a lead of them, since a candidate at the floor already minimizes its
+/// chunk.
 pub trait SeedCost {
     /// Number of logical machines holding cost terms `q_x`.
     fn machine_count(&self) -> usize;
@@ -38,6 +41,14 @@ pub trait SeedCost {
     /// candidate's canonical completion instead of fixing the remaining
     /// chunks. The default, `None`, scores every chunk of every pass.
     fn stop_threshold(&self) -> Option<f64> {
+        None
+    }
+
+    /// The least total any seed can have, if the cost knows one. A candidate
+    /// whose total reaches it is the first minimizer of its chunk, so the
+    /// selector need not score the candidates after it; the chosen seeds do
+    /// not change. The default, `None`, has every candidate scored.
+    fn floor(&self) -> Option<f64> {
         None
     }
 }

@@ -4,9 +4,9 @@
 //! fixed a chunk at a time; for every candidate value of the next chunk all
 //! machines evaluate a score in parallel, the per-candidate totals are
 //! aggregated in O(1) rounds (Lemma 2.1), and the minimizing candidate is
-//! broadcast; the simulator computes every candidate's total directly, with
-//! one [`SeedCost::total_costs`] call per chunk, and charges the aggregation
-//! that would deliver them. The difference
+//! broadcast; the simulator computes the candidates' totals directly, with
+//! [`SeedCost::total_costs`], and charges the aggregation that would deliver
+//! all of them. The difference
 //! (substitution #2 in the README's Substitutions list) is the per-candidate
 //! score: instead of a closed-form conditional expectation — whose
 //! pessimistic-estimator constants are hopeless at laptop scale, see
@@ -24,6 +24,18 @@
 //! the stop charges nothing beyond the chunk's own aggregation and
 //! broadcast. `Partition`'s cost stops at Lemma 3.9's bound; the other costs
 //! score every chunk.
+//!
+//! A cost may also name a [`SeedCost::floor`], the least total any seed can
+//! have: `Partition`'s and `LowSpacePartition`'s costs count bad nodes and
+//! bins, so theirs is 0. The simulator then scores a chunk's codebook in
+//! order, a lead of its first 8 candidates first, and stops at the
+//! first of them at the floor: no candidate totals less, so it is the same
+//! first minimizer that scoring the whole codebook finds. A lead with none
+//! at the floor is scored again as part of its whole codebook, and so is
+//! every later chunk of the search, so a search that never reaches its floor
+//! scores at most one extra lead. The model is unchanged: every machine
+//! still scores every candidate, and each chunk charges, and counts in
+//! [`SelectionOutcome::candidates_evaluated`], its whole codebook.
 //!
 //! Everything here is deterministic: candidate codebooks and completions are
 //! pure functions of (chunk index, salt).
@@ -46,12 +58,27 @@ pub struct SelectionOutcome {
     pub bound: f64,
     /// Whether `achieved_cost <= bound`.
     pub met_bound: bool,
-    /// Number of candidate seeds whose cost was evaluated.
+    /// Number of candidate seeds the model's machines scored: the whole
+    /// codebook of every chunk the search fixed. The simulator may compute
+    /// fewer totals, when a lead of a codebook reaches the cost's
+    /// [`SeedCost::floor`], but it charges and counts what the model scores.
     pub candidates_evaluated: u64,
     /// How many times the search escalated (e.g. switched completion salt)
     /// before meeting the bound; 0 means the first pass succeeded.
     pub escalations: u32,
 }
+
+/// How many of a chunk's candidates a search whose cost names a
+/// [`SeedCost::floor`] scores before the rest. `Partition`'s chunk-0
+/// codebook repeats across its calls, and a call at depth d re-scores the h1
+/// its ancestors chose, which puts its whole active set in one bin. So on
+/// both `cr-*` perfbench workloads at seeds 9–11, where 58–64 of the 64
+/// candidates of every call total 0, the first zero sat at an index no
+/// higher than the call's depth (0, 1 or 2), and a lead of 8 covers calls
+/// down to depth 7. On `cr-plaw-list` instances (seeds 21–26, 2-CPU VM),
+/// `ColorReduce::run` took 9.70 ms with a lead of 4, 9.79 ms with 8 and
+/// 10.51 ms with 16 (medians of 6 runs).
+const LEAD: usize = 8;
 
 /// Chunked greedy seed search with a verified expectation bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,6 +148,9 @@ impl GreedyChunkSelector {
     /// One greedy pass with a fixed completion salt. It ends early, at the
     /// first chunk whose minimizer totals at most the cost's
     /// [`SeedCost::stop_threshold`], with that candidate's completion.
+    /// `lead` says whether the search still scores each codebook's lead
+    /// first; a lead without a candidate at the floor clears it.
+    #[allow(clippy::too_many_arguments)]
     fn run_pass(
         &self,
         ctx: &mut ClusterContext,
@@ -128,11 +158,13 @@ impl GreedyChunkSelector {
         seed_bits: usize,
         cost: &mut dyn SeedCost,
         salt: u64,
+        lead: &mut bool,
         candidates_evaluated: &mut u64,
     ) -> (BitSeed, f64) {
         let mut seed = BitSeed::zeros(seed_bits);
         let machines = cost.machine_count();
         let stop = cost.stop_threshold();
+        let floor = cost.floor();
         let chunks = seed.chunk_count(self.chunk_bits);
         let mut final_cost = None;
         for chunk_index in 0..chunks {
@@ -149,12 +181,15 @@ impl GreedyChunkSelector {
                     trial.canonical_completion(start + width, salt)
                 })
                 .collect();
-            let totals = cost.total_costs(&trials);
-            debug_assert_eq!(totals.len(), trials.len(), "one total per candidate");
+            let totals = score(cost, &trials, floor, lead);
+            debug_assert!(
+                totals.len() <= trials.len(),
+                "at most one total per candidate"
+            );
             *candidates_evaluated += candidates.len() as u64;
             // Strict contexts can reject the bandwidth of very wide candidate
             // sets; the search goes on with the totals it already has.
-            let _ = charge_aggregation(ctx, label, machines, totals.len());
+            let _ = charge_aggregation(ctx, label, machines, candidates.len());
             let (best_index, best_total) = totals
                 .iter()
                 .copied()
@@ -188,11 +223,19 @@ impl GreedyChunkSelector {
     ) -> SelectionOutcome {
         let bound = cost.expectation_bound();
         let mut candidates_evaluated = 0u64;
+        let mut lead = true;
         let mut best: Option<(BitSeed, f64)> = None;
         for salt_index in 0..self.max_salts {
             let salt = completion_salt(salt_index);
-            let (seed, achieved) =
-                self.run_pass(ctx, label, seed_bits, cost, salt, &mut candidates_evaluated);
+            let (seed, achieved) = self.run_pass(
+                ctx,
+                label,
+                seed_bits,
+                cost,
+                salt,
+                &mut lead,
+                &mut candidates_evaluated,
+            );
             let improves = best.as_ref().map(|(_, c)| achieved < *c).unwrap_or(true);
             if improves {
                 best = Some((seed, achieved));
@@ -219,6 +262,29 @@ impl GreedyChunkSelector {
             escalations: self.max_salts - 1,
         }
     }
+}
+
+/// The totals of a chunk's `trials`, in codebook order: of its lead alone
+/// when `lead` is set, the cost names a `floor` and a lead candidate reaches
+/// it, else of the whole codebook. The first minimizer of either is the
+/// codebook's, since no total is below the floor. A lead that misses the
+/// floor clears `lead`, so the rest of the search scores whole codebooks,
+/// each in one call, and the cost's record of its latest call holds every
+/// candidate of the chunk.
+fn score(
+    cost: &mut dyn SeedCost,
+    trials: &[BitSeed],
+    floor: Option<f64>,
+    lead: &mut bool,
+) -> Vec<f64> {
+    if let Some(floor) = floor.filter(|_| *lead && trials.len() > LEAD) {
+        let totals = cost.total_costs(&trials[..LEAD]);
+        if totals.iter().any(|&total| total <= floor) {
+            return totals;
+        }
+        *lead = false;
+    }
+    cost.total_costs(trials)
 }
 
 /// The completion salt of the pass after `escalations` escalations.
@@ -319,6 +385,83 @@ mod tests {
             .candidates(61, 0, completion_salt(0))
             .contains(&outcome.seed.chunk(0, 61)));
         assert_eq!(outcome.achieved_cost, cost.total_cost(&outcome.seed));
+    }
+
+    /// A cost given by a function of the seed, with a bound and maybe a
+    /// floor, that counts the totals it is asked for.
+    struct Counted<F> {
+        total: F,
+        bound: f64,
+        floor: Option<f64>,
+        asked: usize,
+    }
+
+    impl<F: Fn(&BitSeed) -> f64> SeedCost for Counted<F> {
+        fn machine_count(&self) -> usize {
+            8
+        }
+
+        fn total_cost(&mut self, seed: &BitSeed) -> f64 {
+            self.asked += 1;
+            (self.total)(seed)
+        }
+
+        fn expectation_bound(&self) -> f64 {
+            self.bound
+        }
+
+        fn floor(&self) -> Option<f64> {
+            self.floor
+        }
+    }
+
+    /// Searches `seed_bits` bits with `selector` under `total` and `bound`,
+    /// without a floor and with floor 0; checks that both searches pick,
+    /// report and charge the same, and returns the totals each asked for.
+    fn totals_asked(
+        selector: &GreedyChunkSelector,
+        seed_bits: usize,
+        bound: f64,
+        total: impl Fn(&BitSeed) -> f64 + Copy,
+    ) -> [usize; 2] {
+        let [(full, full_asked), (floored, floored_asked)] = [None, Some(0.0)].map(|floor| {
+            let mut cost = Counted {
+                total,
+                bound,
+                floor,
+                asked: 0,
+            };
+            let mut ctx = context();
+            let outcome = selector.select(&mut ctx, "lead", seed_bits, &mut cost);
+            let charged = (ctx.rounds(), ctx.communication_words());
+            ((outcome, charged), cost.asked)
+        });
+        assert_eq!(full, floored);
+        [full_asked, floored_asked]
+    }
+
+    #[test]
+    fn a_lead_candidate_at_the_floor_ends_its_chunk() {
+        let selector = GreedyChunkSelector::default();
+        let codebook = selector.candidates(61, 0, completion_salt(0));
+        // Candidates 2 and 40 total 0, every other one 1: one 61-bit chunk.
+        let total = |seed: &BitSeed| {
+            let index = codebook.iter().position(|&c| c == seed.chunk(0, 61));
+            f64::from(!matches!(index, Some(2 | 40)))
+        };
+        // The whole codebook's 64 totals without the floor, the lead's 8
+        // with it; both pick candidate 2 and count 64 candidates.
+        assert_eq!(totals_asked(&selector, 61, 0.5, total), [64, LEAD]);
+    }
+
+    #[test]
+    fn a_search_that_never_reaches_its_floor_scores_one_extra_lead() {
+        // Four chunks, three salts and a bound no seed meets: every chunk of
+        // every pass is scored, 768 totals. The first lead misses the floor,
+        // and the search scores whole codebooks from then on.
+        let selector = GreedyChunkSelector::new(61, 64, 3);
+        let total = |seed: &BitSeed| 1.0 + (seed.words()[0] % 5) as f64;
+        assert_eq!(totals_asked(&selector, 200, 0.5, total), [768, 768 + LEAD]);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! * [`cost::SeedCost`] — the cost-function interface implemented by
 //!   `clique-coloring`'s partitions and `cc-mis`'s derandomized Luby phase;
 //!   one [`SeedCost::total_cost`] call scores a candidate: the total the
-//!   paper's aggregation delivers. [`SeedCost::total_costs`] scores all of
-//!   a chunk's candidates in one call; by default it calls `total_cost` once
-//!   per candidate, and the partitions override it to score 64 candidates in
-//!   one bit-sliced pass over the edges,
+//!   paper's aggregation delivers. [`SeedCost::total_costs`] scores several
+//!   of a chunk's candidates in one call; by default it calls `total_cost`
+//!   once per candidate, and the partitions override it to score up to 64
+//!   candidates in one bit-sliced pass over the edges,
 //! * [`greedy::GreedyChunkSelector`] — the paper's chunked search where each
 //!   candidate chunk is scored by the *true* cost under a canonical
 //!   deterministic completion, with a runtime check of the expectation bound
@@ -29,7 +29,10 @@
 //!   [`SeedCost::stop_threshold`] is `Some` ends a pass at the first chunk
 //!   whose minimizer totals at most it, returning that candidate's
 //!   completion; `Partition`'s cost stops at its bound, the default
-//!   (`None`) scores every chunk.
+//!   (`None`) scores every chunk. For a cost that names a
+//!   [`SeedCost::floor`], as the partitions' costs do, the simulator stops
+//!   scoring a chunk at its first lead candidate at the floor, with the
+//!   seeds, charges and counts of the full search.
 //!
 //! The selector charges its communication — one
 //! [`cc_sim::primitives::charge_aggregation`] and one broadcast per chunk —

@@ -89,13 +89,16 @@ fn sparse_palette_kinds(n: usize) -> [PaletteKind; 2] {
 
 /// A `SeedCost` given by a table: on the seed whose value is `s`, machine
 /// `x` costs `table[x][s]`. Integer entries keep every sum exact. With
-/// `stop`, its bound is also the selector's stop threshold.
+/// `stop`, its bound is also the selector's stop threshold; with `floor`, it
+/// names floor 0. It counts the totals it is asked for in `asked`.
 #[derive(Clone)]
 struct TableCost {
     table: Vec<Vec<f64>>,
     seed_bits: usize,
     bound: f64,
     stop: bool,
+    floor: bool,
+    asked: u64,
 }
 
 impl TableCost {
@@ -112,6 +115,7 @@ impl SeedCost for TableCost {
     }
 
     fn total_cost(&mut self, seed: &BitSeed) -> f64 {
+        self.asked += 1;
         self.total(seed)
     }
 
@@ -122,24 +126,36 @@ impl SeedCost for TableCost {
     fn stop_threshold(&self) -> Option<f64> {
         self.stop.then_some(self.bound)
     }
+
+    fn floor(&self) -> Option<f64> {
+        self.floor.then_some(0.0)
+    }
 }
 
 /// Strategy: 1–8 machines, a 1–12-bit seed, entries in `0..16` and a bound
-/// anywhere from 0 to the largest possible total.
+/// anywhere from 0 to the largest possible total. About one seed value in
+/// five costs 0 on every machine, so codebooks hold totals at floor 0.
 fn arb_table_cost() -> impl Strategy<Value = TableCost> {
     (1usize..=8, 1usize..=12).prop_flat_map(|(machines, seed_bits)| {
         (
             proptest::collection::vec(0u64..16, machines << seed_bits),
+            proptest::collection::vec(0u8..5, 1 << seed_bits),
             0u64..=15 * machines as u64,
         )
-            .prop_map(move |(entries, bound)| TableCost {
+            .prop_map(move |(entries, zero, bound)| TableCost {
                 table: entries
                     .chunks(1 << seed_bits)
-                    .map(|row| row.iter().map(|&e| e as f64).collect())
+                    .map(|row| {
+                        let row = row.iter().zip(&zero);
+                        row.map(|(&e, &z)| if z == 0 { 0.0 } else { e as f64 })
+                            .collect()
+                    })
                     .collect(),
                 seed_bits,
                 bound: bound as f64,
                 stop: false,
+                floor: false,
+                asked: 0,
             })
     })
 }
@@ -853,12 +869,16 @@ proptest! {
     /// cost, escalations and charges follow `reference_schedule`, and it
     /// never scores, escalates or charges more, nor misses a bound the full
     /// search meets. The bound is the drawn one, or one that ends the first
-    /// pass in chunk 0, in a later chunk, or never.
+    /// pass in chunk 0, in a later chunk, or never. A cost that names floor
+    /// 0 gets the same seed, cost, escalations, count and charges, while
+    /// asking for at most one lead (8 totals) more than the count; without a
+    /// floor it asks for exactly the count. Codebooks of up to 24 candidates
+    /// exceed the lead.
     #[test]
     fn greedy_selector_scores_each_candidate_once(
         cost in arb_table_cost(),
         chunk_bits in 1usize..=7,
-        candidates in 1usize..=8,
+        candidates in 1usize..=24,
         salts in 1u32..=3,
         shape in 0u8..4
     ) {
@@ -879,21 +899,29 @@ proptest! {
         };
         let mut runs = Vec::new();
         for stop in [false, true] {
-            let mut cost = TableCost { bound, stop, ..cost.clone() };
-            let mut ctx = ClusterContext::new(model.clone());
-            let outcome = selector.select(&mut ctx, "prop", cost.seed_bits, &mut cost);
-            prop_assert_eq!(outcome.achieved_cost, cost.total(&outcome.seed));
-            prop_assert_eq!(outcome.met_bound, outcome.achieved_cost <= outcome.bound);
-            let got = Schedule {
-                seed: outcome.seed.clone(),
-                cost: outcome.achieved_cost,
-                escalations: outcome.escalations,
-                candidates: outcome.candidates_evaluated,
-                rounds: ctx.rounds(),
-                words: ctx.communication_words(),
-            };
-            prop_assert_eq!(got, reference_schedule(&passes, bound, stop, machines, broadcast_words));
-            runs.push((outcome, ctx));
+            let want = reference_schedule(&passes, bound, stop, machines, broadcast_words);
+            for floor in [false, true] {
+                let mut cost = TableCost { bound, stop, floor, ..cost.clone() };
+                let mut ctx = ClusterContext::new(model.clone());
+                let outcome = selector.select(&mut ctx, "prop", cost.seed_bits, &mut cost);
+                prop_assert_eq!(outcome.achieved_cost, cost.total(&outcome.seed));
+                prop_assert_eq!(outcome.met_bound, outcome.achieved_cost <= outcome.bound);
+                let got = Schedule {
+                    seed: outcome.seed.clone(),
+                    cost: outcome.achieved_cost,
+                    escalations: outcome.escalations,
+                    candidates: outcome.candidates_evaluated,
+                    rounds: ctx.rounds(),
+                    words: ctx.communication_words(),
+                };
+                prop_assert_eq!(&got, &want);
+                if floor {
+                    prop_assert!(cost.asked <= outcome.candidates_evaluated + 8);
+                } else {
+                    prop_assert_eq!(cost.asked, outcome.candidates_evaluated);
+                    runs.push((outcome, ctx));
+                }
+            }
         }
         let ((full, full_ctx), (stopping, stopping_ctx)) = (&runs[0], &runs[1]);
 
